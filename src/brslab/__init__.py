@@ -54,7 +54,6 @@ from .lyapunov import (
     TailBudgetError,
     UqEstimate,
     build_l_table,
-    estimate_Uq,
     eval_V,
     lyap_M,
     radial_table,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -91,8 +91,11 @@ class LipschitzProbeReport:
     diverged: bool
 
     def to_json(self) -> str:
+        # a diverged probe keeps L_estimate = inf in memory and writes null
         obj = asdict(self)
-        return json.dumps(obj, sort_keys=True)
+        if math.isinf(obj["L_estimate"]):
+            obj["L_estimate"] = None
+        return json.dumps(obj, sort_keys=True, allow_nan=False)
 
 
 def _random_in_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
@@ -131,14 +134,12 @@ def sample_reach(
         raise ValueError("C and tau must be positive")
     cfg = cfg or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
     t_grid = np.linspace(0.0, tau, grid_points + 1)[1:]
+    run_cfg = replace(cfg, dense_output_grid=t_grid)
     rows_t, rows_x, rows_u, rows_phi = [], [], [], []
     for i in range(n):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
         x0 = _random_in_ball(rng, sys.state_dim, C)
         u = _random_pc_input(rng, sys.input_dim, tau, 0.999 * C)
-        run_cfg = IntegratorConfig(
-            cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.blowup_threshold, t_grid
-        )
         traj = integrate(sys, x0, u, tau, run_cfg)
         nx = float(np.linalg.norm(x0))
         nu = u.sup_norm()
@@ -270,14 +271,40 @@ def find_rfc_offset(
 
 
 def _pair_ratio(sys, x1, x2, u, tau, cfg, grid) -> float:
-    run_cfg = IntegratorConfig(
-        cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.blowup_threshold, grid
-    )
+    run_cfg = replace(cfg, dense_output_grid=grid)
     t1 = integrate(sys, x1, u, tau, run_cfg)
     t2 = integrate(sys, x2, u, tau, run_cfg)
     n = min(t1.times.size, t2.times.size)
     diff = np.linalg.norm(t1.states[:n] - t2.states[:n], axis=1)
     return float(diff.max() / np.linalg.norm(np.atleast_1d(x1) - np.atleast_1d(x2)))
+
+
+def _probe_pairs(dim, tau, C, pairs, seed, tag, n_ladder):
+    """Near-zero ladder pairs (0, r e1), then seeded random pairs in the C-ball."""
+    if tau <= 0 or C <= 0:
+        raise ValueError("tau and C must be positive")
+    e1 = np.zeros(dim)
+    e1[0] = 1.0
+    pair_list = [(np.zeros(dim), r * e1) for r in NEAR_ZERO_LADDER[:n_ladder]]
+    for i in range(pairs):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, tag, i]))
+        pair_list.append((_random_in_ball(rng, dim, C), _random_in_ball(rng, dim, C)))
+    return pair_list
+
+
+def _probe_report(sys, pair_list, inputs, tau, C, cfg, ratio_cap) -> LipschitzProbeReport:
+    """Max ratio over every distinct pair and every input in `inputs(i)`."""
+    grid = np.linspace(0.0, tau, 65)
+    max_ratio = 0.0
+    for i, (x1, x2) in enumerate(pair_list):
+        if np.array_equal(x1, x2):
+            continue
+        for u in inputs(i):
+            max_ratio = max(max_ratio, _pair_ratio(sys, x1, x2, u, tau, cfg, grid))
+    diverged = max_ratio > ratio_cap
+    return LipschitzProbeReport(
+        tau, C, len(pair_list), max_ratio, math.inf if diverged else max_ratio, diverged
+    )
 
 
 def probe_lipschitz_openloop(
@@ -296,33 +323,16 @@ def probe_lipschitz_openloop(
     non-Lipschitz behavior concentrates at the origin.  `diverged` flags any
     ratio beyond ratio_cap.
     """
-    if tau <= 0 or C <= 0:
-        raise ValueError("tau and C must be positive")
     cfg = cfg or IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13)
-    grid = np.linspace(0.0, tau, 65)
-    e1 = np.zeros(sys.state_dim)
-    e1[0] = 1.0
-    pair_list = [(np.zeros(sys.state_dim), r * e1) for r in NEAR_ZERO_LADDER]
-    for i in range(pairs):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 11, i]))
-        pair_list.append(
-            (_random_in_ball(rng, sys.state_dim, C), _random_in_ball(rng, sys.state_dim, C))
-        )
-    max_ratio = 0.0
-    for i, (x1, x2) in enumerate(pair_list):
-        if np.array_equal(x1, x2):
-            continue
+    pair_list = _probe_pairs(sys.state_dim, tau, C, pairs, seed, 11, len(NEAR_ZERO_LADDER))
+
+    def inputs(i):
         if u_fixed is not None:
-            u = u_fixed
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 13, i]))
-            u = _random_pc_input(rng, sys.input_dim, tau, 0.999 * C)
-        max_ratio = max(max_ratio, _pair_ratio(sys, x1, x2, u, tau, cfg, grid))
-    diverged = max_ratio > ratio_cap
-    return LipschitzProbeReport(
-        tau, C, len(pair_list), max_ratio, max_ratio if not diverged else math.inf,
-        diverged,
-    )
+            return [u_fixed]
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 13, i]))
+        return [_random_pc_input(rng, sys.input_dim, tau, 0.999 * C)]
+
+    return _probe_report(sys, pair_list, inputs, tau, C, cfg, ratio_cap)
 
 
 def probe_lipschitz_tdi(
@@ -341,31 +351,11 @@ def probe_lipschitz_tdi(
     Each pair shares a disturbance lifted from both initial states through
     the closed loop, realizing the matched-input map u1 -> u2.
     """
-    if tau <= 0 or C <= 0:
-        raise ValueError("tau and C must be positive")
     cfg = cfg or IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
-    cl = closed_loop(sys, margin)
-    grid = np.linspace(0.0, tau, 65)
+    pair_list = _probe_pairs(sys.state_dim, tau, C, pairs, seed, 17, 4)
     dists = disturbance_family(sys.input_dim, tau, n_dist, seed)
-    pair_list = []
-    e1 = np.zeros(sys.state_dim)
-    e1[0] = 1.0
-    pair_list.extend((np.zeros(sys.state_dim), r * e1) for r in NEAR_ZERO_LADDER[:4])
-    for i in range(pairs):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 17, i]))
-        pair_list.append(
-            (_random_in_ball(rng, sys.state_dim, C), _random_in_ball(rng, sys.state_dim, C))
-        )
-    max_ratio = 0.0
-    for x1, x2 in pair_list:
-        if np.array_equal(x1, x2):
-            continue
-        for d in dists:
-            max_ratio = max(max_ratio, _pair_ratio(cl, x1, x2, d, tau, cfg, grid))
-    diverged = max_ratio > ratio_cap
-    return LipschitzProbeReport(
-        tau, C, len(pair_list), max_ratio, max_ratio if not diverged else math.inf,
-        diverged,
+    return _probe_report(
+        closed_loop(sys, margin), pair_list, lambda i: dists, tau, C, cfg, ratio_cap
     )
 
 

@@ -29,13 +29,12 @@ from .brscheck import (
 )
 from .compfun import chi_from_eta, eta_from_chis
 from .lyapunov import (
-    LipschitzTable,
     LyapunovConfig,
+    NotRfcTdiError,
+    TailBudgetError,
     build_l_table,
     dump_table,
-    eval_V,
     radial_table,
-    sandwich_funs,
     verify_growth,
 )
 from .sysdyn import InputSignal, IntegratorConfig, integrate
@@ -86,6 +85,16 @@ def _bundle(cfg: dict) -> ex.ExampleBundle:
         raise ConfigError(str(exc)) from exc
 
 
+def _reach_samples(bundle: ex.ExampleBundle, cfg: dict):
+    return sample_reach(
+        bundle.system,
+        float(cfg.get("C", 2.0)),
+        float(cfg.get("horizon", 3.0)),
+        int(cfg.get("samples", 40)),
+        int(cfg["seed"]),
+    )
+
+
 def _margin(bundle: ex.ExampleBundle, cfg: dict) -> GrowthMargin:
     source = cfg.get("eta_source", "paper")
     if source == "paper":
@@ -94,67 +103,65 @@ def _margin(bundle: ex.ExampleBundle, cfg: dict) -> GrowthMargin:
                 f"example {bundle.name!r} ships no growth margin; use from_fit"
             )
         return bundle.margin
-    samples = sample_reach(
-        bundle.system,
-        float(cfg.get("C", 2.0)),
-        float(cfg.get("horizon", 3.0)),
-        int(cfg.get("samples", 40)),
-        int(cfg["seed"]),
-    )
-    fit = fit_additive_bound(samples)
+    fit = fit_additive_bound(_reach_samples(bundle, cfg))
     return GrowthMargin(eta_from_chis(fit.chi1, fit.chi2, fit.chi3))
 
 
 def _int_cfg(cfg: dict) -> IntegratorConfig:
     sub = cfg.get("integrator", {})
-    return IntegratorConfig(
-        rel_tol=float(sub.get("rel_tol", 1e-9)),
-        abs_tol=float(sub.get("abs_tol", 1e-12)),
-        max_step=float(sub.get("max_step", math.inf)),
-        blowup_threshold=float(sub.get("blowup_threshold", 1e9)),
-    )
+    try:
+        return IntegratorConfig(**{k: float(v) for k, v in sub.items()})
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad integrator settings: {exc}") from exc
 
 
-def _lyap_cfg(cfg: dict, args) -> LyapunovConfig:
+def _lyap_cfg(cfg: dict) -> LyapunovConfig:
     sub = dict(cfg.get("lyapunov", {}))
     sub.setdefault("seed", int(cfg["seed"]))
-    if args.workers:
-        sub["workers"] = args.workers
     try:
         return LyapunovConfig(**sub)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad lyapunov settings: {exc}") from exc
 
 
+def _stamped(obj: dict, cfg: dict, indent: int | None = None) -> str:
+    """RFC 8259 JSON of obj plus the config hash and seed; NaN/inf raise."""
+    obj = dict(obj, config_hash=_config_hash(cfg), seed=int(cfg["seed"]))
+    return json.dumps(obj, sort_keys=True, indent=indent, default=float, allow_nan=False)
+
+
 def _emit(out_path: Path, obj: dict, cfg: dict) -> None:
-    obj = dict(obj)
-    obj["config_hash"] = _config_hash(cfg)
-    obj["seed"] = int(cfg["seed"])
-    out_path.write_text(json.dumps(obj, sort_keys=True, indent=2, default=float))
+    out_path.write_text(_stamped(obj, cfg, indent=2))
 
 
 def _fail(witness: dict, cfg: dict) -> int:
-    witness = dict(witness)
-    witness["config_hash"] = _config_hash(cfg)
-    witness["seed"] = int(cfg["seed"])
-    print(json.dumps(witness, sort_keys=True, default=float))
+    print(_stamped(witness, cfg))
     return 1
+
+
+def _vector(cfg: dict, key: str, dim: int) -> np.ndarray:
+    try:
+        v = np.asarray(cfg.get(key, np.zeros(dim)), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a list of {dim} numbers: {exc}") from exc
+    if v.shape != (dim,):
+        raise ConfigError(f"{key} must be a list of {dim} numbers, got shape {v.shape}")
+    return v
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config, args)
     bundle = _bundle(cfg)
-    x0 = np.asarray(cfg.get("x0", np.zeros(bundle.system.state_dim)), dtype=float)
-    u = InputSignal.constant(
-        np.asarray(cfg.get("u_constant", np.zeros(bundle.system.input_dim)), dtype=float)
-    )
+    x0 = _vector(cfg, "x0", bundle.system.state_dim)
+    u = InputSignal.constant(_vector(cfg, "u_constant", bundle.system.input_dim))
     tau = float(cfg.get("horizon", 1.0))
     traj = integrate(bundle.system, x0, u, tau, _int_cfg(cfg))
     out = _out_dir(args)
     traj.to_csv(out / "trajectory.csv")
     _emit(
         out / "simulate.json",
-        {"t_max": traj.t_max_estimate, "blew_up": traj.blew_up,
+        {"t_max": None if math.isinf(traj.t_max_estimate) else traj.t_max_estimate,
+         "blew_up": traj.blew_up,
          "final_state": traj.states[-1].tolist()},
         cfg,
     )
@@ -164,13 +171,7 @@ def cmd_simulate(args) -> int:
 def cmd_brs_fit(args) -> int:
     cfg = _load_config(args.config, args)
     bundle = _bundle(cfg)
-    samples = sample_reach(
-        bundle.system,
-        float(cfg.get("C", 2.0)),
-        float(cfg.get("horizon", 3.0)),
-        int(cfg.get("samples", 40)),
-        int(cfg["seed"]),
-    )
+    samples = _reach_samples(bundle, cfg)
     out = _out_dir(args)
     samples.to_csv(out / "reach_samples.csv")
     try:
@@ -233,10 +234,10 @@ def cmd_lipschitz_probe(args) -> int:
     return 0
 
 
-def _build_pipeline(cfg: dict, args):
+def _build_pipeline(cfg: dict):
     bundle = _bundle(cfg)
     margin = _margin(bundle, cfg)
-    lyap_cfg = _lyap_cfg(cfg, args)
+    lyap_cfg = _lyap_cfg(cfg)
     if "c" in cfg:
         c = float(cfg["c"])
     else:
@@ -246,14 +247,14 @@ def _build_pipeline(cfg: dict, args):
             int(cfg.get("samples", 12)), int(cfg["seed"]),
         )
     l_table = build_l_table(bundle.system, margin, lyap_cfg.Q, c, int(cfg["seed"]))
-    return bundle, margin, lyap_cfg, l_table
+    radii = np.asarray(cfg.get("radii", np.linspace(0.0, 2.0, 21).tolist()), dtype=float)
+    table = radial_table(bundle.system, margin, radii, lyap_cfg, l_table)
+    return bundle, margin, lyap_cfg, l_table, table
 
 
 def cmd_lyapunov_build(args) -> int:
     cfg = _load_config(args.config, args)
-    bundle, margin, lyap_cfg, l_table = _build_pipeline(cfg, args)
-    radii = np.asarray(cfg.get("radii", np.linspace(0.0, 2.0, 21).tolist()), dtype=float)
-    table = radial_table(bundle.system, margin, radii, lyap_cfg, l_table)
+    bundle, margin, lyap_cfg, l_table, table = _build_pipeline(cfg)
     out = _out_dir(args)
     dump_table(table, out, lyap_cfg, l_table, {"config_hash": _config_hash(cfg)})
     return 0
@@ -261,9 +262,7 @@ def cmd_lyapunov_build(args) -> int:
 
 def cmd_lyapunov_verify(args) -> int:
     cfg = _load_config(args.config, args)
-    bundle, margin, lyap_cfg, l_table = _build_pipeline(cfg, args)
-    radii = np.asarray(cfg.get("radii", np.linspace(0.0, 2.0, 21).tolist()), dtype=float)
-    table = radial_table(bundle.system, margin, radii, lyap_cfg, l_table)
+    bundle, margin, lyap_cfg, l_table, table = _build_pipeline(cfg)
     bad = (table["alpha1"] > table["V"] + 1e-9) | (
         table["V"] > table["alpha2_plus_C"] + 1e-9
     )
@@ -313,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", default=None)
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--workers", type=int, default=None)
         sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("simulate", help="integrate a trajectory to CSV")
@@ -362,11 +360,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, TailBudgetError) as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
     except NotBrsError as exc:
         print(json.dumps({"falsified": "BRS/RFC", "detail": str(exc)}))
+        return 1
+    except NotRfcTdiError as exc:
+        print(json.dumps({"falsified": "RFC-TDI", "detail": str(exc)}))
         return 1
 
 

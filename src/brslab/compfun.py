@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -98,24 +98,6 @@ class ScalarFun:
                     over, self.values[-1] + self.slope * (s_arr - self.knots[-1]), out
                 )
         return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
-
-    @classmethod
-    def from_callable(
-        cls,
-        fn: Callable,
-        knots: Iterable[float],
-        tags: Iterable[str] = (),
-        slope: float | None = None,
-        exact_name: str | None = None,
-    ) -> "ScalarFun":
-        knots = np.asarray(list(knots), dtype=float)
-        values = np.array([float(fn(k)) for k in knots])
-        if slope is None:
-            slope = (values[-1] - values[-2]) / (knots[-1] - knots[-2])
-        return cls(knots, values, float(slope), frozenset(tags), exact_name)
-
-    def with_tags(self, *tags: str) -> "ScalarFun":
-        return replace(self, tags=frozenset(tags))
 
     def to_json(self) -> str:
         obj = {

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -32,7 +31,6 @@ __all__ = [
     "TailBudgetError",
     "NotRfcTdiError",
     "build_l_table",
-    "estimate_Uq",
     "lyap_M",
     "eval_V",
     "sandwich_funs",
@@ -70,7 +68,6 @@ class LyapunovConfig:
     dini_h_ladder: tuple = (1e-2, 1e-3)
     tol_growth: float = 0.1
     growth_abs_slack: float = 0.05
-    workers: int = 1
     integrator: IntegratorConfig | None = None
 
     def __post_init__(self):
@@ -82,8 +79,8 @@ class LyapunovConfig:
         if any(h <= 0 for h in ladder) or any(np.diff(ladder) >= 0):
             raise ValueError("dini_h_ladder must be strictly decreasing and positive")
         object.__setattr__(self, "dini_h_ladder", ladder)
-        if self.n_dist < 1 or self.time_grid_density < 1 or self.workers < 1:
-            raise ValueError("n_dist, time_grid_density and workers must be >= 1")
+        if self.n_dist < 1 or self.time_grid_density < 1:
+            raise ValueError("n_dist and time_grid_density must be >= 1")
 
     def int_cfg(self) -> IntegratorConfig:
         return self.integrator or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11)
@@ -105,7 +102,6 @@ class LyapunovValue:
     tail_bound: float
     per_q: list
     M_table: dict
-    lower_bound_certificate: bool = True
 
 
 @dataclass(frozen=True)
@@ -185,53 +181,6 @@ def _uq_from_trajs(margin, trajs, q, grid):
     return best, arg
 
 
-def _closed_loop_trajs(sys, margin, x, tau, cfg: LyapunovConfig):
-    cl = closed_loop(sys, margin)
-    dists = disturbance_family(sys.input_dim, tau, cfg.n_dist, cfg.seed)
-    icfg = cfg.int_cfg()
-
-    def run(d):
-        return integrate(cl, x, d, tau, icfg)
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            trajs = list(pool.map(run, dists))
-    else:
-        trajs = [run(d) for d in dists]
-    for traj in trajs:
-        if traj.blew_up:
-            raise NotRfcTdiError(
-                f"closed loop from ||x||={np.linalg.norm(x):.3g} blew up at"
-                f" t={traj.t_max_estimate:.3g} < {tau:.3g}:"
-                " not RFC-TDI on this ball"
-            )
-    return trajs
-
-
-def estimate_Uq(
-    sys: SystemDef,
-    margin: GrowthMargin,
-    x,
-    q: int,
-    R: float,
-    cfg: LyapunovConfig,
-    c: float = 0.0,
-) -> UqEstimate:
-    """Sampled lower bound of U_q over lifted disturbances on [0, Theta(R,q)].
-
-    The grid contains s = 0, so the estimate always dominates
-    G_q(eta(||x||)), the zero-input zero-time substitution.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if R < np.linalg.norm(x) - 1e-12:
-        raise ValueError("need R >= ||x|| so Theta(R,q) covers the ball of x")
-    th = theta(float(R), q, c)
-    trajs = _closed_loop_trajs(sys, margin, x, th, cfg)
-    grid = _dyadic_grid(th, cfg.time_grid_density)
-    value, arg = _uq_from_trajs(margin, trajs, q, grid)
-    return UqEstimate(q, float(R), th, value, arg)
-
-
 def _tail_bound(Q: int, nx: float, c: float) -> float:
     return 2.0 ** (1 - Q) * (1.0 + nx + c)
 
@@ -247,7 +196,9 @@ def eval_V(
     """Truncated series V(x) = 1 + sum_q 2^{-q} U_q(x) / (1 + M(q,q)).
 
     All U_q share one set of closed-loop trajectories integrated to the
-    largest horizon; each q reads its own dyadic grid off the dense output.
+    largest horizon; each q reads its own dyadic grid off the dense output
+    into `per_q`.  Every grid contains s = 0, so each U_q estimate dominates
+    G_q(eta(||x||)), the zero-input zero-time substitution.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     nx = float(np.linalg.norm(x))
@@ -260,7 +211,20 @@ def eval_V(
         min_Q = math.ceil(1.0 + math.log2((1.0 + nx + c) / cfg.tail_tol))
         raise TailBudgetError(cfg.Q, tail, cfg.tail_tol, min_Q)
     thetas = [theta(R, q, c) for q in range(1, cfg.Q + 1)]
-    trajs = _closed_loop_trajs(sys, margin, x, thetas[-1], cfg)
+    tau = thetas[-1]
+    cl = closed_loop(sys, margin)
+    icfg = cfg.int_cfg()
+    trajs = [
+        integrate(cl, x, d, tau, icfg)
+        for d in disturbance_family(sys.input_dim, tau, cfg.n_dist, cfg.seed)
+    ]
+    for traj in trajs:
+        if traj.blew_up:
+            raise NotRfcTdiError(
+                f"closed loop from ||x||={nx:.3g} blew up at"
+                f" t={traj.t_max_estimate:.3g} < {tau:.3g}:"
+                " not RFC-TDI on this ball"
+            )
     V = 1.0
     per_q = []
     m_table = {}
@@ -339,13 +303,16 @@ class GrowthReport:
     dini_W: float = math.nan
     passes_V: bool = True
     passes_W: bool = True
-    lower_bound_certificate: bool = True
 
     def to_json(self) -> str:
         obj = asdict(self)
         obj["x"] = np.asarray(self.x).tolist()
         obj["u_value"] = np.asarray(self.u_value).tolist()
-        return json.dumps(obj, sort_keys=True, default=float)
+        # a vacuous pair leaves V0, W0 and the Dini quotients at NaN: write null
+        for key in ("V0", "W0", "dini_V", "dini_W"):
+            if math.isnan(obj[key]):
+                obj[key] = None
+        return json.dumps(obj, sort_keys=True, default=float, allow_nan=False)
 
 
 def verify_growth(
@@ -455,7 +422,6 @@ def dump_table(
         "M_table": {
             f"{tau:.12g},{C:.12g}": L for (tau, C), L in sorted(l_table.entries.items())
         },
-        "lower_bound_certificate": True,
     }
     manifest.update(extra_manifest or {})
     (out_dir / "lyapunov_manifest.json").write_text(

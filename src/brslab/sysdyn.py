@@ -25,7 +25,6 @@ __all__ = [
     "Trajectory",
     "IntegratorConfig",
     "StepSizeError",
-    "eval_input",
     "concat",
     "integrate",
     "detect_tmax",
@@ -105,10 +104,6 @@ class InputSignal:
         # each kept breakpoint j starts the segment combined[j + 1].
         new_vals = np.vstack([self.eval(t)[None, :], combined[kept[:-1] + 1]])
         return InputSignal(new_bp, new_vals, combined[kept[-1] + 1])
-
-
-def eval_input(u: InputSignal, t: float) -> np.ndarray:
-    return u.eval(t)
 
 
 def concat(u1: InputSignal, u2: InputSignal, t: float) -> InputSignal:
@@ -227,12 +222,17 @@ def integrate(
 
     `u` is an InputSignal or any object exposing `eval(t)` and
     `breakpoints`; integration restarts at every breakpoint.  On blow-up the
-    trajectory is truncated at the threshold-crossing time.
+    trajectory is truncated at the threshold-crossing time.  An `x0` or an
+    InputSignal whose dimension does not match `sys` is a ValueError.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     cfg = cfg or IntegratorConfig()
     x0 = _as_vector(x0)
+    if x0.shape != (sys.state_dim,):
+        raise ValueError(f"x0 has shape {x0.shape}, expected ({sys.state_dim},)")
+    if isinstance(u, InputSignal) and u.dim != sys.input_dim:
+        raise ValueError(f"input has dimension {u.dim}, expected {sys.input_dim}")
     edges = _segment_edges(u, tau)
     grid = cfg.dense_output_grid
     if grid is not None:

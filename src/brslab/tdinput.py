@@ -10,7 +10,7 @@ reads the input off the trajectory, projection divides the input back out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,10 +61,6 @@ class DisturbanceSignal(InputSignal):
         norms = np.linalg.norm(self._all_values(), axis=1)
         if np.any(norms > 1 + 1e-9):
             raise ValueError(f"disturbance norm {norms.max()} exceeds the unit ball")
-
-    @classmethod
-    def from_input(cls, u: InputSignal) -> "DisturbanceSignal":
-        return cls(u.breakpoints, u.segment_values, u.tail_value)
 
 
 class FeedbackSignal:
@@ -177,9 +173,7 @@ def check_membership(
     """Grid check of ||u(t)|| <= eta(||phi(t, x0, u)||) along the open loop."""
     cfg = cfg or IntegratorConfig()
     if grid is not None:
-        cfg = IntegratorConfig(
-            cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.blowup_threshold, grid
-        )
+        cfg = replace(cfg, dense_output_grid=grid)
     traj = integrate(sys, x0, u, tau, cfg)
     ts = traj.times
     u_norms = np.array([np.linalg.norm(u.eval(t)) for t in ts])

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import brslab as bl
 from brslab.cli import main
+from brslab.lyapunov import LipschitzTable
 
 
 def write_cfg(tmp_path, obj, name="cfg.json"):
@@ -17,6 +19,15 @@ def sigma1_cfg(tmp_path, **extra):
     cfg = {"system": {"name": "sigma1"}, "seed": 42}
     cfg.update(extra)
     return write_cfg(tmp_path, cfg)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON constant {token}")
+
+
+def strict_loads(text):
+    """Parse RFC 8259 JSON: NaN and Infinity are errors."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 class TestUsageErrors:
@@ -41,6 +52,56 @@ class TestUsageErrors:
             tmp_path, {"system": {"name": "sigma1"}, "seed": 1, "eta_source": "x"}
         )
         assert main(["simulate", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"x0": [1.0, 2.0]},
+            {"x0": []},
+            {"x0": 0.5},
+            {"x0": ["a"]},
+            {"u_constant": [1.0, 2.0]},
+            {"integrator": {"rel_tol": 0.0}},
+            {"integrator": {"order": 5}},
+        ],
+    )
+    def test_wrong_shape_or_setting_in_simulate(self, tmp_path, capsys, extra):
+        cfg = sigma1_cfg(tmp_path, horizon=0.5, **extra)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "trajectory.csv").exists()
+
+    def test_tail_budget_is_config_error(self, tmp_path, capsys):
+        cfg = sigma1_cfg(tmp_path, c=0.0, radii=[0.0, 5.0], lyapunov={"Q": 3})
+        assert main(["lyapunov", "build", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "minimal admissible Q is 11" in capsys.readouterr().err
+
+
+class TestStrictJson:
+    def test_simulate_without_blowup_writes_null_t_max(self, tmp_path):
+        cfg = sigma1_cfg(tmp_path, x0=[0.5], u_constant=[1.0], horizon=1.0)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        meta = strict_loads((out / "simulate.json").read_text())
+        assert meta["t_max"] is None and meta["blew_up"] is False
+
+    def test_diverged_open_probe_writes_null_estimate(self, tmp_path):
+        cfg = sigma1_cfg(tmp_path, horizon=1.0, C=1.0, samples=2, u_constant=[1.0])
+        out = tmp_path / "out"
+        assert main(["lipschitz", "probe", "--mode", "open", "--config", cfg,
+                     "--out", str(out)]) == 0
+        rep = strict_loads((out / "lipschitz_open.json").read_text())
+        assert rep["diverged"] and rep["L_estimate"] is None
+
+    def test_vacuous_growth_report_writes_null(self, sigma1):
+        # the premise fails, so verify_growth returns before reading the table
+        rep = bl.verify_growth(
+            sigma1.system, sigma1.margin, [0.1], [5.0], bl.LyapunovConfig(),
+            LipschitzTable({}, 0.0),
+        )
+        assert rep.vacuous and math.isnan(rep.V0)
+        obj = strict_loads(rep.to_json())
+        assert [obj[k] for k in ("V0", "W0", "dini_V", "dini_W")] == [None] * 4
 
 
 class TestSimulate:
@@ -87,6 +148,20 @@ class TestBrsFit:
         witness = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert witness["falsified"] == "BRS"
         assert witness["seed"] == 7
+
+    def test_closed_loop_blowup_falsifies_rfc_tdi(self, tmp_path, capsys):
+        # x' = x^2 fits a reachability bound on the small sampled box, but the
+        # closed-loop Lipschitz probe on the C = q balls blows up
+        cfg = write_cfg(
+            tmp_path,
+            {"system": {"name": "quadratic"}, "seed": 3, "eta_source": "from_fit",
+             "C": 0.1, "horizon": 2.0, "samples": 6, "c": 0.0, "radii": [0.0, 2.0],
+             "lyapunov": {"Q": 11, "n_dist": 2, "time_grid_density": 4}},
+        )
+        assert main(["lyapunov", "build", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        witness = strict_loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert witness["falsified"] == "RFC-TDI"
+        assert "diverged" in witness["detail"]
 
 
 class TestRfcAndProbes:

@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 import brslab as bl
-from brslab.sysdyn import concat, eval_input, semigroup_growth
+from brslab.sysdyn import concat, semigroup_growth
 
 
 def rotation():
@@ -52,7 +52,7 @@ class TestInputSignal:
         assert w.eval(1.9) == pytest.approx(1.0)
         assert w.eval(2.0) == pytest.approx(5.0)
         assert w.eval(2.6) == pytest.approx(7.0)
-        assert eval_input(w, 0.0) == pytest.approx(1.0)
+        assert w.eval(0.0) == pytest.approx(1.0)
 
     def test_concat_at_zero_is_second_signal(self):
         u1 = bl.InputSignal.constant([1.0])
@@ -100,6 +100,26 @@ class TestIntegrate:
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ValueError):
             bl.integrate(rotation(), [1.0, 0.0], bl.InputSignal.constant([0.0]), 0.0)
+
+
+    @pytest.mark.parametrize("x0", [[1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]]])
+    def test_rejects_wrong_state_shape(self, x0):
+        with pytest.raises(ValueError, match="x0 has shape"):
+            bl.integrate(rotation(), x0, bl.InputSignal.constant([0.0]), 1.0)
+
+    def test_rejects_wrong_input_dim(self):
+        with pytest.raises(ValueError, match="input has dimension 2"):
+            bl.integrate(rotation(), [1.0, 0.0], bl.InputSignal.constant([0.0, 0.0]), 1.0)
+
+    def test_accepts_any_signal_with_eval_and_breakpoints(self):
+        class Ramp:  # no `dim`: only eval and breakpoints are required
+            breakpoints = np.array([])
+
+            def eval(self, t):
+                return np.array([t])
+
+        traj = bl.integrate(rotation(), [1.0, 0.0], Ramp(), 1.0)
+        assert traj.states.shape[1] == 2 and not traj.blew_up
 
 
 class TestBlowup:
