@@ -107,17 +107,24 @@ def _margin(bundle: ex.ExampleBundle, cfg: dict) -> GrowthMargin:
     return GrowthMargin(eta_from_chis(fit.chi1, fit.chi2, fit.chi3))
 
 
-def _int_cfg(cfg: dict) -> IntegratorConfig:
-    sub = cfg.get("integrator", {})
+# dense_output_grid is set by the library's samplers, never by a config
+_INTEGRATOR_KEYS = ("rel_tol", "abs_tol", "max_step", "blowup_threshold")
+
+
+def _int_cfg(sub) -> IntegratorConfig:
+    if not isinstance(sub, dict) or not set(sub) <= set(_INTEGRATOR_KEYS):
+        raise ConfigError(f"integrator settings must be an object with keys {_INTEGRATOR_KEYS}")
     try:
         return IntegratorConfig(**{k: float(v) for k, v in sub.items()})
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad integrator settings: {exc}") from exc
 
 
 def _lyap_cfg(cfg: dict) -> LyapunovConfig:
     sub = dict(cfg.get("lyapunov", {}))
     sub.setdefault("seed", int(cfg["seed"]))
+    if "integrator" in sub:
+        sub["integrator"] = _int_cfg(sub["integrator"])
     try:
         return LyapunovConfig(**sub)
     except (TypeError, ValueError) as exc:
@@ -155,7 +162,7 @@ def cmd_simulate(args) -> int:
     x0 = _vector(cfg, "x0", bundle.system.state_dim)
     u = InputSignal.constant(_vector(cfg, "u_constant", bundle.system.input_dim))
     tau = float(cfg.get("horizon", 1.0))
-    traj = integrate(bundle.system, x0, u, tau, _int_cfg(cfg))
+    traj = integrate(bundle.system, x0, u, tau, _int_cfg(cfg.get("integrator", {})))
     out = _out_dir(args)
     traj.to_csv(out / "trajectory.csv")
     _emit(
@@ -203,7 +210,9 @@ def cmd_rfc_verify(args) -> int:
     out = _out_dir(args)
     _emit(
         out / "rfc_report.json",
-        {"holds": report.holds, "max_violation": report.max_violation,
+        {"holds": report.holds,
+         # -inf when no sample was drawn; strict JSON has no infinities
+         "max_violation": report.max_violation if math.isfinite(report.max_violation) else None,
          "c": report.c, "worst": report.worst},
         cfg,
     )
@@ -221,7 +230,7 @@ def cmd_lipschitz_probe(args) -> int:
     if args.mode == "open":
         u_fixed = None
         if "u_constant" in cfg:
-            u_fixed = InputSignal.constant(np.asarray(cfg["u_constant"], dtype=float))
+            u_fixed = InputSignal.constant(_vector(cfg, "u_constant", bundle.system.input_dim))
         report = probe_lipschitz_openloop(
             bundle.system, tau, C, pairs, int(cfg["seed"]), u_fixed=u_fixed
         )

@@ -63,6 +63,8 @@ class TestUsageErrors:
             {"u_constant": [1.0, 2.0]},
             {"integrator": {"rel_tol": 0.0}},
             {"integrator": {"order": 5}},
+            {"integrator": {"dense_output_grid": 0.5}},
+            {"integrator": [1e-6]},
         ],
     )
     def test_wrong_shape_or_setting_in_simulate(self, tmp_path, capsys, extra):
@@ -70,6 +72,20 @@ class TestUsageErrors:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o" / "trajectory.csv").exists()
+
+    def test_wrong_length_u_constant_in_open_probe(self, tmp_path, capsys):
+        cfg = sigma1_cfg(tmp_path, horizon=0.5, samples=2, u_constant=[1.0, 2.0])
+        assert main(["lipschitz", "probe", "--mode", "open", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "u_constant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "integrator", [{"rel_tol": -1.0}, {"dense_output_grid": 0.5}, "fast"]
+    )
+    def test_bad_lyapunov_integrator_block(self, tmp_path, capsys, integrator):
+        cfg = sigma1_cfg(tmp_path, c=0.0, lyapunov={"integrator": integrator})
+        assert main(["lyapunov", "build", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "integrator settings" in capsys.readouterr().err
 
     def test_tail_budget_is_config_error(self, tmp_path, capsys):
         cfg = sigma1_cfg(tmp_path, c=0.0, radii=[0.0, 5.0], lyapunov={"Q": 3})
@@ -92,6 +108,13 @@ class TestStrictJson:
                      "--out", str(out)]) == 0
         rep = strict_loads((out / "lipschitz_open.json").read_text())
         assert rep["diverged"] and rep["L_estimate"] is None
+
+    def test_rfc_report_without_samples_writes_null_violation(self, tmp_path):
+        cfg = sigma1_cfg(tmp_path, C=1.0, horizon=1.0, samples=0, c=0.0)
+        out = tmp_path / "out"
+        assert main(["rfc", "verify", "--config", cfg, "--out", str(out)]) == 0
+        rep = strict_loads((out / "rfc_report.json").read_text())
+        assert rep["holds"] and rep["max_violation"] is None
 
     def test_vacuous_growth_report_writes_null(self, sigma1):
         # the premise fails, so verify_growth returns before reading the table
@@ -203,6 +226,15 @@ class TestLyapunov:
         assert table[0, 1] == pytest.approx(1.0, abs=1e-9)  # V(0)
         manifest = json.loads((out / "lyapunov_manifest.json").read_text())
         assert manifest["config_hash"]
+
+    def test_build_takes_lyapunov_integrator_block(self, tmp_path):
+        base = json.loads(open(self.lyap_cfg(tmp_path)).read())
+        base["lyapunov"]["integrator"] = {"rel_tol": 1e-6, "abs_tol": 1e-9}
+        out = tmp_path / "out"
+        assert main(["lyapunov", "build", "--config", write_cfg(tmp_path, base),
+                     "--out", str(out)]) == 0
+        table = np.loadtxt(out / "lyapunov_table.csv", delimiter=",", skiprows=1)
+        assert table.shape == (3, 6)
 
     def test_verify_passes(self, tmp_path):
         cfg = self.lyap_cfg(tmp_path)
