@@ -18,7 +18,6 @@ from .sysdyn import (
     SystemDef,
     Trajectory,
     concat,
-    detect_tmax,
     integrate,
     semigroup_growth,
 )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -134,13 +134,12 @@ def sample_reach(
         raise ValueError("C and tau must be positive")
     cfg = cfg or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
     t_grid = np.linspace(0.0, tau, grid_points + 1)[1:]
-    run_cfg = replace(cfg, dense_output_grid=t_grid)
     rows_t, rows_x, rows_u, rows_phi = [], [], [], []
     for i in range(n):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
         x0 = _random_in_ball(rng, sys.state_dim, C)
         u = _random_pc_input(rng, sys.input_dim, tau, 0.999 * C)
-        traj = integrate(sys, x0, u, tau, run_cfg)
+        traj = integrate(sys, x0, u, tau, cfg)
         nx = float(np.linalg.norm(x0))
         nu = u.sup_norm()
         for t in t_grid:
@@ -271,11 +270,9 @@ def find_rfc_offset(
 
 
 def _pair_ratio(sys, x1, x2, u, tau, cfg, grid) -> float:
-    run_cfg = replace(cfg, dense_output_grid=grid)
-    t1 = integrate(sys, x1, u, tau, run_cfg)
-    t2 = integrate(sys, x2, u, tau, run_cfg)
-    n = min(t1.times.size, t2.times.size)
-    diff = np.linalg.norm(t1.states[:n] - t2.states[:n], axis=1)
+    t1 = integrate(sys, x1, u, tau, cfg)
+    t2 = integrate(sys, x2, u, tau, cfg)
+    diff = np.linalg.norm(t1.state_at(grid) - t2.state_at(grid), axis=1)
     return float(diff.max() / np.linalg.norm(np.atleast_1d(x1) - np.atleast_1d(x2)))
 
 

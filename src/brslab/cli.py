@@ -1,8 +1,9 @@
 """Command-line front end: batch experiments emitting CSV/JSON artifacts.
 
 Exit codes: 0 success, 1 falsified property (witness JSON on stdout),
-2 usage or config error.  Every emitted JSON embeds the config hash and the
-seed, and outputs are pure functions of (config, seed, binary version).
+2 usage, config or integrator (step-size underflow) error.  Every emitted
+JSON embeds the config hash and the seed, and outputs are pure functions of
+(config, seed, binary version).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .lyapunov import (
     radial_table,
     verify_growth,
 )
-from .sysdyn import InputSignal, IntegratorConfig, integrate
+from .sysdyn import InputSignal, IntegratorConfig, StepSizeError, integrate
 from .tdinput import GrowthMargin
 
 
@@ -64,11 +65,23 @@ def _load_config(path: str | None, args) -> dict:
         cfg["seed"] = args.seed
     if "seed" not in cfg:
         raise ConfigError("seed is mandatory (config key or --seed flag)")
+    cfg["seed"] = _setting(cfg, "seed", None, int)
     if not isinstance(cfg.get("system"), dict) or "name" not in cfg["system"]:
         raise ConfigError("config needs system: {name, params}")
     if cfg.get("eta_source", "paper") not in ("paper", "from_fit"):
         raise ConfigError("eta_source must be 'paper' or 'from_fit'")
     return cfg
+
+
+def _setting(cfg: dict, key: str, default, kind=float):
+    """cfg[key], or default, as a finite `kind` >= 0; anything else is a ConfigError."""
+    try:
+        value = kind(cfg.get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} must be a number: {exc}") from exc
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"{key} must be a finite number >= 0, got {value}")
+    return value
 
 
 def _out_dir(args) -> Path:
@@ -88,10 +101,10 @@ def _bundle(cfg: dict) -> ex.ExampleBundle:
 def _reach_samples(bundle: ex.ExampleBundle, cfg: dict):
     return sample_reach(
         bundle.system,
-        float(cfg.get("C", 2.0)),
-        float(cfg.get("horizon", 3.0)),
-        int(cfg.get("samples", 40)),
-        int(cfg["seed"]),
+        _setting(cfg, "C", 2.0),
+        _setting(cfg, "horizon", 3.0),
+        _setting(cfg, "samples", 40, int),
+        cfg["seed"],
     )
 
 
@@ -107,13 +120,9 @@ def _margin(bundle: ex.ExampleBundle, cfg: dict) -> GrowthMargin:
     return GrowthMargin(eta_from_chis(fit.chi1, fit.chi2, fit.chi3))
 
 
-# dense_output_grid is set by the library's samplers, never by a config
-_INTEGRATOR_KEYS = ("rel_tol", "abs_tol", "max_step", "blowup_threshold")
-
-
 def _int_cfg(sub) -> IntegratorConfig:
-    if not isinstance(sub, dict) or not set(sub) <= set(_INTEGRATOR_KEYS):
-        raise ConfigError(f"integrator settings must be an object with keys {_INTEGRATOR_KEYS}")
+    if not isinstance(sub, dict):
+        raise ConfigError("integrator settings must be an object")
     try:
         return IntegratorConfig(**{k: float(v) for k, v in sub.items()})
     except (TypeError, ValueError) as exc:
@@ -122,7 +131,7 @@ def _int_cfg(sub) -> IntegratorConfig:
 
 def _lyap_cfg(cfg: dict) -> LyapunovConfig:
     sub = dict(cfg.get("lyapunov", {}))
-    sub.setdefault("seed", int(cfg["seed"]))
+    sub.setdefault("seed", cfg["seed"])
     if "integrator" in sub:
         sub["integrator"] = _int_cfg(sub["integrator"])
     try:
@@ -133,7 +142,7 @@ def _lyap_cfg(cfg: dict) -> LyapunovConfig:
 
 def _stamped(obj: dict, cfg: dict, indent: int | None = None) -> str:
     """RFC 8259 JSON of obj plus the config hash and seed; NaN/inf raise."""
-    obj = dict(obj, config_hash=_config_hash(cfg), seed=int(cfg["seed"]))
+    obj = dict(obj, config_hash=_config_hash(cfg), seed=cfg["seed"])
     return json.dumps(obj, sort_keys=True, indent=indent, default=float, allow_nan=False)
 
 
@@ -146,11 +155,15 @@ def _fail(witness: dict, cfg: dict) -> int:
     return 1
 
 
-def _vector(cfg: dict, key: str, dim: int) -> np.ndarray:
+def _array(cfg: dict, key: str, default) -> np.ndarray:
     try:
-        v = np.asarray(cfg.get(key, np.zeros(dim)), dtype=float)
+        return np.asarray(cfg.get(key, default), dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be a list of {dim} numbers: {exc}") from exc
+        raise ConfigError(f"{key} must be a list of numbers: {exc}") from exc
+
+
+def _vector(cfg: dict, key: str, dim: int) -> np.ndarray:
+    v = _array(cfg, key, np.zeros(dim))
     if v.shape != (dim,):
         raise ConfigError(f"{key} must be a list of {dim} numbers, got shape {v.shape}")
     return v
@@ -161,7 +174,7 @@ def cmd_simulate(args) -> int:
     bundle = _bundle(cfg)
     x0 = _vector(cfg, "x0", bundle.system.state_dim)
     u = InputSignal.constant(_vector(cfg, "u_constant", bundle.system.input_dim))
-    tau = float(cfg.get("horizon", 1.0))
+    tau = _setting(cfg, "horizon", 1.0)
     traj = integrate(bundle.system, x0, u, tau, _int_cfg(cfg.get("integrator", {})))
     out = _out_dir(args)
     traj.to_csv(out / "trajectory.csv")
@@ -201,11 +214,11 @@ def cmd_rfc_verify(args) -> int:
         bundle.system,
         margin,
         margin.eta,
-        float(cfg.get("c", 0.0)),
-        float(cfg.get("C", 2.0)),
-        float(cfg.get("horizon", 3.0)),
-        int(cfg.get("samples", 20)),
-        int(cfg["seed"]),
+        _setting(cfg, "c", 0.0),
+        _setting(cfg, "C", 2.0),
+        _setting(cfg, "horizon", 3.0),
+        _setting(cfg, "samples", 20, int),
+        cfg["seed"],
     )
     out = _out_dir(args)
     _emit(
@@ -224,19 +237,19 @@ def cmd_rfc_verify(args) -> int:
 def cmd_lipschitz_probe(args) -> int:
     cfg = _load_config(args.config, args)
     bundle = _bundle(cfg)
-    tau = float(cfg.get("horizon", 1.0))
-    C = float(cfg.get("C", 1.0))
-    pairs = int(cfg.get("samples", 10))
+    tau = _setting(cfg, "horizon", 1.0)
+    C = _setting(cfg, "C", 1.0)
+    pairs = _setting(cfg, "samples", 10, int)
     if args.mode == "open":
         u_fixed = None
         if "u_constant" in cfg:
             u_fixed = InputSignal.constant(_vector(cfg, "u_constant", bundle.system.input_dim))
         report = probe_lipschitz_openloop(
-            bundle.system, tau, C, pairs, int(cfg["seed"]), u_fixed=u_fixed
+            bundle.system, tau, C, pairs, cfg["seed"], u_fixed=u_fixed
         )
     else:
         report = probe_lipschitz_tdi(
-            bundle.system, _margin(bundle, cfg), tau, C, pairs, int(cfg["seed"])
+            bundle.system, _margin(bundle, cfg), tau, C, pairs, cfg["seed"]
         )
     out = _out_dir(args)
     _emit(out / f"lipschitz_{args.mode}.json", json.loads(report.to_json()), cfg)
@@ -247,16 +260,18 @@ def _build_pipeline(cfg: dict):
     bundle = _bundle(cfg)
     margin = _margin(bundle, cfg)
     lyap_cfg = _lyap_cfg(cfg)
+    radii = _array(cfg, "radii", np.linspace(0.0, 2.0, 21))
+    if radii.ndim != 1 or radii.size == 0 or not np.all(np.isfinite(radii) & (radii >= 0)):
+        raise ConfigError(f"radii must be a non-empty list of finite numbers >= 0, got {radii}")
     if "c" in cfg:
-        c = float(cfg["c"])
+        c = _setting(cfg, "c", None)
     else:
         c = find_rfc_offset(
             bundle.system, margin, margin.eta,
-            float(cfg.get("C", 2.0)), float(cfg.get("horizon", 3.0)),
-            int(cfg.get("samples", 12)), int(cfg["seed"]),
+            _setting(cfg, "C", 2.0), _setting(cfg, "horizon", 3.0),
+            _setting(cfg, "samples", 12, int), cfg["seed"],
         )
-    l_table = build_l_table(bundle.system, margin, lyap_cfg.Q, c, int(cfg["seed"]))
-    radii = np.asarray(cfg.get("radii", np.linspace(0.0, 2.0, 21).tolist()), dtype=float)
+    l_table = build_l_table(bundle.system, margin, lyap_cfg.Q, c, cfg["seed"])
     table = radial_table(bundle.system, margin, radii, lyap_cfg, l_table)
     return bundle, margin, lyap_cfg, l_table, table
 
@@ -271,6 +286,7 @@ def cmd_lyapunov_build(args) -> int:
 
 def cmd_lyapunov_verify(args) -> int:
     cfg = _load_config(args.config, args)
+    n_pairs = _setting(cfg, "growth_pairs", 10, int)
     bundle, margin, lyap_cfg, l_table, table = _build_pipeline(cfg)
     bad = (table["alpha1"] > table["V"] + 1e-9) | (
         table["V"] > table["alpha2_plus_C"] + 1e-9
@@ -284,10 +300,9 @@ def cmd_lyapunov_verify(args) -> int:
             cfg,
         )
     chi = chi_from_eta(margin.eta)
-    rng = np.random.default_rng(np.random.SeedSequence([int(cfg["seed"]), 23]))
+    rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], 23]))
     checked = 0
     reports = []
-    n_pairs = int(cfg.get("growth_pairs", 10))
     while checked < n_pairs:
         x = rng.uniform(0.1, 2.0) * _unit(rng, bundle.system.state_dim)
         u = rng.uniform(0.0, 1.0) * _unit(rng, bundle.system.input_dim)
@@ -371,6 +386,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ConfigError, TailBudgetError) as exc:
         print(f"config error: {exc}", file=_sys.stderr)
+        return 2
+    except StepSizeError as exc:
+        print(f"integrator error: {exc}", file=_sys.stderr)
         return 2
     except NotBrsError as exc:
         print(json.dumps({"falsified": "BRS/RFC", "detail": str(exc)}))

@@ -27,7 +27,6 @@ __all__ = [
     "StepSizeError",
     "concat",
     "integrate",
-    "detect_tmax",
     "semigroup_growth",
 ]
 
@@ -144,7 +143,6 @@ class IntegratorConfig:
     abs_tol: float = 1e-12
     max_step: float = math.inf
     blowup_threshold: float = 1e9
-    dense_output_grid: np.ndarray | None = None
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -155,22 +153,19 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time grid, states, maximal-time estimate, and blow-up flag."""
+    """Solver steps, states, maximal-time estimate, blow-up flag, and the
+    dense interpolant that reads the state at any time in [0, times[-1]]."""
 
     times: np.ndarray
     states: np.ndarray
     t_max_estimate: float
     blew_up: bool
-    interpolant: Callable[[float], np.ndarray] | None = field(
-        default=None, compare=False, repr=False
-    )
+    interpolant: Callable[[float], np.ndarray] = field(compare=False, repr=False)
 
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.states, axis=1)
 
     def state_at(self, t) -> np.ndarray:
-        if self.interpolant is None:
-            raise ValueError("trajectory carries no dense interpolant")
         return self.interpolant(t)
 
     def to_csv(self, path) -> None:
@@ -221,9 +216,11 @@ def integrate(
     """Adaptive embedded Runge-Kutta solution of x' = rhs(x, u(t)) on [0, tau].
 
     `u` is an InputSignal or any object exposing `eval(t)` and
-    `breakpoints`; integration restarts at every breakpoint.  On blow-up the
-    trajectory is truncated at the threshold-crossing time.  An `x0` or an
-    InputSignal whose dimension does not match `sys` is a ValueError.
+    `breakpoints`; integration restarts at every breakpoint.  `times` and
+    `states` are the solver's own steps; read any other time through
+    `state_at`.  On blow-up the trajectory ends at the threshold-crossing
+    time.  An `x0` or an InputSignal whose dimension does not match `sys` is
+    a ValueError.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -234,11 +231,6 @@ def integrate(
     if isinstance(u, InputSignal) and u.dim != sys.input_dim:
         raise ValueError(f"input has dimension {u.dim}, expected {sys.input_dim}")
     edges = _segment_edges(u, tau)
-    grid = cfg.dense_output_grid
-    if grid is not None:
-        grid = np.asarray(grid, dtype=float)
-        grid = grid[(grid >= 0) & (grid <= tau)]
-
     threshold = cfg.blowup_threshold
 
     def blowup_event(t, y):
@@ -249,8 +241,8 @@ def integrate(
 
     piecewise_const = isinstance(u, InputSignal)
     pieces = []
-    times = [0.0]
-    states = [x0.copy()]
+    times = [np.zeros(1)]
+    states = [x0[None, :]]
     x = x0
     blew_up = False
     t_max = math.inf
@@ -274,43 +266,22 @@ def integrate(
         )
         if sol.status == -1:
             raise StepSizeError(f"integrator failed on [{a}, {b}]: {sol.message}")
-        seg_end = sol.t[-1]
-        pieces.append((a, seg_end, sol.sol))
-        if grid is None:
-            seg_times = sol.t[1:]
-        else:
-            seg_times = grid[(grid > a) & (grid <= seg_end)]
-        for ti in seg_times:
-            times.append(float(ti))
-            states.append(sol.sol(ti))
+        pieces.append((a, sol.t[-1], sol.sol))
+        times.append(sol.t[1:])
+        states.append(sol.y[:, 1:].T)
         x = sol.y[:, -1]
-        if sol.status == 1:  # blow-up event
+        if sol.status == 1:  # blow-up: the terminal event ends the last step
             blew_up = True
             t_max = float(sol.t_events[0][0])
-            if not times or times[-1] < t_max:
-                times.append(t_max)
-                states.append(x)
             break
 
     return Trajectory(
-        times=np.asarray(times),
+        times=np.concatenate(times),
         states=np.vstack(states),
         t_max_estimate=t_max,
         blew_up=blew_up,
         interpolant=_SegmentInterpolant(pieces),
     )
-
-
-def detect_tmax(
-    sys: SystemDef, x0, u, tau: float, cfg: IntegratorConfig | None = None
-) -> float:
-    """Last reachable time before the norm crosses the blow-up threshold.
-
-    Returns +inf when no crossing occurs up to tau.  The crossing time is
-    located by the integrator's event root-finding.
-    """
-    traj = integrate(sys, x0, u, tau, cfg)
-    return traj.t_max_estimate
 
 
 def semigroup_growth(

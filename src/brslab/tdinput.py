@@ -9,8 +9,7 @@ reads the input off the trajectory, projection divides the input back out.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,8 +71,6 @@ class FeedbackSignal:
     """
 
     def __init__(self, d: InputSignal, margin: GrowthMargin, traj: Trajectory):
-        if traj.interpolant is None:
-            raise ValueError("feedback signal needs a dense trajectory")
         self._d = d
         self._margin = margin
         self._traj = traj
@@ -89,20 +86,6 @@ class FeedbackSignal:
 
     def __call__(self, t: float) -> np.ndarray:
         return self.eval(t)
-
-    def sup_norm(self, tau: float = math.inf) -> float:
-        tau = min(tau, float(self._traj.times[-1]))
-        mask = self._traj.times <= tau
-        etas = np.asarray(self._margin(self._traj.norms()[mask]))
-        dnorms = np.array(
-            [np.linalg.norm(self._d.eval(t)) for t in self._traj.times[mask]]
-        )
-        return float((etas * dnorms).max())
-
-    def to_piecewise(self, grid: np.ndarray) -> InputSignal:
-        grid = np.asarray(grid, dtype=float)
-        vals = np.vstack([self.eval(t) for t in grid])
-        return InputSignal(grid[1:], vals[:-1], vals[-1])
 
 
 @dataclass(frozen=True)
@@ -143,22 +126,11 @@ def lift_disturbance(
     d: DisturbanceSignal,
     tau: float,
     cfg: IntegratorConfig | None = None,
-    representation: str = "feedback",
 ):
-    """Integrate the closed loop under d and read off the matched input.
-
-    representation "feedback" returns the exact matched input backed by the
-    dense closed-loop solution; "piecewise" samples it as a
-    piecewise-constant signal on the trajectory grid (discrepancy controlled
-    by grid refinement).
-    """
+    """Integrate the closed loop under d and read off the matched input, an
+    exact FeedbackSignal backed by the dense closed-loop solution."""
     traj = integrate(closed_loop(sys, margin), x0, d, tau, cfg)
-    u = FeedbackSignal(d, margin, traj)
-    if representation == "piecewise":
-        return u.to_piecewise(traj.times), traj
-    if representation != "feedback":
-        raise ValueError(f"unknown representation {representation!r}")
-    return u, traj
+    return FeedbackSignal(d, margin, traj), traj
 
 
 def check_membership(
@@ -167,13 +139,9 @@ def check_membership(
     x0,
     u,
     tau: float,
-    grid: np.ndarray | None = None,
     cfg: IntegratorConfig | None = None,
 ) -> MembershipReport:
-    """Grid check of ||u(t)|| <= eta(||phi(t, x0, u)||) along the open loop."""
-    cfg = cfg or IntegratorConfig()
-    if grid is not None:
-        cfg = replace(cfg, dense_output_grid=grid)
+    """Check ||u(t)|| <= eta(||phi(t, x0, u)||) at the open loop's solver steps."""
     traj = integrate(sys, x0, u, tau, cfg)
     ts = traj.times
     u_norms = np.array([np.linalg.norm(u.eval(t)) for t in ts])
@@ -256,12 +224,11 @@ def sample_tdi(
     n: int,
     seed: int,
     cfg: IntegratorConfig | None = None,
-    representation: str = "feedback",
 ):
     """Lift n deterministic-under-seed disturbances into dominated inputs."""
     out = []
     for d in disturbance_family(sys.input_dim, tau, n, seed):
-        out.append(lift_disturbance(sys, margin, x0, d, tau, cfg, representation))
+        out.append(lift_disturbance(sys, margin, x0, d, tau, cfg))
     return out
 
 

@@ -228,7 +228,7 @@ def test_criterion_09_monotone_refinement(sigma1, l_table):
 
 def test_criterion_10_blowup_vs_forward_completeness(request):
     q = bl.make("quadratic")
-    t_max = bl.detect_tmax(q.system, [1.0], bl.InputSignal.constant([0.0]), 2.0)
+    t_max = bl.integrate(q.system, [1.0], bl.InputSignal.constant([0.0]), 2.0).t_max_estimate
     tmax_ok = 0.95 <= t_max <= 1.05
 
     rd = bl.make("reaction_diffusion")

@@ -65,10 +65,15 @@ class TestUsageErrors:
             {"integrator": {"order": 5}},
             {"integrator": {"dense_output_grid": 0.5}},
             {"integrator": [1e-6]},
+            {"horizon": "x"},
+            {"horizon": 1e400},
+            {"horizon": -1.0},
+            {"seed": "abc"},
+            {"seed": -1},
         ],
     )
     def test_wrong_shape_or_setting_in_simulate(self, tmp_path, capsys, extra):
-        cfg = sigma1_cfg(tmp_path, horizon=0.5, **extra)
+        cfg = sigma1_cfg(tmp_path, **{"horizon": 0.5, **extra})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o" / "trajectory.csv").exists()
@@ -86,6 +91,36 @@ class TestUsageErrors:
         cfg = sigma1_cfg(tmp_path, c=0.0, lyapunov={"integrator": integrator})
         assert main(["lyapunov", "build", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "integrator settings" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cmd, extra",
+        [
+            (["brs", "fit"], {"samples": "many"}),
+            (["brs", "fit"], {"C": -1.0}),
+            (["rfc", "verify"], {"c": [0.0]}),
+            (["lyapunov", "build"], {"radii": "ab"}),
+            (["lyapunov", "build"], {"radii": []}),
+            (["lyapunov", "build"], {"radii": [-1.0, 1.0]}),
+            (["lyapunov", "build"], {"radii": [0.0, None]}),
+            (["lyapunov", "verify"], {"growth_pairs": "two"}),
+        ],
+    )
+    def test_bad_scalar_or_radii_setting(self, tmp_path, capsys, cmd, extra):
+        cfg = sigma1_cfg(tmp_path, **{"C": 1.0, "horizon": 0.5, "samples": 2, "c": 0.0, **extra})
+        assert main([*cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not any((tmp_path / "o").glob("*"))
+
+    def test_step_size_underflow_is_integrator_error(self, tmp_path, capsys):
+        # x' = x^2 from 1 blows up at t = 1; with the threshold at 1e300 the
+        # step size underflows before the blow-up event can stop the solver
+        cfg = write_cfg(
+            tmp_path,
+            {"system": {"name": "quadratic"}, "seed": 1, "x0": [1.0], "horizon": 2.0,
+             "integrator": {"blowup_threshold": 1e300}},
+        )
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "integrator error" in capsys.readouterr().err
 
     def test_tail_budget_is_config_error(self, tmp_path, capsys):
         cfg = sigma1_cfg(tmp_path, c=0.0, radii=[0.0, 5.0], lyapunov={"Q": 3})

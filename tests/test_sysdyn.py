@@ -72,10 +72,10 @@ class TestIntegrate:
 
     def test_dense_grid_output(self):
         grid = np.linspace(0, 1, 11)
-        cfg = bl.IntegratorConfig(dense_output_grid=grid)
-        traj = bl.integrate(rotation(), [1.0, 0.0], bl.InputSignal.constant([0.0]), 1.0, cfg)
-        assert np.allclose(traj.times, grid)
-        assert np.array_equal(traj.states[0], [1.0, 0.0])
+        traj = bl.integrate(rotation(), [1.0, 0.0], bl.InputSignal.constant([0.0]), 1.0)
+        states = traj.state_at(grid)
+        assert states.shape == (11, 2)
+        assert np.array_equal(states[0], [1.0, 0.0])
 
     def test_interpolant_matches_states(self):
         traj = bl.integrate(rotation(), [1.0, 0.0], bl.InputSignal.constant([0.0]), 2.0)
@@ -126,11 +126,12 @@ class TestBlowup:
     def test_quadratic_tmax(self):
         q = bl.make("quadratic")
         u0 = bl.InputSignal.constant([0.0])
-        t_max = bl.detect_tmax(q.system, [2.0], u0, 2.0)
+        t_max = bl.integrate(q.system, [2.0], u0, 2.0).t_max_estimate
         assert t_max == pytest.approx(0.5, rel=0.05)
 
     def test_no_blowup_reports_inf(self):
-        t_max = bl.detect_tmax(rotation(), [1.0, 0.0], bl.InputSignal.constant([0.0]), 1.0)
+        u0 = bl.InputSignal.constant([0.0])
+        t_max = bl.integrate(rotation(), [1.0, 0.0], u0, 1.0).t_max_estimate
         assert math.isinf(t_max)
 
     def test_trajectory_flags(self):
@@ -138,6 +139,15 @@ class TestBlowup:
         traj = bl.integrate(q.system, [2.0], bl.InputSignal.constant([0.0]), 2.0)
         assert traj.blew_up
         assert traj.times[-1] <= 0.51
+
+    def test_last_step_ends_at_blowup(self):
+        # the terminal event ends the solver's last step at the crossing time
+        q = bl.make("quadratic")
+        cfg = bl.IntegratorConfig()
+        traj = bl.integrate(q.system, [2.0], bl.InputSignal.constant([0.0]), 2.0, cfg)
+        assert traj.times[-1] == traj.t_max_estimate
+        # the root is found in t to a few ulp, where |x'| = x^2 is about 1e18
+        assert np.linalg.norm(traj.states[-1]) == pytest.approx(cfg.blowup_threshold, rel=1e-6)
 
 
 class TestTrajectoryExport:

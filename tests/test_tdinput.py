@@ -101,24 +101,6 @@ class TestLiftProject:
             if eta > 1e-6:
                 assert np.linalg.norm(d2.eval(t) - d.eval(t)) < 1e-6
 
-    def test_piecewise_representation_approximates(self, sigma1):
-        d = bl.DisturbanceSignal(np.array([0.9]), np.array([[0.7]]), np.array([-0.9]))
-        u_pc, traj_cl = bl.lift_disturbance(
-            sigma1.system, sigma1.margin, [0.5], d, 2.0, representation="piecewise"
-        )
-        traj_ol = bl.integrate(sigma1.system, [0.5], u_pc, 2.0)
-        # discrepancy is grid-controlled, not integrator-exact
-        diff = max(
-            np.linalg.norm(traj_cl.state_at(t) - traj_ol.state_at(t))
-            for t in np.linspace(0, 2, 41)
-        )
-        assert diff < 1e-2
-
-    def test_unknown_representation(self, sigma1):
-        d = bl.DisturbanceSignal.constant(np.array([1.0]))
-        with pytest.raises(ValueError):
-            bl.lift_disturbance(sigma1.system, sigma1.margin, [0.5], d, 1.0, representation="x")
-
     def test_division_guard_at_equilibrium(self, sigma1):
         # phi stays at 0, eta vanishes, yet the input is nonzero: non-dominated
         u = bl.InputSignal.constant([1.0])
