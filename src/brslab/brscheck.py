@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .compfun import ScalarFun, inverse
-from .sysdyn import InputSignal, IntegratorConfig, SystemDef, integrate
+from .sysdyn import InputSignal, IntegratorConfig, SystemDef, _sample_ensemble, integrate
 from .tdinput import GrowthMargin, closed_loop, disturbance_family
 
 __all__ = [
@@ -36,6 +36,22 @@ __all__ = [
 ]
 
 RATIO_CAP = 1e6
+# Second SeedSequence entry of each seeded draw, [seed, tag, *index]: one stream
+# per purpose, so adding draws to one never shifts another.
+SEED_TAGS = {
+    "rfc_states": 7,
+    "open_probe_pairs": 11,
+    "open_probe_inputs": 13,
+    "tdi_probe_pairs": 17,
+    "growth_pairs": 23,
+}
+
+
+def seeded_rng(seed: int, purpose: str, *index: int) -> np.random.Generator:
+    """Generator on the SeedSequence [seed, SEED_TAGS[purpose], *index]."""
+    return np.random.default_rng(np.random.SeedSequence([seed, SEED_TAGS[purpose], *index]))
+
+
 NEAR_ZERO_LADDER = tuple(10.0 ** (-k) for k in range(3, 13))
 
 
@@ -234,7 +250,7 @@ def verify_rfc_tdi(
     max_violation = -math.inf
     worst = None
     for i in range(n):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 7, i]))
+        rng = seeded_rng(seed, "rfc_states", i)
         x0 = _random_in_ball(rng, sys.state_dim, C)
         d = dists[i % len(dists)]
         traj = integrate(cl, x0, d, tau, cfg)
@@ -269,14 +285,27 @@ def find_rfc_offset(
     )
 
 
+def _pair_ratios(sys, pairs, inputs, tau, cfg, grid) -> tuple[np.ndarray, bool]:
+    """Ratios max_grid ||phi(t,x1,u) - phi(t,x2,u)|| / ||x1 - x2||, one per
+    (x1, x2) in `pairs` under its input, and whether the ensemble blew up.
+
+    Both rows of every pair are sampled in one stacked ensemble on `grid`.
+    """
+    X1 = np.array([np.atleast_1d(x1) for x1, _ in pairs], dtype=float)
+    X2 = np.array([np.atleast_1d(x2) for _, x2 in pairs], dtype=float)
+    samples, t_max = _sample_ensemble(
+        sys, np.vstack([X1, X2]), list(inputs) * 2, tau, grid, cfg
+    )
+    P = len(pairs)
+    diff = np.linalg.norm(samples[:, :P] - samples[:, P:], axis=2).max(axis=0)
+    return diff / np.linalg.norm(X1 - X2, axis=1), t_max < math.inf
+
+
 def _pair_ratio(sys, x1, x2, u, tau, cfg, grid) -> float:
-    t1 = integrate(sys, x1, u, tau, cfg)
-    t2 = integrate(sys, x2, u, tau, cfg)
-    diff = np.linalg.norm(t1.state_at(grid) - t2.state_at(grid), axis=1)
-    return float(diff.max() / np.linalg.norm(np.atleast_1d(x1) - np.atleast_1d(x2)))
+    return float(_pair_ratios(sys, [(x1, x2)], [u], tau, cfg, grid)[0][0])
 
 
-def _probe_pairs(dim, tau, C, pairs, seed, tag, n_ladder):
+def _probe_pairs(dim, tau, C, pairs, seed, purpose, n_ladder):
     """Near-zero ladder pairs (0, r e1), then seeded random pairs in the C-ball."""
     if tau <= 0 or C <= 0:
         raise ValueError("tau and C must be positive")
@@ -284,21 +313,28 @@ def _probe_pairs(dim, tau, C, pairs, seed, tag, n_ladder):
     e1[0] = 1.0
     pair_list = [(np.zeros(dim), r * e1) for r in NEAR_ZERO_LADDER[:n_ladder]]
     for i in range(pairs):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, tag, i]))
+        rng = seeded_rng(seed, purpose, i)
         pair_list.append((_random_in_ball(rng, dim, C), _random_in_ball(rng, dim, C)))
     return pair_list
 
 
 def _probe_report(sys, pair_list, inputs, tau, C, cfg, ratio_cap) -> LipschitzProbeReport:
-    """Max ratio over every distinct pair and every input in `inputs(i)`."""
-    grid = np.linspace(0.0, tau, 65)
-    max_ratio = 0.0
-    for i, (x1, x2) in enumerate(pair_list):
-        if np.array_equal(x1, x2):
-            continue
-        for u in inputs(i):
-            max_ratio = max(max_ratio, _pair_ratio(sys, x1, x2, u, tau, cfg, grid))
-    diverged = max_ratio > ratio_cap
+    """Max ratio over every distinct pair and every input in `inputs(i)`,
+    all pairs sampled as one ensemble; a blow-up in it means divergence."""
+    rows = [
+        ((x1, x2), u)
+        for i, (x1, x2) in enumerate(pair_list)
+        if not np.array_equal(x1, x2)
+        for u in inputs(i)
+    ]
+    max_ratio, blew_up = 0.0, False
+    if rows:
+        ratios, blew_up = _pair_ratios(
+            sys, [p for p, _ in rows], [u for _, u in rows], tau, cfg,
+            np.linspace(0.0, tau, 65),
+        )
+        max_ratio = float(ratios.max())
+    diverged = blew_up or max_ratio > ratio_cap
     return LipschitzProbeReport(
         tau, C, len(pair_list), max_ratio, math.inf if diverged else max_ratio, diverged
     )
@@ -321,12 +357,14 @@ def probe_lipschitz_openloop(
     ratio beyond ratio_cap.
     """
     cfg = cfg or IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13)
-    pair_list = _probe_pairs(sys.state_dim, tau, C, pairs, seed, 11, len(NEAR_ZERO_LADDER))
+    pair_list = _probe_pairs(
+        sys.state_dim, tau, C, pairs, seed, "open_probe_pairs", len(NEAR_ZERO_LADDER)
+    )
 
     def inputs(i):
         if u_fixed is not None:
             return [u_fixed]
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 13, i]))
+        rng = seeded_rng(seed, "open_probe_inputs", i)
         return [_random_pc_input(rng, sys.input_dim, tau, 0.999 * C)]
 
     return _probe_report(sys, pair_list, inputs, tau, C, cfg, ratio_cap)
@@ -349,7 +387,7 @@ def probe_lipschitz_tdi(
     the closed loop, realizing the matched-input map u1 -> u2.
     """
     cfg = cfg or IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
-    pair_list = _probe_pairs(sys.state_dim, tau, C, pairs, seed, 17, 4)
+    pair_list = _probe_pairs(sys.state_dim, tau, C, pairs, seed, "tdi_probe_pairs", 4)
     dists = disturbance_family(sys.input_dim, tau, n_dist, seed)
     return _probe_report(
         closed_loop(sys, margin), pair_list, lambda i: dists, tau, C, cfg, ratio_cap

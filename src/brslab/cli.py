@@ -26,6 +26,7 @@ from .brscheck import (
     probe_lipschitz_openloop,
     probe_lipschitz_tdi,
     sample_reach,
+    seeded_rng,
     verify_rfc_tdi,
 )
 from .compfun import chi_from_eta, eta_from_chis
@@ -73,14 +74,21 @@ def _load_config(path: str | None, args) -> dict:
     return cfg
 
 
+# Ball radius and horizon: the library needs both strictly positive.
+_POSITIVE = ("C", "horizon")
+
+
 def _setting(cfg: dict, key: str, default, kind=float):
-    """cfg[key], or default, as a finite `kind` >= 0; anything else is a ConfigError."""
+    """cfg[key], or default, as a finite `kind` >= 0 (> 0 for C and horizon);
+    anything else is a ConfigError."""
     try:
         value = kind(cfg.get(key, default))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be a number: {exc}") from exc
-    if not (math.isfinite(value) and value >= 0):
-        raise ConfigError(f"{key} must be a finite number >= 0, got {value}")
+    positive = key in _POSITIVE
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        bound = "> 0" if positive else ">= 0"
+        raise ConfigError(f"{key} must be a finite number {bound}, got {value}")
     return value
 
 
@@ -92,10 +100,13 @@ def _out_dir(args) -> Path:
 
 
 def _bundle(cfg: dict) -> ex.ExampleBundle:
+    params = cfg["system"].get("params")
+    if params is not None and not isinstance(params, dict):
+        raise ConfigError("system.params must be an object")
     try:
-        return ex.make(cfg["system"]["name"], cfg["system"].get("params"))
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
+        return ex.make(cfg["system"]["name"], params)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot build system {cfg['system']['name']!r}: {exc}") from exc
 
 
 def _reach_samples(bundle: ex.ExampleBundle, cfg: dict):
@@ -130,7 +141,10 @@ def _int_cfg(sub) -> IntegratorConfig:
 
 
 def _lyap_cfg(cfg: dict) -> LyapunovConfig:
-    sub = dict(cfg.get("lyapunov", {}))
+    sub = cfg.get("lyapunov", {})
+    if not isinstance(sub, dict):
+        raise ConfigError("lyapunov settings must be an object")
+    sub = dict(sub)
     sub.setdefault("seed", cfg["seed"])
     if "integrator" in sub:
         sub["integrator"] = _int_cfg(sub["integrator"])
@@ -300,7 +314,7 @@ def cmd_lyapunov_verify(args) -> int:
             cfg,
         )
     chi = chi_from_eta(margin.eta)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], 23]))
+    rng = seeded_rng(cfg["seed"], "growth_pairs")
     checked = 0
     reports = []
     while checked < n_pairs:

@@ -111,10 +111,16 @@ def _make_sigma2(params: dict) -> ExampleBundle:
 
 def _make_linear(params: dict) -> ExampleBundle:
     A = np.asarray(params.get("A", [[0.0]]), dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise ValueError(f"A must be a non-empty square matrix, got shape {A.shape}")
     B = np.asarray(params.get("B", np.eye(A.shape[0])), dtype=float)
+    if B.ndim != 2 or B.shape[0] != A.shape[0] or B.shape[1] == 0:
+        raise ValueError(
+            f"B must have {A.shape[0]} rows and at least one column, got shape {B.shape}"
+        )
 
     def rhs(x, u):
-        return B @ np.atleast_1d(u)
+        return u @ B.T
 
     sysdef = SystemDef(
         state_dim=A.shape[0],
@@ -146,6 +152,8 @@ def _make_quadratic(params: dict) -> ExampleBundle:
 
 def _make_reaction_diffusion(params: dict) -> ExampleBundle:
     n = int(params.get("n", 32))
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     a = float(params.get("a", 5.0))
     lap = np.zeros((n, n))
     idx = np.arange(n)
@@ -156,7 +164,7 @@ def _make_reaction_diffusion(params: dict) -> ExampleBundle:
     b = np.ones(n) / math.sqrt(n)
 
     def rhs(x, u):
-        return -a * x**3 / (1.0 + x * x) + b * float(np.atleast_1d(u)[0])
+        return -a * x**3 / (1.0 + x * x) + b * u[..., :1]
 
     # d/dx [x^3 / (1 + x^2)] peaks at 9/8; ||b|| = 1.
     L = max(1.125 * a, 1.0)

@@ -4,7 +4,9 @@ Systems are x' = A x + f(x, u) with the linear part optional.  Inputs are
 piecewise-constant signals (the dense approximating class for essentially
 bounded inputs); integration restarts at every input breakpoint so the
 right-hand side stays smooth within each solver step.  Blow-up is detected
-by a norm-threshold event and reported as data, never as a crash.
+by a norm-threshold event and reported as data, never as a crash.  A
+family of trajectories of one system is integrated as a single stacked ODE
+and read only on the time grid its consumer needs.
 """
 
 from __future__ import annotations
@@ -121,7 +123,11 @@ def concat(u1: InputSignal, u2: InputSignal, t: float) -> InputSignal:
 
 @dataclass(frozen=True)
 class SystemDef:
-    """Right-hand side x' = linear_part @ x + rhs(x, u)."""
+    """Right-hand side x' = linear_part @ x + rhs(x, u).
+
+    `rhs` maps an (n,) state and (m,) input to (n,), and is row-wise: (N, n)
+    states with (N, m) inputs give the (N, n) derivatives of the N rows.
+    """
 
     state_dim: int
     input_dim: int
@@ -204,10 +210,60 @@ class _SegmentInterpolant:
         return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
 
-def _segment_edges(u, tau: float) -> np.ndarray:
-    bp = np.asarray(getattr(u, "breakpoints", ()), dtype=float)
+def _segment_edges(breakpoints, tau: float) -> np.ndarray:
+    bp = np.unique(np.asarray(breakpoints, dtype=float))
     inner = bp[(bp > 0) & (bp < tau)]
     return np.concatenate([[0.0], inner, [tau]])
+
+
+def _segments(f_at, y0, edges, cfg: IntegratorConfig, rows: int, grid=None):
+    """Solve y' = f_at(a)(t, y) on each [a, b] of `edges`, restarting from
+    the previous segment's last state; yields (a, b, sol).
+
+    `y0` stacks `rows` states of equal size.  The tolerances are divided by
+    sqrt(rows), so every row stays within `cfg` although the solver's error
+    norm is an RMS over all components.  The blow-up event is the largest
+    row norm crossing `cfg.blowup_threshold`; the segment where it fires is
+    the last.  With `grid` the solver reports the segment's grid points in
+    [a, b) plus b instead of its own steps and keeps no dense output.
+    """
+    threshold = cfg.blowup_threshold
+    if rows == 1:  # the plain norm keeps integrate's event values unchanged
+
+        def blowup_event(t, y):
+            return float(np.linalg.norm(y) - threshold)
+
+    else:
+
+        def blowup_event(t, y):
+            return float(np.linalg.norm(y.reshape(rows, -1), axis=1).max() - threshold)
+
+    blowup_event.terminal = True
+    blowup_event.direction = 1.0
+    scale = math.sqrt(rows)
+    y = y0
+    for a, b in zip(edges[:-1], edges[1:]):
+        if grid is None:
+            out = {"dense_output": True}
+        else:
+            out = {"t_eval": np.append(grid[(grid >= a) & (grid < b)], b)}
+        sol = solve_ivp(
+            f_at(a),
+            (a, b),
+            y,
+            method="RK45",
+            rtol=cfg.rel_tol / scale,
+            atol=cfg.abs_tol / scale,
+            max_step=cfg.max_step,
+            events=blowup_event,
+            **out,
+        )
+        if sol.status == -1:
+            raise StepSizeError(f"integrator failed on [{a}, {b}]: {sol.message}")
+        yield a, b, sol
+        if sol.status == 1:  # blow-up: the terminal event ends the last step
+            return
+        y = sol.y[:, -1]
 
 
 def integrate(
@@ -230,50 +286,27 @@ def integrate(
         raise ValueError(f"x0 has shape {x0.shape}, expected ({sys.state_dim},)")
     if isinstance(u, InputSignal) and u.dim != sys.input_dim:
         raise ValueError(f"input has dimension {u.dim}, expected {sys.input_dim}")
-    edges = _segment_edges(u, tau)
-    threshold = cfg.blowup_threshold
-
-    def blowup_event(t, y):
-        return float(np.linalg.norm(y) - threshold)
-
-    blowup_event.terminal = True
-    blowup_event.direction = 1.0
-
     piecewise_const = isinstance(u, InputSignal)
+
+    def f_at(a):
+        if piecewise_const:
+            uval = u.eval(a)
+            return lambda t, y: sys.full_rhs(y, uval)
+        return lambda t, y: sys.full_rhs(y, u.eval(t))
+
+    edges = _segment_edges(getattr(u, "breakpoints", ()), tau)
     pieces = []
     times = [np.zeros(1)]
     states = [x0[None, :]]
-    x = x0
     blew_up = False
     t_max = math.inf
-
-    for a, b in zip(edges[:-1], edges[1:]):
-        if piecewise_const:
-            uval = u.eval(a)
-            f = lambda t, y, uv=uval: sys.full_rhs(y, uv)
-        else:
-            f = lambda t, y: sys.full_rhs(y, u.eval(t))
-        sol = solve_ivp(
-            f,
-            (a, b),
-            x,
-            method="RK45",
-            rtol=cfg.rel_tol,
-            atol=cfg.abs_tol,
-            max_step=cfg.max_step,
-            dense_output=True,
-            events=blowup_event,
-        )
-        if sol.status == -1:
-            raise StepSizeError(f"integrator failed on [{a}, {b}]: {sol.message}")
+    for a, _, sol in _segments(f_at, x0, edges, cfg, 1):
         pieces.append((a, sol.t[-1], sol.sol))
         times.append(sol.t[1:])
         states.append(sol.y[:, 1:].T)
-        x = sol.y[:, -1]
-        if sol.status == 1:  # blow-up: the terminal event ends the last step
+        if sol.status == 1:
             blew_up = True
             t_max = float(sol.t_events[0][0])
-            break
 
     return Trajectory(
         times=np.concatenate(times),
@@ -282,6 +315,66 @@ def integrate(
         blew_up=blew_up,
         interpolant=_SegmentInterpolant(pieces),
     )
+
+
+def _sample_ensemble(
+    sys: SystemDef, X0, inputs, tau: float, grid, cfg: IntegratorConfig
+) -> tuple[np.ndarray, float]:
+    """States of N trajectories on `grid`, integrated as one stacked ODE.
+
+    Row i starts at X0[i] under the piecewise-constant InputSignal
+    inputs[i]; integration restarts at the union of the rows' breakpoints.
+    `grid` is strictly increasing in [0, tau].  Returns the samples, shape
+    (T, N, n), and the blow-up time (inf if none): a blow-up of any row
+    ends the whole ensemble, and grid points after it hold the crossing
+    state.  `sys.rhs` must be row-wise: (N, n) states with (N, m) inputs
+    give (N, n) derivatives.
+    """
+    X0 = np.asarray(X0, dtype=float)
+    grid = np.asarray(grid, dtype=float)
+    N, n = X0.shape
+    if n != sys.state_dim or len(inputs) != N:
+        raise ValueError(
+            f"need {N} inputs and states of dimension {sys.state_dim}, got"
+            f" {len(inputs)} inputs and states of shape {X0.shape}"
+        )
+    if any(u.dim != sys.input_dim for u in inputs):
+        raise ValueError(f"every input must have dimension {sys.input_dim}")
+    if not (grid.size and 0 <= grid[0] and grid[-1] <= tau and np.all(np.diff(grid) > 0)):
+        raise ValueError("grid must be non-empty and strictly increasing in [0, tau]")
+    A = sys.linear_part
+
+    def f_at(a):
+        U = np.array([u.eval(a) for u in inputs])
+
+        def f(t, y):
+            Y = y.reshape(N, n)
+            dY = np.asarray(sys.rhs(Y, U))
+            if dY.shape != Y.shape:
+                raise ValueError(
+                    f"rhs of system {sys.name!r} returned shape {dY.shape} for states"
+                    f" {Y.shape} and inputs {U.shape}; it must be row-wise"
+                )
+            if A is not None:
+                dY = dY + Y @ A.T
+            return dY.ravel()
+
+        return f
+
+    edges = _segment_edges(np.concatenate([u.breakpoints for u in inputs]), tau)
+    samples = np.empty((grid.size, N, n))
+    k = 0
+    for _, b, sol in _segments(f_at, X0.ravel(), edges, cfg, N, grid):
+        # grid points in [a, b); after a blow-up only those before the crossing
+        got = min(int(np.searchsorted(grid, b)) - k, len(sol.t))
+        if got > 0:
+            samples[k : k + got] = sol.y[:, :got].T.reshape(got, N, n)
+            k += got
+    if sol.status == 1:
+        samples[k:] = sol.y_events[0][0].reshape(N, n)
+        return samples, float(sol.t_events[0][0])
+    samples[k:] = sol.y[:, -1].reshape(N, n)  # grid points at tau
+    return samples, math.inf
 
 
 def semigroup_growth(

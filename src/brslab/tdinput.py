@@ -107,7 +107,7 @@ def closed_loop(sys: SystemDef, margin: GrowthMargin) -> SystemDef:
     eta = margin.eta
 
     def rhs_cl(x, d):
-        return sys.rhs(x, d * float(eta(np.linalg.norm(x))))
+        return sys.rhs(x, d * eta(np.linalg.norm(x, axis=-1, keepdims=True)))
 
     return SystemDef(
         state_dim=sys.state_dim,

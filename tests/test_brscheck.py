@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import brslab as bl
-from brslab.brscheck import _monotone_envelope, gronwall_bound, sample_reach
+from brslab.brscheck import RATIO_CAP, _monotone_envelope, gronwall_bound, sample_reach
+from brslab.compfun import theta
 
 
 @pytest.fixture(scope="module")
@@ -132,12 +133,23 @@ class TestProbes:
         assert rep.max_ratio <= 1 + 1e-6
 
     def test_zero_system_tdi_ratio_is_one(self):
-        sys_ = bl.SystemDef(1, 1, lambda x, u: np.zeros(1), name="zero")
+        sys_ = bl.SystemDef(1, 1, lambda x, u: np.zeros_like(x), name="zero")
         eta = bl.ScalarFun(
             np.array([0.0, 1.0]), np.array([0.0, 0.5]), 0.5, frozenset({"Kinf", "Lip1"})
         )
         rep = bl.probe_lipschitz_tdi(sys_, bl.GrowthMargin(eta), 1.0, 1.0, 2, seed=3)
         assert rep.max_ratio == pytest.approx(1.0, abs=1e-9)
+
+    def test_closed_loop_blowup_is_divergence(self):
+        # x' = x^2 with the margin fitted on the small box of the CLI's
+        # RFC-TDI falsification case; on the C = 2 ball some rows blow up
+        quad = bl.make("quadratic").system
+        fit = bl.fit_additive_bound(bl.sample_reach(quad, 0.1, 2.0, 6, 3))
+        margin = bl.GrowthMargin(bl.eta_from_chis(fit.chi1, fit.chi2, fit.chi3))
+        tau = theta(2.0, 2, 0.0)
+        for cap in (RATIO_CAP, math.inf):
+            rep = bl.probe_lipschitz_tdi(quad, margin, tau, 2.0, 2, 3, n_dist=3, ratio_cap=cap)
+            assert rep.diverged and rep.L_estimate == math.inf, cap
 
     def test_openloop_report_serializes(self, sigma1):
         rep = bl.probe_lipschitz_openloop(

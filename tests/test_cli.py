@@ -70,6 +70,11 @@ class TestUsageErrors:
             {"horizon": -1.0},
             {"seed": "abc"},
             {"seed": -1},
+            {"horizon": 0},
+            {"system": {"name": "linear", "params": [1]}},
+            {"system": {"name": "linear", "params": {"A": "x"}}},
+            {"system": {"name": "linear", "params": {"A": [[1.0, 2.0]]}}},
+            {"system": {"name": "reaction_diffusion", "params": {"n": 0}}},
         ],
     )
     def test_wrong_shape_or_setting_in_simulate(self, tmp_path, capsys, extra):
@@ -103,6 +108,12 @@ class TestUsageErrors:
             (["lyapunov", "build"], {"radii": [-1.0, 1.0]}),
             (["lyapunov", "build"], {"radii": [0.0, None]}),
             (["lyapunov", "verify"], {"growth_pairs": "two"}),
+            (["lyapunov", "build"], {"lyapunov": [1]}),
+            (["brs", "fit"], {"horizon": 0}),
+            (["brs", "fit"], {"C": 0}),
+            (["rfc", "verify"], {"horizon": 0}),
+            (["lipschitz", "probe", "--mode", "tdi"], {"horizon": 0}),
+            (["lipschitz", "probe", "--mode", "open"], {"C": 0}),
         ],
     )
     def test_bad_scalar_or_radii_setting(self, tmp_path, capsys, cmd, extra):

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import brslab as bl
+import brslab.brscheck as brscheck
+import brslab.lyapunov as lyapunov
 from brslab.compfun import theta
-from brslab.lyapunov import LipschitzTable, sandwich_funs
+from brslab.lyapunov import LipschitzTable, _dyadic_grid, sandwich_funs
+from brslab.tdinput import closed_loop
 
 
 class TestConfig:
@@ -144,6 +147,73 @@ class TestEvalV:
             traj = bl.integrate(sigma1.system, x, u, t)
             vt = bl.eval_V(sigma1.system, sigma1.margin, traj.states[-1], lyap_cfg, l_table).V
             assert vt <= math.exp(t) * v0 * 1.1
+
+
+def per_trajectory_uq(ex_sys, margin, x, cfg, c):
+    """(value, argmax) per q from one integrate per disturbance, scanned in
+    family order with the earliest grid time winning ties."""
+    R = max(float(np.linalg.norm(x)), 1.0)
+    thetas = [theta(R, q, c) for q in range(1, cfg.Q + 1)]
+    cl = closed_loop(ex_sys, margin)
+    dists = bl.disturbance_family(ex_sys.input_dim, thetas[-1], cfg.n_dist, cfg.seed)
+    trajs = [bl.integrate(cl, x, d, thetas[-1], cfg.int_cfg()) for d in dists]
+    out = []
+    for q, th in zip(range(1, cfg.Q + 1), thetas):
+        grid = _dyadic_grid(th, cfg.time_grid_density)
+        best, arg = -math.inf, None
+        for i, traj in enumerate(trajs):
+            norms = np.linalg.norm(traj.state_at(grid), axis=1)
+            gq = np.maximum(0.0, np.exp(-grid) * margin(norms) - 1.0 / q)
+            j = int(np.argmax(gq))
+            if gq[j] > best:
+                best, arg = float(gq[j]), (i, float(grid[j]))
+        out.append((best, arg))
+    return out
+
+
+def unit_table(Q, c):
+    return LipschitzTable({(theta(float(q), q, c), float(q)): 1.0 for q in range(1, Q + 1)}, c)
+
+
+class TestEnsembleEstimates:
+    def assert_matches_reference(self, ex_sys, margin, x, cfg, c):
+        lv = bl.eval_V(ex_sys, margin, x, cfg, unit_table(cfg.Q, c))
+        ref = per_trajectory_uq(ex_sys, margin, x, cfg, c)
+        for est, (value, arg) in zip(lv.per_q, ref):
+            assert est.argmax == arg, est.q
+            assert est.value == pytest.approx(value, rel=1e-6, abs=1e-12), est.q
+
+    @pytest.mark.parametrize("r", [0.0, 0.3, 1.0, 1.7, -2.0])
+    def test_sigma1(self, sigma1, r):
+        cfg = bl.LyapunovConfig(seed=1)
+        self.assert_matches_reference(sigma1.system, sigma1.margin, [r], cfg, 0.0)
+
+    @pytest.mark.parametrize("n_dist, density", [(2, 4), (4, 8)])
+    @pytest.mark.parametrize("r", [0.25, 1.0, 2.0])
+    def test_non_normal_linear_witness(self, n_dist, density, r):
+        lin = bl.make("linear", {"A": [[-1.0, 10.0], [0.0, -1.0]]})
+        half = bl.GrowthMargin(bl.ScalarFun([0.0, 1.0], [0.0, 0.5], 0.5, {"Kinf", "Lip1"}))
+        cfg = bl.LyapunovConfig(seed=20240811, Q=13, n_dist=n_dist, time_grid_density=density)
+        self.assert_matches_reference(lin.system, half, [0.0, r], cfg, 0.0)
+
+    def test_one_ensemble_and_no_integrate_per_call(self, sigma1, monkeypatch):
+        calls = {"ensemble": 0, "integrate": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (lyapunov, brscheck):
+            for attr, name in (("_sample_ensemble", "ensemble"), ("integrate", "integrate")):
+                monkeypatch.setattr(mod, attr, counting(name, getattr(mod, attr)))
+        bl.eval_V(sigma1.system, sigma1.margin, [0.8], bl.LyapunovConfig(seed=1),
+                  unit_table(14, 0.0))
+        assert calls == {"ensemble": 1, "integrate": 0}
+        bl.probe_lipschitz_tdi(sigma1.system, sigma1.margin, 0.5, 1.0, 2, seed=3)
+        bl.probe_lipschitz_openloop(sigma1.system, 0.5, 1.0, 2, seed=3)
+        assert calls == {"ensemble": 3, "integrate": 0}
 
 
 class TestSandwichFuns:

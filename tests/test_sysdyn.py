@@ -6,7 +6,8 @@ import pytest
 from scipy.linalg import expm
 
 import brslab as bl
-from brslab.sysdyn import concat, semigroup_growth
+from brslab.sysdyn import _sample_ensemble, concat, semigroup_growth
+from brslab.tdinput import closed_loop
 
 
 def rotation():
@@ -148,6 +149,88 @@ class TestBlowup:
         assert traj.times[-1] == traj.t_max_estimate
         # the root is found in t to a few ulp, where |x'| = x^2 is about 1e18
         assert np.linalg.norm(traj.states[-1]) == pytest.approx(cfg.blowup_threshold, rel=1e-6)
+
+
+def assert_rows_agree(sys, X0, inputs, tau, grid, cfg):
+    """Every ensemble row is within 10x cfg's tolerance of an integrate run
+    at 1e-4 times cfg's tolerances."""
+    samples, t_max = _sample_ensemble(sys, X0, inputs, tau, grid, cfg)
+    assert samples.shape == (grid.size, len(X0), sys.state_dim)
+    assert t_max == math.inf
+    tight = bl.IntegratorConfig(rel_tol=cfg.rel_tol * 1e-4, abs_tol=cfg.abs_tol * 1e-4)
+    for i, (x0, u) in enumerate(zip(X0, inputs)):
+        ref = bl.integrate(sys, x0, u, tau, tight).state_at(grid)
+        tol = 10.0 * (cfg.rel_tol * np.abs(ref).max() + cfg.abs_tol)
+        assert np.abs(samples[:, i] - ref).max() <= tol, i
+        assert np.array_equal(samples[0, i], x0)
+
+
+class TestSampleEnsemble:
+    # integrate itself at the configured tolerance strays up to ~18x rel_tol
+    # from a 1e-13 solution on the sigma1 closed loop, so the rows are held
+    # against a tighter integrate rather than one at the same tolerance
+
+    def test_sigma1_closed_loop_under_switching_disturbances(self, sigma1):
+        dists = bl.disturbance_family(1, 3.0, 6, 20240811)
+        assert any(d.breakpoints.size for d in dists)
+        cl = closed_loop(sigma1.system, sigma1.margin)
+        X0 = np.array([[0.7], [0.3], [-1.5], [0.05], [2.0], [-0.7]])
+        cfg = bl.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11)
+        assert_rows_agree(cl, X0, dists, 3.0, np.linspace(0.0, 3.0, 31), cfg)
+
+    def test_non_normal_linear(self):
+        lin = bl.make("linear", {"A": [[-1.0, 10.0], [0.0, -1.0]]})
+        inputs = [
+            bl.InputSignal([0.5, 1.2], [[1.0, 0.0], [0.0, -1.0]], [0.3, 0.3]),
+            bl.InputSignal.constant([0.0, 1.0]),
+            bl.InputSignal([0.8], [[-1.0, 2.0]], [0.0, 0.0]),
+        ]
+        X0 = np.array([[0.0, 1.0], [1.0, -1.0], [0.5, 0.5]])
+        cfg = bl.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11)
+        assert_rows_agree(lin.system, X0, inputs, 2.0, np.linspace(0.0, 2.0, 41), cfg)
+
+    def test_reaction_diffusion(self):
+        rd = bl.make("reaction_diffusion", {"n": 8})
+        inputs = [
+            bl.InputSignal.constant([0.5]),
+            bl.InputSignal([0.3], [[1.0]], [-1.0]),
+            bl.InputSignal.constant([0.0]),
+        ]
+        X0 = np.random.default_rng(1).standard_normal((3, 8))
+        cfg = bl.IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9)
+        assert_rows_agree(rd.system, X0, inputs, 1.0, np.linspace(0.0, 1.0, 21), cfg)
+
+    def test_blowup_ends_the_ensemble(self):
+        quad = bl.make("quadratic").system
+        zero = bl.InputSignal.constant([0.0])
+        grid = np.linspace(0.0, 1.0, 11)
+        cfg = bl.IntegratorConfig()
+        samples, t_max = _sample_ensemble(
+            quad, [[0.5], [2.0]], [zero, zero], 1.0, grid, cfg
+        )
+        ref = bl.integrate(quad, [2.0], zero, 1.0, cfg).t_max_estimate
+        assert t_max == pytest.approx(ref, rel=1e-6)
+        after = grid > t_max
+        assert after.sum() == 6  # t = 0.5, ..., 1.0: the crossing is just before 0.5
+        # every later grid point holds the state at the crossing
+        assert np.all(samples[after] == samples[-1])
+        assert samples[-1, 1, 0] == pytest.approx(cfg.blowup_threshold, rel=1e-6)
+        assert samples[-1, 0, 0] == pytest.approx(1.0 / (2.0 - t_max), rel=1e-6)
+        assert samples[~after, 1, 0] == pytest.approx(1.0 / (0.5 - grid[~after]), rel=1e-6)
+
+    def test_rhs_that_is_not_row_wise_is_named(self):
+        flat = bl.SystemDef(1, 1, lambda x, u: np.zeros(1), name="flat")
+        u = bl.InputSignal.constant([0.0])
+        with pytest.raises(ValueError, match=r"'flat'.*\(1,\).*\(2, 1\)"):
+            _sample_ensemble(flat, [[0.0], [1.0]], [u, u], 1.0, np.linspace(0.0, 1.0, 3),
+                             bl.IntegratorConfig())
+
+    def test_rejects_grid_outside_horizon(self):
+        u = bl.InputSignal.constant([0.0])
+        quad = bl.make("quadratic").system
+        for grid in ([0.0, 2.0], [0.5, 0.5], []):
+            with pytest.raises(ValueError, match="grid"):
+                _sample_ensemble(quad, [[0.1]], [u], 1.0, np.array(grid), bl.IntegratorConfig())
 
 
 class TestTrajectoryExport:
