@@ -285,20 +285,24 @@ def find_rfc_offset(
     )
 
 
-def _pair_ratios(sys, pairs, inputs, tau, cfg, grid) -> tuple[np.ndarray, bool]:
+def _pair_ratios(sys, pairs, inputs, tau, cfg, grid) -> tuple[np.ndarray, float, int | None]:
     """Ratios max_grid ||phi(t,x1,u) - phi(t,x2,u)|| / ||x1 - x2||, one per
-    (x1, x2) in `pairs` under its input, and whether the ensemble blew up.
+    (x1, x2) in `pairs` under its input, plus the ensemble's blow-up time
+    (inf if none) and the pair whose row crossed (None if none).
 
-    Both rows of every pair are sampled in one stacked ensemble on `grid`.
+    Both rows of every pair are sampled in one stacked ensemble; `tau` and
+    `grid` take the sampler's forms with one horizon or grid per pair.
     """
     X1 = np.array([np.atleast_1d(x1) for x1, _ in pairs], dtype=float)
     X2 = np.array([np.atleast_1d(x2) for _, x2 in pairs], dtype=float)
-    samples, t_max = _sample_ensemble(
-        sys, np.vstack([X1, X2]), list(inputs) * 2, tau, grid, cfg
-    )
     P = len(pairs)
+    tau = np.broadcast_to(np.asarray(tau, dtype=float), (P,))
+    samples, t_max, row = _sample_ensemble(
+        sys, np.vstack([X1, X2]), list(inputs) * 2, np.tile(tau, 2),
+        grid * 2 if isinstance(grid, list) else grid, cfg,
+    )
     diff = np.linalg.norm(samples[:, :P] - samples[:, P:], axis=2).max(axis=0)
-    return diff / np.linalg.norm(X1 - X2, axis=1), t_max < math.inf
+    return diff / np.linalg.norm(X1 - X2, axis=1), t_max, None if row is None else row % P
 
 
 def _pair_ratio(sys, x1, x2, u, tau, cfg, grid) -> float:
@@ -318,26 +322,42 @@ def _probe_pairs(dim, tau, C, pairs, seed, purpose, n_ladder):
     return pair_list
 
 
-def _probe_report(sys, pair_list, inputs, tau, C, cfg, ratio_cap) -> LipschitzProbeReport:
-    """Max ratio over every distinct pair and every input in `inputs(i)`,
-    all pairs sampled as one ensemble; a blow-up in it means divergence."""
-    rows = [
-        ((x1, x2), u)
-        for i, (x1, x2) in enumerate(pair_list)
-        if not np.array_equal(x1, x2)
-        for u in inputs(i)
-    ]
-    max_ratio, blew_up = 0.0, False
+def _probe_reports(sys, levels, cfg, ratio_cap) -> tuple[list, int | None]:
+    """One report per level (tau, C, pair_list, inputs): the max ratio over
+    every distinct pair and every input in `inputs(i)`, on the level's
+    65-point grid of [0, tau].
+
+    The pairs of all levels are sampled as one ensemble.  A blow-up in it
+    makes divergent every level whose horizon it cut short, the crossing
+    row's level among them; that level is returned too (None if none).
+    """
+    rows, level_of = [], []
+    for k, (_, _, pair_list, inputs) in enumerate(levels):
+        for i, (x1, x2) in enumerate(pair_list):
+            if np.array_equal(x1, x2):
+                continue
+            for u in inputs(i):
+                rows.append(((x1, x2), u))
+                level_of.append(k)
+    level_of = np.asarray(level_of, dtype=int)
+    ratios, t_max, crossed = np.zeros(0), math.inf, None
     if rows:
-        ratios, blew_up = _pair_ratios(
-            sys, [p for p, _ in rows], [u for _, u in rows], tau, cfg,
-            np.linspace(0.0, tau, 65),
+        taus = np.array([lv[0] for lv in levels])
+        grids = [np.linspace(0.0, tau, 65) for tau in taus]
+        ratios, t_max, pair = _pair_ratios(
+            sys, [p for p, _ in rows], [u for _, u in rows], taus[level_of], cfg,
+            [grids[k] for k in level_of],
         )
-        max_ratio = float(ratios.max())
-    diverged = blew_up or max_ratio > ratio_cap
-    return LipschitzProbeReport(
-        tau, C, len(pair_list), max_ratio, math.inf if diverged else max_ratio, diverged
-    )
+        crossed = None if pair is None else int(level_of[pair])
+    reports = []
+    for k, (tau, C, pair_list, _) in enumerate(levels):
+        mine = ratios[level_of == k]
+        max_ratio = float(mine.max()) if mine.size else 0.0
+        diverged = t_max <= tau or max_ratio > ratio_cap
+        reports.append(LipschitzProbeReport(
+            tau, C, len(pair_list), max_ratio, math.inf if diverged else max_ratio, diverged
+        ))
+    return reports, crossed
 
 
 def probe_lipschitz_openloop(
@@ -367,7 +387,7 @@ def probe_lipschitz_openloop(
         rng = seeded_rng(seed, "open_probe_inputs", i)
         return [_random_pc_input(rng, sys.input_dim, tau, 0.999 * C)]
 
-    return _probe_report(sys, pair_list, inputs, tau, C, cfg, ratio_cap)
+    return _probe_reports(sys, [(tau, C, pair_list, inputs)], cfg, ratio_cap)[0][0]
 
 
 def probe_lipschitz_tdi(
@@ -386,12 +406,19 @@ def probe_lipschitz_tdi(
     Each pair shares a disturbance lifted from both initial states through
     the closed loop, realizing the matched-input map u1 -> u2.
     """
+    return _tdi_probes(sys, margin, [(tau, C)], pairs, seed, cfg, n_dist, ratio_cap)[0][0]
+
+
+def _tdi_probes(sys, margin, levels, pairs, seed, cfg, n_dist, ratio_cap):
+    """`probe_lipschitz_tdi` at every (tau, C) in `levels`, sampled as one
+    ensemble; returns the reports and the crossing level as `_probe_reports`."""
     cfg = cfg or IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
-    pair_list = _probe_pairs(sys.state_dim, tau, C, pairs, seed, "tdi_probe_pairs", 4)
-    dists = disturbance_family(sys.input_dim, tau, n_dist, seed)
-    return _probe_report(
-        closed_loop(sys, margin), pair_list, lambda i: dists, tau, C, cfg, ratio_cap
-    )
+    specs = []
+    for tau, C in levels:
+        pair_list = _probe_pairs(sys.state_dim, tau, C, pairs, seed, "tdi_probe_pairs", 4)
+        dists = disturbance_family(sys.input_dim, tau, n_dist, seed)
+        specs.append((tau, C, pair_list, lambda i, dists=dists: dists))
+    return _probe_reports(closed_loop(sys, margin), specs, cfg, ratio_cap)
 
 
 def gronwall_bound(M_sg: float, lambda_sg: float, L: float, tau: float) -> float:

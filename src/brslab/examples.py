@@ -192,19 +192,29 @@ def _make_reaction_diffusion(params: dict) -> ExampleBundle:
     )
 
 
-_REGISTRY: dict[str, Callable[[dict], ExampleBundle]] = {
-    "sigma1": _make_sigma1,
-    "sigma2": _make_sigma2,
-    "linear": _make_linear,
-    "quadratic": _make_quadratic,
-    "reaction_diffusion": _make_reaction_diffusion,
+# Each example's builder and the params keys it reads.
+_REGISTRY: dict[str, tuple[Callable[[dict], ExampleBundle], frozenset]] = {
+    "sigma1": (_make_sigma1, frozenset()),
+    "sigma2": (_make_sigma2, frozenset()),
+    "linear": (_make_linear, frozenset({"A", "B"})),
+    "quadratic": (_make_quadratic, frozenset()),
+    "reaction_diffusion": (_make_reaction_diffusion, frozenset({"n", "a"})),
 }
 
 
 def make(name: str, params: dict | None = None) -> ExampleBundle:
+    """The example `name` built from `params`; a key it does not read is a
+    ValueError, so a misspelt one cannot fall back to the default silently."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown example {name!r}; known: {sorted(_REGISTRY)}")
-    return _REGISTRY[name](params or {})
+    build, keys = _REGISTRY[name]
+    params = params or {}
+    unknown = sorted(set(params) - keys)
+    if unknown:
+        raise ValueError(
+            f"unknown params {unknown} for example {name!r}; known: {sorted(keys)}"
+        )
+    return build(params)
 
 
 def list_examples() -> str:

@@ -20,7 +20,7 @@ import numpy as np
 from .compfun import ScalarFun, chi_from_eta, theta
 from .sysdyn import InputSignal, IntegratorConfig, SystemDef, _sample_ensemble, integrate
 from .tdinput import GrowthMargin, closed_loop, disturbance_family
-from .brscheck import probe_lipschitz_tdi
+from .brscheck import RATIO_CAP, _tdi_probes
 
 __all__ = [
     "LyapunovConfig",
@@ -137,17 +137,23 @@ def build_l_table(
     pairs: int = 2,
     n_dist: int = 3,
 ) -> LipschitzTable:
-    """Probe L(Theta(q,q), q) for q = 1..Q, inflated by 10 percent."""
-    entries = {}
-    for q in range(1, Q + 1):
-        tau = theta(float(q), q, c)
-        report = probe_lipschitz_tdi(sys, margin, tau, float(q), pairs, seed, n_dist=n_dist)
-        if report.diverged:
-            raise NotRfcTdiError(
-                f"closed-loop pair probe diverged at (tau={tau}, C={q})"
-            )
-        entries[(tau, float(q))] = L_INFLATION * report.max_ratio
-    return LipschitzTable(entries, c)
+    """Probe L(Theta(q,q), q) for q = 1..Q, inflated by 10 percent.
+
+    The Q probes are `probe_lipschitz_tdi`'s, sampled as one ensemble in
+    which level q runs to Theta(q,q) and reads its own 65 grid points.
+    """
+    levels = [(theta(float(q), q, c), float(q)) for q in range(1, Q + 1)]
+    reports, crossed = _tdi_probes(sys, margin, levels, pairs, seed, None, n_dist, RATIO_CAP)
+    bad = [k for k, rep in enumerate(reports) if rep.diverged]
+    if bad:
+        k = bad[0] if crossed is None else crossed
+        raise NotRfcTdiError(
+            f"closed-loop pair probe diverged at level q={k + 1}"
+            f" (tau={levels[k][0]}, C={levels[k][1]})"
+        )
+    return LipschitzTable(
+        {level: L_INFLATION * rep.max_ratio for level, rep in zip(levels, reports)}, c
+    )
 
 
 def lyap_M(R: float, q: int, l_table: LipschitzTable) -> float:
@@ -187,45 +193,72 @@ def eval_V(
     zero-time substitution.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    nx = float(np.linalg.norm(x))
+    return _eval_Vs(sys, margin, x[None, :], cfg, l_table, R_override)[0]
+
+
+def _eval_Vs(
+    sys: SystemDef,
+    margin: GrowthMargin,
+    X,
+    cfg: LyapunovConfig,
+    l_table: LipschitzTable,
+    R_override: float | None = None,
+) -> list[LyapunovValue]:
+    """`eval_V` at every row of X, all closed-loop families in one ensemble.
+
+    State b's n_dist rows run to its own Theta(R_b, Q) and read its own
+    union grid, with R_b = R_override or max(||x_b||, 1).
+    """
+    norms = np.linalg.norm(X, axis=1)
     c = l_table.c
-    R = float(R_override) if R_override is not None else max(nx, 1.0)
-    if R < nx - 1e-12:
-        raise ValueError("R_override must cover ||x||")
-    tail = _tail_bound(cfg.Q, nx, c)
-    if tail > cfg.tail_tol:
-        min_Q = math.ceil(1.0 + math.log2((1.0 + nx + c) / cfg.tail_tol))
-        raise TailBudgetError(cfg.Q, tail, cfg.tail_tol, min_Q)
-    thetas = [theta(R, q, c) for q in range(1, cfg.Q + 1)]
-    tau = thetas[-1]
-    grids = [_dyadic_grid(th, cfg.time_grid_density) for th in thetas]
-    union = np.unique(np.concatenate(grids))
-    dists = disturbance_family(sys.input_dim, tau, cfg.n_dist, cfg.seed)
-    samples, t_max = _sample_ensemble(
-        closed_loop(sys, margin), np.tile(x, (len(dists), 1)), dists, tau, union,
-        cfg.int_cfg(),
+    if R_override is None:
+        balls = np.maximum(norms, 1.0)
+    else:
+        balls = np.full(len(X), float(R_override))
+        if np.any(balls < norms - 1e-12):
+            raise ValueError("R_override must cover ||x||")
+    tails = [_tail_bound(cfg.Q, nx, c) for nx in norms]
+    for nx, tail in zip(norms, tails):
+        if tail > cfg.tail_tol:
+            min_Q = math.ceil(1.0 + math.log2((1.0 + nx + c) / cfg.tail_tol))
+            raise TailBudgetError(cfg.Q, tail, cfg.tail_tol, min_Q)
+    qs = range(1, cfg.Q + 1)
+    thetas = [[theta(float(R), q, c) for q in qs] for R in balls]
+    grids = [[_dyadic_grid(th, cfg.time_grid_density) for th in ths] for ths in thetas]
+    unions = [np.unique(np.concatenate(g)) for g in grids]
+    nd = cfg.n_dist
+    # state b owns rows b*nd .. b*nd + nd - 1, which read its union grid
+    dists = []
+    for ths in thetas:
+        dists += disturbance_family(sys.input_dim, ths[-1], nd, cfg.seed)
+    taus = np.repeat([ths[-1] for ths in thetas], nd)
+    samples, t_max, row = _sample_ensemble(
+        closed_loop(sys, margin), np.repeat(X, nd, axis=0), dists, taus,
+        [union for union in unions for _ in range(nd)], cfg.int_cfg(),
     )
-    if t_max < math.inf:
+    if row is not None:
         raise NotRfcTdiError(
-            f"closed loop from ||x||={nx:.3g} blew up at"
-            f" t={t_max:.3g} < {tau:.3g}: not RFC-TDI on this ball"
+            f"closed loop from ||x||={norms[row // nd]:.3g} blew up at"
+            f" t={t_max:.3g} < {taus[row]:.3g}: not RFC-TDI on this ball"
         )
-    # discounted margin, shape (T, n_dist): row = grid time, column = disturbance
-    disc = np.exp(-union)[:, None] * np.asarray(margin(np.linalg.norm(samples, axis=2)))
-    V = 1.0
-    per_q = []
-    m_table = {}
-    for q, th, grid in zip(range(1, cfg.Q + 1), thetas, grids):
-        gq = np.maximum(0.0, disc[np.searchsorted(union, grid)] - 1.0 / q)
-        # first disturbance attaining the sup, at its earliest grid time
-        j = np.argmax(gq, axis=0)
-        i = int(np.argmax(gq[j, np.arange(gq.shape[1])]))
-        value = float(gq[j[i], i])
-        per_q.append(UqEstimate(q, R, th, value, (i, float(grid[j[i]]))))
-        m_qq = lyap_M(q, q, l_table)
-        m_table[q] = m_qq
-        V += 2.0 ** (-q) * value / (1.0 + m_qq)
-    return LyapunovValue(V, math.log1p(V), tail, per_q, m_table)
+    m_table = {q: lyap_M(q, q, l_table) for q in qs}
+    values = []
+    for b, union in enumerate(unions):
+        S = samples[: union.size, b * nd : (b + 1) * nd]
+        # discounted margin, shape (T, n_dist): row = grid time, column = disturbance
+        disc = np.exp(-union)[:, None] * np.asarray(margin(np.linalg.norm(S, axis=2)))
+        V = 1.0
+        per_q = []
+        for q, th, g in zip(qs, thetas[b], grids[b]):
+            gq = np.maximum(0.0, disc[np.searchsorted(union, g)] - 1.0 / q)
+            # first disturbance attaining the sup, at its earliest grid time
+            j = np.argmax(gq, axis=0)
+            i = int(np.argmax(gq[j, np.arange(gq.shape[1])]))
+            value = float(gq[j[i], i])
+            per_q.append(UqEstimate(q, float(balls[b]), th, value, (i, float(g[j[i]]))))
+            V += 2.0 ** (-q) * value / (1.0 + m_table[q])
+        values.append(LyapunovValue(V, math.log1p(V), tails[b], per_q, dict(m_table)))
+    return values
 
 
 def sandwich_funs(
@@ -319,7 +352,8 @@ def verify_growth(
 
     The Dini derivative is estimated by forward differences over the step
     ladder; the ball radius R is frozen across evaluations so grid layouts
-    match and discretization bias cancels in the quotient.
+    match and discretization bias cancels in the quotient.  V at x and at
+    every x(h) comes from one ensemble.
     """
     chi = chi or chi_from_eta(margin.eta)
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -333,11 +367,10 @@ def verify_growth(
     if traj.blew_up:
         raise NotRfcTdiError("open loop blew up inside the Dini step window")
     R_frozen = max(1.0, rhs, float(traj.norms().max()))
-    v0 = eval_V(sys, margin, x, cfg, l_table, R_override=R_frozen)
+    states = np.vstack([x] + [traj.state_at(h) for h in cfg.dini_h_ladder])
+    v0, *v_ladder = _eval_Vs(sys, margin, states, cfg, l_table, R_override=R_frozen)
     report = GrowthReport(x, u_value, lhs, rhs, vacuous=False, V0=v0.V, W0=v0.W)
-    for h in cfg.dini_h_ladder:
-        xh = traj.state_at(h)
-        vh = eval_V(sys, margin, xh, cfg, l_table, R_override=R_frozen)
+    for h, vh in zip(cfg.dini_h_ladder, v_ladder):
         report.per_h_V[h] = (vh.V - v0.V) / h
         report.per_h_W[h] = (vh.W - v0.W) / h
     report.dini_V = max(report.per_h_V.values())
@@ -354,7 +387,8 @@ def radial_table(
     cfg: LyapunovConfig,
     l_table: LipschitzTable,
 ) -> dict:
-    """Evaluate V, W and the sandwich bounds along states r * e1."""
+    """Evaluate V, W and the sandwich bounds along states r * e1, with V
+    at every radius from one ensemble."""
     radii = np.asarray(radii, dtype=float)
     alpha1, alpha2, C = sandwich_funs(
         margin, l_table, cfg.Q, s_max=max(8.0, float(radii.max()))
@@ -369,8 +403,7 @@ def radial_table(
         "alpha1": [],
         "alpha2_plus_C": [],
     }
-    for r in radii:
-        lv = eval_V(sys, margin, r * e1, cfg, l_table)
+    for r, lv in zip(radii, _eval_Vs(sys, margin, radii[:, None] * e1, cfg, l_table)):
         rows["norm_x"].append(float(r))
         rows["V"].append(lv.V)
         rows["W"].append(lv.W)

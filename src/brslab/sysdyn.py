@@ -151,10 +151,13 @@ class IntegratorConfig:
     blowup_threshold: float = 1e9
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_step <= 0 or self.blowup_threshold <= 0:
-            raise ValueError("max_step and blowup_threshold must be positive")
+        # a NaN tolerance never accepts a step and a NaN threshold never fires
+        for name in ("rel_tol", "abs_tol", "blowup_threshold"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value}")
+        if not self.max_step > 0:
+            raise ValueError(f"max_step must be > 0 (inf for no limit), got {self.max_step}")
 
 
 @dataclass(frozen=True)
@@ -216,30 +219,38 @@ def _segment_edges(breakpoints, tau: float) -> np.ndarray:
     return np.concatenate([[0.0], inner, [tau]])
 
 
-def _segments(f_at, y0, edges, cfg: IntegratorConfig, rows: int, grid=None):
+def _segments(f_at, y0, edges, cfg: IntegratorConfig, rows: int, grid=None, live=None):
     """Solve y' = f_at(a)(t, y) on each [a, b] of `edges`, restarting from
     the previous segment's last state; yields (a, b, sol).
 
     `y0` stacks `rows` states of equal size.  The tolerances are divided by
     sqrt(rows), so every row stays within `cfg` although the solver's error
     norm is an RMS over all components.  The blow-up event is the largest
-    row norm crossing `cfg.blowup_threshold`; the segment where it fires is
-    the last.  With `grid` the solver reports the segment's grid points in
-    [a, b) plus b instead of its own steps and keeps no dense output.
+    norm of the rows `live(a)` selects (all rows without `live`) crossing
+    `cfg.blowup_threshold`; the segment where it fires is the last.  With
+    `grid` the solver reports the segment's grid points in [a, b) plus b
+    instead of its own steps and keeps no dense output.
     """
     threshold = cfg.blowup_threshold
-    if rows == 1:  # the plain norm keeps integrate's event values unchanged
 
-        def blowup_event(t, y):
-            return float(np.linalg.norm(y) - threshold)
+    def event_at(a):
+        if rows == 1:  # the plain norm keeps integrate's event values unchanged
 
-    else:
+            def blowup_event(t, y):
+                return float(np.linalg.norm(y) - threshold)
 
-        def blowup_event(t, y):
-            return float(np.linalg.norm(y.reshape(rows, -1), axis=1).max() - threshold)
+        else:
+            sel = slice(None) if live is None else live(a)
 
-    blowup_event.terminal = True
-    blowup_event.direction = 1.0
+            def blowup_event(t, y):
+                return float(
+                    np.linalg.norm(y.reshape(rows, -1)[sel], axis=1).max() - threshold
+                )
+
+        blowup_event.terminal = True
+        blowup_event.direction = 1.0
+        return blowup_event
+
     scale = math.sqrt(rows)
     y = y0
     for a, b in zip(edges[:-1], edges[1:]):
@@ -255,7 +266,7 @@ def _segments(f_at, y0, edges, cfg: IntegratorConfig, rows: int, grid=None):
             rtol=cfg.rel_tol / scale,
             atol=cfg.abs_tol / scale,
             max_step=cfg.max_step,
-            events=blowup_event,
+            events=event_at(a),
             **out,
         )
         if sol.status == -1:
@@ -263,7 +274,7 @@ def _segments(f_at, y0, edges, cfg: IntegratorConfig, rows: int, grid=None):
         yield a, b, sol
         if sol.status == 1:  # blow-up: the terminal event ends the last step
             return
-        y = sol.y[:, -1]
+        y = sol.y[:, -1].copy()  # a view would keep the whole segment's output alive
 
 
 def integrate(
@@ -317,21 +328,63 @@ def integrate(
     )
 
 
-def _sample_ensemble(
-    sys: SystemDef, X0, inputs, tau: float, grid, cfg: IntegratorConfig
-) -> tuple[np.ndarray, float]:
-    """States of N trajectories on `grid`, integrated as one stacked ODE.
+# State values one solver call may report; longer stretches of an ensemble's
+# grid restart at a grid time, so memory stays bounded as rows and times grow.
+_REPORT_VALUES = 1 << 15
 
-    Row i starts at X0[i] under the piecewise-constant InputSignal
-    inputs[i]; integration restarts at the union of the rows' breakpoints.
-    `grid` is strictly increasing in [0, tau].  Returns the samples, shape
-    (T, N, n), and the blow-up time (inf if none): a blow-up of any row
-    ends the whole ensemble, and grid points after it hold the crossing
-    state.  `sys.rhs` must be row-wise: (N, n) states with (N, m) inputs
-    give (N, n) derivatives.
+
+def _grid_groups(grid, N: int, tau_max: float) -> list:
+    """(times, rows) for each distinct grid of an ensemble of N rows.
+
+    `grid` is one array of times every row reads, or a list of N arrays,
+    row i reading grid[i]; rows given the same array object form one group.
+    """
+    if isinstance(grid, (list, tuple)):
+        if len(grid) != N:
+            raise ValueError(f"need one grid per row: {N}, got {len(grid)}")
+        shared = {}
+        for i, g in enumerate(grid):
+            shared.setdefault(id(g), (g, []))[1].append(i)
+        groups = [(g, np.array(rows)) for g, rows in shared.values()]
+    else:
+        groups = [(grid, np.arange(N))]
+    out = []
+    for g, rows in groups:
+        g = np.asarray(g, dtype=float)
+        if not (
+            g.ndim == 1 and g.size and 0 <= g[0] and g[-1] <= tau_max
+            and np.all(np.diff(g) > 0)
+        ):
+            raise ValueError(
+                "every grid must be non-empty and strictly increasing in [0, max(tau)]"
+            )
+        out.append((g, rows))
+    return out
+
+
+def _sample_ensemble(
+    sys: SystemDef, X0, inputs, tau, grid, cfg: IntegratorConfig
+) -> tuple[np.ndarray, float, int | None]:
+    """States of N trajectories at their grid times, integrated as one stacked ODE.
+
+    Row i starts at X0[i] under the piecewise-constant InputSignal inputs[i]
+    and runs to its horizon tau[i]; a scalar `tau` is every row's horizon.
+    `grid` is one strictly increasing array of times in [0, max(tau)] that
+    every row reads, or a list of N such arrays, row i reading grid[i]
+    (rows given the same array are read together).  Integration restarts at
+    the union of the rows' breakpoints and horizons.  From its horizon on, a
+    row is frozen: its derivative is zero and it leaves the blow-up event,
+    so its grid times after tau[i] hold its state at tau[i].  The solver
+    reports only the union of the grids (`t_eval`, no dense output), at
+    most _REPORT_VALUES state values per call, and each row keeps only its
+    own times.  Returns the samples, shape (T, N, n) for T the longest
+    grid's length (NaN after the end of a shorter one), the blow-up time
+    (inf if none) and the row that crossed (None if none): a blow-up of any
+    live row ends the whole ensemble, and later grid times hold the
+    crossing state.  `sys.rhs` must be row-wise: (K, n) states with (K, m)
+    inputs give (K, n) derivatives.
     """
     X0 = np.asarray(X0, dtype=float)
-    grid = np.asarray(grid, dtype=float)
     N, n = X0.shape
     if n != sys.state_dim or len(inputs) != N:
         raise ValueError(
@@ -340,15 +393,30 @@ def _sample_ensemble(
         )
     if any(u.dim != sys.input_dim for u in inputs):
         raise ValueError(f"every input must have dimension {sys.input_dim}")
-    if not (grid.size and 0 <= grid[0] and grid[-1] <= tau and np.all(np.diff(grid) > 0)):
-        raise ValueError("grid must be non-empty and strictly increasing in [0, tau]")
+    tau = np.asarray(tau, dtype=float)
+    if tau.shape not in ((), (N,)) or not np.all(np.isfinite(tau) & (tau > 0)):
+        raise ValueError(f"tau must be a finite number > 0 or {N} of them")
+    tau = np.broadcast_to(tau, (N,))
+    groups = _grid_groups(grid, N, float(tau.max()))
     A = sys.linear_part
+    # all rows' input values in one table: row i's start at first[i] and
+    # advance by one at each of its breakpoints
+    values = np.vstack([u._all_values() for u in inputs])
+    first = np.cumsum([0] + [u.breakpoints.size + 1 for u in inputs[:-1]])
+    switch_at = np.concatenate([u.breakpoints for u in inputs])
+    switch_row = np.repeat(np.arange(N), [u.breakpoints.size for u in inputs])
+
+    def live(a):
+        """Rows whose horizon lies beyond the segment start a."""
+        rows = tau > a
+        return slice(None) if rows.all() else rows
 
     def f_at(a):
-        U = np.array([u.eval(a) for u in inputs])
+        sel = live(a)
+        U = values[first + np.bincount(switch_row[switch_at <= a], minlength=N)][sel]
 
         def f(t, y):
-            Y = y.reshape(N, n)
+            Y = y.reshape(N, n)[sel]
             dY = np.asarray(sys.rhs(Y, U))
             if dY.shape != Y.shape:
                 raise ValueError(
@@ -357,24 +425,49 @@ def _sample_ensemble(
                 )
             if A is not None:
                 dY = dY + Y @ A.T
-            return dY.ravel()
+            if isinstance(sel, slice):
+                return dY.ravel()
+            full = np.zeros((N, n))  # frozen rows stay where they are
+            full[sel] = dY
+            return full.ravel()
 
         return f
 
-    edges = _segment_edges(np.concatenate([u.breakpoints for u in inputs]), tau)
-    samples = np.empty((grid.size, N, n))
-    k = 0
-    for _, b, sol in _segments(f_at, X0.ravel(), edges, cfg, N, grid):
-        # grid points in [a, b); after a blow-up only those before the crossing
-        got = min(int(np.searchsorted(grid, b)) - k, len(sol.t))
+    union = np.unique(np.concatenate([g for g, _ in groups]))
+    # per group: its rows, the union index of each of its times, entries filled
+    reads = [[rows, np.searchsorted(union, g), 0] for g, rows in groups]
+    samples = np.full((max(g.size for g, _ in groups), N, n), np.nan)
+
+    def scatter(k, got, Y):
+        """Grid entries at union times k .. k + got - 1 from Y, shape (N, n, got)."""
+        for read in reads:
+            rows, at, lo = read
+            hi = int(np.searchsorted(at, k + got))
+            if hi > lo:
+                block = Y[np.ix_(rows, np.arange(n), at[lo:hi] - k)]
+                samples[lo:hi, rows] = block.transpose(2, 0, 1)
+                read[2] = hi
+
+    per_call = max(1, _REPORT_VALUES // (N * n))
+    edges = _segment_edges(
+        np.concatenate([switch_at, tau, union[per_call::per_call]]),
+        tau.max(),
+    )
+    k = 0  # union times filled so far
+    for a, b, sol in _segments(f_at, X0.ravel(), edges, cfg, N, union, live):
+        # union times in [a, b); after a blow-up only those before the crossing
+        got = min(int(np.searchsorted(union, b)) - k, len(sol.t))
         if got > 0:
-            samples[k : k + got] = sol.y[:, :got].T.reshape(got, N, n)
+            scatter(k, got, sol.y[:, :got].reshape(N, n, got))
             k += got
-    if sol.status == 1:
-        samples[k:] = sol.y_events[0][0].reshape(N, n)
-        return samples, float(sol.t_events[0][0])
-    samples[k:] = sol.y[:, -1].reshape(N, n)  # grid points at tau
-    return samples, math.inf
+    if sol.status == 1:  # later grid times hold the crossing state
+        end, t_max = sol.y_events[0][0].reshape(N, n), float(sol.t_events[0][0])
+        crossed = int(np.where(tau > a, np.linalg.norm(end, axis=1), -np.inf).argmax())
+    else:  # union times at max(tau)
+        end, t_max, crossed = sol.y[:, -1].reshape(N, n), math.inf, None
+    rest = union.size - k
+    scatter(k, rest, np.broadcast_to(end[:, :, None], (N, n, rest)))
+    return samples, t_max, crossed
 
 
 def semigroup_growth(

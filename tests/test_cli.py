@@ -133,6 +133,29 @@ class TestUsageErrors:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "integrator error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("rel_tol", "nan"), ("rel_tol", "inf"), ("abs_tol", "nan"), ("abs_tol", "inf"),
+         ("max_step", "nan"), ("blowup_threshold", "nan"), ("blowup_threshold", "inf")],
+    )
+    def test_non_finite_integrator_setting(self, tmp_path, capsys, field, value):
+        # a NaN tolerance would never accept a step, a NaN threshold never fire
+        cfg = sigma1_cfg(tmp_path, x0=[0.5], horizon=1.0, integrator={field: value})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "integrator settings" in err and field in err
+
+    def test_unlimited_max_step_runs(self, tmp_path):
+        cfg = sigma1_cfg(tmp_path, x0=[0.5], horizon=1.0, integrator={"max_step": "inf"})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    def test_unknown_system_params_key(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"system": {"name": "reaction_diffusion", "params": {"N": 8}},
+                                   "seed": 1, "horizon": 0.1})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "unknown params ['N']" in capsys.readouterr().err
+        assert not any((tmp_path / "o").glob("*"))
+
     def test_tail_budget_is_config_error(self, tmp_path, capsys):
         cfg = sigma1_cfg(tmp_path, c=0.0, radii=[0.0, 5.0], lyapunov={"Q": 3})
         assert main(["lyapunov", "build", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,23 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(KeyError, match="unknown example"):
             bl.make("does-not-exist")
+
+    @pytest.mark.parametrize(
+        "name, params, unknown",
+        [("reaction_diffusion", {"N": 8}, ["N"]),
+         ("reaction_diffusion", {"n": 8, "alpha": 1.0}, ["alpha"]),
+         ("linear", {"A": [[0.0]], "b": [[1.0]]}, ["b"]),
+         ("sigma1", {"n": 1}, ["n"]),
+         ("quadratic", {"x": 0, "y": 1}, ["x", "y"])],
+    )
+    def test_unknown_params_key_is_named(self, name, params, unknown):
+        message = f"unknown params {unknown} for example {name!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bl.make(name, params)
+
+    def test_known_params_still_apply(self):
+        assert bl.make("reaction_diffusion", {"n": 8, "a": 2.0}).system.state_dim == 8
+        assert bl.make("linear", {"A": [[0.0, 1.0], [0.0, 0.0]]}).system.input_dim == 2
 
 
 class TestSigma1:

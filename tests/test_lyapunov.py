@@ -197,23 +197,108 @@ class TestEnsembleEstimates:
         self.assert_matches_reference(lin.system, half, [0.0, r], cfg, 0.0)
 
     def test_one_ensemble_and_no_integrate_per_call(self, sigma1, monkeypatch):
-        calls = {"ensemble": 0, "integrate": 0}
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for mod in (lyapunov, brscheck):
-            for attr, name in (("_sample_ensemble", "ensemble"), ("integrate", "integrate")):
-                monkeypatch.setattr(mod, attr, counting(name, getattr(mod, attr)))
+        calls = count_calls(monkeypatch)
         bl.eval_V(sigma1.system, sigma1.margin, [0.8], bl.LyapunovConfig(seed=1),
                   unit_table(14, 0.0))
         assert calls == {"ensemble": 1, "integrate": 0}
         bl.probe_lipschitz_tdi(sigma1.system, sigma1.margin, 0.5, 1.0, 2, seed=3)
         bl.probe_lipschitz_openloop(sigma1.system, 0.5, 1.0, 2, seed=3)
         assert calls == {"ensemble": 3, "integrate": 0}
+
+
+def count_calls(monkeypatch) -> dict:
+    """Counts of sampler and integrate calls made from lyapunov and brscheck."""
+    calls = {"ensemble": 0, "integrate": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (lyapunov, brscheck):
+        for attr, name in (("_sample_ensemble", "ensemble"), ("integrate", "integrate")):
+            monkeypatch.setattr(mod, attr, counting(name, getattr(mod, attr)))
+    return calls
+
+
+NON_NORMAL = {"A": [[-1.0, 10.0], [0.0, -1.0]]}
+
+
+class TestOneSamplerCallPerStage:
+    def test_build_l_table(self, sigma1, monkeypatch):
+        calls = count_calls(monkeypatch)
+        table = bl.build_l_table(sigma1.system, sigma1.margin, 14, 0.0, 3)
+        assert calls == {"ensemble": 1, "integrate": 0}
+        assert len(table.entries) == 14
+
+    def test_build_l_table_matches_one_probe_per_level(self, sigma1):
+        # a ragged ensemble runs each level to its own Theta(q, q) at the
+        # tolerance divided by sqrt of all levels' rows, so the constants
+        # agree to integrator accuracy, not bit for bit
+        table = bl.build_l_table(sigma1.system, sigma1.margin, 4, 0.5, 3)
+        for q in range(1, 5):
+            tau = theta(float(q), q, 0.5)
+            rep = bl.probe_lipschitz_tdi(sigma1.system, sigma1.margin, tau, float(q), 2, 3,
+                                         n_dist=3)
+            assert table.lookup(tau, float(q)) == pytest.approx(1.1 * rep.max_ratio, rel=1e-8)
+
+    def test_radial_table(self, sigma1, monkeypatch):
+        calls = count_calls(monkeypatch)
+        table = bl.radial_table(sigma1.system, sigma1.margin, [0.0, 0.5, 1.0, 1.5, 2.0],
+                                bl.LyapunovConfig(seed=1), unit_table(14, 0.0))
+        assert calls == {"ensemble": 1, "integrate": 0}
+        assert table["V"].shape == (5,)
+
+    def test_verify_growth(self, sigma1, monkeypatch):
+        calls = count_calls(monkeypatch)
+        u = 0.4 * sigma1.margin(0.8)
+        rep = bl.verify_growth(sigma1.system, sigma1.margin, [0.8], [u],
+                               bl.LyapunovConfig(seed=1), unit_table(14, 0.0))
+        assert calls == {"ensemble": 1, "integrate": 1}
+        assert not rep.vacuous and len(rep.per_h_V) == 2
+
+    @pytest.mark.parametrize("R", [None, 2.5])
+    @pytest.mark.parametrize(
+        "system, X",
+        [("sigma1", [[0.0], [0.3], [1.0], [1.7], [-2.0]]),
+         ("non_normal", [[0.0, 0.25], [0.0, 1.0], [0.0, 2.0], [0.5, -1.0]])],
+    )
+    def test_batched_values_match_one_state_loop(self, sigma1, system, X, R):
+        if system == "sigma1":
+            ex_sys, margin, cfg = sigma1.system, sigma1.margin, bl.LyapunovConfig(seed=1)
+        else:  # the criterion-9 witness, whose sups sit at interior times
+            ex_sys = bl.make("linear", NON_NORMAL).system
+            margin = bl.GrowthMargin(bl.ScalarFun([0.0, 1.0], [0.0, 0.5], 0.5, {"Kinf", "Lip1"}))
+            cfg = bl.LyapunovConfig(seed=20240811, Q=13, n_dist=4, time_grid_density=8)
+        table = unit_table(cfg.Q, 0.0)
+        batched = lyapunov._eval_Vs(ex_sys, margin, np.array(X), cfg, table, R)
+        for x, lv in zip(X, batched):
+            one = bl.eval_V(ex_sys, margin, x, cfg, table, R)
+            assert lv.V == pytest.approx(one.V, rel=1e-6)
+            assert lv.tail_bound == one.tail_bound and lv.M_table == one.M_table
+            for est, ref in zip(lv.per_q, one.per_q):
+                assert (est.q, est.R, est.theta_Rq) == (ref.q, ref.R, ref.theta_Rq)
+                assert est.value == pytest.approx(ref.value, rel=1e-6, abs=1e-12), est.q
+                assert est.argmax == ref.argmax, est.q
+
+    def test_blowup_names_the_radius(self):
+        quad = bl.make("quadratic")
+        margin = bl.GrowthMargin(
+            bl.ScalarFun(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 1.0,
+                         frozenset({"Kinf", "Lip1"}))
+        )
+        cfg = bl.LyapunovConfig(seed=1, n_dist=1)
+        # x' = x^2 from 2 crosses first, at t = 0.5; from 0.5 only at t = 2
+        with pytest.raises(bl.NotRfcTdiError, match=r"\|\|x\|\|=2 blew up at t=0\.5"):
+            bl.radial_table(quad.system, margin, [0.0, 0.5, 2.0], cfg, unit_table(14, 0.0))
+
+    def test_blowup_names_the_level(self):
+        quad = bl.make("quadratic").system
+        fit = bl.fit_additive_bound(bl.sample_reach(quad, 0.1, 2.0, 6, 3))
+        margin = bl.GrowthMargin(bl.eta_from_chis(fit.chi1, fit.chi2, fit.chi3))
+        with pytest.raises(bl.NotRfcTdiError, match=r"level q=3 \(tau=2\.868"):
+            bl.build_l_table(quad, margin, 3, 0.0, 3)
 
 
 class TestSandwichFuns:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -153,32 +154,30 @@ class TestBlowup:
 
 def assert_rows_agree(sys, X0, inputs, tau, grid, cfg):
     """Every ensemble row is within 10x cfg's tolerance of an integrate run
-    at 1e-4 times cfg's tolerances."""
-    samples, t_max = _sample_ensemble(sys, X0, inputs, tau, grid, cfg)
-    assert samples.shape == (grid.size, len(X0), sys.state_dim)
-    assert t_max == math.inf
+    to its own horizon at 1e-4 times cfg's tolerances, on its own grid."""
+    samples, t_max, row = _sample_ensemble(sys, X0, inputs, tau, grid, cfg)
+    taus = np.broadcast_to(tau, (len(X0),))
+    grids = grid if isinstance(grid, list) else [grid] * len(X0)
+    assert samples.shape == (max(g.size for g in grids), len(X0), sys.state_dim)
+    assert t_max == math.inf and row is None
     tight = bl.IntegratorConfig(rel_tol=cfg.rel_tol * 1e-4, abs_tol=cfg.abs_tol * 1e-4)
-    for i, (x0, u) in enumerate(zip(X0, inputs)):
-        ref = bl.integrate(sys, x0, u, tau, tight).state_at(grid)
+    for i, (x0, u, tau_i, g) in enumerate(zip(X0, inputs, taus, grids)):
+        ref = bl.integrate(sys, x0, u, tau_i, tight).state_at(g)
         tol = 10.0 * (cfg.rel_tol * np.abs(ref).max() + cfg.abs_tol)
-        assert np.abs(samples[:, i] - ref).max() <= tol, i
+        assert np.abs(samples[: g.size, i] - ref).max() <= tol, i
         assert np.array_equal(samples[0, i], x0)
+        assert np.all(np.isnan(samples[g.size :, i]))  # past the end of a shorter grid
 
 
-class TestSampleEnsemble:
-    # integrate itself at the configured tolerance strays up to ~18x rel_tol
-    # from a 1e-13 solution on the sigma1 closed loop, so the rows are held
-    # against a tighter integrate rather than one at the same tolerance
-
-    def test_sigma1_closed_loop_under_switching_disturbances(self, sigma1):
-        dists = bl.disturbance_family(1, 3.0, 6, 20240811)
-        assert any(d.breakpoints.size for d in dists)
-        cl = closed_loop(sigma1.system, sigma1.margin)
+def ensemble_case(name):
+    """(sys, X0, inputs, tau, grid, cfg) of a sampler test with one horizon."""
+    cfg = bl.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11)
+    if name == "sigma1_closed_loop":
+        sigma1 = bl.make("sigma1")
         X0 = np.array([[0.7], [0.3], [-1.5], [0.05], [2.0], [-0.7]])
-        cfg = bl.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11)
-        assert_rows_agree(cl, X0, dists, 3.0, np.linspace(0.0, 3.0, 31), cfg)
-
-    def test_non_normal_linear(self):
+        return (closed_loop(sigma1.system, sigma1.margin), X0,
+                bl.disturbance_family(1, 3.0, 6, 20240811), 3.0, np.linspace(0.0, 3.0, 31), cfg)
+    if name == "non_normal_linear":
         lin = bl.make("linear", {"A": [[-1.0, 10.0], [0.0, -1.0]]})
         inputs = [
             bl.InputSignal([0.5, 1.2], [[1.0, 0.0], [0.0, -1.0]], [0.3, 0.3]),
@@ -186,10 +185,8 @@ class TestSampleEnsemble:
             bl.InputSignal([0.8], [[-1.0, 2.0]], [0.0, 0.0]),
         ]
         X0 = np.array([[0.0, 1.0], [1.0, -1.0], [0.5, 0.5]])
-        cfg = bl.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11)
-        assert_rows_agree(lin.system, X0, inputs, 2.0, np.linspace(0.0, 2.0, 41), cfg)
-
-    def test_reaction_diffusion(self):
+        return lin.system, X0, inputs, 2.0, np.linspace(0.0, 2.0, 41), cfg
+    if name == "reaction_diffusion":
         rd = bl.make("reaction_diffusion", {"n": 8})
         inputs = [
             bl.InputSignal.constant([0.5]),
@@ -197,19 +194,37 @@ class TestSampleEnsemble:
             bl.InputSignal.constant([0.0]),
         ]
         X0 = np.random.default_rng(1).standard_normal((3, 8))
-        cfg = bl.IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9)
-        assert_rows_agree(rd.system, X0, inputs, 1.0, np.linspace(0.0, 1.0, 21), cfg)
+        return (rd.system, X0, inputs, 1.0, np.linspace(0.0, 1.0, 21),
+                bl.IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9))
+    assert name == "quadratic_blowup"
+    zero = bl.InputSignal.constant([0.0])
+    return (bl.make("quadratic").system, np.array([[0.5], [2.0]]), [zero, zero], 1.0,
+            np.linspace(0.0, 1.0, 11), bl.IntegratorConfig())
+
+
+class TestSampleEnsemble:
+    # integrate itself at the configured tolerance strays up to ~18x rel_tol
+    # from a 1e-13 solution on the sigma1 closed loop, so the rows are held
+    # against a tighter integrate rather than one at the same tolerance
+
+    def test_sigma1_closed_loop_under_switching_disturbances(self):
+        case = ensemble_case("sigma1_closed_loop")
+        assert any(d.breakpoints.size for d in case[2])
+        assert_rows_agree(*case)
+
+    def test_non_normal_linear(self):
+        assert_rows_agree(*ensemble_case("non_normal_linear"))
+
+    def test_reaction_diffusion(self):
+        assert_rows_agree(*ensemble_case("reaction_diffusion"))
 
     def test_blowup_ends_the_ensemble(self):
-        quad = bl.make("quadratic").system
-        zero = bl.InputSignal.constant([0.0])
-        grid = np.linspace(0.0, 1.0, 11)
-        cfg = bl.IntegratorConfig()
-        samples, t_max = _sample_ensemble(
-            quad, [[0.5], [2.0]], [zero, zero], 1.0, grid, cfg
-        )
+        quad, X0, inputs, tau, grid, cfg = ensemble_case("quadratic_blowup")
+        zero = inputs[0]
+        samples, t_max, row = _sample_ensemble(quad, X0, inputs, tau, grid, cfg)
         ref = bl.integrate(quad, [2.0], zero, 1.0, cfg).t_max_estimate
         assert t_max == pytest.approx(ref, rel=1e-6)
+        assert row == 1
         after = grid > t_max
         assert after.sum() == 6  # t = 0.5, ..., 1.0: the crossing is just before 0.5
         # every later grid point holds the state at the crossing
@@ -231,6 +246,96 @@ class TestSampleEnsemble:
         for grid in ([0.0, 2.0], [0.5, 0.5], []):
             with pytest.raises(ValueError, match="grid"):
                 _sample_ensemble(quad, [[0.1]], [u], 1.0, np.array(grid), bl.IntegratorConfig())
+
+    def test_rejects_bad_horizons_and_grid_lists(self):
+        u = bl.InputSignal.constant([0.0])
+        quad = bl.make("quadratic").system
+        grid = np.linspace(0.0, 1.0, 3)
+        for tau in ([1.0, 1.0, 1.0], [1.0, 0.0], [1.0, math.nan], [[1.0, 1.0]]):
+            with pytest.raises(ValueError, match="tau"):
+                _sample_ensemble(quad, [[0.1], [0.2]], [u, u], tau, grid, bl.IntegratorConfig())
+        with pytest.raises(ValueError, match="one grid per row"):
+            _sample_ensemble(quad, [[0.1], [0.2]], [u, u], 1.0, [grid], bl.IntegratorConfig())
+
+
+# Digests of the samples (and the blow-up time) of the four cases above as
+# the sampler gave them before it took per-row horizons, recorded with numpy
+# 2.4 and scipy 1.17 on x86-64: a scalar tau must still reproduce them bit
+# for bit.
+SCALAR_TAU_DIGESTS = {
+    "sigma1_closed_loop": ("eed661ded6d8e3060031bb3a0c6d72a9", math.inf),
+    "non_normal_linear": ("97b4196b55bf8e78f45901eabeee1c91", math.inf),
+    "reaction_diffusion": ("17d91d706536fdc4d5ca57c4c16e98c6", math.inf),
+    "quadratic_blowup": ("9445e8194404c10b476055244dacae3a", 0.49999999896633285),
+}
+
+
+class TestRaggedHorizons:
+    @pytest.mark.parametrize("name", sorted(SCALAR_TAU_DIGESTS))
+    def test_scalar_tau_is_bit_identical(self, name):
+        samples, t_max, _ = _sample_ensemble(*ensemble_case(name))
+        digest = hashlib.sha256(samples.tobytes()).hexdigest()[:32]
+        assert (digest, t_max) == SCALAR_TAU_DIGESTS[name]
+
+    def test_rows_match_integrate_to_their_own_horizons(self):
+        cl, X0, dists, _, _, cfg = ensemble_case("sigma1_closed_loop")
+        taus = np.array([3.0, 1.2, 2.5, 0.4, 3.0, 1.7])
+        # each row reads 31 points of its own horizon; two rows share one grid
+        grids = [np.linspace(0.0, tau, 31) for tau in taus]
+        grids[4] = grids[0]
+        grids[5] = np.linspace(0.0, 1.7, 12)  # a shorter grid, NaN after its end
+        assert_rows_agree(cl, X0, dists, taus, grids, cfg)
+
+    def test_grid_times_after_a_horizon_hold_its_state(self):
+        cl, X0, dists, _, grid, cfg = ensemble_case("sigma1_closed_loop")
+        taus = grid[[30, 12, 25, 4, 30, 17]]
+        taus[5] += 0.05  # between two grid points
+        samples, t_max, row = _sample_ensemble(cl, X0, dists, taus, grid, cfg)
+        assert t_max == math.inf and row is None
+        tight = bl.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15)
+        for i, tau in enumerate(taus):
+            assert np.all(samples[grid >= tau, i] == samples[-1, i]), i
+            ref = bl.integrate(cl, X0[i], dists[i], tau, tight).states[-1]
+            tol = 10.0 * (cfg.rel_tol * np.abs(ref).max() + cfg.abs_tol)
+            assert np.abs(samples[-1, i] - ref).max() <= tol, i
+
+    def test_blowup_after_its_own_horizon_is_not_one(self):
+        # x' = x^2 from 0.5 blows up at t = 2, after its horizon 1; from 0.1
+        # at t = 10, after the ensemble's end 3
+        quad = bl.make("quadratic").system
+        zero = bl.InputSignal.constant([0.0])
+        grid = np.linspace(0.0, 3.0, 31)
+        samples, t_max, row = _sample_ensemble(
+            quad, [[0.5], [0.1]], [zero, zero], [1.0, 3.0], grid, bl.IntegratorConfig()
+        )
+        assert t_max == math.inf and row is None
+        assert samples[grid >= 1.0, 0, 0] == pytest.approx(1.0 / (2.0 - 1.0), rel=1e-6)
+        assert samples[:, 1, 0] == pytest.approx(1.0 / (10.0 - grid), rel=1e-6)
+
+    def test_crossing_row_is_named(self):
+        quad = bl.make("quadratic").system
+        zero = bl.InputSignal.constant([0.0])
+        samples, t_max, row = _sample_ensemble(
+            quad, [[0.1], [0.5], [0.2]], [zero] * 3, [3.0, 3.0, 1.0],
+            np.linspace(0.0, 3.0, 31), bl.IntegratorConfig(),
+        )
+        assert row == 1 and t_max == pytest.approx(2.0, rel=1e-6)
+
+
+class TestIntegratorConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("rel_tol", math.nan), ("rel_tol", math.inf), ("rel_tol", 0.0),
+         ("abs_tol", math.nan), ("abs_tol", math.inf), ("abs_tol", -1e-9),
+         ("max_step", math.nan), ("max_step", 0.0),
+         ("blowup_threshold", math.nan), ("blowup_threshold", math.inf)],
+    )
+    def test_rejects_non_finite_or_non_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            bl.IntegratorConfig(**{field: value})
+
+    def test_unlimited_max_step_is_the_default(self):
+        assert bl.IntegratorConfig(max_step=math.inf) == bl.IntegratorConfig()
 
 
 class TestTrajectoryExport:
