@@ -219,38 +219,30 @@ def _segment_edges(breakpoints, tau: float) -> np.ndarray:
     return np.concatenate([[0.0], inner, [tau]])
 
 
-def _segments(f_at, y0, edges, cfg: IntegratorConfig, rows: int, grid=None, live=None):
+def _segments(f_at, y0, edges, cfg: IntegratorConfig, rows: int, grid=None):
     """Solve y' = f_at(a)(t, y) on each [a, b] of `edges`, restarting from
     the previous segment's last state; yields (a, b, sol).
 
     `y0` stacks `rows` states of equal size.  The tolerances are divided by
     sqrt(rows), so every row stays within `cfg` although the solver's error
     norm is an RMS over all components.  The blow-up event is the largest
-    norm of the rows `live(a)` selects (all rows without `live`) crossing
-    `cfg.blowup_threshold`; the segment where it fires is the last.  With
-    `grid` the solver reports the segment's grid points in [a, b) plus b
-    instead of its own steps and keeps no dense output.
+    row norm crossing `cfg.blowup_threshold`; the segment where it fires is
+    the last.  With `grid` the solver reports the segment's grid points in
+    [a, b) plus b instead of its own steps and keeps no dense output.
     """
     threshold = cfg.blowup_threshold
+    if rows == 1:  # the plain norm keeps integrate's event values unchanged
 
-    def event_at(a):
-        if rows == 1:  # the plain norm keeps integrate's event values unchanged
+        def blowup_event(t, y):
+            return float(np.linalg.norm(y) - threshold)
 
-            def blowup_event(t, y):
-                return float(np.linalg.norm(y) - threshold)
+    else:
 
-        else:
-            sel = slice(None) if live is None else live(a)
+        def blowup_event(t, y):
+            return float(np.linalg.norm(y.reshape(rows, -1), axis=1).max() - threshold)
 
-            def blowup_event(t, y):
-                return float(
-                    np.linalg.norm(y.reshape(rows, -1)[sel], axis=1).max() - threshold
-                )
-
-        blowup_event.terminal = True
-        blowup_event.direction = 1.0
-        return blowup_event
-
+    blowup_event.terminal = True
+    blowup_event.direction = 1.0
     scale = math.sqrt(rows)
     y = y0
     for a, b in zip(edges[:-1], edges[1:]):
@@ -266,7 +258,7 @@ def _segments(f_at, y0, edges, cfg: IntegratorConfig, rows: int, grid=None, live
             rtol=cfg.rel_tol / scale,
             atol=cfg.abs_tol / scale,
             max_step=cfg.max_step,
-            events=event_at(a),
+            events=blowup_event,
             **out,
         )
         if sol.status == -1:
@@ -373,15 +365,15 @@ def _sample_ensemble(
     every row reads, or a list of N such arrays, row i reading grid[i]
     (rows given the same array are read together).  Integration restarts at
     the union of the rows' breakpoints and horizons.  From its horizon on, a
-    row is frozen: its derivative is zero and it leaves the blow-up event,
-    so its grid times after tau[i] hold its state at tau[i].  The solver
-    reports only the union of the grids (`t_eval`, no dense output), at
-    most _REPORT_VALUES state values per call, and each row keeps only its
-    own times.  Returns the samples, shape (T, N, n) for T the longest
-    grid's length (NaN after the end of a shorter one), the blow-up time
-    (inf if none) and the row that crossed (None if none): a blow-up of any
-    live row ends the whole ensemble, and later grid times hold the
-    crossing state.  `sys.rhs` must be row-wise: (K, n) states with (K, m)
+    row is frozen: its derivative is zero, so it cannot cross the blow-up
+    threshold later, and its grid times after tau[i] hold its state at
+    tau[i].  The solver reports only the union of the grids (`t_eval`, no
+    dense output), at most _REPORT_VALUES state values per call, and each
+    row keeps only its own times.  Returns the samples, shape (T, N, n) for
+    T the longest grid's length (NaN after the end of a shorter one), the
+    blow-up time (inf if none) and the row that crossed (None if none): a
+    blow-up ends the whole ensemble, and later grid times hold the crossing
+    state.  `sys.rhs` must be row-wise: (K, n) states with (K, m)
     inputs give (K, n) derivatives.
     """
     X0 = np.asarray(X0, dtype=float)
@@ -406,13 +398,9 @@ def _sample_ensemble(
     switch_at = np.concatenate([u.breakpoints for u in inputs])
     switch_row = np.repeat(np.arange(N), [u.breakpoints.size for u in inputs])
 
-    def live(a):
-        """Rows whose horizon lies beyond the segment start a."""
-        rows = tau > a
-        return slice(None) if rows.all() else rows
-
     def f_at(a):
-        sel = live(a)
+        live = tau > a  # rows whose horizon lies beyond the segment start
+        sel = slice(None) if live.all() else live
         U = values[first + np.bincount(switch_row[switch_at <= a], minlength=N)][sel]
 
         def f(t, y):
@@ -454,7 +442,7 @@ def _sample_ensemble(
         tau.max(),
     )
     k = 0  # union times filled so far
-    for a, b, sol in _segments(f_at, X0.ravel(), edges, cfg, N, union, live):
+    for _, b, sol in _segments(f_at, X0.ravel(), edges, cfg, N, union):
         # union times in [a, b); after a blow-up only those before the crossing
         got = min(int(np.searchsorted(union, b)) - k, len(sol.t))
         if got > 0:
@@ -462,7 +450,7 @@ def _sample_ensemble(
             k += got
     if sol.status == 1:  # later grid times hold the crossing state
         end, t_max = sol.y_events[0][0].reshape(N, n), float(sol.t_events[0][0])
-        crossed = int(np.where(tau > a, np.linalg.norm(end, axis=1), -np.inf).argmax())
+        crossed = int(np.linalg.norm(end, axis=1).argmax())
     else:  # union times at max(tau)
         end, t_max, crossed = sol.y[:, -1].reshape(N, n), math.inf, None
     rest = union.size - k

@@ -222,9 +222,6 @@ def count_calls(monkeypatch) -> dict:
     return calls
 
 
-NON_NORMAL = {"A": [[-1.0, 10.0], [0.0, -1.0]]}
-
-
 class TestOneSamplerCallPerStage:
     def test_build_l_table(self, sigma1, monkeypatch):
         calls = count_calls(monkeypatch)
@@ -258,6 +255,21 @@ class TestOneSamplerCallPerStage:
         assert calls == {"ensemble": 1, "integrate": 1}
         assert not rep.vacuous and len(rep.per_h_V) == 2
 
+    def test_readme_build_and_verify(self, tmp_path, monkeypatch):
+        # build: l_table and radial table; verify: those two plus one per
+        # growth pair
+        from brslab.cli import main
+
+        cfg = {"system": {"name": "sigma1"}, "seed": 42, "c": 0.0,
+               "radii": [0.0, 0.5, 1.0, 1.5, 2.0], "growth_pairs": 5,
+               "lyapunov": {"Q": 14, "n_dist": 6, "time_grid_density": 16}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        calls = count_calls(monkeypatch)
+        for cmd in ("build", "verify"):
+            assert main(["lyapunov", cmd, "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert calls == {"ensemble": 9, "integrate": 5}
+
     @pytest.mark.parametrize("R", [None, 2.5])
     @pytest.mark.parametrize(
         "system, X",
@@ -268,7 +280,7 @@ class TestOneSamplerCallPerStage:
         if system == "sigma1":
             ex_sys, margin, cfg = sigma1.system, sigma1.margin, bl.LyapunovConfig(seed=1)
         else:  # the criterion-9 witness, whose sups sit at interior times
-            ex_sys = bl.make("linear", NON_NORMAL).system
+            ex_sys = bl.make("linear", {"A": [[-1.0, 10.0], [0.0, -1.0]]}).system
             margin = bl.GrowthMargin(bl.ScalarFun([0.0, 1.0], [0.0, 0.5], 0.5, {"Kinf", "Lip1"}))
             cfg = bl.LyapunovConfig(seed=20240811, Q=13, n_dist=4, time_grid_density=8)
         table = unit_table(cfg.Q, 0.0)
