@@ -26,12 +26,10 @@ from .tdinput import (
     DivisionGuardError,
     FeedbackSignal,
     GrowthMargin,
-    check_membership,
     closed_loop,
     disturbance_family,
     lift_disturbance,
     project_input,
-    sample_tdi,
 )
 from .brscheck import (
     LipschitzProbeReport,

@@ -33,6 +33,7 @@ __all__ = [
     "probe_lipschitz_openloop",
     "probe_lipschitz_tdi",
     "gronwall_bound",
+    "seeded_rng",
 ]
 
 RATIO_CAP = 1e6
@@ -285,30 +286,6 @@ def find_rfc_offset(
     )
 
 
-def _pair_ratios(sys, pairs, inputs, tau, cfg, grid) -> tuple[np.ndarray, float, int | None]:
-    """Ratios max_grid ||phi(t,x1,u) - phi(t,x2,u)|| / ||x1 - x2||, one per
-    (x1, x2) in `pairs` under its input, plus the ensemble's blow-up time
-    (inf if none) and the pair whose row crossed (None if none).
-
-    Both rows of every pair are sampled in one stacked ensemble; `tau` and
-    `grid` take the sampler's forms with one horizon or grid per pair.
-    """
-    X1 = np.array([np.atleast_1d(x1) for x1, _ in pairs], dtype=float)
-    X2 = np.array([np.atleast_1d(x2) for _, x2 in pairs], dtype=float)
-    P = len(pairs)
-    tau = np.broadcast_to(np.asarray(tau, dtype=float), (P,))
-    samples, t_max, row = _sample_ensemble(
-        sys, np.vstack([X1, X2]), list(inputs) * 2, np.tile(tau, 2),
-        grid * 2 if isinstance(grid, list) else grid, cfg,
-    )
-    diff = np.linalg.norm(samples[:, :P] - samples[:, P:], axis=2).max(axis=0)
-    return diff / np.linalg.norm(X1 - X2, axis=1), t_max, None if row is None else row % P
-
-
-def _pair_ratio(sys, x1, x2, u, tau, cfg, grid) -> float:
-    return float(_pair_ratios(sys, [(x1, x2)], [u], tau, cfg, grid)[0][0])
-
-
 def _probe_pairs(dim, tau, C, pairs, seed, purpose, n_ladder):
     """Near-zero ladder pairs (0, r e1), then seeded random pairs in the C-ball."""
     if tau <= 0 or C <= 0:
@@ -323,32 +300,40 @@ def _probe_pairs(dim, tau, C, pairs, seed, purpose, n_ladder):
 
 
 def _probe_reports(sys, levels, cfg, ratio_cap) -> tuple[list, int | None]:
-    """One report per level (tau, C, pair_list, inputs): the max ratio over
-    every distinct pair and every input in `inputs(i)`, on the level's
+    """One report per level (tau, C, pair_list, inputs): the max over every
+    distinct pair (x1, x2) and every input u in `inputs(i)` of
+    max_grid ||phi(t,x1,u) - phi(t,x2,u)|| / ||x1 - x2||, on the level's
     65-point grid of [0, tau].
 
-    The pairs of all levels are sampled as one ensemble.  A blow-up in it
-    makes divergent every level whose horizon it cut short, the crossing
-    row's level among them; that level is returned too (None if none).
+    Both rows of every pair of every level are sampled as one ensemble.  A
+    blow-up in it makes divergent every level whose horizon it cut short,
+    the crossing row's level among them; that level is returned too (None
+    if none).
     """
-    rows, level_of = [], []
+    X1, X2, us, level_of = [], [], [], []
     for k, (_, _, pair_list, inputs) in enumerate(levels):
         for i, (x1, x2) in enumerate(pair_list):
             if np.array_equal(x1, x2):
                 continue
             for u in inputs(i):
-                rows.append(((x1, x2), u))
+                X1.append(x1)
+                X2.append(x2)
+                us.append(u)
                 level_of.append(k)
     level_of = np.asarray(level_of, dtype=int)
+    P = level_of.size
     ratios, t_max, crossed = np.zeros(0), math.inf, None
-    if rows:
-        taus = np.array([lv[0] for lv in levels])
-        grids = [np.linspace(0.0, tau, 65) for tau in taus]
-        ratios, t_max, pair = _pair_ratios(
-            sys, [p for p, _ in rows], [u for _, u in rows], taus[level_of], cfg,
-            [grids[k] for k in level_of],
+    if P:
+        X1, X2 = np.array(X1, dtype=float), np.array(X2, dtype=float)
+        taus = np.array([lv[0] for lv in levels])[level_of]
+        grids = [np.linspace(0.0, tau, 65) for tau, *_ in levels]
+        samples, t_max, row = _sample_ensemble(
+            sys, np.vstack([X1, X2]), us * 2, np.tile(taus, 2),
+            [grids[k] for k in level_of] * 2, cfg,
         )
-        crossed = None if pair is None else int(level_of[pair])
+        diff = np.linalg.norm(samples[:, :P] - samples[:, P:], axis=2).max(axis=0)
+        ratios = diff / np.linalg.norm(X1 - X2, axis=1)
+        crossed = None if row is None else int(level_of[row % P])
     reports = []
     for k, (tau, C, pair_list, _) in enumerate(levels):
         mine = ratios[level_of == k]

@@ -122,13 +122,16 @@ class ScalarFun:
         )
 
 
-def gk_eval(k: int, z: float) -> float:
-    """Shifted ramp max{0, z - 1/k} used to build the Lyapunov series."""
+def gk_eval(k: int, z):
+    """Shifted ramp G_k(z) = max{0, z - 1/k}, elementwise on arrays: the one
+    clamp of the Lyapunov series V and of its lower bound alpha1."""
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"index k must be a positive integer, got {k!r}")
-    if z < 0:
+    z_arr = np.asarray(z, dtype=float)
+    if np.any(z_arr < 0):
         raise ValueError("z must be nonnegative")
-    return max(0.0, z - 1.0 / k)
+    out = np.maximum(0.0, z_arr - 1.0 / k)
+    return float(out) if out.ndim == 0 else out
 
 
 @lru_cache(maxsize=None)

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .compfun import ScalarFun, chi_from_eta, theta
+from .compfun import ScalarFun, chi_from_eta, gk_eval, theta
 from .sysdyn import InputSignal, IntegratorConfig, SystemDef, _sample_ensemble, integrate
 from .tdinput import GrowthMargin, closed_loop, disturbance_family
 from .brscheck import RATIO_CAP, _tdi_probes
@@ -71,13 +72,23 @@ class LyapunovConfig:
     integrator: IntegratorConfig | None = None
 
     def __post_init__(self):
+        for name in ("Q", "n_dist", "time_grid_density", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("tail_tol", "tol_growth", "growth_abs_slack"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.Q < 1:
             raise ValueError("Q must be at least 1")
         if self.tail_tol <= 0:
             raise ValueError("tail_tol must be positive")
         ladder = tuple(float(h) for h in self.dini_h_ladder)
-        if any(h <= 0 for h in ladder) or any(np.diff(ladder) >= 0):
-            raise ValueError("dini_h_ladder must be strictly decreasing and positive")
+        if not ladder or any(h <= 0 for h in ladder) or any(np.diff(ladder) >= 0):
+            raise ValueError("dini_h_ladder must be non-empty, strictly decreasing and positive")
         object.__setattr__(self, "dini_h_ladder", ladder)
         if self.n_dist < 1 or self.time_grid_density < 1:
             raise ValueError("n_dist and time_grid_density must be >= 1")
@@ -101,7 +112,6 @@ class LyapunovValue:
     W: float
     tail_bound: float
     per_q: list
-    M_table: dict
 
 
 @dataclass(frozen=True)
@@ -250,14 +260,14 @@ def _eval_Vs(
         V = 1.0
         per_q = []
         for q, th, g in zip(qs, thetas[b], grids[b]):
-            gq = np.maximum(0.0, disc[np.searchsorted(union, g)] - 1.0 / q)
+            gq = gk_eval(q, disc[np.searchsorted(union, g)])
             # first disturbance attaining the sup, at its earliest grid time
             j = np.argmax(gq, axis=0)
             i = int(np.argmax(gq[j, np.arange(gq.shape[1])]))
             value = float(gq[j[i], i])
             per_q.append(UqEstimate(q, float(balls[b]), th, value, (i, float(g[j[i]]))))
             V += 2.0 ** (-q) * value / (1.0 + m_table[q])
-        values.append(LyapunovValue(V, math.log1p(V), tails[b], per_q, dict(m_table)))
+        values.append(LyapunovValue(V, math.log1p(V), tails[b], per_q))
     return values
 
 
@@ -285,11 +295,8 @@ def sandwich_funs(
     grid = grid[grid <= max(s_max, eta.knots[-1])]
 
     def a1(s):
-        ev = np.asarray(eta(s))
-        return sum(
-            2.0 ** (-q) * np.maximum(0.0, ev - 1.0 / q) / (1.0 + m_qq[q])
-            for q in range(1, Q + 1)
-        )
+        ev = eta(s)
+        return sum(2.0 ** (-q) * gk_eval(q, ev) / (1.0 + m_qq[q]) for q in range(1, Q + 1))
 
     a1_vals = a1(grid)
     a1_slope = max((a1_vals[-1] - a1_vals[-2]) / (grid[-1] - grid[-2]), 0.0)

@@ -1,4 +1,4 @@
-"""Trajectory-dominated input sets: membership, lifting, and projection.
+"""Trajectory-dominated input sets: lifting and projection.
 
 An input v is trajectory-dominated for initial state x and growth margin eta
 when ||v(t)|| <= eta(||phi(t, x, v)||) along its own trajectory.  Such inputs
@@ -10,7 +10,6 @@ reads the input off the trajectory, projection divides the input back out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -21,13 +20,10 @@ __all__ = [
     "GrowthMargin",
     "DisturbanceSignal",
     "FeedbackSignal",
-    "MembershipReport",
     "DivisionGuardError",
     "closed_loop",
     "lift_disturbance",
     "project_input",
-    "check_membership",
-    "sample_tdi",
     "disturbance_family",
 ]
 
@@ -88,16 +84,6 @@ class FeedbackSignal:
         return self.eval(t)
 
 
-@dataclass(frozen=True)
-class MembershipReport:
-    is_member: bool
-    max_violation: float
-    grid: np.ndarray
-
-    def __post_init__(self):
-        assert self.is_member == (self.max_violation <= TOL_MEMBERSHIP)
-
-
 class DivisionGuardError(ValueError):
     """Input is non-dominated at a time where the margin vanishes."""
 
@@ -131,23 +117,6 @@ def lift_disturbance(
     exact FeedbackSignal backed by the dense closed-loop solution."""
     traj = integrate(closed_loop(sys, margin), x0, d, tau, cfg)
     return FeedbackSignal(d, margin, traj), traj
-
-
-def check_membership(
-    sys: SystemDef,
-    margin: GrowthMargin,
-    x0,
-    u,
-    tau: float,
-    cfg: IntegratorConfig | None = None,
-) -> MembershipReport:
-    """Check ||u(t)|| <= eta(||phi(t, x0, u)||) at the open loop's solver steps."""
-    traj = integrate(sys, x0, u, tau, cfg)
-    ts = traj.times
-    u_norms = np.array([np.linalg.norm(u.eval(t)) for t in ts])
-    eta_vals = np.asarray(margin(traj.norms()))
-    max_violation = float((u_norms - eta_vals).max())
-    return MembershipReport(max_violation <= TOL_MEMBERSHIP, max_violation, ts)
 
 
 def project_input(
@@ -214,36 +183,3 @@ def disturbance_family(
         family.append(DisturbanceSignal(bps, vals[:-1], vals[-1]))
         idx += 1
     return family[:n]
-
-
-def sample_tdi(
-    sys: SystemDef,
-    margin: GrowthMargin,
-    x0,
-    tau: float,
-    n: int,
-    seed: int,
-    cfg: IntegratorConfig | None = None,
-):
-    """Lift n deterministic-under-seed disturbances into dominated inputs."""
-    out = []
-    for d in disturbance_family(sys.input_dim, tau, n, seed):
-        out.append(lift_disturbance(sys, margin, x0, d, tau, cfg))
-    return out
-
-
-def dump_tdi_samples(samples, out_dir) -> None:
-    """Write each lifted (u, trajectory) pair as a CSV bundle."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for i, (u, traj) in enumerate(samples):
-        traj.to_csv(out_dir / f"tdi_{i}.csv")
-        ts = traj.times
-        uv = np.vstack([np.atleast_1d(u.eval(t)) for t in ts])
-        np.savetxt(
-            out_dir / f"tdi_{i}_input.csv",
-            np.column_stack([ts, uv]),
-            delimiter=",",
-            header="t," + ",".join(f"u{j}" for j in range(uv.shape[1])),
-            comments="",
-        )

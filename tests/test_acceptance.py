@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import brslab as bl
-from brslab.brscheck import _pair_ratio
 from brslab.compfun import gk_eval, theta
 from conftest import SEED, suite_elapsed
 
@@ -119,10 +118,11 @@ def test_criterion_06_lipschitz_dichotomy(sigma1):
     open_rep = bl.probe_lipschitz_openloop(
         sigma1.system, tau, 1.0, 3, seed=SEED, u_fixed=u1
     )
-    pair_ratio = _pair_ratio(
-        sigma1.system, np.array([0.0]), np.array([1e-9]), u1, tau,
-        bl.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13), np.linspace(0, tau, 65),
+    grid = np.linspace(0, tau, 65)
+    x1, x2 = (
+        bl.integrate(sigma1.system, [x], u1, tau, TIGHT).state_at(grid) for x in (0.0, 1e-9)
     )
+    pair_ratio = float(np.linalg.norm(x1 - x2, axis=1).max()) / 1e-9
     tdi_rep = bl.probe_lipschitz_tdi(sigma1.system, sigma1.margin, tau, 1.0, 3, seed=SEED)
     bound = bl.gronwall_bound(1.0, 0.0, 1.0, tau) * 1.1
     ok = (

@@ -103,7 +103,8 @@ class TestMarginPipeline:
         eta = eta_from_chis(fit.chi1, fit.chi2, fit.chi3)
         margin = bl.GrowthMargin(eta)
         for x0 in (0.3, 1.5):
-            for _, traj in bl.sample_tdi(sigma1.system, margin, [x0], 2.0, 3, seed=9):
+            for d in bl.disturbance_family(sigma1.system.input_dim, 2.0, 3, seed=9):
+                _, traj = bl.lift_disturbance(sigma1.system, margin, [x0], d, 2.0)
                 lhs = np.asarray(eta(traj.norms()))
                 rhs = traj.times + x0 + fit.c
                 assert np.all(lhs <= rhs + 1e-9)

@@ -114,6 +114,14 @@ class TestUsageErrors:
             (["rfc", "verify"], {"horizon": 0}),
             (["lipschitz", "probe", "--mode", "tdi"], {"horizon": 0}),
             (["lipschitz", "probe", "--mode", "open"], {"C": 0}),
+            (["lyapunov", "build"], {"lyapunov": {"Q": 14.5}}),
+            (["lyapunov", "build"], {"lyapunov": {"n_dist": 2.5}}),
+            (["lyapunov", "build"], {"lyapunov": {"time_grid_density": 2.5}}),
+            (["lyapunov", "build"], {"lyapunov": {"seed": -1}}),
+            (["lyapunov", "build"], {"lyapunov": {"seed": 1.5}}),
+            (["lyapunov", "build"], {"lyapunov": {"tail_tol": math.nan}}),
+            (["lyapunov", "verify"], {"lyapunov": {"tol_growth": "x"}}),
+            (["lyapunov", "verify"], {"lyapunov": {"dini_h_ladder": []}}),
         ],
     )
     def test_bad_scalar_or_radii_setting(self, tmp_path, capsys, cmd, extra):

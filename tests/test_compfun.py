@@ -81,6 +81,13 @@ class TestGk:
         with pytest.raises(ValueError):
             gk_eval(1, -0.1)
 
+    def test_elementwise_on_arrays(self):
+        z = np.array([[0.0, 0.25], [0.75, 2.0]])
+        assert np.array_equal(gk_eval(2, z), [[0.0, 0.0], [0.25, 1.5]])
+        assert gk_eval(2, z).shape == z.shape
+        with pytest.raises(ValueError):
+            gk_eval(2, np.array([1.0, -0.1]))
+
     @given(
         st.floats(0, 50), st.floats(0, 50), st.integers(1, 100)
     )

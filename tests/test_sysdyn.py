@@ -38,8 +38,9 @@ class TestInputSignal:
 
     def test_sup_norm(self):
         u = bl.InputSignal([1.0], [[3.0, 4.0]], [0.0, 1.0])
-        assert u.sup_norm(0.5) == pytest.approx(5.0)
         assert u.sup_norm() == pytest.approx(5.0)
+        tail = bl.InputSignal([1.0], [[0.0, 1.0]], [3.0, 4.0])
+        assert tail.sup_norm() == pytest.approx(5.0)
 
     def test_shift(self):
         u = bl.InputSignal([1.0, 2.0], [[0.0], [1.0]], [2.0])
@@ -150,6 +151,21 @@ class TestBlowup:
         assert traj.times[-1] == traj.t_max_estimate
         # the root is found in t to a few ulp, where |x'| = x^2 is about 1e18
         assert np.linalg.norm(traj.states[-1]) == pytest.approx(cfg.blowup_threshold, rel=1e-6)
+
+    def test_vector_state_blows_up_at_its_norm(self):
+        # x' = x from a unit vector: the norm e^t crosses the threshold at its log
+        lin = bl.make("linear", {"A": [[1.0, 0.0], [0.0, 1.0]]}).system
+        zero = bl.InputSignal.constant([0.0, 0.0])
+        cfg = bl.IntegratorConfig()
+        traj = bl.integrate(lin, [0.6, 0.8], zero, 25.0, cfg)
+        assert traj.blew_up
+        assert traj.t_max_estimate == pytest.approx(math.log(cfg.blowup_threshold), rel=1e-6)
+        assert np.linalg.norm(traj.states[-1]) == pytest.approx(cfg.blowup_threshold, rel=1e-6)
+        # the half-length row would cross only at log(2 threshold)
+        _, t_max, row = _sample_ensemble(
+            lin, [[0.6, 0.8], [0.3, 0.4]], [zero, zero], 25.0, np.linspace(0.0, 25.0, 26), cfg
+        )
+        assert row == 0 and t_max == pytest.approx(traj.t_max_estimate, rel=1e-6)
 
 
 def assert_rows_agree(sys, X0, inputs, tau, grid, cfg):
