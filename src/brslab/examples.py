@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .compfun import ScalarFun, register_exact_form
-from .sysdyn import SystemDef
+from .sysdyn import _STIFF_RHO_SPAN, SystemDef
 from .tdinput import GrowthMargin
 
 __all__ = ["ExampleBundle", "make", "list_examples"]
@@ -118,6 +118,8 @@ def _make_linear(params: dict) -> ExampleBundle:
         raise ValueError(
             f"B must have {A.shape[0]} rows and at least one column, got shape {B.shape}"
         )
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+        raise ValueError("A and B must have finite entries")
 
     def rhs(x, u):
         return u @ B.T
@@ -162,6 +164,7 @@ def _make_reaction_diffusion(params: dict) -> ExampleBundle:
     lap[idx[1:], idx[1:] - 1] = 1.0
     A = (n * n) * lap
     b = np.ones(n) / math.sqrt(n)
+    rho = n * n * (2.0 + 2.0 * math.cos(math.pi / (n + 1)))  # spectral radius of A
 
     def rhs(x, u):
         return -a * x**3 / (1.0 + x * x) + b * u[..., :1]
@@ -187,7 +190,8 @@ def _make_reaction_diffusion(params: dict) -> ExampleBundle:
             f"method-of-lines, {n} cells, Laplacian scaled by n^2",
             "saturating cubic nonlinearity with distributed scalar injection",
             f"rhs Lipschitz constant {L} in state and input jointly",
-            f"explicit integration needs max_step <= {0.5 / (n * n):.2e}",
+            f"spectral radius rho(A) = {rho:.4g}, about 4 n^2; integrated with BDF, A as"
+            f" Newton matrix, when rho(A) * horizon >= {_STIFF_RHO_SPAN:g}, else RK45",
         ),
     )
 

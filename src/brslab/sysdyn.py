@@ -3,10 +3,12 @@
 Systems are x' = A x + f(x, u) with the linear part optional.  Inputs are
 piecewise-constant signals (the dense approximating class for essentially
 bounded inputs); integration restarts at every input breakpoint so the
-right-hand side stays smooth within each solver step.  Blow-up is detected
-by a norm-threshold event and reported as data, never as a crash.  A
-family of trajectories of one system is integrated as a single stacked ODE
-and read only on the time grid its consumer needs.
+right-hand side stays smooth within each solver step.  The solver is RK45,
+or BDF with the linear part as its Newton matrix when that part is stiff
+over the span integrated.  Blow-up is detected by a norm-threshold event
+and reported as data, never as a crash.  A family of trajectories of one
+system is integrated as a single stacked ODE and read only on the time
+grid its consumer needs.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -191,18 +194,18 @@ class Trajectory:
 class _SegmentInterpolant:
     """Dense output across the per-segment solver solutions."""
 
-    def __init__(self, pieces):
-        # pieces: list of (t_start, t_end, OdeSolution)
+    def __init__(self, pieces, dim: int):
+        # pieces: list of (t_start, t_end, OdeSolution) of a state of size dim
         self._pieces = pieces
         self._ends = np.array([b for _, b, _ in pieces])
+        self._dim = dim
 
     def __call__(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         idx = np.minimum(
             np.searchsorted(self._ends, t_arr, side="left"), len(self._pieces) - 1
         )
-        dim = self._pieces[0][2](self._pieces[0][0]).size
-        out = np.empty((t_arr.size, dim))
+        out = np.empty((t_arr.size, self._dim))
         for j in np.unique(idx):
             a, b, sol = self._pieces[j]
             sel = idx == j
@@ -216,16 +219,38 @@ def _segment_edges(breakpoints, tau: float) -> np.ndarray:
     return np.concatenate([[0.0], inner, [tau]])
 
 
-def _segments(f_at, y0, edges, cfg: IntegratorConfig, rows: int, grid=None):
+# rho(A) * span from which BDF with Newton matrix A beats RK45, whose step
+# stability caps at about 3.3 / rho(A): the measured crossover lies between
+# 1,000 and 4,000 (CHANGES.md).
+_STIFF_RHO_SPAN = 2000.0
+
+
+def _solver(A, span: float, rows: int) -> dict:
+    """solve_ivp's method options for `rows` stacked states of a system with
+    linear part A (None if it has none) integrated over `span`.
+
+    RK45 unless rho(A) * span reaches _STIFF_RHO_SPAN; then BDF with the
+    constant Newton matrix A, kron(I_rows, A) for a stack.  The rest of the
+    right-hand side is taken as non-stiff, so its derivative is left out.
+    """
+    if A is None or np.abs(np.linalg.eigvals(A)).max() * span < _STIFF_RHO_SPAN:
+        return {"method": "RK45"}
+    jac = A if rows == 1 else sparse.kron(sparse.identity(rows), A, format="csc")
+    return {"method": "BDF", "jac": jac}
+
+
+def _segments(f_at, y0, edges, cfg: IntegratorConfig, rows: int, A, grid=None):
     """Solve y' = f_at(a)(t, y) on each [a, b] of `edges`, restarting from
     the previous segment's last state; yields (a, b, sol).
 
-    `y0` stacks `rows` states of equal size.  The tolerances are divided by
-    sqrt(rows), so every row stays within `cfg` although the solver's error
-    norm is an RMS over all components.  The blow-up event is the largest
-    row norm crossing `cfg.blowup_threshold`; the segment where it fires is
-    the last.  With `grid` the solver reports the segment's grid points in
-    [a, b) plus b instead of its own steps and keeps no dense output.
+    `y0` stacks `rows` states of equal size of a system with linear part A
+    (None if it has none); `_solver` picks RK45 or BDF from A and the whole
+    span of `edges`.  The tolerances are divided by sqrt(rows), so every row
+    stays within `cfg` although the solver's error norm is an RMS over all
+    components.  The blow-up event is the largest row norm crossing
+    `cfg.blowup_threshold`; the segment where it fires is the last.  With
+    `grid` the solver reports the segment's grid points in [a, b) plus b
+    instead of its own steps and keeps no dense output.
     """
     threshold = cfg.blowup_threshold
 
@@ -236,6 +261,7 @@ def _segments(f_at, y0, edges, cfg: IntegratorConfig, rows: int, grid=None):
     blowup_event.terminal = True
     blowup_event.direction = 1.0
     scale = math.sqrt(rows)
+    solver = _solver(A, edges[-1] - edges[0], rows)
     y = y0
     for a, b in zip(edges[:-1], edges[1:]):
         if grid is None:
@@ -246,11 +272,11 @@ def _segments(f_at, y0, edges, cfg: IntegratorConfig, rows: int, grid=None):
             f_at(a),
             (a, b),
             y,
-            method="RK45",
             rtol=cfg.rel_tol / scale,
             atol=cfg.abs_tol / scale,
             max_step=cfg.max_step,
             events=blowup_event,
+            **solver,
             **out,
         )
         if sol.status == -1:
@@ -264,7 +290,9 @@ def _segments(f_at, y0, edges, cfg: IntegratorConfig, rows: int, grid=None):
 def integrate(
     sys: SystemDef, x0, u, tau: float, cfg: IntegratorConfig | None = None
 ) -> Trajectory:
-    """Adaptive embedded Runge-Kutta solution of x' = rhs(x, u(t)) on [0, tau].
+    """Adaptive solution of x' = linear_part x + rhs(x, u(t)) on [0, tau]: RK45,
+    or BDF with Newton matrix linear_part when rho(linear_part) * tau reaches
+    _STIFF_RHO_SPAN.
 
     `u` is an InputSignal or any object exposing `eval(t)` and
     `breakpoints`; integration restarts at every breakpoint.  `times` and
@@ -295,7 +323,7 @@ def integrate(
     states = [x0[None, :]]
     blew_up = False
     t_max = math.inf
-    for a, _, sol in _segments(f_at, x0, edges, cfg, 1):
+    for a, _, sol in _segments(f_at, x0, edges, cfg, 1, sys.linear_part):
         pieces.append((a, sol.t[-1], sol.sol))
         times.append(sol.t[1:])
         states.append(sol.y[:, 1:].T)
@@ -308,7 +336,7 @@ def integrate(
         states=np.vstack(states),
         t_max_estimate=t_max,
         blew_up=blew_up,
-        interpolant=_SegmentInterpolant(pieces),
+        interpolant=_SegmentInterpolant(pieces, x0.size),
     )
 
 
@@ -434,7 +462,7 @@ def _sample_ensemble(
         tau.max(),
     )
     k = 0  # union times filled so far
-    for _, b, sol in _segments(f_at, X0.ravel(), edges, cfg, N, union):
+    for _, b, sol in _segments(f_at, X0.ravel(), edges, cfg, N, A, union):
         # union times in [a, b); after a blow-up only those before the crossing
         got = min(int(np.searchsorted(union, b)) - k, len(sol.t))
         if got > 0:

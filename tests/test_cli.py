@@ -75,6 +75,7 @@ class TestUsageErrors:
             {"system": {"name": "linear", "params": {"A": "x"}}},
             {"system": {"name": "linear", "params": {"A": [[1.0, 2.0]]}}},
             {"system": {"name": "reaction_diffusion", "params": {"n": 0}}},
+            {"system": {"name": "linear", "params": {"A": [[math.nan]]}}},
         ],
     )
     def test_wrong_shape_or_setting_in_simulate(self, tmp_path, capsys, extra):

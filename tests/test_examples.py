@@ -34,6 +34,13 @@ class TestRegistry:
         with pytest.raises(ValueError, match=re.escape(message)):
             bl.make(name, params)
 
+    @pytest.mark.parametrize(
+        "params", [{"A": [[math.nan]]}, {"A": [[0.0]], "B": [[math.inf]]}]
+    )
+    def test_linear_rejects_non_finite_entries(self, params):
+        with pytest.raises(ValueError, match="finite"):
+            bl.make("linear", params)
+
     def test_known_params_still_apply(self):
         assert bl.make("reaction_diffusion", {"n": 8, "a": 2.0}).system.state_dim == 8
         assert bl.make("linear", {"A": [[0.0, 1.0], [0.0, 0.0]]}).system.input_dim == 2

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 import brslab as bl
+from brslab import sysdyn
 from brslab.sysdyn import _sample_ensemble, concat, semigroup_growth
 from brslab.tdinput import closed_loop
 
@@ -168,10 +169,13 @@ class TestBlowup:
         assert row == 0 and t_max == pytest.approx(traj.t_max_estimate, rel=1e-6)
 
 
-def assert_rows_agree(sys, X0, inputs, tau, grid, cfg):
+def assert_rows_agree(sys, X0, inputs, tau, grid, cfg, sampled=None):
     """Every ensemble row is within 10x cfg's tolerance of an integrate run
-    to its own horizon at 1e-4 times cfg's tolerances, on its own grid."""
-    samples, t_max, row = _sample_ensemble(sys, X0, inputs, tau, grid, cfg)
+    to its own horizon at 1e-4 times cfg's tolerances, on its own grid.
+
+    `sampled` is the sampler's output for these arguments if it was taken
+    already (under another solver than the references')."""
+    samples, t_max, row = sampled or _sample_ensemble(sys, X0, inputs, tau, grid, cfg)
     taus = np.broadcast_to(tau, (len(X0),))
     grids = grid if isinstance(grid, list) else [grid] * len(X0)
     assert samples.shape == (max(g.size for g in grids), len(X0), sys.state_dim)
@@ -336,6 +340,106 @@ class TestRaggedHorizons:
             np.linspace(0.0, 3.0, 31), bl.IntegratorConfig(),
         )
         assert row == 1 and t_max == pytest.approx(2.0, rel=1e-6)
+
+
+def solver_methods(monkeypatch):
+    """The `method` of every solve_ivp call sysdyn makes from now on."""
+    methods = []
+    solve_ivp = sysdyn.solve_ivp
+
+    def counted(*args, **kwargs):
+        methods.append(kwargs["method"])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(sysdyn, "solve_ivp", counted)
+    return methods
+
+
+def stiff_rd(n=32):
+    rd = bl.make("reaction_diffusion", {"n": n})
+    return rd, bl.IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9)
+
+
+def rk45_only(monkeypatch):
+    monkeypatch.setattr(sysdyn, "_STIFF_RHO_SPAN", math.inf)
+
+
+class TestSolverSelection:
+    # rho(A) * tau is about 4,087 for reaction_diffusion n = 32 at tau = 1,
+    # 248 for n = 8, and 1 or 20 for the non-normal witness at tau 1 or 20
+
+    def test_stiff_linear_part_uses_bdf(self, monkeypatch):
+        rd, cfg = stiff_rd()
+        methods = solver_methods(monkeypatch)
+        bl.integrate(rd.system, np.full(32, 0.1), bl.InputSignal.constant([0.5]), 1.0, cfg)
+        assert methods == ["BDF"]
+        methods.clear()
+        # the rd_stiff benchmark's probe: one ensemble of the ladder pairs
+        bl.probe_lipschitz_tdi(rd.system, rd.margin, 1.0, 1.0, 0, seed=20240811, cfg=cfg,
+                               n_dist=1)
+        assert methods and set(methods) == {"BDF"}
+
+    def test_everything_else_uses_rk45(self, monkeypatch):
+        methods = solver_methods(monkeypatch)
+        sigma1 = bl.make("sigma1")
+        switching = bl.InputSignal([0.5], [[1.0]], [0.3])
+        bl.integrate(sigma1.system, [0.6], switching, 2.0)
+        bl.integrate(closed_loop(sigma1.system, sigma1.margin), [0.6], switching, 2.0)
+        bl.integrate(bl.make("quadratic").system, [0.5], bl.InputSignal.constant([0.0]), 1.0)
+        witness = bl.make("linear", {"A": [[-1.0, 10.0], [0.0, -1.0]]}).system
+        bl.integrate(witness, [0.0, 1.0], bl.InputSignal.constant([0.0, 1.0]), 20.0)
+        rd, cfg = stiff_rd(8)
+        bl.integrate(rd.system, np.full(8, 0.1), bl.InputSignal.constant([0.5]), 1.0, cfg)
+        for name in SCALAR_TAU_DIGESTS:
+            _sample_ensemble(*ensemble_case(name))
+        assert methods and set(methods) == {"RK45"}
+
+
+class TestStiffPath:
+    def test_integrate_matches_rk45(self, monkeypatch):
+        rd, cfg = stiff_rd()
+        x0 = np.random.default_rng(2).standard_normal(32) * 0.2
+        u = bl.InputSignal([0.4], [[1.0]], [-0.5])
+        grid = np.linspace(0.0, 1.0, 41)
+        traj = bl.integrate(rd.system, x0, u, 1.0, cfg)
+        rk45_only(monkeypatch)
+        tight = bl.IntegratorConfig(rel_tol=cfg.rel_tol * 1e-4, abs_tol=cfg.abs_tol * 1e-4)
+        ref = bl.integrate(rd.system, x0, u, 1.0, tight)
+        tol = 10.0 * (cfg.rel_tol * np.abs(ref.states).max() + cfg.abs_tol)
+        assert np.abs(traj.state_at(grid) - ref.state_at(grid)).max() <= tol
+        assert np.abs(traj.states[-1] - ref.states[-1]).max() <= tol
+        assert traj.times[-1] == 1.0 and not traj.blew_up
+
+    def test_ragged_ensemble_matches_rk45(self, monkeypatch):
+        rd, cfg = stiff_rd()
+        X0 = np.random.default_rng(3).standard_normal((4, 32)) * 0.2
+        inputs = [
+            bl.InputSignal.constant([0.5]),
+            bl.InputSignal.constant([-0.3]),
+            bl.InputSignal([0.15, 0.6], [[1.0], [-1.0]], [0.2]),
+            bl.InputSignal.constant([0.0]),
+        ]
+        taus = np.array([1.0, 0.2, 0.5, 1.0])
+        grid = np.linspace(0.0, 1.0, 21)
+        sampled = _sample_ensemble(rd.system, X0, inputs, taus, grid, cfg)
+        for i, tau in enumerate(taus):
+            assert np.all(sampled[0][grid >= tau, i] == sampled[0][-1, i]), i
+        rk45_only(monkeypatch)
+        assert_rows_agree(rd.system, X0, inputs, taus, grid, cfg, sampled)
+
+    def test_blowup_time_and_row(self):
+        # x2 = e^t carries the norm to the threshold at ln(threshold); the
+        # -5000 mode makes rho(A) * tau = 125,000
+        lin = bl.make("linear", {"A": [[-5000.0, 0.0], [0.0, 1.0]]}).system
+        zero = bl.InputSignal.constant([0.0, 0.0])
+        cfg = bl.IntegratorConfig()
+        crossing = math.log(cfg.blowup_threshold)
+        _, t_max, row = _sample_ensemble(
+            lin, [[1.0, 1.0], [0.5, 0.5]], [zero, zero], 25.0, np.linspace(0.0, 25.0, 26), cfg
+        )
+        assert row == 0 and t_max == pytest.approx(crossing, rel=1e-6)
+        traj = bl.integrate(lin, [1.0, 1.0], zero, 25.0, cfg)
+        assert traj.blew_up and traj.t_max_estimate == pytest.approx(crossing, rel=1e-6)
 
 
 class TestIntegratorConfig:
