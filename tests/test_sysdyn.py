@@ -360,13 +360,9 @@ def stiff_rd(n=32):
     return rd, bl.IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9)
 
 
-def rk45_only(monkeypatch):
-    monkeypatch.setattr(sysdyn, "_STIFF_RHO_SPAN", math.inf)
-
-
 class TestSolverSelection:
     # rho(A) * tau is about 4,087 for reaction_diffusion n = 32 at tau = 1,
-    # 248 for n = 8, and 1 or 20 for the non-normal witness at tau 1 or 20
+    # 248 for n = 8, and 2 or 20 for the non-normal witness at tau 2 or 20
 
     def test_stiff_linear_part_uses_bdf(self, monkeypatch):
         rd, cfg = stiff_rd()
@@ -402,7 +398,7 @@ class TestStiffPath:
         u = bl.InputSignal([0.4], [[1.0]], [-0.5])
         grid = np.linspace(0.0, 1.0, 41)
         traj = bl.integrate(rd.system, x0, u, 1.0, cfg)
-        rk45_only(monkeypatch)
+        monkeypatch.setattr(sysdyn, "_STIFF_RHO_SPAN", math.inf)  # references on RK45
         tight = bl.IntegratorConfig(rel_tol=cfg.rel_tol * 1e-4, abs_tol=cfg.abs_tol * 1e-4)
         ref = bl.integrate(rd.system, x0, u, 1.0, tight)
         tol = 10.0 * (cfg.rel_tol * np.abs(ref.states).max() + cfg.abs_tol)
@@ -424,12 +420,13 @@ class TestStiffPath:
         sampled = _sample_ensemble(rd.system, X0, inputs, taus, grid, cfg)
         for i, tau in enumerate(taus):
             assert np.all(sampled[0][grid >= tau, i] == sampled[0][-1, i]), i
-        rk45_only(monkeypatch)
+        monkeypatch.setattr(sysdyn, "_STIFF_RHO_SPAN", math.inf)  # references on RK45
         assert_rows_agree(rd.system, X0, inputs, taus, grid, cfg, sampled)
 
-    def test_blowup_time_and_row(self):
+    def test_blowup_time_and_row(self, monkeypatch):
         # x2 = e^t carries the norm to the threshold at ln(threshold); the
         # -5000 mode makes rho(A) * tau = 125,000
+        methods = solver_methods(monkeypatch)
         lin = bl.make("linear", {"A": [[-5000.0, 0.0], [0.0, 1.0]]}).system
         zero = bl.InputSignal.constant([0.0, 0.0])
         cfg = bl.IntegratorConfig()
@@ -440,6 +437,7 @@ class TestStiffPath:
         assert row == 0 and t_max == pytest.approx(crossing, rel=1e-6)
         traj = bl.integrate(lin, [1.0, 1.0], zero, 25.0, cfg)
         assert traj.blew_up and traj.t_max_estimate == pytest.approx(crossing, rel=1e-6)
+        assert set(methods) == {"BDF"}
 
 
 class TestIntegratorConfig:
