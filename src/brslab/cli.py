@@ -110,11 +110,14 @@ def _bundle(cfg: dict) -> ex.ExampleBundle:
 
 
 def _reach_samples(bundle: ex.ExampleBundle, cfg: dict):
+    samples = _setting(cfg, "samples", 40, int)
+    if samples < 1:  # a bound fitted to no samples is undefined
+        raise ConfigError(f"samples must be >= 1 for reach sampling, got {samples}")
     return sample_reach(
         bundle.system,
         _setting(cfg, "C", 2.0),
         _setting(cfg, "horizon", 3.0),
-        _setting(cfg, "samples", 40, int),
+        samples,
         cfg["seed"],
     )
 

@@ -87,8 +87,10 @@ class LyapunovConfig:
         if self.tail_tol <= 0:
             raise ValueError("tail_tol must be positive")
         ladder = tuple(float(h) for h in self.dini_h_ladder)
-        if not ladder or any(h <= 0 for h in ladder) or any(np.diff(ladder) >= 0):
-            raise ValueError("dini_h_ladder must be non-empty, strictly decreasing and positive")
+        # a NaN or infinite step would never end the Dini integration
+        if not (ladder and all(0 < h < math.inf for h in ladder)) or any(np.diff(ladder) >= 0):
+            raise ValueError("dini_h_ladder must be non-empty, strictly decreasing, finite"
+                             f" and positive, got {list(ladder)}")
         object.__setattr__(self, "dini_h_ladder", ladder)
         if self.n_dist < 1 or self.time_grid_density < 1:
             raise ValueError("n_dist and time_grid_density must be >= 1")
@@ -116,26 +118,25 @@ class LyapunovValue:
 
 @dataclass(frozen=True)
 class LipschitzTable:
-    """Probed flow-Lipschitz constants keyed by (horizon, ball radius).
+    """Inflated flow-Lipschitz constants L[q-1] = L(Theta(q,q), q) of the
+    levels q = 1..Q under RFC offset c, with theta[q-1] = Theta(q,q) and
+    M[q-1] = max(L, Theta) derived when the table is built."""
 
-    Lookups match keys to relative tolerance 1e-8, absorbing the float
-    round-trip of horizon values.  `c` is the RFC offset the horizons were
-    computed with.
-    """
-
-    entries: dict
+    L: tuple
     c: float = 0.0
+    theta: tuple = field(init=False)
+    M: tuple = field(init=False)
 
-    def lookup(self, tau: float, C: float) -> float:
-        for (t0, c0), L in self.entries.items():
-            if abs(t0 - tau) <= 1e-8 * max(1.0, abs(tau)) and abs(c0 - C) <= 1e-8 * max(
-                1.0, abs(C)
-            ):
-                return L
-        raise KeyError(
-            f"no Lipschitz entry for (tau={tau}, C={C});"
-            " run probe_lipschitz_tdi at these arguments and extend the table"
-        )
+    def __post_init__(self):
+        L = tuple(float(v) for v in self.L)
+        thetas = tuple(theta(float(q), q, self.c) for q in range(1, len(L) + 1))
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "theta", thetas)
+        object.__setattr__(self, "M", tuple(map(max, L, thetas)))
+
+    @property
+    def Q(self) -> int:
+        return len(self.L)
 
 
 def build_l_table(
@@ -161,15 +162,20 @@ def build_l_table(
             f"closed-loop pair probe diverged at level q={k + 1}"
             f" (tau={levels[k][0]}, C={levels[k][1]})"
         )
-    return LipschitzTable(
-        {level: L_INFLATION * rep.max_ratio for level, rep in zip(levels, reports)}, c
-    )
+    return LipschitzTable(tuple(L_INFLATION * rep.max_ratio for rep in reports), c)
 
 
 def lyap_M(R: float, q: int, l_table: LipschitzTable) -> float:
-    """Series normalization max{L(Theta(R,q), R), Theta(R,q)}."""
-    tau = theta(float(R), q, l_table.c)
-    return max(l_table.lookup(tau, float(R)), tau)
+    """Series normalization M(q,q) = max{L(Theta(q,q), q), Theta(q,q)}.
+
+    The series reads the table on its diagonal only, so R must equal q.
+    """
+    if R != q:
+        raise ValueError(f"the Lipschitz table holds M(q,q) only, got R={R} and q={q}")
+    if not 1 <= q <= l_table.Q:
+        raise ValueError(f"q={q} lies outside the Lipschitz table's levels 1..Q={l_table.Q};"
+                         f" build the table with Q >= {q}")
+    return l_table.M[q - 1]
 
 
 def _dyadic_grid(horizon: float, density: int) -> np.ndarray:
@@ -233,6 +239,7 @@ def _eval_Vs(
             min_Q = math.ceil(1.0 + math.log2((1.0 + nx + c) / cfg.tail_tol))
             raise TailBudgetError(cfg.Q, tail, cfg.tail_tol, min_Q)
     qs = range(1, cfg.Q + 1)
+    m_diag = [lyap_M(q, q, l_table) for q in qs]  # before integrating: Q must fit the table
     thetas = [[theta(float(R), q, c) for q in qs] for R in balls]
     grids = [[_dyadic_grid(th, cfg.time_grid_density) for th in ths] for ths in thetas]
     unions = [np.unique(np.concatenate(g)) for g in grids]
@@ -251,7 +258,6 @@ def _eval_Vs(
             f"closed loop from ||x||={norms[row // nd]:.3g} blew up at"
             f" t={t_max:.3g} < {taus[row]:.3g}: not RFC-TDI on this ball"
         )
-    m_table = {q: lyap_M(q, q, l_table) for q in qs}
     values = []
     for b, union in enumerate(unions):
         S = samples[: union.size, b * nd : (b + 1) * nd]
@@ -259,14 +265,14 @@ def _eval_Vs(
         disc = np.exp(-union)[:, None] * np.asarray(margin(np.linalg.norm(S, axis=2)))
         V = 1.0
         per_q = []
-        for q, th, g in zip(qs, thetas[b], grids[b]):
+        for q, th, g, m in zip(qs, thetas[b], grids[b], m_diag):
             gq = gk_eval(q, disc[np.searchsorted(union, g)])
             # first disturbance attaining the sup, at its earliest grid time
             j = np.argmax(gq, axis=0)
             i = int(np.argmax(gq[j, np.arange(gq.shape[1])]))
             value = float(gq[j[i], i])
             per_q.append(UqEstimate(q, float(balls[b]), th, value, (i, float(g[j[i]]))))
-            V += 2.0 ** (-q) * value / (1.0 + m_table[q])
+            V += 2.0 ** (-q) * value / (1.0 + m)
         values.append(LyapunovValue(V, math.log1p(V), tails[b], per_q))
     return values
 
@@ -449,8 +455,10 @@ def dump_table(
         },
         "seed": cfg.seed,
         "c": l_table.c,
+        # the inflated L per level, keyed "Theta(q,q),q"
         "M_table": {
-            f"{tau:.12g},{C:.12g}": L for (tau, C), L in sorted(l_table.entries.items())
+            f"{tau:.12g},{q:.12g}": L
+            for q, (tau, L) in enumerate(zip(l_table.theta, l_table.L), start=1)
         },
     }
     manifest.update(extra_manifest or {})

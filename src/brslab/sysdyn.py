@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution, solve_ivp
 from scipy.linalg import expm
 
 __all__ = [
@@ -163,19 +163,22 @@ class IntegratorConfig:
 @dataclass(frozen=True)
 class Trajectory:
     """Solver steps, states, maximal-time estimate, blow-up flag, and the
-    dense interpolant that reads the state at any time in [0, times[-1]]."""
+    solver's dense output over every step, which reads the state at any
+    time in [0, times[-1]]."""
 
     times: np.ndarray
     states: np.ndarray
     t_max_estimate: float
     blew_up: bool
-    interpolant: Callable[[float], np.ndarray] = field(compare=False, repr=False)
+    dense: OdeSolution = field(compare=False, repr=False)
 
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.states, axis=1)
 
     def state_at(self, t) -> np.ndarray:
-        return self.interpolant(t)
+        """State at time t, shape (n,), or at an array of times, shape (T, n);
+        times outside [0, times[-1]] read the nearer end."""
+        return self.dense(np.clip(t, 0.0, self.times[-1])).T
 
     def to_csv(self, path) -> None:
         path = Path(path)
@@ -189,28 +192,6 @@ class Trajectory:
         path.with_suffix(path.suffix + ".json").write_text(
             json.dumps(sidecar, sort_keys=True)
         )
-
-
-class _SegmentInterpolant:
-    """Dense output across the per-segment solver solutions."""
-
-    def __init__(self, pieces, dim: int):
-        # pieces: list of (t_start, t_end, OdeSolution) of a state of size dim
-        self._pieces = pieces
-        self._ends = np.array([b for _, b, _ in pieces])
-        self._dim = dim
-
-    def __call__(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        idx = np.minimum(
-            np.searchsorted(self._ends, t_arr, side="left"), len(self._pieces) - 1
-        )
-        out = np.empty((t_arr.size, self._dim))
-        for j in np.unique(idx):
-            a, b, sol = self._pieces[j]
-            sel = idx == j
-            out[sel] = sol(np.clip(t_arr[sel], a, b)).T
-        return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
 
 def _segment_edges(breakpoints, tau: float) -> np.ndarray:
@@ -241,7 +222,7 @@ def _solver(A, span: float, rows: int) -> dict:
 
 def _segments(f_at, y0, edges, cfg: IntegratorConfig, rows: int, A, grid=None):
     """Solve y' = f_at(a)(t, y) on each [a, b] of `edges`, restarting from
-    the previous segment's last state; yields (a, b, sol).
+    the previous segment's last state; yields (b, sol).
 
     `y0` stacks `rows` states of equal size of a system with linear part A
     (None if it has none); `_solver` picks RK45 or BDF from A and the whole
@@ -281,7 +262,7 @@ def _segments(f_at, y0, edges, cfg: IntegratorConfig, rows: int, A, grid=None):
         )
         if sol.status == -1:
             raise StepSizeError(f"integrator failed on [{a}, {b}]: {sol.message}")
-        yield a, b, sol
+        yield b, sol
         if sol.status == 1:  # blow-up: the terminal event ends the last step
             return
         y = sol.y[:, -1].copy()  # a view would keep the whole segment's output alive
@@ -301,8 +282,8 @@ def integrate(
     time.  An `x0` or an InputSignal whose dimension does not match `sys` is
     a ValueError.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be a finite number > 0, got {tau}")
     cfg = cfg or IntegratorConfig()
     x0 = _as_vector(x0)
     if x0.shape != (sys.state_dim,):
@@ -318,25 +299,29 @@ def integrate(
         return lambda t, y: sys.full_rhs(y, u.eval(t))
 
     edges = _segment_edges(getattr(u, "breakpoints", ()), tau)
-    pieces = []
     times = [np.zeros(1)]
     states = [x0[None, :]]
+    steps = []  # one dense-output interpolant per solver step
     blew_up = False
     t_max = math.inf
-    for a, _, sol in _segments(f_at, x0, edges, cfg, 1, sys.linear_part):
-        pieces.append((a, sol.t[-1], sol.sol))
+    for _, sol in _segments(f_at, x0, edges, cfg, 1, sys.linear_part):
         times.append(sol.t[1:])
         states.append(sol.y[:, 1:].T)
+        steps += sol.sol.interpolants
         if sol.status == 1:
             blew_up = True
             t_max = float(sol.t_events[0][0])
 
+    times = np.concatenate(times)
+    # as solve_ivp does: at a step time, BDF output is read from the step
+    # that starts there, RK45 output from the step that ends there
+    bdf = _solver(sys.linear_part, tau, 1)["method"] == "BDF"
     return Trajectory(
-        times=np.concatenate(times),
+        times=times,
         states=np.vstack(states),
         t_max_estimate=t_max,
         blew_up=blew_up,
-        interpolant=_SegmentInterpolant(pieces, x0.size),
+        dense=OdeSolution(times, steps, alt_segment=bdf),
     )
 
 
@@ -462,7 +447,7 @@ def _sample_ensemble(
         tau.max(),
     )
     k = 0  # union times filled so far
-    for _, b, sol in _segments(f_at, X0.ravel(), edges, cfg, N, A, union):
+    for b, sol in _segments(f_at, X0.ravel(), edges, cfg, N, A, union):
         # union times in [a, b); after a blow-up only those before the crossing
         got = min(int(np.searchsorted(union, b)) - k, len(sol.t))
         if got > 0:

@@ -77,7 +77,7 @@ class FeedbackSignal:
         return self._d.dim
 
     def eval(self, t: float) -> np.ndarray:
-        x = self._traj.state_at(min(t, float(self._traj.times[-1])))
+        x = self._traj.state_at(t)  # past the path's end: its last state
         return self._d.eval(t) * float(self._margin(np.linalg.norm(x)))
 
     def __call__(self, t: float) -> np.ndarray:

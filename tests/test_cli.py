@@ -6,6 +6,7 @@ import pytest
 
 import brslab as bl
 from brslab.cli import main
+from brslab.compfun import theta
 from brslab.lyapunov import LipschitzTable
 
 
@@ -123,6 +124,13 @@ class TestUsageErrors:
             (["lyapunov", "build"], {"lyapunov": {"tail_tol": math.nan}}),
             (["lyapunov", "verify"], {"lyapunov": {"tol_growth": "x"}}),
             (["lyapunov", "verify"], {"lyapunov": {"dini_h_ladder": []}}),
+            # a NaN or infinite Dini step made verify integrate without end
+            (["lyapunov", "verify"], {"lyapunov": {"dini_h_ladder": ["nan"]}}),
+            (["lyapunov", "verify"], {"lyapunov": {"dini_h_ladder": ["inf", 1e-2]}}),
+            # no reach samples left the fit with nothing to bound
+            (["brs", "fit"], {"samples": 0}),
+            (["rfc", "verify"], {"samples": 0, "eta_source": "from_fit"}),
+            (["lyapunov", "build"], {"samples": 0, "eta_source": "from_fit"}),
         ],
     )
     def test_bad_scalar_or_radii_setting(self, tmp_path, capsys, cmd, extra):
@@ -198,7 +206,7 @@ class TestStrictJson:
         # the premise fails, so verify_growth returns before reading the table
         rep = bl.verify_growth(
             sigma1.system, sigma1.margin, [0.1], [5.0], bl.LyapunovConfig(),
-            LipschitzTable({}, 0.0),
+            LipschitzTable((), 0.0),
         )
         assert rep.vacuous and math.isnan(rep.V0)
         obj = strict_loads(rep.to_json())
@@ -313,6 +321,20 @@ class TestLyapunov:
                      "--out", str(out)]) == 0
         table = np.loadtxt(out / "lyapunov_table.csv", delimiter=",", skiprows=1)
         assert table.shape == (3, 6)
+
+    def test_readme_manifest_keys_levels(self, tmp_path):
+        cfg = write_cfg(tmp_path, {
+            "system": {"name": "sigma1"}, "seed": 42, "eta_source": "paper", "x0": [0.5],
+            "u_constant": [1.0], "horizon": 2.0, "C": 1.5, "samples": 20, "c": 0.0,
+            "radii": [0.0, 0.5, 1.0, 1.5, 2.0], "growth_pairs": 5,
+            "lyapunov": {"Q": 14, "n_dist": 6, "time_grid_density": 16, "tail_tol": 1e-3},
+        })
+        out = tmp_path / "out"
+        assert main(["lyapunov", "build", "--config", cfg, "--out", str(out)]) == 0
+        manifest = strict_loads((out / "lyapunov_manifest.json").read_text())
+        assert list(manifest["M_table"]) == sorted(
+            f"{theta(float(q), q, 0.0):.12g},{q:.12g}" for q in range(1, 15)
+        )
 
     def test_verify_passes(self, tmp_path):
         cfg = self.lyap_cfg(tmp_path)

@@ -34,36 +34,42 @@ class TestConfig:
 
 
 class TestLipschitzTable:
-    def test_tolerant_lookup(self):
-        t = LipschitzTable({(1.0, 2.0): 3.5}, c=0.0)
-        assert t.lookup(1.0 + 1e-12, 2.0) == 3.5
+    def test_levels_derive_theta_and_m(self):
+        t = LipschitzTable([0.5, 10.0, 1.0], c=0.5)
+        assert t.Q == 3
+        assert t.theta == tuple(theta(float(q), q, 0.5) for q in (1, 2, 3))
+        assert t.M == (max(0.5, t.theta[0]), 10.0, max(1.0, t.theta[2]))
 
     def test_missing_entry_requests_probe(self):
-        t = LipschitzTable({(1.0, 2.0): 3.5}, c=0.0)
-        with pytest.raises(KeyError, match="probe_lipschitz_tdi"):
-            t.lookup(5.0, 2.0)
+        t = LipschitzTable([3.5], c=0.0)
+        for q in (0, 2):
+            with pytest.raises(ValueError, match=rf"q={q} .*Q=1.*build the table"):
+                bl.lyap_M(q, q, t)
+
+    def test_cfg_q_beyond_table_raises_before_integrating(self, sigma1, monkeypatch):
+        calls = count_calls(monkeypatch)
+        cfg = bl.LyapunovConfig(seed=1)
+        short = unit_table(cfg.Q - 1, 0.0)
+        with pytest.raises(ValueError, match=rf"q={cfg.Q} .*Q={cfg.Q - 1}"):
+            bl.eval_V(sigma1.system, sigma1.margin, [0.8], cfg, short)
+        with pytest.raises(ValueError, match=rf"q={cfg.Q} .*Q={cfg.Q - 1}"):
+            sandwich_funs(sigma1.margin, short, cfg.Q)
+        assert calls == {"ensemble": 0, "integrate": 0}
 
 
 class TestLyapM:
     def test_zero_l_gives_theta(self):
-        tau = theta(2.0, 3, 0.0)
-        t = LipschitzTable({(tau, 2.0): 0.0}, c=0.0)
-        assert bl.lyap_M(2.0, 3, t) == tau >= 1.0
+        t = LipschitzTable([0.0] * 3, c=0.0)
+        assert bl.lyap_M(3, 3, t) == theta(3.0, 3, 0.0) >= 1.0
 
     def test_derived_base_case(self):
-        # theta(0, 1, 0) = 1, so max{0.5, 1} = 1
-        t = LipschitzTable({(1.0, 0.0): 0.5}, c=0.0)
-        assert bl.lyap_M(0.0, 1, t) == 1.0
+        # theta(1, 1, 0) = 1, so max{0.5, 1} = 1
+        t = LipschitzTable([0.5], c=0.0)
+        assert bl.lyap_M(1, 1, t) == 1.0
 
-    def test_monotone_with_monotone_table(self):
-        c = 0.0
-        entries = {}
-        for R in (1.0, 3.0):
-            for q in (1, 3):
-                tau = theta(R, q, c)
-                entries[(tau, R)] = tau + R  # monotone in both arguments
-        t = LipschitzTable(entries, c)
-        assert bl.lyap_M(3.0, 3, t) >= bl.lyap_M(1.0, 3, t)
+    def test_reads_the_diagonal_only(self):
+        with pytest.raises(ValueError, match="R=2.0 and q=3"):
+            bl.lyap_M(2.0, 3, unit_table(3, 0.0))
 
 
 def per_q(sigma1, x, R, cfg, l_table) -> list:
@@ -172,7 +178,7 @@ def per_trajectory_uq(ex_sys, margin, x, cfg, c):
 
 
 def unit_table(Q, c):
-    return LipschitzTable({(theta(float(q), q, c), float(q)): 1.0 for q in range(1, Q + 1)}, c)
+    return LipschitzTable([1.0] * Q, c)
 
 
 class TestEnsembleEstimates:
@@ -227,7 +233,7 @@ class TestOneSamplerCallPerStage:
         calls = count_calls(monkeypatch)
         table = bl.build_l_table(sigma1.system, sigma1.margin, 14, 0.0, 3)
         assert calls == {"ensemble": 1, "integrate": 0}
-        assert len(table.entries) == 14
+        assert table.Q == 14
 
     def test_build_l_table_matches_one_probe_per_level(self, sigma1):
         # a ragged ensemble runs each level to its own Theta(q, q) at the
@@ -238,7 +244,8 @@ class TestOneSamplerCallPerStage:
             tau = theta(float(q), q, 0.5)
             rep = bl.probe_lipschitz_tdi(sigma1.system, sigma1.margin, tau, float(q), 2, 3,
                                          n_dist=3)
-            assert table.lookup(tau, float(q)) == pytest.approx(1.1 * rep.max_ratio, rel=1e-8)
+            assert table.theta[q - 1] == tau
+            assert table.L[q - 1] == pytest.approx(1.1 * rep.max_ratio, rel=1e-8)
 
     def test_radial_table(self, sigma1, monkeypatch):
         calls = count_calls(monkeypatch)

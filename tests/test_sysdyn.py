@@ -105,6 +105,12 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             bl.integrate(rotation(), [1.0, 0.0], bl.InputSignal.constant([0.0]), 0.0)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_rejects_non_finite_horizon(self, tau):
+        # the solver never reaches such an end time, so this used to hang
+        with pytest.raises(ValueError, match="tau must be a finite number"):
+            bl.integrate(bl.make("sigma1").system, [0.5], bl.InputSignal.constant([0.0]), tau)
+
 
     @pytest.mark.parametrize("x0", [[1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]]])
     def test_rejects_wrong_state_shape(self, x0):
@@ -124,6 +130,56 @@ class TestIntegrate:
 
         traj = bl.integrate(rotation(), [1.0, 0.0], Ramp(), 1.0)
         assert traj.states.shape[1] == 2 and not traj.blew_up
+
+
+def state_at_trajectories(name):
+    """The trajectories of one `state_at` digest case."""
+    cfg = bl.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11)
+    sigma1 = bl.make("sigma1")
+    if name == "sigma1_open_loop":
+        u = bl.InputSignal([0.7, 1.3], [[1.0], [-0.5]], [0.3])
+        return [bl.integrate(sigma1.system, [0.6], u, 2.0, cfg)]
+    if name == "sigma1_closed_loop":
+        cl = closed_loop(sigma1.system, sigma1.margin)
+        return [bl.integrate(cl, [0.7], d, 3.0, cfg)
+                for d in bl.disturbance_family(1, 3.0, 6, 20240811)]
+    if name == "quadratic_blowup":
+        return [bl.integrate(bl.make("quadratic").system, [2.0],
+                             bl.InputSignal.constant([0.0]), 1.0, bl.IntegratorConfig())]
+    assert name == "reaction_diffusion"  # n = 32 at tau = 1: the BDF path
+    rd, rd_cfg = stiff_rd()
+    x0 = np.sin(math.pi * np.linspace(0.0, 1.0, 34)[1:-1])
+    return [bl.integrate(rd.system, x0, bl.InputSignal.constant([0.5]), 1.0, rd_cfg)]
+
+
+def state_at_digest(trajs) -> str:
+    """Digest of array and scalar `state_at` reads at the solver's steps, a
+    41-point grid and times before 0 and after the end."""
+    h = hashlib.sha256()
+    for traj in trajs:
+        end = float(traj.times[-1])
+        t = np.unique(np.concatenate([
+            [-1.0, -1e-9, end + 1e-9, end + 1.0], np.linspace(0.0, end, 41), traj.times,
+        ]))
+        h.update(np.ascontiguousarray(traj.state_at(t)).tobytes())
+        h.update(np.array([traj.state_at(s) for s in t]).tobytes())
+    return h.hexdigest()[:32]
+
+
+# Recorded with numpy 2.4 and scipy 1.17 on x86-64 when `state_at` read
+# per-restart-segment solutions, before it read one solution of all steps.
+STATE_AT_DIGESTS = {
+    "sigma1_open_loop": "e3ff1d92ee54d202e8d0b01022084a93",
+    "sigma1_closed_loop": "fe4823a84ee281b5ddcc8422c6436a39",
+    "quadratic_blowup": "af03b255772349b9e1fdcf442a1f846d",
+    "reaction_diffusion": "2a040424dbd84ef8724a908988875ac5",
+}
+
+
+class TestStateAt:
+    @pytest.mark.parametrize("name", sorted(STATE_AT_DIGESTS))
+    def test_reads_are_bit_identical(self, name):
+        assert state_at_digest(state_at_trajectories(name)) == STATE_AT_DIGESTS[name]
 
 
 class TestBlowup:
