@@ -146,32 +146,39 @@ def sample_reach(
     Initial states are uniform in the C-ball, inputs random piecewise
     constant with sup-norm below C; each draw is recorded on a time grid of
     [0, tau].  Blow-ups enter as +inf rows.
+
+    All draws are sampled as one ensemble.  A blow-up ends it at the
+    crossing: the crossing draw gets +inf from that time on, and the other
+    draws are sampled again without it.
     """
     if C <= 0 or tau <= 0:
         raise ValueError("C and tau must be positive")
+    if n < 1 or grid_points < 1:
+        raise ValueError(f"n and grid_points must be >= 1, got n={n}, grid_points={grid_points}")
     cfg = cfg or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
     t_grid = np.linspace(0.0, tau, grid_points + 1)[1:]
-    rows_t, rows_x, rows_u, rows_phi = [], [], [], []
+    X0, us = [], []
     for i in range(n):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        x0 = _random_in_ball(rng, sys.state_dim, C)
-        u = _random_pc_input(rng, sys.input_dim, tau, 0.999 * C)
-        traj = integrate(sys, x0, u, tau, cfg)
-        nx = float(np.linalg.norm(x0))
-        nu = u.sup_norm()
-        for t in t_grid:
-            rows_t.append(t)
-            rows_x.append(nx)
-            rows_u.append(nu)
-            if traj.blew_up and t >= traj.t_max_estimate:
-                rows_phi.append(math.inf)
-            else:
-                rows_phi.append(float(np.linalg.norm(traj.state_at(t))))
+        X0.append(_random_in_ball(rng, sys.state_dim, C))
+        us.append(_random_pc_input(rng, sys.input_dim, tau, 0.999 * C))
+    phi = np.empty((n, grid_points))
+    live = np.arange(n)
+    while live.size:
+        samples, t_max, row = _sample_ensemble(
+            sys, [X0[i] for i in live], [us[i] for i in live], tau, t_grid, cfg
+        )
+        norms = np.linalg.norm(samples, axis=2).T
+        if row is None:
+            phi[live] = norms
+            break
+        phi[live[row]] = np.where(t_grid >= t_max, math.inf, norms[row])
+        live = np.delete(live, row)
     return ReachSamples(
-        np.asarray(rows_t),
-        np.asarray(rows_x),
-        np.asarray(rows_u),
-        np.asarray(rows_phi),
+        np.tile(t_grid, n),
+        np.repeat([float(np.linalg.norm(x0)) for x0 in X0], grid_points),
+        np.repeat([u.sup_norm() for u in us], grid_points),
+        phi.ravel(),
     )
 
 

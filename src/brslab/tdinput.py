@@ -135,25 +135,25 @@ def project_input(
     """
     cfg = cfg or IntegratorConfig()
     traj = integrate(sys, x0, u, tau, cfg)
-    ts = traj.times if grid is None else np.asarray(grid, dtype=float)
-    d_vals = np.empty((ts.size, u.dim))
-    for i, t in enumerate(ts):
-        x = traj.state_at(t) if grid is not None else traj.states[i]
-        e = float(margin(np.linalg.norm(x)))
-        uv = u.eval(t)
-        if e <= EPS_DIV:
-            if np.linalg.norm(uv) > TOL_MEMBERSHIP:
-                raise DivisionGuardError(
-                    f"input not dominated at t={t}: margin {e} but ||u||="
-                    f"{np.linalg.norm(uv)}"
-                )
-            d_vals[i] = 0.0
-        else:
-            dv = uv / e
-            n = np.linalg.norm(dv)
-            if n > 1.0:  # clip roundoff excursions back onto the unit ball
-                dv = dv / n
-            d_vals[i] = dv
+    if grid is None:
+        ts, X = traj.times, traj.states
+    else:
+        ts = np.asarray(grid, dtype=float)
+        X = traj.state_at(ts)
+    e = np.asarray(margin(np.linalg.norm(X, axis=1)), dtype=float)
+    U = np.array([u.eval(t) for t in ts], dtype=float)
+    u_norm = np.linalg.norm(U, axis=1)
+    vanish = e <= EPS_DIV
+    bad = np.flatnonzero(vanish & (u_norm > TOL_MEMBERSHIP))
+    if bad.size:
+        i = bad[0]
+        raise DivisionGuardError(
+            f"input not dominated at t={ts[i]}: margin {e[i]} but ||u||={u_norm[i]}"
+        )
+    d_vals = U / np.where(vanish, 1.0, e)[:, None]
+    d_vals[vanish] = 0.0
+    # clip roundoff excursions back onto the unit ball
+    d_vals /= np.maximum(np.linalg.norm(d_vals, axis=1), 1.0)[:, None]
     return DisturbanceSignal(ts[1:], d_vals[:-1], d_vals[-1])
 
 

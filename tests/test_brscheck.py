@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 import brslab as bl
-from brslab.brscheck import RATIO_CAP, _monotone_envelope, gronwall_bound, sample_reach
+from brslab import brscheck, sysdyn
+from brslab.brscheck import (
+    RATIO_CAP,
+    _monotone_envelope,
+    _random_in_ball,
+    _random_pc_input,
+    gronwall_bound,
+    sample_reach,
+)
 from brslab.compfun import theta
 
 
@@ -34,6 +42,89 @@ class TestSampleReach:
     def test_rejects_bad_args(self, sigma1):
         with pytest.raises(ValueError):
             sample_reach(sigma1.system, 0.0, 1.0, 3, seed=5)
+
+    @pytest.mark.parametrize(
+        "n, grid_points, named",
+        [(0, 8, "n=0"), (3, 0, "grid_points=0"), (3, -2, "grid_points=-2")],
+    )
+    def test_rejects_bad_sizes(self, sigma1, n, grid_points, named):
+        with pytest.raises(ValueError, match=named):
+            sample_reach(sigma1.system, 1.0, 1.0, n, seed=5, grid_points=grid_points)
+
+
+def _per_sample_reach(sys, C, tau, n, seed, grid_points=8):
+    """(t, ||x||, ||u||, ||phi||) columns from one `integrate` per draw."""
+    cfg = bl.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
+    rows = []
+    for i in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        x0 = _random_in_ball(rng, sys.state_dim, C)
+        u = _random_pc_input(rng, sys.input_dim, tau, 0.999 * C)
+        traj = bl.integrate(sys, x0, u, tau, cfg)
+        for t in np.linspace(0.0, tau, grid_points + 1)[1:]:
+            blown = traj.blew_up and t >= traj.t_max_estimate
+            phi = math.inf if blown else float(np.linalg.norm(traj.state_at(t)))
+            rows.append((t, float(np.linalg.norm(x0)), u.sup_norm(), phi))
+    return np.array(rows).T
+
+
+@pytest.fixture(scope="module")
+def quadratic_reach():
+    q = bl.make("quadratic").system
+    return sample_reach(q, 3.0, 3.0, 20, seed=5), _per_sample_reach(q, 3.0, 3.0, 20, 5)
+
+
+class TestSampleReachParity:
+    """The stacked ensemble against one `integrate` per draw."""
+
+    def test_draws_are_exact(self, sigma1_samples, sigma1):
+        t, nx, nu, _ = _per_sample_reach(sigma1.system, 2.0, 3.0, 30, 101)
+        assert np.array_equal(sigma1_samples.t, t)
+        assert np.array_equal(sigma1_samples.norm_x, nx)
+        assert np.array_equal(sigma1_samples.norm_u, nu)
+
+    def test_sigma1_norms_agree(self, sigma1_samples, sigma1):
+        phi = _per_sample_reach(sigma1.system, 2.0, 3.0, 30, 101)[3]
+        np.testing.assert_allclose(sigma1_samples.norm_phi, phi, rtol=1e-6, atol=0)
+
+    def test_quadratic_blowups_agree(self, quadratic_reach):
+        s, (t, nx, nu, phi) = quadratic_reach
+        assert np.array_equal(s.norm_x, nx) and np.array_equal(s.norm_u, nu)
+        blown = np.isinf(phi).reshape(20, 8).any(axis=1)
+        assert 0 < blown.sum() < blown.size  # a mix of blow-ups and bounded draws
+        assert np.array_equal(np.isinf(s.norm_phi), np.isinf(phi))
+        finite = np.isfinite(phi)
+        np.testing.assert_allclose(s.norm_phi[finite], phi[finite], rtol=1e-6, atol=0)
+
+
+class TestSampleReachWork:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"ensemble": 0, "integrate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        sampler = counted("ensemble", brscheck._sample_ensemble)
+        monkeypatch.setattr(brscheck, "_sample_ensemble", sampler)
+        monkeypatch.setattr(brscheck, "integrate", counted("integrate", brscheck.integrate))
+        monkeypatch.setattr(sysdyn, "integrate", counted("integrate", sysdyn.integrate))
+        return counts
+
+    def test_bounded_run_is_one_ensemble(self, sigma1, counts):
+        s = sample_reach(sigma1.system, 2.0, 3.0, 30, seed=101)
+        assert np.all(np.isfinite(s.norm_phi))
+        assert counts == {"ensemble": 1, "integrate": 0}
+
+    def test_each_crossing_reruns_the_rest(self, counts):
+        s = sample_reach(bl.make("quadratic").system, 3.0, 3.0, 20, seed=5)
+        k = int(np.isinf(s.norm_phi).reshape(20, 8).any(axis=1).sum())
+        assert 0 < k < 20
+        assert counts == {"ensemble": k + 1, "integrate": 0}
 
 
 class TestFitAdditiveBound:

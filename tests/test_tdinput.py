@@ -118,6 +118,22 @@ class TestLiftProject:
         d = bl.project_input(sigma1.system, sigma1.margin, [0.0], u, 1.0)
         assert d.sup_norm() == 0.0
 
+    @pytest.mark.parametrize("grid", [None, np.linspace(0.0, 1.0, 11)])
+    def test_division_guard_names_first_offending_time(self, sigma1, grid):
+        # phi stays at 0 and u is dominated (zero) before t = 0.5, not after
+        u = bl.InputSignal([0.5], [[0.0]], [1.0])
+        with pytest.raises(bl.DivisionGuardError, match=r"at t=0\.5: margin 0\.0 but"):
+            bl.project_input(sigma1.system, sigma1.margin, [0.0], u, 1.0, grid=grid)
+
+    def test_projection_clipped_to_unit_ball(self, sigma1):
+        # u / eta(||phi||) of the lifted unit disturbance exceeds 1 by ~2e-8
+        # from integration error; the projection clips it back
+        d = bl.DisturbanceSignal.constant([1.0])
+        u, _ = bl.lift_disturbance(sigma1.system, sigma1.margin, [0.5], d, 2.0)
+        grid = np.linspace(0.0, 2.0, 201)
+        back = bl.project_input(sigma1.system, sigma1.margin, [0.5], u, 2.0, grid=grid)
+        assert back.sup_norm() == 1.0
+
 
 class TestSampleTdi:
     def test_sampled_inputs_are_members(self, sigma1):
