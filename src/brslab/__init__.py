@@ -17,7 +17,6 @@ from .sysdyn import (
     StepSizeError,
     SystemDef,
     Trajectory,
-    concat,
     integrate,
     semigroup_growth,
 )

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .compfun import ScalarFun, inverse
-from .sysdyn import InputSignal, IntegratorConfig, SystemDef, _sample_ensemble, integrate
+from .sysdyn import InputSignal, IntegratorConfig, SystemDef, _sample_ensemble
 from .tdinput import GrowthMargin, closed_loop, disturbance_family
 
 __all__ = [
@@ -145,11 +145,8 @@ def sample_reach(
 
     Initial states are uniform in the C-ball, inputs random piecewise
     constant with sup-norm below C; each draw is recorded on a time grid of
-    [0, tau].  Blow-ups enter as +inf rows.
-
-    All draws are sampled as one ensemble.  A blow-up ends it at the
-    crossing: the crossing draw gets +inf from that time on, and the other
-    draws are sampled again without it.
+    [0, tau].  All draws are sampled as one ensemble; a draw that blows up
+    is +inf from its crossing time on.
     """
     if C <= 0 or tau <= 0:
         raise ValueError("C and tau must be positive")
@@ -162,18 +159,9 @@ def sample_reach(
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
         X0.append(_random_in_ball(rng, sys.state_dim, C))
         us.append(_random_pc_input(rng, sys.input_dim, tau, 0.999 * C))
-    phi = np.empty((n, grid_points))
-    live = np.arange(n)
-    while live.size:
-        samples, t_max, row = _sample_ensemble(
-            sys, [X0[i] for i in live], [us[i] for i in live], tau, t_grid, cfg
-        )
-        norms = np.linalg.norm(samples, axis=2).T
-        if row is None:
-            phi[live] = norms
-            break
-        phi[live[row]] = np.where(t_grid >= t_max, math.inf, norms[row])
-        live = np.delete(live, row)
+    samples, t_cross = _sample_ensemble(sys, X0, us, tau, t_grid, cfg)
+    phi = np.linalg.norm(samples, axis=2).T
+    phi[t_grid >= t_cross[:, None]] = math.inf
     return ReachSamples(
         np.tile(t_grid, n),
         np.repeat([float(np.linalg.norm(x0)) for x0 in X0], grid_points),
@@ -248,27 +236,30 @@ def verify_rfc_tdi(
     seed: int,
     cfg: IntegratorConfig | None = None,
 ) -> RFCBoundReport:
-    """Check ||phi|| <= kappa^{-1}(t + ||x|| + c) over lifted disturbances."""
+    """Check ||phi|| <= kappa^{-1}(t + ||x|| + c) over lifted disturbances.
+
+    n seeded states in the C-ball are sampled as one closed-loop ensemble,
+    read on the 65-point grid of [0, tau]; a blow-up holds its crossing
+    state, far above any bound.  `worst` is the (t, ||x||, ||phi||) of the
+    largest violation.
+    """
     if not {"Kinf"} <= kappa.tags:
         raise ValueError("kappa must be tagged Kinf")
+    if n == 0:
+        return RFCBoundReport(kappa, c, -math.inf, True, None)
     cfg = cfg or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
-    kappa_inv = inverse(kappa)
-    cl = closed_loop(sys, margin)
     dists = disturbance_family(sys.input_dim, tau, max(3, n // 4), seed)
-    max_violation = -math.inf
-    worst = None
-    for i in range(n):
-        rng = seeded_rng(seed, "rfc_states", i)
-        x0 = _random_in_ball(rng, sys.state_dim, C)
-        d = dists[i % len(dists)]
-        traj = integrate(cl, x0, d, tau, cfg)
-        nx = float(np.linalg.norm(x0))
-        bound = np.asarray(kappa_inv(traj.times + nx + c))
-        viol = traj.norms() - bound
-        j = int(np.argmax(viol))
-        if viol[j] > max_violation:
-            max_violation = float(viol[j])
-            worst = (float(traj.times[j]), nx, float(traj.norms()[j]))
+    X0 = [_random_in_ball(seeded_rng(seed, "rfc_states", i), sys.state_dim, C) for i in range(n)]
+    grid = np.linspace(0.0, tau, 65)
+    samples, _ = _sample_ensemble(
+        closed_loop(sys, margin), X0, [dists[i % len(dists)] for i in range(n)], tau, grid, cfg
+    )
+    norms = np.linalg.norm(samples, axis=2)  # row = grid time, column = state
+    nx = np.linalg.norm(X0, axis=1)
+    viol = norms - np.asarray(inverse(kappa)(grid[:, None] + nx + c))
+    j, i = np.unravel_index(int(np.argmax(viol)), viol.shape)
+    max_violation = float(viol[j, i])
+    worst = (float(grid[j]), float(nx[i]), float(norms[j, i]))
     return RFCBoundReport(kappa, c, max_violation, max_violation <= 1e-9, worst)
 
 
@@ -313,9 +304,9 @@ def _probe_reports(sys, levels, cfg, ratio_cap) -> tuple[list, int | None]:
     65-point grid of [0, tau].
 
     Both rows of every pair of every level are sampled as one ensemble.  A
-    blow-up in it makes divergent every level whose horizon it cut short,
-    the crossing row's level among them; that level is returned too (None
-    if none).
+    level diverges if one of its own rows blows up or its ratio passes
+    ratio_cap.  The level of the row that blows up first is returned too
+    (None if none does).
     """
     X1, X2, us, level_of = [], [], [], []
     for k, (_, _, pair_list, inputs) in enumerate(levels):
@@ -329,27 +320,28 @@ def _probe_reports(sys, levels, cfg, ratio_cap) -> tuple[list, int | None]:
                 level_of.append(k)
     level_of = np.asarray(level_of, dtype=int)
     P = level_of.size
-    ratios, t_max, crossed = np.zeros(0), math.inf, None
+    ratios, t_cross = np.zeros(0), np.zeros(0)
     if P:
         X1, X2 = np.array(X1, dtype=float), np.array(X2, dtype=float)
         taus = np.array([lv[0] for lv in levels])[level_of]
         grids = [np.linspace(0.0, tau, 65) for tau, *_ in levels]
-        samples, t_max, row = _sample_ensemble(
+        samples, both = _sample_ensemble(
             sys, np.vstack([X1, X2]), us * 2, np.tile(taus, 2),
             [grids[k] for k in level_of] * 2, cfg,
         )
         diff = np.linalg.norm(samples[:, :P] - samples[:, P:], axis=2).max(axis=0)
         ratios = diff / np.linalg.norm(X1 - X2, axis=1)
-        crossed = None if row is None else int(level_of[row % P])
+        t_cross = np.minimum(both[:P], both[P:])  # per pair: its first crossing
     reports = []
     for k, (tau, C, pair_list, _) in enumerate(levels):
-        mine = ratios[level_of == k]
-        max_ratio = float(mine.max()) if mine.size else 0.0
-        diverged = t_max <= tau or max_ratio > ratio_cap
+        mine = level_of == k
+        max_ratio = float(ratios[mine].max()) if mine.any() else 0.0
+        diverged = bool(np.isfinite(t_cross[mine]).any()) or max_ratio > ratio_cap
         reports.append(LipschitzProbeReport(
             tau, C, len(pair_list), max_ratio, math.inf if diverged else max_ratio, diverged
         ))
-    return reports, crossed
+    first = int(level_of[np.argmin(t_cross)]) if np.isfinite(t_cross).any() else None
+    return reports, first
 
 
 def probe_lipschitz_openloop(

@@ -151,7 +151,9 @@ def build_l_table(
     """Probe L(Theta(q,q), q) for q = 1..Q, inflated by 10 percent.
 
     The Q probes are `probe_lipschitz_tdi`'s, sampled as one ensemble in
-    which level q runs to Theta(q,q) and reads its own 65 grid points.
+    which level q runs to Theta(q,q) and reads its own 65 grid points.  A
+    diverged probe is a NotRfcTdiError naming the level of the first row to
+    blow up, or else the first level whose ratio passes RATIO_CAP.
     """
     levels = [(theta(float(q), q, c), float(q)) for q in range(1, Q + 1)]
     reports, crossed = _tdi_probes(sys, margin, levels, pairs, seed, None, n_dist, RATIO_CAP)
@@ -249,14 +251,15 @@ def _eval_Vs(
     for ths in thetas:
         dists += disturbance_family(sys.input_dim, ths[-1], nd, cfg.seed)
     taus = np.repeat([ths[-1] for ths in thetas], nd)
-    samples, t_max, row = _sample_ensemble(
+    samples, t_cross = _sample_ensemble(
         closed_loop(sys, margin), np.repeat(X, nd, axis=0), dists, taus,
         [union for union in unions for _ in range(nd)], cfg.int_cfg(),
     )
-    if row is not None:
+    row = int(np.argmin(t_cross))  # the first to blow up, if any does
+    if math.isfinite(t_cross[row]):
         raise NotRfcTdiError(
             f"closed loop from ||x||={norms[row // nd]:.3g} blew up at"
-            f" t={t_max:.3g} < {taus[row]:.3g}: not RFC-TDI on this ball"
+            f" t={t_cross[row]:.3g} < {taus[row]:.3g}: not RFC-TDI on this ball"
         )
     values = []
     for b, union in enumerate(unions):

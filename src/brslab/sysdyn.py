@@ -8,7 +8,8 @@ or BDF with the linear part as its Newton matrix when that part is stiff
 over the span integrated.  Blow-up is detected by a norm-threshold event
 and reported as data, never as a crash.  A family of trajectories of one
 system is integrated as a single stacked ODE and read only on the time
-grid its consumer needs.
+grid its consumer needs; one rule ends each of its rows: a row freezes at
+its horizon or at its blow-up, whichever comes first, and the rest go on.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "Trajectory",
     "IntegratorConfig",
     "StepSizeError",
-    "concat",
     "integrate",
     "semigroup_growth",
 ]
@@ -49,8 +49,7 @@ class InputSignal:
 
     Segment i holds `segment_values[i]` on [b_{i-1}, b_i) (with b_{-1} = 0)
     and `tail_value` beyond the last breakpoint.  The value AT a breakpoint
-    belongs to the new segment, matching the splice convention of
-    concatenation.
+    belongs to the new segment.
     """
 
     def __init__(self, breakpoints: Sequence[float], segment_values, tail_value):
@@ -105,20 +104,6 @@ class InputSignal:
         # each kept breakpoint j starts the segment combined[j + 1].
         new_vals = np.vstack([self.eval(t)[None, :], combined[kept[:-1] + 1]])
         return InputSignal(new_bp, new_vals, combined[kept[-1] + 1])
-
-
-def concat(u1: InputSignal, u2: InputSignal, t: float) -> InputSignal:
-    """Splice: value of u1 on [0, t), value of u2(s - t) for s >= t."""
-    if t < 0:
-        raise ValueError("concatenation time must be nonnegative")
-    if t == 0:
-        return InputSignal(u2.breakpoints.copy(), u2.segment_values.copy(), u2.tail_value)
-    keep = u1.breakpoints < t
-    bp1 = u1.breakpoints[keep]
-    vals1 = u1._all_values()[: keep.sum() + 1]
-    new_bp = np.concatenate([bp1, [t], t + u2.breakpoints])
-    new_vals = np.vstack([vals1, u2.segment_values]) if u2.segment_values.size else vals1
-    return InputSignal(new_bp, new_vals, u2.tail_value)
 
 
 @dataclass(frozen=True)
@@ -220,52 +205,72 @@ def _solver(A, span: float, rows: int) -> dict:
     return {"method": "BDF", "jac": jac}
 
 
-def _segments(f_at, y0, edges, cfg: IntegratorConfig, rows: int, A, grid=None):
-    """Solve y' = f_at(a)(t, y) on each [a, b] of `edges`, restarting from
-    the previous segment's last state; yields (b, sol).
+def _segments(f_at, y0, edges, cfg: IntegratorConfig, tau, A, grid=None):
+    """Solve the stack y' = f_at(a, live)(t, y) of len(tau) rows across
+    `edges`, one solve per [a, b] from the previous solve's last state;
+    yields (b, sol, crossed): each solution and the rows whose blow-up
+    ended it before b (none if it reached b).
 
-    `y0` stacks `rows` states of equal size of a system with linear part A
-    (None if it has none); `_solver` picks RK45 or BDF from A and the whole
-    span of `edges`.  The tolerances are divided by sqrt(rows), so every row
-    stays within `cfg` although the solver's error norm is an RMS over all
-    components.  The blow-up event is the largest row norm crossing
-    `cfg.blowup_threshold`; the segment where it fires is the last.  With
-    `grid` the solver reports the segment's grid points in [a, b) plus b
+    Row i is live from a while a < tau[i]; `live` selects those rows and
+    f_at must hold the others still.  The blow-up event is the largest live
+    row norm crossing `cfg.blowup_threshold`: the crossing row, and any
+    other live row at or above the threshold by then, is frozen at its
+    state there, as at a horizon, and the other rows go on from the
+    crossing time.  The run ends when no row is live.  The rows are states
+    of equal size of a system with linear part A (None if it has none);
+    `_solver` picks RK45 or BDF from A and the whole span of `edges`.  The
+    tolerances are divided by sqrt(rows), so every row stays within `cfg`
+    although the solver's error norm is an RMS over all components.  With
+    `grid` a solve reports the grid times below b not reported yet, then b,
     instead of its own steps and keeps no dense output.
     """
     threshold = cfg.blowup_threshold
+    stop = np.array(tau, dtype=float)  # a crossing row stops at its crossing time
+    rows = stop.size
 
     def blowup_event(t, y):
-        # the bits of np.linalg.norm(Y, axis=1).max() at half its cost per step
-        return math.sqrt((y * y).reshape(rows, -1).sum(axis=1).max()) - threshold
+        # the bits of np.linalg.norm(Y, axis=1)[sel].max() at half its cost per step
+        return math.sqrt((y * y).reshape(rows, -1).sum(axis=1)[sel].max()) - threshold
 
     blowup_event.terminal = True
     blowup_event.direction = 1.0
     scale = math.sqrt(rows)
     solver = _solver(A, edges[-1] - edges[0], rows)
-    y = y0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if grid is None:
-            out = {"dense_output": True}
-        else:
-            out = {"t_eval": np.append(grid[(grid >= a) & (grid < b)], b)}
-        sol = solve_ivp(
-            f_at(a),
-            (a, b),
-            y,
-            rtol=cfg.rel_tol / scale,
-            atol=cfg.abs_tol / scale,
-            max_step=cfg.max_step,
-            events=blowup_event,
-            **solver,
-            **out,
-        )
-        if sol.status == -1:
-            raise StepSizeError(f"integrator failed on [{a}, {b}]: {sol.message}")
-        yield b, sol
-        if sol.status == 1:  # blow-up: the terminal event ends the last step
-            return
-        y = sol.y[:, -1].copy()  # a view would keep the whole segment's output alive
+    y, a, reported = y0, edges[0], 0
+    for b in edges[1:]:
+        while a < b:
+            live = stop > a
+            if not live.any():
+                return
+            sel = slice(None) if live.all() else live  # read by blowup_event
+            if grid is None:
+                out = {"dense_output": True}
+            else:
+                out = {"t_eval": np.append(grid[reported : np.searchsorted(grid, b)], b)}
+            sol = solve_ivp(
+                f_at(a, sel),
+                (a, b),
+                y,
+                rtol=cfg.rel_tol / scale,
+                atol=cfg.abs_tol / scale,
+                max_step=cfg.max_step,
+                events=blowup_event,
+                **solver,
+                **out,
+            )
+            if sol.status == -1:
+                raise StepSizeError(f"integrator failed on [{a}, {b}]: {sol.message}")
+            if sol.status == 1:  # the terminal event ends the last step at the crossing
+                y, a = sol.y_events[0][0], float(sol.t_events[0][0])
+                sq = (y * y).reshape(rows, -1).sum(axis=1)
+                # a row left live above the threshold would never cross it upward
+                crossed = np.flatnonzero(live & (sq >= min(sq[live].max(), threshold**2)))
+                stop[crossed] = a
+            else:
+                # a copy: a view would keep the whole solve's output alive
+                y, a, crossed = sol.y[:, -1].copy(), b, np.zeros(0, dtype=int)
+            reported += int(np.searchsorted(sol.t, b))  # a grid time at b is the next solve's
+            yield b, sol, crossed
 
 
 def integrate(
@@ -292,7 +297,7 @@ def integrate(
         raise ValueError(f"input has dimension {u.dim}, expected {sys.input_dim}")
     piecewise_const = isinstance(u, InputSignal)
 
-    def f_at(a):
+    def f_at(a, live):  # the one row is live until the run ends
         if piecewise_const:
             uval = u.eval(a)
             return lambda t, y: sys.full_rhs(y, uval)
@@ -302,14 +307,12 @@ def integrate(
     times = [np.zeros(1)]
     states = [x0[None, :]]
     steps = []  # one dense-output interpolant per solver step
-    blew_up = False
     t_max = math.inf
-    for _, sol in _segments(f_at, x0, edges, cfg, 1, sys.linear_part):
+    for _, sol, crossed in _segments(f_at, x0, edges, cfg, [tau], sys.linear_part):
         times.append(sol.t[1:])
         states.append(sol.y[:, 1:].T)
         steps += sol.sol.interpolants
-        if sol.status == 1:
-            blew_up = True
+        if crossed.size:
             t_max = float(sol.t_events[0][0])
 
     times = np.concatenate(times)
@@ -320,7 +323,7 @@ def integrate(
         times=times,
         states=np.vstack(states),
         t_max_estimate=t_max,
-        blew_up=blew_up,
+        blew_up=t_max < math.inf,
         dense=OdeSolution(times, steps, alt_segment=bdf),
     )
 
@@ -328,6 +331,15 @@ def integrate(
 # State values one solver call may report; longer stretches of an ensemble's
 # grid restart at a grid time, so memory stays bounded as rows and times grow.
 _REPORT_VALUES = 1 << 15
+
+
+def _time_grid(grid, end: float, name: str = "grid") -> np.ndarray:
+    """`grid` as a float array; a ValueError naming it unless it is
+    non-empty and strictly increasing in [0, end]."""
+    g = np.asarray(grid, dtype=float)
+    if not (g.ndim == 1 and g.size and 0 <= g[0] and g[-1] <= end and np.all(np.diff(g) > 0)):
+        raise ValueError(f"{name} must be non-empty and strictly increasing in [0, {end}]")
+    return g
 
 
 def _grid_groups(grid, N: int, tau_max: float) -> list:
@@ -345,23 +357,12 @@ def _grid_groups(grid, N: int, tau_max: float) -> list:
         groups = [(g, np.array(rows)) for g, rows in shared.values()]
     else:
         groups = [(grid, np.arange(N))]
-    out = []
-    for g, rows in groups:
-        g = np.asarray(g, dtype=float)
-        if not (
-            g.ndim == 1 and g.size and 0 <= g[0] and g[-1] <= tau_max
-            and np.all(np.diff(g) > 0)
-        ):
-            raise ValueError(
-                "every grid must be non-empty and strictly increasing in [0, max(tau)]"
-            )
-        out.append((g, rows))
-    return out
+    return [(_time_grid(g, tau_max, "every grid"), rows) for g, rows in groups]
 
 
 def _sample_ensemble(
     sys: SystemDef, X0, inputs, tau, grid, cfg: IntegratorConfig
-) -> tuple[np.ndarray, float, int | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """States of N trajectories at their grid times, integrated as one stacked ODE.
 
     Row i starts at X0[i] under the piecewise-constant InputSignal inputs[i]
@@ -369,17 +370,16 @@ def _sample_ensemble(
     `grid` is one strictly increasing array of times in [0, max(tau)] that
     every row reads, or a list of N such arrays, row i reading grid[i]
     (rows given the same array are read together).  Integration restarts at
-    the union of the rows' breakpoints and horizons.  From its horizon on, a
-    row is frozen: its derivative is zero, so it cannot cross the blow-up
-    threshold later, and its grid times after tau[i] hold its state at
-    tau[i].  The solver reports only the union of the grids (`t_eval`, no
-    dense output), at most _REPORT_VALUES state values per call, and each
-    row keeps only its own times.  Returns the samples, shape (T, N, n) for
-    T the longest grid's length (NaN after the end of a shorter one), the
-    blow-up time (inf if none) and the row that crossed (None if none): a
-    blow-up ends the whole ensemble, and later grid times hold the crossing
-    state.  `sys.rhs` must be row-wise: (K, n) states with (K, m)
-    inputs give (K, n) derivatives.
+    the union of the rows' breakpoints and horizons.  A row is frozen from
+    its horizon on, or from the time its norm crosses the blow-up threshold
+    if that comes first: its derivative is zero and its later grid times
+    hold its state there, while the other rows go on.  The solver reports
+    only the union of the grids (`t_eval`, no dense output), at most
+    _REPORT_VALUES state values per call, and each row keeps only its own
+    times.  Returns the samples, shape (T, N, n) for T the longest grid's
+    length (NaN after the end of a shorter one), and each row's crossing
+    time, shape (N,) (inf if it did not cross).  `sys.rhs` must be
+    row-wise: (K, n) states with (K, m) inputs give (K, n) derivatives.
     """
     X0 = np.asarray(X0, dtype=float)
     N, n = X0.shape
@@ -403,13 +403,11 @@ def _sample_ensemble(
     switch_at = np.concatenate([u.breakpoints for u in inputs])
     switch_row = np.repeat(np.arange(N), [u.breakpoints.size for u in inputs])
 
-    def f_at(a):
-        live = tau > a  # rows whose horizon lies beyond the segment start
-        sel = slice(None) if live.all() else live
-        U = values[first + np.bincount(switch_row[switch_at <= a], minlength=N)][sel]
+    def f_at(a, live):
+        U = values[first + np.bincount(switch_row[switch_at <= a], minlength=N)][live]
 
         def f(t, y):
-            Y = y.reshape(N, n)[sel]
+            Y = y.reshape(N, n)[live]
             dY = np.asarray(sys.rhs(Y, U))
             if dY.shape != Y.shape:
                 raise ValueError(
@@ -418,10 +416,10 @@ def _sample_ensemble(
                 )
             if A is not None:
                 dY = dY + Y @ A.T
-            if isinstance(sel, slice):
+            if isinstance(live, slice):
                 return dY.ravel()
             full = np.zeros((N, n))  # frozen rows stay where they are
-            full[sel] = dY
+            full[live] = dY
             return full.ravel()
 
         return f
@@ -446,21 +444,21 @@ def _sample_ensemble(
         np.concatenate([switch_at, tau, union[per_call::per_call]]),
         tau.max(),
     )
+    t_cross = np.full(N, math.inf)
     k = 0  # union times filled so far
-    for b, sol in _segments(f_at, X0.ravel(), edges, cfg, N, A, union):
-        # union times in [a, b); after a blow-up only those before the crossing
-        got = min(int(np.searchsorted(union, b)) - k, len(sol.t))
+    for b, sol, crossed in _segments(f_at, X0.ravel(), edges, cfg, tau, A, union):
+        got = int(np.searchsorted(sol.t, b))  # the union times in the solve, b aside
         if got > 0:
             scatter(k, got, sol.y[:, :got].reshape(N, n, got))
             k += got
-    if sol.status == 1:  # later grid times hold the crossing state
-        end, t_max = sol.y_events[0][0].reshape(N, n), float(sol.t_events[0][0])
-        crossed = int(np.linalg.norm(end, axis=1).argmax())
-    else:  # union times at max(tau)
-        end, t_max, crossed = sol.y[:, -1].reshape(N, n), math.inf, None
+        if crossed.size:
+            end, t_cross[crossed] = sol.y_events[0][0], sol.t_events[0][0]
+        else:
+            end = sol.y[:, -1]
+    # the union times at max(tau), or after the last row froze, hold the last state
     rest = union.size - k
-    scatter(k, rest, np.broadcast_to(end[:, :, None], (N, n, rest)))
-    return samples, t_max, crossed
+    scatter(k, rest, np.broadcast_to(end.reshape(N, n, 1), (N, n, rest)))
+    return samples, t_cross
 
 
 def semigroup_growth(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compfun import ScalarFun
-from .sysdyn import InputSignal, IntegratorConfig, SystemDef, Trajectory, integrate
+from .sysdyn import InputSignal, IntegratorConfig, SystemDef, Trajectory, _time_grid, integrate
 
 __all__ = [
     "GrowthMargin",
@@ -130,15 +130,18 @@ def project_input(
 ) -> DisturbanceSignal:
     """Recover the disturbance d(t) = u(t) / eta(||phi(t, x0, u)||).
 
+    d is read at the solver's steps, or at the times of `grid`, which must
+    be non-empty and strictly increasing in [0, tau] (else a ValueError).
     Where the margin is below EPS_DIV the convention d = 0 applies, but only
     for dominated inputs; otherwise a DivisionGuardError names the time.
     """
+    if grid is not None:
+        ts = _time_grid(grid, tau)
     cfg = cfg or IntegratorConfig()
     traj = integrate(sys, x0, u, tau, cfg)
     if grid is None:
         ts, X = traj.times, traj.states
     else:
-        ts = np.asarray(grid, dtype=float)
         X = traj.state_at(ts)
     e = np.asarray(margin(np.linalg.norm(X, axis=1)), dtype=float)
     U = np.array([u.eval(t) for t in ts], dtype=float)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import brslab as bl
-from brslab import brscheck, sysdyn
+from brslab import brscheck, sysdyn, tdinput
 from brslab.brscheck import (
     RATIO_CAP,
     _monotone_envelope,
@@ -13,7 +13,7 @@ from brslab.brscheck import (
     gronwall_bound,
     sample_reach,
 )
-from brslab.compfun import theta
+from brslab.compfun import inverse, theta
 
 
 @pytest.fixture(scope="module")
@@ -111,8 +111,8 @@ class TestSampleReachWork:
 
         sampler = counted("ensemble", brscheck._sample_ensemble)
         monkeypatch.setattr(brscheck, "_sample_ensemble", sampler)
-        monkeypatch.setattr(brscheck, "integrate", counted("integrate", brscheck.integrate))
-        monkeypatch.setattr(sysdyn, "integrate", counted("integrate", sysdyn.integrate))
+        for mod in (sysdyn, tdinput):  # brscheck holds no integrate of its own
+            monkeypatch.setattr(mod, "integrate", counted("integrate", mod.integrate))
         return counts
 
     def test_bounded_run_is_one_ensemble(self, sigma1, counts):
@@ -120,11 +120,15 @@ class TestSampleReachWork:
         assert np.all(np.isfinite(s.norm_phi))
         assert counts == {"ensemble": 1, "integrate": 0}
 
-    def test_each_crossing_reruns_the_rest(self, counts):
+    def test_crossings_share_one_ensemble(self, counts):
         s = sample_reach(bl.make("quadratic").system, 3.0, 3.0, 20, seed=5)
         k = int(np.isinf(s.norm_phi).reshape(20, 8).any(axis=1).sum())
         assert 0 < k < 20
-        assert counts == {"ensemble": k + 1, "integrate": 0}
+        assert counts == {"ensemble": 1, "integrate": 0}
+
+    def test_rfc_check_is_one_ensemble(self, sigma1, counts):
+        bl.verify_rfc_tdi(sigma1.system, sigma1.margin, sigma1.margin.eta, 0.0, 2.0, 3.0, 8, 101)
+        assert counts == {"ensemble": 1, "integrate": 0}
 
 
 class TestFitAdditiveBound:
@@ -201,21 +205,59 @@ class TestMarginPipeline:
                 assert np.all(lhs <= rhs + 1e-9)
 
 
+def overscaled_kappa_case():
+    """x' = u with kappa(s) = 10 s: the inverse bound (t + ||x||)/10 is far
+    below the lifted trajectories.  Returns verify_rfc_tdi's arguments."""
+    sys_ = bl.SystemDef(1, 1, lambda x, u: u, name="integrator")
+    eta = bl.ScalarFun(
+        np.array([0.0, 1.0]), np.array([0.0, 0.5]), 0.5, frozenset({"Kinf", "Lip1"})
+    )
+    kappa10 = bl.ScalarFun(np.array([0.0, 1.0]), np.array([0.0, 10.0]), 10.0,
+                           frozenset({"Kinf"}))
+    return sys_, bl.GrowthMargin(eta), kappa10, 0.0, 2.0, 2.0, 6, 11
+
+
 class TestRfcViolationDetection:
     def test_overscaled_kappa_reports_violation(self):
-        # x' = u with kappa(s) = 10 s: the inverse bound (t + ||x||)/10 is
-        # far below the lifted trajectories
-        sys_ = bl.SystemDef(1, 1, lambda x, u: u, name="integrator")
-        eta = bl.ScalarFun(
-            np.array([0.0, 1.0]), np.array([0.0, 0.5]), 0.5, frozenset({"Kinf", "Lip1"})
-        )
-        kappa10 = bl.ScalarFun(np.array([0.0, 1.0]), np.array([0.0, 10.0]), 10.0,
-                               frozenset({"Kinf"}))
-        report = bl.verify_rfc_tdi(
-            sys_, bl.GrowthMargin(eta), kappa10, 0.0, 2.0, 2.0, 6, 11
-        )
+        report = bl.verify_rfc_tdi(*overscaled_kappa_case())
         assert not report.holds
         assert report.max_violation > 0
+
+
+def per_state_rfc(sys, margin, kappa, c, C, tau, n, seed):
+    """(max_violation, worst) of the RFC check from one `integrate` per
+    state, read on the check's 65-point grid of [0, tau]."""
+    cfg = bl.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
+    cl = bl.closed_loop(sys, margin)
+    dists = bl.disturbance_family(sys.input_dim, tau, max(3, n // 4), seed)
+    grid = np.linspace(0.0, tau, 65)
+    best, worst = -math.inf, None
+    for i in range(n):
+        x0 = _random_in_ball(brscheck.seeded_rng(seed, "rfc_states", i), sys.state_dim, C)
+        norms = np.linalg.norm(bl.integrate(cl, x0, dists[i % len(dists)], tau, cfg)
+                               .state_at(grid), axis=1)
+        nx = float(np.linalg.norm(x0))
+        viol = norms - np.asarray(inverse(kappa)(grid + nx + c))
+        j = int(np.argmax(viol))
+        if viol[j] > best:
+            best, worst = float(viol[j]), (float(grid[j]), nx, float(norms[j]))
+    return best, worst
+
+
+class TestRfcParity:
+    """The RFC check's ensemble against one `integrate` per state."""
+
+    @pytest.mark.parametrize("case", ["sigma1", "overscaled_kappa"])
+    def test_agrees_with_per_state_integration(self, sigma1, case):
+        if case == "sigma1":
+            args = (sigma1.system, sigma1.margin, sigma1.margin.eta, 0.0, 2.0, 3.0, 8, 101)
+        else:
+            args = overscaled_kappa_case()
+        report = bl.verify_rfc_tdi(*args)
+        ref_violation, ref_worst = per_state_rfc(*args)
+        assert report.max_violation == pytest.approx(ref_violation, rel=1e-6)
+        assert report.worst[0] == ref_worst[0]
+        assert report.worst[1:] == pytest.approx(ref_worst[1:], rel=1e-6)
 
 
 class TestProbes:

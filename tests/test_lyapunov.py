@@ -213,7 +213,8 @@ class TestEnsembleEstimates:
 
 
 def count_calls(monkeypatch) -> dict:
-    """Counts of sampler and integrate calls made from lyapunov and brscheck."""
+    """Counts of sampler and integrate calls made from lyapunov and brscheck
+    (which holds no integrate of its own)."""
     calls = {"ensemble": 0, "integrate": 0}
 
     def counting(name, fn):
@@ -222,9 +223,10 @@ def count_calls(monkeypatch) -> dict:
             return fn(*args, **kwargs)
         return wrapper
 
-    for mod in (lyapunov, brscheck):
-        for attr, name in (("_sample_ensemble", "ensemble"), ("integrate", "integrate")):
-            monkeypatch.setattr(mod, attr, counting(name, getattr(mod, attr)))
+    for mod, attr, name in ((lyapunov, "_sample_ensemble", "ensemble"),
+                            (brscheck, "_sample_ensemble", "ensemble"),
+                            (lyapunov, "integrate", "integrate")):
+        monkeypatch.setattr(mod, attr, counting(name, getattr(mod, attr)))
     return calls
 
 

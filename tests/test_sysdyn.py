@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 import brslab as bl
 from brslab import sysdyn
-from brslab.sysdyn import _sample_ensemble, concat, semigroup_growth
+from brslab.sysdyn import _sample_ensemble, semigroup_growth
 from brslab.tdinput import closed_loop
 
 
@@ -48,21 +48,6 @@ class TestInputSignal:
         v = u.shift(1.5)
         for s in [0.0, 0.2, 0.6, 3.0]:
             assert v.eval(s) == pytest.approx(u.eval(s + 1.5))
-
-    def test_concat_splice(self):
-        u1 = bl.InputSignal.constant([1.0])
-        u2 = bl.InputSignal([0.5], [[5.0]], [7.0])
-        w = concat(u1, u2, 2.0)
-        assert w.eval(1.9) == pytest.approx(1.0)
-        assert w.eval(2.0) == pytest.approx(5.0)
-        assert w.eval(2.6) == pytest.approx(7.0)
-        assert w.eval(0.0) == pytest.approx(1.0)
-
-    def test_concat_at_zero_is_second_signal(self):
-        u1 = bl.InputSignal.constant([1.0])
-        u2 = bl.InputSignal([0.5], [[5.0]], [7.0])
-        w = concat(u1, u2, 0.0)
-        assert w.eval(0.0) == pytest.approx(5.0)
 
 
 class TestIntegrate:
@@ -218,11 +203,12 @@ class TestBlowup:
         assert traj.blew_up
         assert traj.t_max_estimate == pytest.approx(math.log(cfg.blowup_threshold), rel=1e-6)
         assert np.linalg.norm(traj.states[-1]) == pytest.approx(cfg.blowup_threshold, rel=1e-6)
-        # the half-length row would cross only at log(2 threshold)
-        _, t_max, row = _sample_ensemble(
+        # the half-length row crosses later, at log(2 threshold)
+        _, t_cross = _sample_ensemble(
             lin, [[0.6, 0.8], [0.3, 0.4]], [zero, zero], 25.0, np.linspace(0.0, 25.0, 26), cfg
         )
-        assert row == 0 and t_max == pytest.approx(traj.t_max_estimate, rel=1e-6)
+        assert t_cross[0] == pytest.approx(traj.t_max_estimate, rel=1e-6)
+        assert t_cross[1] == pytest.approx(math.log(2.0 * cfg.blowup_threshold), rel=1e-6)
 
 
 def assert_rows_agree(sys, X0, inputs, tau, grid, cfg, sampled=None):
@@ -231,11 +217,11 @@ def assert_rows_agree(sys, X0, inputs, tau, grid, cfg, sampled=None):
 
     `sampled` is the sampler's output for these arguments if it was taken
     already (under another solver than the references')."""
-    samples, t_max, row = sampled or _sample_ensemble(sys, X0, inputs, tau, grid, cfg)
+    samples, t_cross = sampled or _sample_ensemble(sys, X0, inputs, tau, grid, cfg)
     taus = np.broadcast_to(tau, (len(X0),))
     grids = grid if isinstance(grid, list) else [grid] * len(X0)
     assert samples.shape == (max(g.size for g in grids), len(X0), sys.state_dim)
-    assert t_max == math.inf and row is None
+    assert np.all(t_cross == math.inf)
     tight = bl.IntegratorConfig(rel_tol=cfg.rel_tol * 1e-4, abs_tol=cfg.abs_tol * 1e-4)
     for i, (x0, u, tau_i, g) in enumerate(zip(X0, inputs, taus, grids)):
         ref = bl.integrate(sys, x0, u, tau_i, tight).state_at(g)
@@ -294,20 +280,52 @@ class TestSampleEnsemble:
     def test_reaction_diffusion(self):
         assert_rows_agree(*ensemble_case("reaction_diffusion"))
 
-    def test_blowup_ends_the_ensemble(self):
+    def test_crossing_row_freezes_and_the_rest_go_on(self):
         quad, X0, inputs, tau, grid, cfg = ensemble_case("quadratic_blowup")
-        zero = inputs[0]
-        samples, t_max, row = _sample_ensemble(quad, X0, inputs, tau, grid, cfg)
-        ref = bl.integrate(quad, [2.0], zero, 1.0, cfg).t_max_estimate
-        assert t_max == pytest.approx(ref, rel=1e-6)
-        assert row == 1
-        after = grid > t_max
+        samples, t_cross = _sample_ensemble(quad, X0, inputs, tau, grid, cfg)
+        ref = bl.integrate(quad, [2.0], inputs[0], 1.0, cfg).t_max_estimate
+        assert t_cross[0] == math.inf
+        assert t_cross[1] == pytest.approx(ref, rel=1e-6)
+        after = grid > t_cross[1]
         assert after.sum() == 6  # t = 0.5, ..., 1.0: the crossing is just before 0.5
-        # every later grid point holds the state at the crossing
-        assert np.all(samples[after] == samples[-1])
+        # the crossing row holds its crossing state at every later grid point
+        assert np.all(samples[after, 1] == samples[-1, 1])
         assert samples[-1, 1, 0] == pytest.approx(cfg.blowup_threshold, rel=1e-6)
-        assert samples[-1, 0, 0] == pytest.approx(1.0 / (2.0 - t_max), rel=1e-6)
         assert samples[~after, 1, 0] == pytest.approx(1.0 / (0.5 - grid[~after]), rel=1e-6)
+        # the other row runs to the horizon
+        assert samples[:, 0, 0] == pytest.approx(1.0 / (2.0 - grid), rel=1e-6)
+
+    def test_rows_cross_at_their_own_times(self):
+        # x' = x^2 from 2, 1 and 0.5 crosses near t = 0.5, 1 and 2; from 0.1
+        # only at t = 10 and from -1 never
+        quad = bl.make("quadratic").system
+        zero = bl.InputSignal.constant([0.0])
+        X0 = np.array([[0.1], [2.0], [-1.0], [1.0], [0.5]])
+        inputs, tau, grid = [zero] * 5, 3.0, np.linspace(0.0, 3.0, 31)
+        cfg = bl.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11)
+        samples, t_cross = _sample_ensemble(quad, X0, inputs, tau, grid, cfg)
+        crossing = [1, 3, 4]
+        for i in crossing:
+            ref = bl.integrate(quad, X0[i], zero, tau, cfg)
+            assert ref.blew_up and t_cross[i] == pytest.approx(ref.t_max_estimate, rel=1e-6), i
+            assert np.all(samples[grid >= t_cross[i], i] == samples[-1, i]), i
+        assert np.all(t_cross[[0, 2]] == math.inf)
+        # the bounded rows, checked as assert_rows_agree checks them
+        assert_rows_agree(quad, X0[[0, 2]], [zero] * 2, tau, grid, cfg,
+                          (samples[:, [0, 2]], t_cross[[0, 2]]))
+
+    def test_rows_crossing_together_freeze_together(self):
+        # equal rows cross at the same time; one left live above the
+        # threshold would never cross it upward and run into a step underflow
+        quad = bl.make("quadratic").system
+        zero = bl.InputSignal.constant([0.0])
+        grid = np.linspace(0.0, 1.0, 11)
+        samples, t_cross = _sample_ensemble(quad, [[2.0], [0.5], [2.0]], [zero] * 3, 1.0,
+                                            grid, bl.IntegratorConfig())
+        assert t_cross[0] == t_cross[2] == pytest.approx(0.5, rel=1e-6)
+        assert t_cross[1] == math.inf
+        assert np.array_equal(samples[:, 0], samples[:, 2])
+        assert samples[:, 1, 0] == pytest.approx(1.0 / (2.0 - grid), rel=1e-6)
 
     def test_rhs_that_is_not_row_wise_is_named(self):
         flat = bl.SystemDef(1, 1, lambda x, u: np.zeros(1), name="flat")
@@ -334,24 +352,26 @@ class TestSampleEnsemble:
             _sample_ensemble(quad, [[0.1], [0.2]], [u, u], 1.0, [grid], bl.IntegratorConfig())
 
 
-# Digests of the samples (and the blow-up time) of the four cases above as
-# the sampler gave them before it took per-row horizons, recorded with numpy
-# 2.4 and scipy 1.17 on x86-64: a scalar tau must still reproduce them bit
-# for bit.
+# Digests of the samples (and the first blow-up time) of the four cases
+# above as the sampler gave them before it took per-row horizons, recorded
+# with numpy 2.4 and scipy 1.17 on x86-64: a scalar tau must still
+# reproduce them bit for bit.  quadratic_blowup was recorded again when a
+# crossing row came to freeze in place of ending the ensemble, so its other
+# row now runs to the horizon; the crossing time did not move.
 SCALAR_TAU_DIGESTS = {
     "sigma1_closed_loop": ("eed661ded6d8e3060031bb3a0c6d72a9", math.inf),
     "non_normal_linear": ("97b4196b55bf8e78f45901eabeee1c91", math.inf),
     "reaction_diffusion": ("17d91d706536fdc4d5ca57c4c16e98c6", math.inf),
-    "quadratic_blowup": ("9445e8194404c10b476055244dacae3a", 0.49999999896633285),
+    "quadratic_blowup": ("bf375c674e87e42ed187aff71df33e50", 0.49999999896633285),
 }
 
 
 class TestRaggedHorizons:
     @pytest.mark.parametrize("name", sorted(SCALAR_TAU_DIGESTS))
     def test_scalar_tau_is_bit_identical(self, name):
-        samples, t_max, _ = _sample_ensemble(*ensemble_case(name))
+        samples, t_cross = _sample_ensemble(*ensemble_case(name))
         digest = hashlib.sha256(samples.tobytes()).hexdigest()[:32]
-        assert (digest, t_max) == SCALAR_TAU_DIGESTS[name]
+        assert (digest, t_cross.min()) == SCALAR_TAU_DIGESTS[name]
 
     def test_rows_match_integrate_to_their_own_horizons(self):
         cl, X0, dists, _, _, cfg = ensemble_case("sigma1_closed_loop")
@@ -366,8 +386,8 @@ class TestRaggedHorizons:
         cl, X0, dists, _, grid, cfg = ensemble_case("sigma1_closed_loop")
         taus = grid[[30, 12, 25, 4, 30, 17]]
         taus[5] += 0.05  # between two grid points
-        samples, t_max, row = _sample_ensemble(cl, X0, dists, taus, grid, cfg)
-        assert t_max == math.inf and row is None
+        samples, t_cross = _sample_ensemble(cl, X0, dists, taus, grid, cfg)
+        assert np.all(t_cross == math.inf)
         tight = bl.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15)
         for i, tau in enumerate(taus):
             assert np.all(samples[grid >= tau, i] == samples[-1, i]), i
@@ -381,21 +401,22 @@ class TestRaggedHorizons:
         quad = bl.make("quadratic").system
         zero = bl.InputSignal.constant([0.0])
         grid = np.linspace(0.0, 3.0, 31)
-        samples, t_max, row = _sample_ensemble(
+        samples, t_cross = _sample_ensemble(
             quad, [[0.5], [0.1]], [zero, zero], [1.0, 3.0], grid, bl.IntegratorConfig()
         )
-        assert t_max == math.inf and row is None
+        assert np.all(t_cross == math.inf)
         assert samples[grid >= 1.0, 0, 0] == pytest.approx(1.0 / (2.0 - 1.0), rel=1e-6)
         assert samples[:, 1, 0] == pytest.approx(1.0 / (10.0 - grid), rel=1e-6)
 
     def test_crossing_row_is_named(self):
         quad = bl.make("quadratic").system
         zero = bl.InputSignal.constant([0.0])
-        samples, t_max, row = _sample_ensemble(
+        _, t_cross = _sample_ensemble(
             quad, [[0.1], [0.5], [0.2]], [zero] * 3, [3.0, 3.0, 1.0],
             np.linspace(0.0, 3.0, 31), bl.IntegratorConfig(),
         )
-        assert row == 1 and t_max == pytest.approx(2.0, rel=1e-6)
+        assert t_cross[1] == pytest.approx(2.0, rel=1e-6)
+        assert np.all(t_cross[[0, 2]] == math.inf)
 
 
 def solver_methods(monkeypatch):
@@ -487,10 +508,12 @@ class TestStiffPath:
         zero = bl.InputSignal.constant([0.0, 0.0])
         cfg = bl.IntegratorConfig()
         crossing = math.log(cfg.blowup_threshold)
-        _, t_max, row = _sample_ensemble(
+        _, t_cross = _sample_ensemble(
             lin, [[1.0, 1.0], [0.5, 0.5]], [zero, zero], 25.0, np.linspace(0.0, 25.0, 26), cfg
         )
-        assert row == 0 and t_max == pytest.approx(crossing, rel=1e-6)
+        # the half-size row crosses later, at ln(2 threshold)
+        assert t_cross == pytest.approx([crossing, math.log(2.0 * cfg.blowup_threshold)],
+                                        rel=1e-6)
         traj = bl.integrate(lin, [1.0, 1.0], zero, 25.0, cfg)
         assert traj.blew_up and traj.t_max_estimate == pytest.approx(crossing, rel=1e-6)
         assert set(methods) == {"BDF"}

@@ -125,6 +125,14 @@ class TestLiftProject:
         with pytest.raises(bl.DivisionGuardError, match=r"at t=0\.5: margin 0\.0 but"):
             bl.project_input(sigma1.system, sigma1.margin, [0.0], u, 1.0, grid=grid)
 
+    @pytest.mark.parametrize("grid", [[0.5, 0.2], [], [0.2, 0.2], [0.0, 1.5], [-0.1, 0.5]])
+    def test_rejects_a_bad_grid(self, sigma1, grid):
+        # [0.5, 0.2] used to give a signal holding d(0.5) on [0, 0.2), and []
+        # to escape as numpy's concatenate error
+        u = bl.InputSignal.constant([0.1])
+        with pytest.raises(ValueError, match="grid"):
+            bl.project_input(sigma1.system, sigma1.margin, [0.5], u, 1.0, grid=np.array(grid))
+
     def test_projection_clipped_to_unit_ball(self, sigma1):
         # u / eta(||phi||) of the lifted unit disturbance exceeds 1 by ~2e-8
         # from integration error; the projection clips it back
