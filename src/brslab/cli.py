@@ -4,11 +4,20 @@ Exit codes: 0 success, 1 falsified property (witness JSON on stdout),
 2 usage, config or integrator (step-size underflow) error.  Every emitted
 JSON embeds the config hash and the seed, and outputs are pure functions of
 (config, seed, binary version).
+
+`lyapunov build` stamps its manifest with a reuse key: the config hash, a
+digest of brslab's own sources and the numpy and scipy versions.
+`lyapunov verify` reads the Lipschitz table and the radial table back from
+--out when the manifest there carries its own key, and builds them
+otherwise (no manifest or table, an unreadable one, a table that is not the
+one the manifest was written with, or another key); either way it writes
+the same bytes.  The growth pairs and the sandwich check always run.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -17,6 +26,7 @@ import sys as _sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import examples as ex
 from .brscheck import (
@@ -36,6 +46,7 @@ from .lyapunov import (
     TailBudgetError,
     build_l_table,
     dump_table,
+    load_table,
     radial_table,
     verify_growth,
 )
@@ -51,6 +62,22 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(
         json.dumps(cfg, sort_keys=True).encode("utf-8")
     ).hexdigest()[:16]
+
+
+@functools.cache
+def _code_digest() -> str:
+    """sha256 of brslab's own sources, computed once, on first use."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode("utf-8"))
+        h.update(path.read_bytes())
+    return h.hexdigest()[:16]
+
+
+def _reuse_key(cfg: dict) -> dict:
+    """What a `lyapunov build` manifest must carry for verify to reuse it."""
+    return {"config_hash": _config_hash(cfg), "code_digest": _code_digest(),
+            "numpy_version": np.__version__, "scipy_version": scipy.__version__}
 
 
 def _load_config(path: str | None, args) -> dict:
@@ -92,9 +119,12 @@ def _setting(cfg: dict, key: str, default, kind=float):
     return value
 
 
+def _out_path(args) -> Path:
+    return Path(args.out or os.environ.get("BRSLAB_OUT") or ".")
+
+
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("BRSLAB_OUT") or "."
-    path = Path(out)
+    path = _out_path(args)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -273,13 +303,30 @@ def cmd_lipschitz_probe(args) -> int:
     return 0
 
 
-def _build_pipeline(cfg: dict):
+def _stored_tables(cfg: dict, out: Path):
+    """(l_table, table) as `lyapunov build` wrote them to out for this
+    config and code, or None if out holds no such pair."""
+    try:
+        table, l_table, manifest = load_table(out)
+    except (OSError, ValueError):
+        return None
+    if any(manifest.get(k) != v for k, v in _reuse_key(cfg).items()):
+        return None
+    return l_table, table
+
+
+def _build_pipeline(cfg: dict, stored_in: Path | None = None):
+    """bundle, margin, Lyapunov config, l_table and radial table; the two
+    tables come from `stored_in` when it holds them for this config."""
     bundle = _bundle(cfg)
     margin = _margin(bundle, cfg)
     lyap_cfg = _lyap_cfg(cfg)
     radii = _array(cfg, "radii", np.linspace(0.0, 2.0, 21))
     if radii.ndim != 1 or radii.size == 0 or not np.all(np.isfinite(radii) & (radii >= 0)):
         raise ConfigError(f"radii must be a non-empty list of finite numbers >= 0, got {radii}")
+    stored = None if stored_in is None else _stored_tables(cfg, stored_in)
+    if stored is not None:
+        return bundle, margin, lyap_cfg, *stored
     if "c" in cfg:
         c = _setting(cfg, "c", None)
     else:
@@ -297,14 +344,14 @@ def cmd_lyapunov_build(args) -> int:
     cfg = _load_config(args.config, args)
     bundle, margin, lyap_cfg, l_table, table = _build_pipeline(cfg)
     out = _out_dir(args)
-    dump_table(table, out, lyap_cfg, l_table, {"config_hash": _config_hash(cfg)})
+    dump_table(table, out, lyap_cfg, l_table, _reuse_key(cfg))
     return 0
 
 
 def cmd_lyapunov_verify(args) -> int:
     cfg = _load_config(args.config, args)
     n_pairs = _setting(cfg, "growth_pairs", 10, int)
-    bundle, margin, lyap_cfg, l_table, table = _build_pipeline(cfg)
+    bundle, margin, lyap_cfg, l_table, table = _build_pipeline(cfg, _out_path(args))
     bad = (table["alpha1"] > table["V"] + 1e-9) | (
         table["V"] > table["alpha2_plus_C"] + 1e-9
     )

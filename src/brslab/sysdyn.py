@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import sparse
 from scipy.integrate import OdeSolution, solve_ivp
+from scipy.integrate._ivp.base import ConstantDenseOutput
 from scipy.linalg import expm
 
 __all__ = [
@@ -209,7 +210,9 @@ def _segments(f_at, y0, edges, cfg: IntegratorConfig, tau, A, grid=None):
     """Solve the stack y' = f_at(a, live)(t, y) of len(tau) rows across
     `edges`, one solve per [a, b] from the previous solve's last state;
     yields (b, sol, crossed): each solution and the rows whose blow-up
-    ended it before b (none if it reached b).
+    ended it before b (none if it reached b).  Rows that start at or above
+    `cfg.blowup_threshold` cross at edges[0]: they come first, as
+    (edges[0], None, crossed), with no solve.
 
     Row i is live from a while a < tau[i]; `live` selects those rows and
     f_at must hold the others still.  The blow-up event is the largest live
@@ -237,6 +240,12 @@ def _segments(f_at, y0, edges, cfg: IntegratorConfig, tau, A, grid=None):
     scale = math.sqrt(rows)
     solver = _solver(A, edges[-1] - edges[0], rows)
     y, a, reported = y0, edges[0], 0
+    # the upward event never fires for a row that starts above the threshold;
+    # scaled, the norms neither overflow nor square the threshold
+    crossed = np.flatnonzero(np.linalg.norm(y0.reshape(rows, -1) / threshold, axis=1) >= 1.0)
+    if crossed.size:
+        stop[crossed] = a
+        yield a, None, crossed
     for b in edges[1:]:
         while a < b:
             live = stop > a
@@ -308,7 +317,10 @@ def integrate(
     states = [x0[None, :]]
     steps = []  # one dense-output interpolant per solver step
     t_max = math.inf
-    for _, sol, crossed in _segments(f_at, x0, edges, cfg, [tau], sys.linear_part):
+    for b, sol, crossed in _segments(f_at, x0, edges, cfg, [tau], sys.linear_part):
+        if sol is None:  # x0 lies at or above the threshold: crossed at t = 0
+            t_max = float(b)
+            continue
         times.append(sol.t[1:])
         states.append(sol.y[:, 1:].T)
         steps += sol.sol.interpolants
@@ -316,6 +328,9 @@ def integrate(
             t_max = float(sol.t_events[0][0])
 
     times = np.concatenate(times)
+    if not steps:  # a run that ends where it starts holds x0
+        return Trajectory(times, states[0], t_max, True,
+                          OdeSolution([0.0, 0.0], [ConstantDenseOutput(0.0, 0.0, x0)]))
     # as solve_ivp does: at a step time, BDF output is read from the step
     # that starts there, RK45 output from the step that ends there
     bdf = _solver(sys.linear_part, tau, 1)["method"] == "BDF"
@@ -446,7 +461,11 @@ def _sample_ensemble(
     )
     t_cross = np.full(N, math.inf)
     k = 0  # union times filled so far
-    for b, sol, crossed in _segments(f_at, X0.ravel(), edges, cfg, tau, A, union):
+    end = X0.ravel()
+    for b, sol, crossed in _segments(f_at, end, edges, cfg, tau, A, union):
+        if sol is None:  # rows at or above the threshold from the start
+            t_cross[crossed] = b
+            continue
         got = int(np.searchsorted(sol.t, b))  # the union times in the solve, b aside
         if got > 0:
             scatter(k, got, sol.y[:, :got].reshape(N, n, got))

@@ -231,6 +231,15 @@ class TestSimulate:
         assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
         assert (out1 / "simulate.json").read_bytes() == (out2 / "simulate.json").read_bytes()
 
+    def test_start_above_blowup_threshold_writes_t_max_zero(self, tmp_path):
+        path = write_cfg(tmp_path, {"system": {"name": "quadratic"}, "seed": 1,
+                                    "x0": [2e9], "u_constant": [0.0]})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        meta = strict_loads((out / "simulate.json").read_text())
+        assert meta["blew_up"] and meta["t_max"] == 0.0
+        assert meta["final_state"] == [2e9]
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         cfg = sigma1_cfg(tmp_path, x0=[0.5], horizon=0.5)
         monkeypatch.setenv("BRSLAB_OUT", str(tmp_path / "envout"))
@@ -343,6 +352,80 @@ class TestLyapunov:
         rep = json.loads((out / "lyapunov_verify.json").read_text())
         assert rep["sandwich_ok"]
         assert len(rep["growth_reports"]) == 2
+
+
+class TestVerifyReusesBuild:
+    """`lyapunov verify` reads the tables `lyapunov build` wrote for the same
+    config and code, and builds them itself otherwise, with the same bytes."""
+
+    lyap_cfg = TestLyapunov.lyap_cfg
+
+    @pytest.fixture
+    def table_calls(self, monkeypatch):
+        import brslab.cli as cli
+
+        calls = []
+        for name in ("build_l_table", "radial_table"):
+            def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+        return calls
+
+    def verify_bytes(self, cfg, out):
+        assert main(["lyapunov", "verify", "--config", cfg, "--out", str(out)]) == 0
+        return (out / "lyapunov_verify.json").read_bytes()
+
+    def test_verify_after_build_reads_its_tables(self, tmp_path, table_calls):
+        cfg = self.lyap_cfg(tmp_path)
+        fresh = self.verify_bytes(cfg, tmp_path / "fresh")
+        out = tmp_path / "out"
+        assert main(["lyapunov", "build", "--config", cfg, "--out", str(out)]) == 0
+        del table_calls[:]
+        assert self.verify_bytes(cfg, out) == fresh
+        assert table_calls == []
+
+    def spoil_other_seed(self, cfg, out):
+        assert main(["lyapunov", "build", "--config", cfg, "--seed", "43",
+                     "--out", str(out)]) == 0
+
+    def spoil_code_digest(self, cfg, out):
+        path = out / "lyapunov_manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["code_digest"] = "0" * 16
+        path.write_text(json.dumps(manifest))
+
+    def spoil_delete_csv(self, cfg, out):
+        (out / "lyapunov_table.csv").unlink()
+
+    def spoil_truncate_manifest(self, cfg, out):
+        path = out / "lyapunov_manifest.json"
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+
+    @pytest.mark.parametrize("spoil", ["other_seed", "code_digest", "delete_csv",
+                                       "truncate_manifest"])
+    def test_falls_back_to_building(self, tmp_path, table_calls, spoil):
+        cfg = self.lyap_cfg(tmp_path)
+        fresh = self.verify_bytes(cfg, tmp_path / "fresh")
+        out = tmp_path / "out"
+        assert main(["lyapunov", "build", "--config", cfg, "--out", str(out)]) == 0
+        getattr(self, f"spoil_{spoil}")(cfg, out)
+        del table_calls[:]
+        assert self.verify_bytes(cfg, out) == fresh
+        assert table_calls == ["build_l_table", "radial_table"]
+
+    def test_build_stamps_the_reuse_key(self, tmp_path):
+        import numpy
+        import scipy
+
+        out = tmp_path / "out"
+        assert main(["lyapunov", "build", "--config", self.lyap_cfg(tmp_path),
+                     "--out", str(out)]) == 0
+        manifest = strict_loads((out / "lyapunov_manifest.json").read_text())
+        assert len(manifest["code_digest"]) == 16 and len(manifest["table_sha256"]) == 64
+        assert manifest["numpy_version"] == numpy.__version__
+        assert manifest["scipy_version"] == scipy.__version__
 
 
 class TestExamplesList:

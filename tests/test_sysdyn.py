@@ -194,6 +194,16 @@ class TestBlowup:
         # the root is found in t to a few ulp, where |x'| = x^2 is about 1e18
         assert np.linalg.norm(traj.states[-1]) == pytest.approx(cfg.blowup_threshold, rel=1e-6)
 
+    @pytest.mark.parametrize("x0", [2e9, 1e9, -3e9])
+    def test_start_at_or_above_threshold_crosses_at_zero(self, x0):
+        # the upward event cannot fire for a state that starts above the
+        # threshold; without the start check the solver underflows its step
+        q = bl.make("quadratic")
+        traj = bl.integrate(q.system, [x0], bl.InputSignal.constant([0.0]), 1.0)
+        assert traj.blew_up and traj.t_max_estimate == 0.0
+        assert traj.times.tolist() == [0.0] and traj.states.tolist() == [[x0]]
+        assert traj.state_at(0.5).tolist() == [x0]
+
     def test_vector_state_blows_up_at_its_norm(self):
         # x' = x from a unit vector: the norm e^t crosses the threshold at its log
         lin = bl.make("linear", {"A": [[1.0, 0.0], [0.0, 1.0]]}).system
@@ -326,6 +336,23 @@ class TestSampleEnsemble:
         assert t_cross[1] == math.inf
         assert np.array_equal(samples[:, 0], samples[:, 2])
         assert samples[:, 1, 0] == pytest.approx(1.0 / (2.0 - grid), rel=1e-6)
+
+    def test_row_starting_above_threshold_crosses_at_zero(self):
+        quad = bl.make("quadratic").system
+        zero = bl.InputSignal.constant([0.0])
+        grid = np.linspace(0.0, 1.0, 11)
+        cfg = bl.IntegratorConfig()
+        samples, t_cross = _sample_ensemble(quad, [[0.5], [2e9], [2.0]], [zero] * 3, 1.0,
+                                            grid, cfg)
+        assert t_cross[1] == 0.0
+        assert np.all(samples[:, 1, 0] == 2e9)  # frozen at its start
+        assert t_cross[0] == math.inf
+        assert samples[:, 0, 0] == pytest.approx(1.0 / (2.0 - grid), rel=1e-6)
+        assert t_cross[2] == pytest.approx(
+            bl.integrate(quad, [2.0], zero, 1.0, cfg).t_max_estimate, rel=1e-6)
+        # every row above the threshold: no solve at all
+        samples, t_cross = _sample_ensemble(quad, [[2e9]], [zero], 1.0, grid, cfg)
+        assert t_cross.tolist() == [0.0] and np.all(samples == 2e9)
 
     def test_rhs_that_is_not_row_wise_is_named(self):
         flat = bl.SystemDef(1, 1, lambda x, u: np.zeros(1), name="flat")
