@@ -416,7 +416,6 @@ class TestVerifyReusesBuild:
         assert table_calls == ["build_l_table", "radial_table"]
 
     def test_build_stamps_the_reuse_key(self, tmp_path):
-        import numpy
         import scipy
 
         out = tmp_path / "out"
@@ -424,7 +423,7 @@ class TestVerifyReusesBuild:
                      "--out", str(out)]) == 0
         manifest = strict_loads((out / "lyapunov_manifest.json").read_text())
         assert len(manifest["code_digest"]) == 16 and len(manifest["table_sha256"]) == 64
-        assert manifest["numpy_version"] == numpy.__version__
+        assert manifest["numpy_version"] == np.__version__
         assert manifest["scipy_version"] == scipy.__version__
 
 
