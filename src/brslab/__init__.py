@@ -8,7 +8,6 @@ from .compfun import (
     gk_eval,
     inverse,
     lip1_minorant,
-    register_exact_form,
     theta,
 )
 from .sysdyn import (

@@ -159,7 +159,7 @@ def sample_reach(
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
         X0.append(_random_in_ball(rng, sys.state_dim, C))
         us.append(_random_pc_input(rng, sys.input_dim, tau, 0.999 * C))
-    samples, t_cross = _sample_ensemble(sys, X0, us, tau, t_grid, cfg)
+    samples, t_cross = _sample_ensemble(sys, X0, us, [(t_grid, np.arange(n))], cfg)
     phi = np.linalg.norm(samples, axis=2).T
     phi[t_grid >= t_cross[:, None]] = math.inf
     return ReachSamples(
@@ -252,7 +252,8 @@ def verify_rfc_tdi(
     X0 = [_random_in_ball(seeded_rng(seed, "rfc_states", i), sys.state_dim, C) for i in range(n)]
     grid = np.linspace(0.0, tau, 65)
     samples, _ = _sample_ensemble(
-        closed_loop(sys, margin), X0, [dists[i % len(dists)] for i in range(n)], tau, grid, cfg
+        closed_loop(sys, margin), X0, [dists[i % len(dists)] for i in range(n)],
+        [(grid, np.arange(n))], cfg,
     )
     norms = np.linalg.norm(samples, axis=2)  # row = grid time, column = state
     nx = np.linalg.norm(X0, axis=1)
@@ -323,12 +324,12 @@ def _probe_reports(sys, levels, cfg, ratio_cap) -> tuple[list, int | None]:
     ratios, t_cross = np.zeros(0), np.zeros(0)
     if P:
         X1, X2 = np.array(X1, dtype=float), np.array(X2, dtype=float)
-        taus = np.array([lv[0] for lv in levels])[level_of]
-        grids = [np.linspace(0.0, tau, 65) for tau, *_ in levels]
-        samples, both = _sample_ensemble(
-            sys, np.vstack([X1, X2]), us * 2, np.tile(taus, 2),
-            [grids[k] for k in level_of] * 2, cfg,
-        )
+        groups = []
+        for k, (tau, *_) in enumerate(levels):
+            mine = np.flatnonzero(level_of == k)
+            if mine.size:  # rows i and P + i of each of the level's pairs
+                groups.append((np.linspace(0.0, tau, 65), np.concatenate([mine, P + mine])))
+        samples, both = _sample_ensemble(sys, np.vstack([X1, X2]), us * 2, groups, cfg)
         diff = np.linalg.norm(samples[:, :P] - samples[:, P:], axis=2).max(axis=0)
         ratios = diff / np.linalg.norm(X1 - X2, axis=1)
         t_cross = np.minimum(both[:P], both[P:])  # per pair: its first crossing

@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "ScalarFun",
-    "register_exact_form",
     "gk_eval",
     "theta",
     "lip1_minorant",
@@ -31,32 +30,22 @@ __all__ = [
 # Slope floor keeping clamped chords strictly increasing.
 EPS_SLOPE = 1e-9
 
-# Named exact evaluators, so that a ScalarFun backed by a closed-form
-# expression survives JSON round-trips (the knots alone cannot reproduce a
-# curved function to 1e-12).
-_EXACT_FORMS: dict[str, Callable[[np.ndarray], np.ndarray]] = {}
-
-
-def register_exact_form(name: str, fn: Callable[[np.ndarray], np.ndarray]) -> None:
-    _EXACT_FORMS[name] = fn
-
-
 @dataclass(frozen=True)
 class ScalarFun:
     """Nondecreasing nonnegative scalar function on knots.
 
     Evaluation is piecewise-linear between knots and affine with `slope`
     beyond the last knot.  `tags` is a subset of {"K", "Kinf", "Lip1"}.
-    `exact_name` optionally points at a registered closed form used for
-    evaluation instead of interpolation; the knots remain authoritative for
-    the class-tag checks.
+    `exact` optionally is a closed form used for evaluation instead of
+    interpolation; the knots remain authoritative for the class-tag checks,
+    for comparison and for JSON, which holds the knots only.
     """
 
     knots: np.ndarray
     values: np.ndarray
     slope: float
     tags: frozenset = field(default_factory=frozenset)
-    exact_name: str | None = None
+    exact: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         knots = np.asarray(self.knots, dtype=float)
@@ -83,13 +72,11 @@ class ScalarFun:
             chords = np.diff(values) / np.diff(knots)
             if np.any(chords > 1 + 1e-12) or self.slope > 1 + 1e-12:
                 raise ValueError("Lip1 tag requires all slopes <= 1")
-        if self.exact_name is not None and self.exact_name not in _EXACT_FORMS:
-            raise KeyError(f"unknown exact form {self.exact_name!r}")
 
     def __call__(self, s):
         s_arr = np.asarray(s, dtype=float)
-        if self.exact_name is not None:
-            out = _EXACT_FORMS[self.exact_name](s_arr)
+        if self.exact is not None:
+            out = self.exact(s_arr)
         else:
             out = np.interp(s_arr, self.knots, self.values)
             over = s_arr > self.knots[-1]
@@ -106,8 +93,6 @@ class ScalarFun:
             "slope": self.slope,
             "tags": sorted(self.tags),
         }
-        if self.exact_name is not None:
-            obj["exact_name"] = self.exact_name
         return json.dumps(obj, sort_keys=True)
 
     @classmethod
@@ -118,7 +103,6 @@ class ScalarFun:
             np.asarray(obj["values"], dtype=float),
             float(obj["slope"]),
             frozenset(obj["tags"]),
-            obj.get("exact_name"),
         )
 
 

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .compfun import ScalarFun, register_exact_form
+from .compfun import ScalarFun
 from .sysdyn import _STIFF_RHO_SPAN, SystemDef
 from .tdinput import GrowthMargin
 
@@ -40,16 +40,13 @@ def _sigma1_eta(s: np.ndarray) -> np.ndarray:
     return np.where(s <= _LOG_GUARD, 0.0, out)
 
 
-register_exact_form("sigma1_eta", _sigma1_eta)
-
-
 def _sigma1_eta_scalarfun() -> ScalarFun:
     e_inv = math.exp(-1)
     knots = np.concatenate(
         [[0.0], np.geomspace(1e-12, 0.9 * e_inv, 160), np.linspace(0.92 * e_inv, e_inv, 20)]
     )
     values = _sigma1_eta(knots)
-    return ScalarFun(knots, values, 0.5, frozenset({"Kinf", "Lip1"}), "sigma1_eta")
+    return ScalarFun(knots, values, 0.5, frozenset({"Kinf", "Lip1"}), _sigma1_eta)
 
 
 def _sigma1_flow_u1(t: float, x: np.ndarray) -> np.ndarray:

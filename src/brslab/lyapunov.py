@@ -253,16 +253,16 @@ def _eval_Vs(
     dists = []
     for ths in thetas:
         dists += disturbance_family(sys.input_dim, ths[-1], nd, cfg.seed)
-    taus = np.repeat([ths[-1] for ths in thetas], nd)
     samples, t_cross = _sample_ensemble(
-        closed_loop(sys, margin), np.repeat(X, nd, axis=0), dists, taus,
-        [union for union in unions for _ in range(nd)], cfg.int_cfg(),
+        closed_loop(sys, margin), np.repeat(X, nd, axis=0), dists,
+        [(union, np.arange(b * nd, (b + 1) * nd)) for b, union in enumerate(unions)],
+        cfg.int_cfg(),
     )
     row = int(np.argmin(t_cross))  # the first to blow up, if any does
     if math.isfinite(t_cross[row]):
         raise NotRfcTdiError(
             f"closed loop from ||x||={norms[row // nd]:.3g} blew up at"
-            f" t={t_cross[row]:.3g} < {taus[row]:.3g}: not RFC-TDI on this ball"
+            f" t={t_cross[row]:.3g} < {unions[row // nd][-1]:.3g}: not RFC-TDI on this ball"
         )
     values = []
     for b, union in enumerate(unions):

@@ -9,7 +9,8 @@ over the span integrated.  Blow-up is detected by a norm-threshold event
 and reported as data, never as a crash.  A family of trajectories of one
 system is integrated as a single stacked ODE and read only on the time
 grid its consumer needs; one rule ends each of its rows: a row freezes at
-its horizon or at its blow-up, whichever comes first, and the rest go on.
+the end of its grid or at its blow-up, whichever comes first, and the rest
+go on.
 """
 
 from __future__ import annotations
@@ -91,20 +92,6 @@ class InputSignal:
     def sup_norm(self) -> float:
         """Essential supremum of the value norm over [0, inf)."""
         return float(np.linalg.norm(self._all_values(), axis=1).max())
-
-    def shift(self, t: float) -> "InputSignal":
-        """The signal s -> self(s + t)."""
-        if t < 0:
-            raise ValueError("shift requires t >= 0")
-        kept = np.flatnonzero(self.breakpoints > t)
-        if kept.size == 0:
-            return InputSignal([], [], self.eval(t))
-        combined = self._all_values()
-        new_bp = self.breakpoints[kept] - t
-        # Segment before the first kept breakpoint holds the value at t;
-        # each kept breakpoint j starts the segment combined[j + 1].
-        new_vals = np.vstack([self.eval(t)[None, :], combined[kept[:-1] + 1]])
-        return InputSignal(new_bp, new_vals, combined[kept[-1] + 1])
 
 
 @dataclass(frozen=True)
@@ -206,19 +193,19 @@ def _solver(A, span: float, rows: int) -> dict:
     return {"method": "BDF", "jac": jac}
 
 
-def _segments(f_at, y0, edges, cfg: IntegratorConfig, tau, A, grid=None):
-    """Solve the stack y' = f_at(a, live)(t, y) of len(tau) rows across
+def _segments(f_at, y0, edges, cfg: IntegratorConfig, ends, A, grid=None):
+    """Solve the stack y' = f_at(a, live)(t, y) of len(ends) rows across
     `edges`, one solve per [a, b] from the previous solve's last state;
     yields (b, sol, crossed): each solution and the rows whose blow-up
     ended it before b (none if it reached b).  Rows that start at or above
     `cfg.blowup_threshold` cross at edges[0]: they come first, as
     (edges[0], None, crossed), with no solve.
 
-    Row i is live from a while a < tau[i]; `live` selects those rows and
+    Row i is live from a while a < ends[i]; `live` selects those rows and
     f_at must hold the others still.  The blow-up event is the largest live
     row norm crossing `cfg.blowup_threshold`: the crossing row, and any
     other live row at or above the threshold by then, is frozen at its
-    state there, as at a horizon, and the other rows go on from the
+    state there, as at its end, and the other rows go on from the
     crossing time.  The run ends when no row is live.  The rows are states
     of equal size of a system with linear part A (None if it has none);
     `_solver` picks RK45 or BDF from A and the whole span of `edges`.  The
@@ -228,21 +215,25 @@ def _segments(f_at, y0, edges, cfg: IntegratorConfig, tau, A, grid=None):
     instead of its own steps and keeps no dense output.
     """
     threshold = cfg.blowup_threshold
-    stop = np.array(tau, dtype=float)  # a crossing row stops at its crossing time
+    stop = np.array(ends, dtype=float)  # a crossing row stops at its crossing time
     rows = stop.size
 
+    def scaled_norms(y):
+        """Each row's norm over the threshold: the start check, the event
+        and the crossing rule compare it with 1, so no square overflows."""
+        z = y.reshape(rows, -1) / threshold
+        return np.sqrt((z * z).sum(axis=1))
+
     def blowup_event(t, y):
-        # the bits of np.linalg.norm(Y, axis=1)[sel].max() at half its cost per step
-        return math.sqrt((y * y).reshape(rows, -1).sum(axis=1)[sel].max()) - threshold
+        return scaled_norms(y)[sel].max() - 1.0
 
     blowup_event.terminal = True
     blowup_event.direction = 1.0
     scale = math.sqrt(rows)
     solver = _solver(A, edges[-1] - edges[0], rows)
     y, a, reported = y0, edges[0], 0
-    # the upward event never fires for a row that starts above the threshold;
-    # scaled, the norms neither overflow nor square the threshold
-    crossed = np.flatnonzero(np.linalg.norm(y0.reshape(rows, -1) / threshold, axis=1) >= 1.0)
+    # the upward event never fires for a row that starts above the threshold
+    crossed = np.flatnonzero(scaled_norms(y0) >= 1.0)
     if crossed.size:
         stop[crossed] = a
         yield a, None, crossed
@@ -271,9 +262,9 @@ def _segments(f_at, y0, edges, cfg: IntegratorConfig, tau, A, grid=None):
                 raise StepSizeError(f"integrator failed on [{a}, {b}]: {sol.message}")
             if sol.status == 1:  # the terminal event ends the last step at the crossing
                 y, a = sol.y_events[0][0], float(sol.t_events[0][0])
-                sq = (y * y).reshape(rows, -1).sum(axis=1)
+                r = scaled_norms(y)
                 # a row left live above the threshold would never cross it upward
-                crossed = np.flatnonzero(live & (sq >= min(sq[live].max(), threshold**2)))
+                crossed = np.flatnonzero(live & (r >= min(r[live].max(), 1.0)))
                 stop[crossed] = a
             else:
                 # a copy: a view would keep the whole solve's output alive
@@ -357,44 +348,26 @@ def _time_grid(grid, end: float, name: str = "grid") -> np.ndarray:
     return g
 
 
-def _grid_groups(grid, N: int, tau_max: float) -> list:
-    """(times, rows) for each distinct grid of an ensemble of N rows.
-
-    `grid` is one array of times every row reads, or a list of N arrays,
-    row i reading grid[i]; rows given the same array object form one group.
-    """
-    if isinstance(grid, (list, tuple)):
-        if len(grid) != N:
-            raise ValueError(f"need one grid per row: {N}, got {len(grid)}")
-        shared = {}
-        for i, g in enumerate(grid):
-            shared.setdefault(id(g), (g, []))[1].append(i)
-        groups = [(g, np.array(rows)) for g, rows in shared.values()]
-    else:
-        groups = [(grid, np.arange(N))]
-    return [(_time_grid(g, tau_max, "every grid"), rows) for g, rows in groups]
-
-
 def _sample_ensemble(
-    sys: SystemDef, X0, inputs, tau, grid, cfg: IntegratorConfig
+    sys: SystemDef, X0, inputs, groups, cfg: IntegratorConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """States of N trajectories at their grid times, integrated as one stacked ODE.
 
-    Row i starts at X0[i] under the piecewise-constant InputSignal inputs[i]
-    and runs to its horizon tau[i]; a scalar `tau` is every row's horizon.
-    `grid` is one strictly increasing array of times in [0, max(tau)] that
-    every row reads, or a list of N such arrays, row i reading grid[i]
-    (rows given the same array are read together).  Integration restarts at
-    the union of the rows' breakpoints and horizons.  A row is frozen from
-    its horizon on, or from the time its norm crosses the blow-up threshold
-    if that comes first: its derivative is zero and its later grid times
-    hold its state there, while the other rows go on.  The solver reports
-    only the union of the grids (`t_eval`, no dense output), at most
-    _REPORT_VALUES state values per call, and each row keeps only its own
-    times.  Returns the samples, shape (T, N, n) for T the longest grid's
-    length (NaN after the end of a shorter one), and each row's crossing
-    time, shape (N,) (inf if it did not cross).  `sys.rhs` must be
-    row-wise: (K, n) states with (K, m) inputs give (K, n) derivatives.
+    Row i starts at X0[i] under the piecewise-constant InputSignal inputs[i].
+    `groups` is a list of (times, rows): the rows, an index array, read the
+    times, which are non-empty, strictly increasing, start at >= 0 and end at
+    a finite time > 0; every row is in exactly one group.  A row runs to the
+    last time of its own grid and is frozen there, or from the time its norm
+    crosses the blow-up threshold if that comes first: its derivative is zero
+    and its later grid times hold its state there, while the other rows go
+    on.  Integration restarts at the union of the rows' breakpoints and grid
+    ends.  The solver reports only the union of the grids (`t_eval`, no dense
+    output), at most _REPORT_VALUES state values per call, and each row keeps
+    only its own times.  Returns the samples, shape (T, N, n) for T the
+    longest grid's length (NaN after the end of a shorter one), and each
+    row's crossing time, shape (N,) (inf if it did not cross).  `sys.rhs`
+    must be row-wise: (K, n) states with (K, m) inputs give (K, n)
+    derivatives.
     """
     X0 = np.asarray(X0, dtype=float)
     N, n = X0.shape
@@ -405,11 +378,16 @@ def _sample_ensemble(
         )
     if any(u.dim != sys.input_dim for u in inputs):
         raise ValueError(f"every input must have dimension {sys.input_dim}")
-    tau = np.asarray(tau, dtype=float)
-    if tau.shape not in ((), (N,)) or not np.all(np.isfinite(tau) & (tau > 0)):
-        raise ValueError(f"tau must be a finite number > 0 or {N} of them")
-    tau = np.broadcast_to(tau, (N,))
-    groups = _grid_groups(grid, N, float(tau.max()))
+    groups = [(_time_grid(g, math.inf, "every grid"), np.asarray(rows, dtype=int))
+              for g, rows in groups]
+    if not all(0 < g[-1] < math.inf for g, _ in groups):
+        raise ValueError("every grid must end at a finite time > 0")
+    covered = np.sort(np.concatenate([np.zeros(0, dtype=int)] + [rows for _, rows in groups]))
+    if not np.array_equal(covered, np.arange(N)):
+        raise ValueError(f"the groups must hold each of the {N} rows exactly once")
+    ends = np.empty(N)
+    for g, rows in groups:
+        ends[rows] = g[-1]
     A = sys.linear_part
     # all rows' input values in one table: row i's start at first[i] and
     # advance by one at each of its breakpoints
@@ -456,13 +434,12 @@ def _sample_ensemble(
 
     per_call = max(1, _REPORT_VALUES // (N * n))
     edges = _segment_edges(
-        np.concatenate([switch_at, tau, union[per_call::per_call]]),
-        tau.max(),
+        np.concatenate([switch_at, ends, union[per_call::per_call]]), ends.max()
     )
     t_cross = np.full(N, math.inf)
     k = 0  # union times filled so far
     end = X0.ravel()
-    for b, sol, crossed in _segments(f_at, end, edges, cfg, tau, A, union):
+    for b, sol, crossed in _segments(f_at, end, edges, cfg, ends, A, union):
         if sol is None:  # rows at or above the threshold from the start
             t_cross[crossed] = b
             continue
@@ -474,7 +451,7 @@ def _sample_ensemble(
             end, t_cross[crossed] = sol.y_events[0][0], sol.t_events[0][0]
         else:
             end = sol.y[:, -1]
-    # the union times at max(tau), or after the last row froze, hold the last state
+    # the union times at the last end, or after the last row froze, hold the last state
     rest = union.size - k
     scatter(k, rest, np.broadcast_to(end.reshape(N, n, 1), (N, n, rest)))
     return samples, t_cross
@@ -483,10 +460,13 @@ def _sample_ensemble(
 def semigroup_growth(
     A: np.ndarray, t_cert: float = 10.0, n_grid: int = 60
 ) -> tuple[float, float]:
-    """Certified pair (M, lambda) with ||exp(A t)|| <= M exp(lambda t).
+    """Estimated pair (M, lambda) for ||exp(A t)|| <= M exp(lambda t).
 
     lambda is the spectral abscissa; M is the max ratio observed on a
-    logarithmic time grid in (0, t_cert].
+    logarithmic time grid in (0, t_cert], at least 1.  For a normal A that
+    is M = 1 and the bound holds; for a non-normal A the ratio can peak
+    between grid points or after t_cert, so M is an estimate from below,
+    not a certificate.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:

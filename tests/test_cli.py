@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,6 +241,19 @@ class TestSimulate:
         assert meta["blew_up"] and meta["t_max"] == 0.0
         assert meta["final_state"] == [2e9]
 
+    def test_threshold_whose_square_overflows(self, tmp_path, capsys):
+        # x' = x from 1 crosses 1e200 at ln(1e200); squaring the threshold
+        # used to end this run in an OverflowError traceback
+        path = write_cfg(tmp_path, {"system": {"name": "linear", "params": {"A": [[1.0]]}},
+                                    "seed": 1, "x0": [1.0], "u_constant": [0.0],
+                                    "horizon": 500.0,
+                                    "integrator": {"blowup_threshold": 1e200}})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        meta = strict_loads((out / "simulate.json").read_text())
+        assert meta["blew_up"] and meta["t_max"] == pytest.approx(math.log(1e200), rel=1e-6)
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         cfg = sigma1_cfg(tmp_path, x0=[0.5], horizon=0.5)
         monkeypatch.setenv("BRSLAB_OUT", str(tmp_path / "envout"))
@@ -323,7 +337,7 @@ class TestLyapunov:
         assert manifest["config_hash"]
 
     def test_build_takes_lyapunov_integrator_block(self, tmp_path):
-        base = json.loads(open(self.lyap_cfg(tmp_path)).read())
+        base = json.loads(Path(self.lyap_cfg(tmp_path)).read_text())
         base["lyapunov"]["integrator"] = {"rel_tol": 1e-6, "abs_tol": 1e-9}
         out = tmp_path / "out"
         assert main(["lyapunov", "build", "--config", write_cfg(tmp_path, base),

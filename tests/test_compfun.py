@@ -58,15 +58,13 @@ class TestScalarFun:
         assert np.array_equal(f.values, g.values)
         assert f.slope == g.slope and f.tags == g.tags
 
-    def test_json_roundtrip_keeps_exact_form(self):
+    def test_exact_form_evaluates_and_json_holds_the_knots(self):
         eta = __import__("brslab").make("sigma1").margin.eta
-        g = ScalarFun.from_json(eta.to_json())
         s = 0.2
-        assert g(s) == pytest.approx(-s / (2 * math.log(s)), abs=1e-15)
-
-    def test_unknown_exact_form_rejected(self):
-        with pytest.raises(KeyError):
-            ScalarFun(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 1.0, frozenset(), "nope")
+        assert eta(s) == pytest.approx(-s / (2 * math.log(s)), abs=1e-15)
+        g = ScalarFun.from_json(eta.to_json())
+        assert g.exact is None and np.array_equal(g.knots, eta.knots)
+        assert g(s) == np.interp(s, eta.knots, eta.values)
 
 
 class TestGk:

@@ -43,12 +43,6 @@ class TestInputSignal:
         tail = bl.InputSignal([1.0], [[0.0, 1.0]], [3.0, 4.0])
         assert tail.sup_norm() == pytest.approx(5.0)
 
-    def test_shift(self):
-        u = bl.InputSignal([1.0, 2.0], [[0.0], [1.0]], [2.0])
-        v = u.shift(1.5)
-        for s in [0.0, 0.2, 0.6, 3.0]:
-            assert v.eval(s) == pytest.approx(u.eval(s + 1.5))
-
 
 class TestIntegrate:
     def test_matches_matrix_exponential(self):
@@ -83,7 +77,8 @@ class TestIntegrate:
         t, s = 0.5, 0.9
         full = bl.integrate(b.system, [0.6], u, t + s)
         first = bl.integrate(b.system, [0.6], u, t)
-        second = bl.integrate(b.system, first.states[-1], u.shift(t), s)
+        shifted = bl.InputSignal([0.2], [[1.0]], [0.3])  # s -> u(s + t)
+        second = bl.integrate(b.system, first.states[-1], shifted, s)
         assert np.allclose(full.state_at(t + s), second.states[-1], atol=1e-8)
 
     def test_rejects_nonpositive_horizon(self):
@@ -215,40 +210,61 @@ class TestBlowup:
         assert np.linalg.norm(traj.states[-1]) == pytest.approx(cfg.blowup_threshold, rel=1e-6)
         # the half-length row crosses later, at log(2 threshold)
         _, t_cross = _sample_ensemble(
-            lin, [[0.6, 0.8], [0.3, 0.4]], [zero, zero], 25.0, np.linspace(0.0, 25.0, 26), cfg
+            lin, [[0.6, 0.8], [0.3, 0.4]], [zero, zero], [(np.linspace(0.0, 25.0, 26), [0, 1])],
+            cfg,
         )
         assert t_cross[0] == pytest.approx(traj.t_max_estimate, rel=1e-6)
         assert t_cross[1] == pytest.approx(math.log(2.0 * cfg.blowup_threshold), rel=1e-6)
 
+    def test_threshold_whose_square_overflows(self):
+        # x' = x from 1 crosses 1e200 at ln(1e200); a squared norm or
+        # threshold would overflow a float on the way there
+        lin = bl.make("linear", {"A": [[1.0]]}).system
+        zero = bl.InputSignal.constant([0.0])
+        cfg = bl.IntegratorConfig(blowup_threshold=1e200)
+        crossing = math.log(1e200)
+        traj = bl.integrate(lin, [1.0], zero, 500.0, cfg)
+        assert traj.blew_up and traj.t_max_estimate == pytest.approx(crossing, rel=1e-6)
+        _, t_cross = _sample_ensemble(
+            lin, [[1.0], [0.5]], [zero, zero], [(np.linspace(0.0, 500.0, 11), [0, 1])], cfg
+        )
+        assert t_cross == pytest.approx([crossing, math.log(2e200)], rel=1e-6)
 
-def assert_rows_agree(sys, X0, inputs, tau, grid, cfg, sampled=None):
+
+def assert_rows_agree(sys, X0, inputs, groups, cfg, sampled=None):
     """Every ensemble row is within 10x cfg's tolerance of an integrate run
-    to its own horizon at 1e-4 times cfg's tolerances, on its own grid.
+    to the end of its grid at 1e-4 times cfg's tolerances, on its grid.
 
     `sampled` is the sampler's output for these arguments if it was taken
     already (under another solver than the references')."""
-    samples, t_cross = sampled or _sample_ensemble(sys, X0, inputs, tau, grid, cfg)
-    taus = np.broadcast_to(tau, (len(X0),))
-    grids = grid if isinstance(grid, list) else [grid] * len(X0)
-    assert samples.shape == (max(g.size for g in grids), len(X0), sys.state_dim)
+    samples, t_cross = sampled or _sample_ensemble(sys, X0, inputs, groups, cfg)
+    assert samples.shape == (max(g.size for g, _ in groups), len(X0), sys.state_dim)
+    assert sorted(i for _, rows in groups for i in rows) == list(range(len(X0)))
     assert np.all(t_cross == math.inf)
     tight = bl.IntegratorConfig(rel_tol=cfg.rel_tol * 1e-4, abs_tol=cfg.abs_tol * 1e-4)
-    for i, (x0, u, tau_i, g) in enumerate(zip(X0, inputs, taus, grids)):
-        ref = bl.integrate(sys, x0, u, tau_i, tight).state_at(g)
-        tol = 10.0 * (cfg.rel_tol * np.abs(ref).max() + cfg.abs_tol)
-        assert np.abs(samples[: g.size, i] - ref).max() <= tol, i
-        assert np.array_equal(samples[0, i], x0)
-        assert np.all(np.isnan(samples[g.size :, i]))  # past the end of a shorter grid
+    for g, rows in groups:
+        for i in rows:
+            ref = bl.integrate(sys, X0[i], inputs[i], g[-1], tight).state_at(g)
+            tol = 10.0 * (cfg.rel_tol * np.abs(ref).max() + cfg.abs_tol)
+            assert np.abs(samples[: g.size, i] - ref).max() <= tol, i
+            assert np.array_equal(samples[0, i], X0[i])
+            assert np.all(np.isnan(samples[g.size :, i]))  # past the end of a shorter grid
+
+
+def one_group(grid, N):
+    """The groups of an ensemble whose N rows all read `grid`."""
+    return [(grid, np.arange(N))]
 
 
 def ensemble_case(name):
-    """(sys, X0, inputs, tau, grid, cfg) of a sampler test with one horizon."""
+    """(sys, X0, inputs, groups, cfg) of a sampler test whose rows share one grid."""
     cfg = bl.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11)
     if name == "sigma1_closed_loop":
         sigma1 = bl.make("sigma1")
         X0 = np.array([[0.7], [0.3], [-1.5], [0.05], [2.0], [-0.7]])
         return (closed_loop(sigma1.system, sigma1.margin), X0,
-                bl.disturbance_family(1, 3.0, 6, 20240811), 3.0, np.linspace(0.0, 3.0, 31), cfg)
+                bl.disturbance_family(1, 3.0, 6, 20240811), one_group(np.linspace(0.0, 3.0, 31), 6),
+                cfg)
     if name == "non_normal_linear":
         lin = bl.make("linear", {"A": [[-1.0, 10.0], [0.0, -1.0]]})
         inputs = [
@@ -257,7 +273,7 @@ def ensemble_case(name):
             bl.InputSignal([0.8], [[-1.0, 2.0]], [0.0, 0.0]),
         ]
         X0 = np.array([[0.0, 1.0], [1.0, -1.0], [0.5, 0.5]])
-        return lin.system, X0, inputs, 2.0, np.linspace(0.0, 2.0, 41), cfg
+        return lin.system, X0, inputs, one_group(np.linspace(0.0, 2.0, 41), 3), cfg
     if name == "reaction_diffusion":
         rd = bl.make("reaction_diffusion", {"n": 8})
         inputs = [
@@ -266,12 +282,12 @@ def ensemble_case(name):
             bl.InputSignal.constant([0.0]),
         ]
         X0 = np.random.default_rng(1).standard_normal((3, 8))
-        return (rd.system, X0, inputs, 1.0, np.linspace(0.0, 1.0, 21),
+        return (rd.system, X0, inputs, one_group(np.linspace(0.0, 1.0, 21), 3),
                 bl.IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9))
     assert name == "quadratic_blowup"
     zero = bl.InputSignal.constant([0.0])
-    return (bl.make("quadratic").system, np.array([[0.5], [2.0]]), [zero, zero], 1.0,
-            np.linspace(0.0, 1.0, 11), bl.IntegratorConfig())
+    return (bl.make("quadratic").system, np.array([[0.5], [2.0]]), [zero, zero],
+            one_group(np.linspace(0.0, 1.0, 11), 2), bl.IntegratorConfig())
 
 
 class TestSampleEnsemble:
@@ -291,8 +307,9 @@ class TestSampleEnsemble:
         assert_rows_agree(*ensemble_case("reaction_diffusion"))
 
     def test_crossing_row_freezes_and_the_rest_go_on(self):
-        quad, X0, inputs, tau, grid, cfg = ensemble_case("quadratic_blowup")
-        samples, t_cross = _sample_ensemble(quad, X0, inputs, tau, grid, cfg)
+        quad, X0, inputs, groups, cfg = ensemble_case("quadratic_blowup")
+        grid = groups[0][0]
+        samples, t_cross = _sample_ensemble(quad, X0, inputs, groups, cfg)
         ref = bl.integrate(quad, [2.0], inputs[0], 1.0, cfg).t_max_estimate
         assert t_cross[0] == math.inf
         assert t_cross[1] == pytest.approx(ref, rel=1e-6)
@@ -313,7 +330,7 @@ class TestSampleEnsemble:
         X0 = np.array([[0.1], [2.0], [-1.0], [1.0], [0.5]])
         inputs, tau, grid = [zero] * 5, 3.0, np.linspace(0.0, 3.0, 31)
         cfg = bl.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11)
-        samples, t_cross = _sample_ensemble(quad, X0, inputs, tau, grid, cfg)
+        samples, t_cross = _sample_ensemble(quad, X0, inputs, one_group(grid, 5), cfg)
         crossing = [1, 3, 4]
         for i in crossing:
             ref = bl.integrate(quad, X0[i], zero, tau, cfg)
@@ -321,7 +338,7 @@ class TestSampleEnsemble:
             assert np.all(samples[grid >= t_cross[i], i] == samples[-1, i]), i
         assert np.all(t_cross[[0, 2]] == math.inf)
         # the bounded rows, checked as assert_rows_agree checks them
-        assert_rows_agree(quad, X0[[0, 2]], [zero] * 2, tau, grid, cfg,
+        assert_rows_agree(quad, X0[[0, 2]], [zero] * 2, one_group(grid, 2), cfg,
                           (samples[:, [0, 2]], t_cross[[0, 2]]))
 
     def test_rows_crossing_together_freeze_together(self):
@@ -330,8 +347,8 @@ class TestSampleEnsemble:
         quad = bl.make("quadratic").system
         zero = bl.InputSignal.constant([0.0])
         grid = np.linspace(0.0, 1.0, 11)
-        samples, t_cross = _sample_ensemble(quad, [[2.0], [0.5], [2.0]], [zero] * 3, 1.0,
-                                            grid, bl.IntegratorConfig())
+        samples, t_cross = _sample_ensemble(quad, [[2.0], [0.5], [2.0]], [zero] * 3,
+                                            one_group(grid, 3), bl.IntegratorConfig())
         assert t_cross[0] == t_cross[2] == pytest.approx(0.5, rel=1e-6)
         assert t_cross[1] == math.inf
         assert np.array_equal(samples[:, 0], samples[:, 2])
@@ -342,8 +359,8 @@ class TestSampleEnsemble:
         zero = bl.InputSignal.constant([0.0])
         grid = np.linspace(0.0, 1.0, 11)
         cfg = bl.IntegratorConfig()
-        samples, t_cross = _sample_ensemble(quad, [[0.5], [2e9], [2.0]], [zero] * 3, 1.0,
-                                            grid, cfg)
+        samples, t_cross = _sample_ensemble(quad, [[0.5], [2e9], [2.0]], [zero] * 3,
+                                            one_group(grid, 3), cfg)
         assert t_cross[1] == 0.0
         assert np.all(samples[:, 1, 0] == 2e9)  # frozen at its start
         assert t_cross[0] == math.inf
@@ -351,38 +368,40 @@ class TestSampleEnsemble:
         assert t_cross[2] == pytest.approx(
             bl.integrate(quad, [2.0], zero, 1.0, cfg).t_max_estimate, rel=1e-6)
         # every row above the threshold: no solve at all
-        samples, t_cross = _sample_ensemble(quad, [[2e9]], [zero], 1.0, grid, cfg)
+        samples, t_cross = _sample_ensemble(quad, [[2e9]], [zero], one_group(grid, 1), cfg)
         assert t_cross.tolist() == [0.0] and np.all(samples == 2e9)
 
     def test_rhs_that_is_not_row_wise_is_named(self):
         flat = bl.SystemDef(1, 1, lambda x, u: np.zeros(1), name="flat")
         u = bl.InputSignal.constant([0.0])
         with pytest.raises(ValueError, match=r"'flat'.*\(1,\).*\(2, 1\)"):
-            _sample_ensemble(flat, [[0.0], [1.0]], [u, u], 1.0, np.linspace(0.0, 1.0, 3),
+            _sample_ensemble(flat, [[0.0], [1.0]], [u, u], one_group(np.linspace(0.0, 1.0, 3), 2),
                              bl.IntegratorConfig())
 
     def test_rejects_grid_outside_horizon(self):
+        # a grid's last time is its rows' horizon: it must be finite and > 0
         u = bl.InputSignal.constant([0.0])
         quad = bl.make("quadratic").system
-        for grid in ([0.0, 2.0], [0.5, 0.5], []):
+        for grid in ([0.5, 0.5], [], [-0.5, 1.0], [0.0], [0.0, math.inf], [0.0, math.nan]):
             with pytest.raises(ValueError, match="grid"):
-                _sample_ensemble(quad, [[0.1]], [u], 1.0, np.array(grid), bl.IntegratorConfig())
+                _sample_ensemble(quad, [[0.1]], [u], [(np.array(grid), [0])],
+                                 bl.IntegratorConfig())
 
     def test_rejects_bad_horizons_and_grid_lists(self):
+        # the groups must hold each row exactly once
         u = bl.InputSignal.constant([0.0])
         quad = bl.make("quadratic").system
         grid = np.linspace(0.0, 1.0, 3)
-        for tau in ([1.0, 1.0, 1.0], [1.0, 0.0], [1.0, math.nan], [[1.0, 1.0]]):
-            with pytest.raises(ValueError, match="tau"):
-                _sample_ensemble(quad, [[0.1], [0.2]], [u, u], tau, grid, bl.IntegratorConfig())
-        with pytest.raises(ValueError, match="one grid per row"):
-            _sample_ensemble(quad, [[0.1], [0.2]], [u, u], 1.0, [grid], bl.IntegratorConfig())
+        for rows in ([[0]], [[0, 1], [1]], [[0, 0, 1]], [[0, 1, 2]], [[-1, 0]]):
+            with pytest.raises(ValueError, match="each of the 2 rows exactly once"):
+                _sample_ensemble(quad, [[0.1], [0.2]], [u, u], [(grid, r) for r in rows],
+                                 bl.IntegratorConfig())
 
 
 # Digests of the samples (and the first blow-up time) of the four cases
 # above as the sampler gave them before it took per-row horizons, recorded
-# with numpy 2.4 and scipy 1.17 on x86-64: a scalar tau must still
-# reproduce them bit for bit.  quadratic_blowup was recorded again when a
+# with numpy 2.4 and scipy 1.17 on x86-64: one grid for every row must
+# still reproduce them bit for bit.  quadratic_blowup was recorded again when a
 # crossing row came to freeze in place of ending the ensemble, so its other
 # row now runs to the horizon; the crossing time did not move.
 SCALAR_TAU_DIGESTS = {
@@ -401,26 +420,12 @@ class TestRaggedHorizons:
         assert (digest, t_cross.min()) == SCALAR_TAU_DIGESTS[name]
 
     def test_rows_match_integrate_to_their_own_horizons(self):
-        cl, X0, dists, _, _, cfg = ensemble_case("sigma1_closed_loop")
-        taus = np.array([3.0, 1.2, 2.5, 0.4, 3.0, 1.7])
-        # each row reads 31 points of its own horizon; two rows share one grid
-        grids = [np.linspace(0.0, tau, 31) for tau in taus]
-        grids[4] = grids[0]
-        grids[5] = np.linspace(0.0, 1.7, 12)  # a shorter grid, NaN after its end
-        assert_rows_agree(cl, X0, dists, taus, grids, cfg)
-
-    def test_grid_times_after_a_horizon_hold_its_state(self):
-        cl, X0, dists, _, grid, cfg = ensemble_case("sigma1_closed_loop")
-        taus = grid[[30, 12, 25, 4, 30, 17]]
-        taus[5] += 0.05  # between two grid points
-        samples, t_cross = _sample_ensemble(cl, X0, dists, taus, grid, cfg)
-        assert np.all(t_cross == math.inf)
-        tight = bl.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15)
-        for i, tau in enumerate(taus):
-            assert np.all(samples[grid >= tau, i] == samples[-1, i]), i
-            ref = bl.integrate(cl, X0[i], dists[i], tau, tight).states[-1]
-            tol = 10.0 * (cfg.rel_tol * np.abs(ref).max() + cfg.abs_tol)
-            assert np.abs(samples[-1, i] - ref).max() <= tol, i
+        cl, X0, dists, _, cfg = ensemble_case("sigma1_closed_loop")
+        # each row reads 31 points of its own horizon; rows 0 and 4 share one grid
+        groups = [(np.linspace(0.0, tau, 31), rows)
+                  for tau, rows in ((3.0, [0, 4]), (1.2, [1]), (2.5, [2]), (0.4, [3]))]
+        groups.append((np.linspace(0.0, 1.7, 12), [5]))  # a shorter grid, NaN after its end
+        assert_rows_agree(cl, X0, dists, groups, cfg)
 
     def test_blowup_after_its_own_horizon_is_not_one(self):
         # x' = x^2 from 0.5 blows up at t = 2, after its horizon 1; from 0.1
@@ -429,18 +434,21 @@ class TestRaggedHorizons:
         zero = bl.InputSignal.constant([0.0])
         grid = np.linspace(0.0, 3.0, 31)
         samples, t_cross = _sample_ensemble(
-            quad, [[0.5], [0.1]], [zero, zero], [1.0, 3.0], grid, bl.IntegratorConfig()
+            quad, [[0.5], [0.1]], [zero, zero], [(grid[:11], [0]), (grid, [1])],
+            bl.IntegratorConfig(),
         )
         assert np.all(t_cross == math.inf)
-        assert samples[grid >= 1.0, 0, 0] == pytest.approx(1.0 / (2.0 - 1.0), rel=1e-6)
+        assert samples[:11, 0, 0] == pytest.approx(1.0 / (2.0 - grid[:11]), rel=1e-6)
+        assert np.all(np.isnan(samples[11:, 0]))
         assert samples[:, 1, 0] == pytest.approx(1.0 / (10.0 - grid), rel=1e-6)
 
     def test_crossing_row_is_named(self):
         quad = bl.make("quadratic").system
         zero = bl.InputSignal.constant([0.0])
+        grid = np.linspace(0.0, 3.0, 31)
         _, t_cross = _sample_ensemble(
-            quad, [[0.1], [0.5], [0.2]], [zero] * 3, [3.0, 3.0, 1.0],
-            np.linspace(0.0, 3.0, 31), bl.IntegratorConfig(),
+            quad, [[0.1], [0.5], [0.2]], [zero] * 3, [(grid, [0, 1]), (grid[:11], [2])],
+            bl.IntegratorConfig(),
         )
         assert t_cross[1] == pytest.approx(2.0, rel=1e-6)
         assert np.all(t_cross[[0, 2]] == math.inf)
@@ -519,13 +527,12 @@ class TestStiffPath:
             bl.InputSignal([0.15, 0.6], [[1.0], [-1.0]], [0.2]),
             bl.InputSignal.constant([0.0]),
         ]
-        taus = np.array([1.0, 0.2, 0.5, 1.0])
         grid = np.linspace(0.0, 1.0, 21)
-        sampled = _sample_ensemble(rd.system, X0, inputs, taus, grid, cfg)
-        for i, tau in enumerate(taus):
-            assert np.all(sampled[0][grid >= tau, i] == sampled[0][-1, i]), i
+        # horizons 1.0, 0.2, 0.5 and 1.0
+        groups = [(grid, [0, 3]), (grid[:5], [1]), (grid[:11], [2])]
+        sampled = _sample_ensemble(rd.system, X0, inputs, groups, cfg)
         monkeypatch.setattr(sysdyn, "_STIFF_RHO_SPAN", math.inf)  # references on RK45
-        assert_rows_agree(rd.system, X0, inputs, taus, grid, cfg, sampled)
+        assert_rows_agree(rd.system, X0, inputs, groups, cfg, sampled)
 
     def test_blowup_time_and_row(self, monkeypatch):
         # x2 = e^t carries the norm to the threshold at ln(threshold); the
@@ -536,7 +543,8 @@ class TestStiffPath:
         cfg = bl.IntegratorConfig()
         crossing = math.log(cfg.blowup_threshold)
         _, t_cross = _sample_ensemble(
-            lin, [[1.0, 1.0], [0.5, 0.5]], [zero, zero], 25.0, np.linspace(0.0, 25.0, 26), cfg
+            lin, [[1.0, 1.0], [0.5, 0.5]], [zero, zero], one_group(np.linspace(0.0, 25.0, 26), 2),
+            cfg,
         )
         # the half-size row crosses later, at ln(2 threshold)
         assert t_cross == pytest.approx([crossing, math.log(2.0 * cfg.blowup_threshold)],
