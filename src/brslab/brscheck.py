@@ -37,6 +37,10 @@ __all__ = [
 ]
 
 RATIO_CAP = 1e6
+# Offsets `find_rfc_offset` tries, smallest first.
+RFC_OFFSETS = (0.0, 1.0, 2.0, 4.0, 8.0)
+# Tolerances of the reach samples and the RFC check.
+_SAMPLE_CFG = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
 # Second SeedSequence entry of each seeded draw, [seed, tag, *index]: one stream
 # per purpose, so adding draws to one never shifts another.
 SEED_TAGS = {
@@ -91,7 +95,6 @@ class ReachBoundFit:
 
 @dataclass
 class RFCBoundReport:
-    kappa: ScalarFun
     c: float
     max_violation: float
     holds: bool
@@ -132,54 +135,46 @@ def _random_pc_input(
     return InputSignal(bps, vals[:-1], vals[-1])
 
 
-def sample_reach(
-    sys: SystemDef,
-    C: float,
-    tau: float,
-    n: int,
-    seed: int,
-    cfg: IntegratorConfig | None = None,
-    grid_points: int = 8,
-) -> ReachSamples:
+def sample_reach(sys: SystemDef, C: float, tau: float, n: int, seed: int) -> ReachSamples:
     """Seeded reachability samples (t, ||x||, ||u||, ||phi(t,x,u)||).
 
     Initial states are uniform in the C-ball, inputs random piecewise
-    constant with sup-norm below C; each draw is recorded on a time grid of
-    [0, tau].  All draws are sampled as one ensemble; a draw that blows up
-    is +inf from its crossing time on.
+    constant with sup-norm below C; each draw is recorded at the 8 times
+    tau/8, 2 tau/8, .., tau.  All draws are sampled as one ensemble; a draw
+    that blows up is +inf from its crossing time on.
     """
     if C <= 0 or tau <= 0:
         raise ValueError("C and tau must be positive")
-    if n < 1 or grid_points < 1:
-        raise ValueError(f"n and grid_points must be >= 1, got n={n}, grid_points={grid_points}")
-    cfg = cfg or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
-    t_grid = np.linspace(0.0, tau, grid_points + 1)[1:]
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got n={n}")
+    t_grid = np.linspace(0.0, tau, 9)[1:]
     X0, us = [], []
     for i in range(n):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
         X0.append(_random_in_ball(rng, sys.state_dim, C))
         us.append(_random_pc_input(rng, sys.input_dim, tau, 0.999 * C))
-    samples, t_cross = _sample_ensemble(sys, X0, us, [(t_grid, np.arange(n))], cfg)
+    samples, t_cross = _sample_ensemble(sys, X0, us, [(t_grid, np.arange(n))], _SAMPLE_CFG)
     phi = np.linalg.norm(samples, axis=2).T
     phi[t_grid >= t_cross[:, None]] = math.inf
     return ReachSamples(
         np.tile(t_grid, n),
-        np.repeat([float(np.linalg.norm(x0)) for x0 in X0], grid_points),
-        np.repeat([u.sup_norm() for u in us], grid_points),
+        np.repeat([float(np.linalg.norm(x0)) for x0 in X0], t_grid.size),
+        np.repeat([u.sup_norm() for u in us], t_grid.size),
         phi.ravel(),
     )
 
 
-def _monotone_envelope(m: np.ndarray, y: np.ndarray, n_bins: int = 32):
+def _monotone_envelope(m: np.ndarray, y: np.ndarray):
     """Nondecreasing PL envelope dominating every (m_i, y_i) at its abscissa.
 
-    Knot j sits at a bin's left edge and carries the running maximum of all
-    bins up to and including that bin, so the envelope dominates within each
-    bin as well.
+    The abscissae are split at their quantiles into 32 bins.  Knot j sits
+    at a bin's left edge and carries the running maximum of all bins up to
+    and including that bin, so the envelope dominates within each bin as
+    well.
     """
     order = np.argsort(m)
     m, y = m[order], y[order]
-    edges = np.quantile(m, np.linspace(0.0, 1.0, n_bins + 1))
+    edges = np.quantile(m, np.linspace(0.0, 1.0, 33))
     edges = np.unique(edges)
     knots = [0.0]
     maxima = []
@@ -197,13 +192,14 @@ def _monotone_envelope(m: np.ndarray, y: np.ndarray, n_bins: int = 32):
     return np.asarray(knots), np.asarray(values[: len(knots)])
 
 
-def fit_additive_bound(samples: ReachSamples, inflation: float = 0.05) -> ReachBoundFit:
+def fit_additive_bound(samples: ReachSamples) -> ReachBoundFit:
     """Fit a dominating bound chi1(t) + chi2(||x||) + chi3(||u||) + c.
 
     A single monotone envelope g of ||phi|| against max(t, ||x||, ||u||)
     dominates the data; since the max is one of the three coordinates and g
     is nonnegative and increasing, using g for every chi preserves
     domination (the same splitting as the component-wise characterization).
+    chi is g less its value c at 0, inflated by 5 percent.
     """
     if np.any(~np.isfinite(samples.norm_phi)):
         raise NotBrsError("samples contain blow-ups: not BRS on the sampled box")
@@ -211,9 +207,7 @@ def fit_additive_bound(samples: ReachSamples, inflation: float = 0.05) -> ReachB
     knots, env = _monotone_envelope(m, samples.norm_phi)
     c = float(env[0])
     eps = 1e-9 * max(1.0, knots[-1])
-    values = (1.0 + inflation) * np.maximum(env - c, 0.0) + eps * knots / max(
-        knots[-1], 1.0
-    )
+    values = 1.05 * np.maximum(env - c, 0.0) + eps * knots / max(knots[-1], 1.0)
     if knots.size < 2:
         knots = np.array([0.0, 1.0])
         values = np.array([0.0, eps])
@@ -234,7 +228,6 @@ def verify_rfc_tdi(
     tau: float,
     n: int,
     seed: int,
-    cfg: IntegratorConfig | None = None,
 ) -> RFCBoundReport:
     """Check ||phi|| <= kappa^{-1}(t + ||x|| + c) over lifted disturbances.
 
@@ -246,14 +239,13 @@ def verify_rfc_tdi(
     if not {"Kinf"} <= kappa.tags:
         raise ValueError("kappa must be tagged Kinf")
     if n == 0:
-        return RFCBoundReport(kappa, c, -math.inf, True, None)
-    cfg = cfg or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
+        return RFCBoundReport(c, -math.inf, True, None)
     dists = disturbance_family(sys.input_dim, tau, max(3, n // 4), seed)
     X0 = [_random_in_ball(seeded_rng(seed, "rfc_states", i), sys.state_dim, C) for i in range(n)]
     grid = np.linspace(0.0, tau, 65)
     samples, _ = _sample_ensemble(
         closed_loop(sys, margin), X0, [dists[i % len(dists)] for i in range(n)],
-        [(grid, np.arange(n))], cfg,
+        [(grid, np.arange(n))], _SAMPLE_CFG,
     )
     norms = np.linalg.norm(samples, axis=2)  # row = grid time, column = state
     nx = np.linalg.norm(X0, axis=1)
@@ -261,7 +253,7 @@ def verify_rfc_tdi(
     j, i = np.unravel_index(int(np.argmax(viol)), viol.shape)
     max_violation = float(viol[j, i])
     worst = (float(grid[j]), float(nx[i]), float(norms[j, i]))
-    return RFCBoundReport(kappa, c, max_violation, max_violation <= 1e-9, worst)
+    return RFCBoundReport(c, max_violation, max_violation <= 1e-9, worst)
 
 
 def find_rfc_offset(
@@ -272,16 +264,13 @@ def find_rfc_offset(
     tau: float,
     n: int,
     seed: int,
-    cfg: IntegratorConfig | None = None,
-    candidates=(0.0, 1.0, 2.0, 4.0, 8.0),
 ) -> float:
-    """Smallest offset from the sweep for which the RFC bound holds."""
-    for c in candidates:
-        report = verify_rfc_tdi(sys, margin, kappa, c, C, tau, n, seed, cfg)
-        if report.holds:
-            return float(c)
+    """Smallest offset in RFC_OFFSETS for which the RFC bound holds."""
+    for c in RFC_OFFSETS:
+        if verify_rfc_tdi(sys, margin, kappa, c, C, tau, n, seed).holds:
+            return c
     raise NotBrsError(
-        f"RFC bound fails for every offset in {candidates}: not RFC-TDI evidence"
+        f"RFC bound fails for every offset in {RFC_OFFSETS}: not RFC-TDI evidence"
     )
 
 
@@ -351,17 +340,15 @@ def probe_lipschitz_openloop(
     C: float,
     pairs: int,
     seed: int,
-    cfg: IntegratorConfig | None = None,
     u_fixed: InputSignal | None = None,
-    ratio_cap: float = RATIO_CAP,
 ) -> LipschitzProbeReport:
     """Sup of ||phi(t,x1,u) - phi(t,x2,u)|| / ||x1 - x2|| over sampled pairs.
 
     Includes a geometric near-zero ladder of pairs (0, 1e-3 .. 1e-12) since
     non-Lipschitz behavior concentrates at the origin.  `diverged` flags any
-    ratio beyond ratio_cap.
+    ratio beyond RATIO_CAP.
     """
-    cfg = cfg or IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13)
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13)
     pair_list = _probe_pairs(
         sys.state_dim, tau, C, pairs, seed, "open_probe_pairs", len(NEAR_ZERO_LADDER)
     )
@@ -372,7 +359,7 @@ def probe_lipschitz_openloop(
         rng = seeded_rng(seed, "open_probe_inputs", i)
         return [_random_pc_input(rng, sys.input_dim, tau, 0.999 * C)]
 
-    return _probe_reports(sys, [(tau, C, pair_list, inputs)], cfg, ratio_cap)[0][0]
+    return _probe_reports(sys, [(tau, C, pair_list, inputs)], cfg, RATIO_CAP)[0][0]
 
 
 def probe_lipschitz_tdi(

@@ -30,22 +30,23 @@ __all__ = [
 # Slope floor keeping clamped chords strictly increasing.
 EPS_SLOPE = 1e-9
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarFun:
     """Nondecreasing nonnegative scalar function on knots.
 
     Evaluation is piecewise-linear between knots and affine with `slope`
     beyond the last knot.  `tags` is a subset of {"K", "Kinf", "Lip1"}.
     `exact` optionally is a closed form used for evaluation instead of
-    interpolation; the knots remain authoritative for the class-tag checks,
-    for comparison and for JSON, which holds the knots only.
+    interpolation; the knots remain authoritative for the class-tag checks
+    and for JSON, which holds the knots only.  `==` and `hash` go by
+    identity.
     """
 
     knots: np.ndarray
     values: np.ndarray
     slope: float
     tags: frozenset = field(default_factory=frozenset)
-    exact: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
+    exact: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         knots = np.asarray(self.knots, dtype=float)

@@ -68,13 +68,7 @@ def _make_sigma1(params: dict) -> ExampleBundle:
     def rhs(x, u):
         return -np.abs(u) * _xlogx(x)
 
-    sysdef = SystemDef(
-        state_dim=1,
-        input_dim=1,
-        rhs=rhs,
-        name="sigma1",
-        lipschitz_hint=lambda C: max(C, C * C),
-    )
+    sysdef = SystemDef(state_dim=1, input_dim=1, rhs=rhs, name="sigma1")
     return ExampleBundle(
         name="sigma1",
         system=sysdef,
@@ -122,12 +116,7 @@ def _make_linear(params: dict) -> ExampleBundle:
         return u @ B.T
 
     sysdef = SystemDef(
-        state_dim=A.shape[0],
-        input_dim=B.shape[1],
-        rhs=rhs,
-        linear_part=A,
-        name="linear",
-        lipschitz_hint=lambda C: float(np.linalg.norm(B, 2)),
+        state_dim=A.shape[0], input_dim=B.shape[1], rhs=rhs, linear_part=A, name="linear"
     )
     return ExampleBundle(
         name="linear",

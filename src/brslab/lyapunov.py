@@ -364,17 +364,17 @@ def verify_growth(
     u_value,
     cfg: LyapunovConfig,
     l_table: LipschitzTable,
-    chi: ScalarFun | None = None,
 ) -> GrowthReport:
     """Dini check dV/dt <= V (and dW/dt <= 1) under the premise
-    chi(||u||) <= ||x||, with chi defaulting to eta^{-1}(2 s).
+    chi(||u||) <= ||x||, with chi = eta^{-1}(2 s); a pair outside the
+    premise is returned `vacuous`, with nothing integrated.
 
     The Dini derivative is estimated by forward differences over the step
     ladder; the ball radius R is frozen across evaluations so grid layouts
     match and discretization bias cancels in the quotient.  V at x and at
     every x(h) comes from one ensemble.
     """
-    chi = chi or chi_from_eta(margin.eta)
+    chi = chi_from_eta(margin.eta)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u_value = np.atleast_1d(np.asarray(u_value, dtype=float))
     lhs = float(chi(np.linalg.norm(u_value)))

@@ -15,6 +15,7 @@ go on.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -56,6 +57,7 @@ class InputSignal:
 
     def __init__(self, breakpoints: Sequence[float], segment_values, tail_value):
         self.breakpoints = np.asarray(breakpoints, dtype=float)
+        self._bps = self.breakpoints.tolist()  # eval's bisect beats searchsorted
         self.tail_value = _as_vector(tail_value)
         if self.breakpoints.size:
             vals = np.atleast_2d(np.asarray(segment_values, dtype=float))
@@ -78,13 +80,10 @@ class InputSignal:
     def eval(self, t: float) -> np.ndarray:
         if t < 0:
             raise ValueError("signals are defined for t >= 0 only")
-        idx = int(np.searchsorted(self.breakpoints, t, side="right"))
+        idx = bisect.bisect_right(self._bps, t)
         if idx >= self.breakpoints.size:
             return self.tail_value
         return self.segment_values[idx]
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self.eval(t)
 
     def _all_values(self) -> np.ndarray:
         return np.vstack([self.segment_values, self.tail_value[None, :]])
@@ -94,12 +93,13 @@ class InputSignal:
         return float(np.linalg.norm(self._all_values(), axis=1).max())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemDef:
     """Right-hand side x' = linear_part @ x + rhs(x, u).
 
     `rhs` maps an (n,) state and (m,) input to (n,), and is row-wise: (N, n)
     states with (N, m) inputs give the (N, n) derivatives of the N rows.
+    `==` and `hash` go by identity.
     """
 
     state_dim: int
@@ -133,17 +133,17 @@ class IntegratorConfig:
             raise ValueError(f"max_step must be > 0 (inf for no limit), got {self.max_step}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Solver steps, states, maximal-time estimate, blow-up flag, and the
     solver's dense output over every step, which reads the state at any
-    time in [0, times[-1]]."""
+    time in [0, times[-1]].  `==` and `hash` go by identity."""
 
     times: np.ndarray
     states: np.ndarray
     t_max_estimate: float
     blew_up: bool
-    dense: OdeSolution = field(compare=False, repr=False)
+    dense: OdeSolution = field(repr=False)
 
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.states, axis=1)
@@ -193,13 +193,12 @@ def _solver(A, span: float, rows: int) -> dict:
     return {"method": "BDF", "jac": jac}
 
 
-def _segments(f_at, y0, edges, cfg: IntegratorConfig, ends, A, grid=None):
-    """Solve the stack y' = f_at(a, live)(t, y) of len(ends) rows across
-    `edges`, one solve per [a, b] from the previous solve's last state;
-    yields (b, sol, crossed): each solution and the rows whose blow-up
-    ended it before b (none if it reached b).  Rows that start at or above
-    `cfg.blowup_threshold` cross at edges[0]: they come first, as
-    (edges[0], None, crossed), with no solve.
+def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, A, keep, grid=None):
+    """Solve the stack y' = f_at(a, b, live)(t, y) of len(ends) rows across
+    `edges`, one solve per [a, b] from the previous solve's last state, and
+    hand each solution to keep(b, sol).  Returns the state where the run
+    ended and each row's blow-up crossing time (inf if it did not cross).
+    Rows that start at or above `cfg.blowup_threshold` cross at edges[0].
 
     Row i is live from a while a < ends[i]; `live` selects those rows and
     f_at must hold the others still.  The blow-up event is the largest live
@@ -217,6 +216,7 @@ def _segments(f_at, y0, edges, cfg: IntegratorConfig, ends, A, grid=None):
     threshold = cfg.blowup_threshold
     stop = np.array(ends, dtype=float)  # a crossing row stops at its crossing time
     rows = stop.size
+    t_cross = np.full(rows, math.inf)
 
     def scaled_norms(y):
         """Each row's norm over the threshold: the start check, the event
@@ -233,22 +233,20 @@ def _segments(f_at, y0, edges, cfg: IntegratorConfig, ends, A, grid=None):
     solver = _solver(A, edges[-1] - edges[0], rows)
     y, a, reported = y0, edges[0], 0
     # the upward event never fires for a row that starts above the threshold
-    crossed = np.flatnonzero(scaled_norms(y0) >= 1.0)
-    if crossed.size:
-        stop[crossed] = a
-        yield a, None, crossed
+    crossed = scaled_norms(y0) >= 1.0
+    stop[crossed] = t_cross[crossed] = a
     for b in edges[1:]:
         while a < b:
             live = stop > a
             if not live.any():
-                return
+                return y, t_cross
             sel = slice(None) if live.all() else live  # read by blowup_event
             if grid is None:
                 out = {"dense_output": True}
             else:
                 out = {"t_eval": np.append(grid[reported : np.searchsorted(grid, b)], b)}
             sol = solve_ivp(
-                f_at(a, sel),
+                f_at(a, b, sel),
                 (a, b),
                 y,
                 rtol=cfg.rel_tol / scale,
@@ -260,17 +258,18 @@ def _segments(f_at, y0, edges, cfg: IntegratorConfig, ends, A, grid=None):
             )
             if sol.status == -1:
                 raise StepSizeError(f"integrator failed on [{a}, {b}]: {sol.message}")
+            keep(b, sol)
+            reported += int(np.searchsorted(sol.t, b))  # a grid time at b is the next solve's
             if sol.status == 1:  # the terminal event ends the last step at the crossing
                 y, a = sol.y_events[0][0], float(sol.t_events[0][0])
                 r = scaled_norms(y)
                 # a row left live above the threshold would never cross it upward
-                crossed = np.flatnonzero(live & (r >= min(r[live].max(), 1.0)))
-                stop[crossed] = a
+                crossed = live & (r >= min(r[live].max(), 1.0))
+                stop[crossed] = t_cross[crossed] = a
             else:
                 # a copy: a view would keep the whole solve's output alive
-                y, a, crossed = sol.y[:, -1].copy(), b, np.zeros(0, dtype=int)
-            reported += int(np.searchsorted(sol.t, b))  # a grid time at b is the next solve's
-            yield b, sol, crossed
+                y, a = sol.y[:, -1].copy(), b
+    return y, t_cross
 
 
 def integrate(
@@ -280,12 +279,13 @@ def integrate(
     or BDF with Newton matrix linear_part when rho(linear_part) * tau reaches
     _STIFF_RHO_SPAN.
 
-    `u` is an InputSignal or any object exposing `eval(t)` and
-    `breakpoints`; integration restarts at every breakpoint.  `times` and
+    `u` is an InputSignal or any object exposing `dim`, `eval(t)` and
+    `breakpoints`; integration restarts at every breakpoint, and a solve
+    over [a, b] reads u on [a, b), at b its left limit.  `times` and
     `states` are the solver's own steps; read any other time through
     `state_at`.  On blow-up the trajectory ends at the threshold-crossing
-    time.  An `x0` or an InputSignal whose dimension does not match `sys` is
-    a ValueError.
+    time.  An `x0` or an input whose dimension does not match `sys` is a
+    ValueError.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be a finite number > 0, got {tau}")
@@ -293,30 +293,25 @@ def integrate(
     x0 = _as_vector(x0)
     if x0.shape != (sys.state_dim,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({sys.state_dim},)")
-    if isinstance(u, InputSignal) and u.dim != sys.input_dim:
+    if u.dim != sys.input_dim:
         raise ValueError(f"input has dimension {u.dim}, expected {sys.input_dim}")
-    piecewise_const = isinstance(u, InputSignal)
 
-    def f_at(a, live):  # the one row is live until the run ends
-        if piecewise_const:
-            uval = u.eval(a)
-            return lambda t, y: sys.full_rhs(y, uval)
-        return lambda t, y: sys.full_rhs(y, u.eval(t))
+    def f_at(a, b, live):  # the one row is live until the run ends
+        last = np.nextafter(b, a)
+        return lambda t, y: sys.full_rhs(y, u.eval(min(t, last)))
 
-    edges = _segment_edges(getattr(u, "breakpoints", ()), tau)
     times = [np.zeros(1)]
     states = [x0[None, :]]
     steps = []  # one dense-output interpolant per solver step
-    t_max = math.inf
-    for b, sol, crossed in _segments(f_at, x0, edges, cfg, [tau], sys.linear_part):
-        if sol is None:  # x0 lies at or above the threshold: crossed at t = 0
-            t_max = float(b)
-            continue
+
+    def keep(b, sol):
         times.append(sol.t[1:])
         states.append(sol.y[:, 1:].T)
-        steps += sol.sol.interpolants
-        if crossed.size:
-            t_max = float(sol.t_events[0][0])
+        steps.extend(sol.sol.interpolants)
+
+    edges = _segment_edges(u.breakpoints, tau)
+    _, t_cross = _run(f_at, x0, edges, cfg, [tau], sys.linear_part, keep)
+    t_max = float(t_cross[0])
 
     times = np.concatenate(times)
     if not steps:  # a run that ends where it starts holds x0
@@ -396,7 +391,7 @@ def _sample_ensemble(
     switch_at = np.concatenate([u.breakpoints for u in inputs])
     switch_row = np.repeat(np.arange(N), [u.breakpoints.size for u in inputs])
 
-    def f_at(a, live):
+    def f_at(a, b, live):
         U = values[first + np.bincount(switch_row[switch_at <= a], minlength=N)][live]
 
         def f(t, y):
@@ -436,37 +431,30 @@ def _sample_ensemble(
     edges = _segment_edges(
         np.concatenate([switch_at, ends, union[per_call::per_call]]), ends.max()
     )
-    t_cross = np.full(N, math.inf)
     k = 0  # union times filled so far
-    end = X0.ravel()
-    for b, sol, crossed in _segments(f_at, end, edges, cfg, ends, A, union):
-        if sol is None:  # rows at or above the threshold from the start
-            t_cross[crossed] = b
-            continue
+
+    def keep(b, sol):
+        nonlocal k
         got = int(np.searchsorted(sol.t, b))  # the union times in the solve, b aside
         if got > 0:
             scatter(k, got, sol.y[:, :got].reshape(N, n, got))
             k += got
-        if crossed.size:
-            end, t_cross[crossed] = sol.y_events[0][0], sol.t_events[0][0]
-        else:
-            end = sol.y[:, -1]
+
+    end, t_cross = _run(f_at, X0.ravel(), edges, cfg, ends, A, keep, union)
     # the union times at the last end, or after the last row froze, hold the last state
     rest = union.size - k
     scatter(k, rest, np.broadcast_to(end.reshape(N, n, 1), (N, n, rest)))
     return samples, t_cross
 
 
-def semigroup_growth(
-    A: np.ndarray, t_cert: float = 10.0, n_grid: int = 60
-) -> tuple[float, float]:
+def semigroup_growth(A: np.ndarray, t_cert: float = 10.0) -> tuple[float, float]:
     """Estimated pair (M, lambda) for ||exp(A t)|| <= M exp(lambda t).
 
     lambda is the spectral abscissa; M is the max ratio observed on a
-    logarithmic time grid in (0, t_cert], at least 1.  For a normal A that
-    is M = 1 and the bound holds; for a non-normal A the ratio can peak
-    between grid points or after t_cert, so M is an estimate from below,
-    not a certificate.
+    60-point logarithmic time grid in (0, t_cert], at least 1.  For a normal
+    A that is M = 1 and the bound holds; for a non-normal A the ratio can
+    peak between grid points or after t_cert, so M is an estimate from
+    below, not a certificate.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -474,7 +462,7 @@ def semigroup_growth(
     if not np.all(np.isfinite(A)):
         raise ValueError("A must have finite entries")
     lam = float(np.max(np.linalg.eigvals(A).real))
-    ts = np.logspace(-3, math.log10(t_cert), n_grid)
+    ts = np.logspace(-3, math.log10(t_cert), 60)
     M = 1.0
     for t in ts:
         ratio = np.linalg.norm(expm(A * t), ord=2) / math.exp(lam * t)

@@ -80,9 +80,6 @@ class FeedbackSignal:
         x = self._traj.state_at(t)  # past the path's end: its last state
         return self._d.eval(t) * float(self._margin(np.linalg.norm(x)))
 
-    def __call__(self, t: float) -> np.ndarray:
-        return self.eval(t)
-
 
 class DivisionGuardError(ValueError):
     """Input is non-dominated at a time where the margin vanishes."""
@@ -101,7 +98,6 @@ def closed_loop(sys: SystemDef, margin: GrowthMargin) -> SystemDef:
         rhs=rhs_cl,
         linear_part=sys.linear_part,
         name=f"{sys.name}:eta-loop" if sys.name else "eta-loop",
-        lipschitz_hint=sys.lipschitz_hint,
     )
 
 
@@ -125,24 +121,19 @@ def project_input(
     x0,
     u,
     tau: float,
-    cfg: IntegratorConfig | None = None,
-    grid: np.ndarray | None = None,
+    cfg: IntegratorConfig | None,
+    grid: np.ndarray,
 ) -> DisturbanceSignal:
     """Recover the disturbance d(t) = u(t) / eta(||phi(t, x0, u)||).
 
-    d is read at the solver's steps, or at the times of `grid`, which must
-    be non-empty and strictly increasing in [0, tau] (else a ValueError).
-    Where the margin is below EPS_DIV the convention d = 0 applies, but only
-    for dominated inputs; otherwise a DivisionGuardError names the time.
+    d is read at the times of `grid`, which must be non-empty and strictly
+    increasing in [0, tau] (else a ValueError); cfg None selects the default
+    tolerances.  Where the margin is below EPS_DIV the convention d = 0
+    applies, but only for dominated inputs; otherwise a DivisionGuardError
+    names the time.
     """
-    if grid is not None:
-        ts = _time_grid(grid, tau)
-    cfg = cfg or IntegratorConfig()
-    traj = integrate(sys, x0, u, tau, cfg)
-    if grid is None:
-        ts, X = traj.times, traj.states
-    else:
-        X = traj.state_at(ts)
+    ts = _time_grid(grid, tau)
+    X = integrate(sys, x0, u, tau, cfg).state_at(ts)
     e = np.asarray(margin(np.linalg.norm(X, axis=1)), dtype=float)
     U = np.array([u.eval(t) for t in ts], dtype=float)
     u_norm = np.linalg.norm(U, axis=1)

@@ -63,6 +63,10 @@ class TestUsageErrors:
             {"x0": 0.5},
             {"x0": ["a"]},
             {"u_constant": [1.0, 2.0]},
+            # a NaN state escaped as scipy's traceback, an infinite input as
+            # a step-size "integrator error"
+            {"x0": [math.nan]},
+            {"u_constant": [math.inf]},
             {"integrator": {"rel_tol": 0.0}},
             {"integrator": {"order": 5}},
             {"integrator": {"dense_output_grid": 0.5}},
@@ -72,6 +76,8 @@ class TestUsageErrors:
             {"horizon": -1.0},
             {"seed": "abc"},
             {"seed": -1},
+            # past float range: escaped as an OverflowError traceback
+            {"seed": 10**400},
             {"horizon": 0},
             {"system": {"name": "linear", "params": [1]}},
             {"system": {"name": "linear", "params": {"A": "x"}}},
@@ -85,6 +91,41 @@ class TestUsageErrors:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o" / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize(
+        "cmd, key",
+        [
+            (["simulate"], "x0"),
+            (["simulate"], "u_constant"),
+            (["lipschitz", "probe", "--mode", "open"], "u_constant"),
+        ],
+    )
+    def test_non_finite_vector_is_named(self, tmp_path, capsys, cmd, key):
+        cfg = sigma1_cfg(tmp_path, **{"horizon": 0.5, "samples": 2, key: [-math.inf]})
+        assert main([*cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {key} must hold finite numbers" in capsys.readouterr().err
+
+    # integer settings follow LyapunovConfig's rule: an int, not a bool
+    @pytest.mark.parametrize(
+        "cmd, extra",
+        [
+            (["simulate"], {"seed": True}),
+            (["simulate"], {"seed": 42.9}),
+            (["simulate"], {"seed": "3"}),
+            (["brs", "fit"], {"samples": 2.7}),
+            (["rfc", "verify"], {"samples": False}),
+            (["lipschitz", "probe", "--mode", "open"], {"samples": "3"}),
+            (["lyapunov", "verify"], {"growth_pairs": 1.5}),
+            (["lyapunov", "verify"], {"growth_pairs": True}),
+            (["lyapunov", "verify"], {"growth_pairs": "2"}),
+        ],
+    )
+    def test_integer_setting_must_be_an_integer(self, tmp_path, capsys, cmd, extra):
+        cfg = sigma1_cfg(tmp_path, **{"C": 1.0, "horizon": 0.5, "samples": 2, "c": 0.0, **extra})
+        assert main([*cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        key = next(iter(extra))
+        assert f"config error: {key} must be an integer" in capsys.readouterr().err
+        assert not any((tmp_path / "o").glob("*"))
 
     def test_wrong_length_u_constant_in_open_probe(self, tmp_path, capsys):
         cfg = sigma1_cfg(tmp_path, horizon=0.5, samples=2, u_constant=[1.0, 2.0])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -102,14 +103,43 @@ class TestIntegrate:
             bl.integrate(rotation(), [1.0, 0.0], bl.InputSignal.constant([0.0, 0.0]), 1.0)
 
     def test_accepts_any_signal_with_eval_and_breakpoints(self):
-        class Ramp:  # no `dim`: only eval and breakpoints are required
+        class Ramp:  # dim, eval and breakpoints are all that is required
             breakpoints = np.array([])
+            dim = 1
 
             def eval(self, t):
                 return np.array([t])
 
         traj = bl.integrate(rotation(), [1.0, 0.0], Ramp(), 1.0)
         assert traj.states.shape[1] == 2 and not traj.blew_up
+
+    def test_rejects_a_duck_typed_input_of_the_wrong_dim(self):
+        class Pair:
+            breakpoints = np.array([])
+            dim = 2
+
+            def eval(self, t):
+                return np.zeros(2)
+
+        with pytest.raises(ValueError, match="input has dimension 2"):
+            bl.integrate(bl.make("sigma1").system, [0.5], Pair(), 1.0)
+
+    def test_duck_typed_input_is_read_as_its_left_limit_at_a_solve_end(self):
+        # a solve over [0, 0.5] reads the input's value before 0.5, as the
+        # piecewise-constant InputSignal's solve does
+        class Switch:
+            breakpoints = np.array([0.5])
+            dim = 1
+
+            def eval(self, t):
+                return np.array([1.0 if t < 0.5 else -1.0])
+
+        sys_ = bl.make("linear", {"A": [[-1.0]]}).system
+        ref = bl.integrate(sys_, [0.3], bl.InputSignal([0.5], [[1.0]], [-1.0]), 1.0)
+        got = bl.integrate(sys_, [0.3], Switch(), 1.0)
+        assert np.array_equal(got.times, ref.times)
+        assert np.array_equal(got.states, ref.states)
+        assert got.t_max_estimate == ref.t_max_estimate
 
 
 def state_at_trajectories(name):
@@ -579,6 +609,30 @@ class TestTrajectoryExport:
         assert header == "t,x0,x1"
         sidecar = json.loads((tmp_path / "traj.csv.json").read_text())
         assert sidecar == {"t_max": None, "blew_up": False}
+
+
+def _array_holder(kind):
+    """An object of the given array-holding value type and an equal-valued copy."""
+    if kind == "ScalarFun":
+        eta = bl.make("sigma1").margin.eta
+        return eta, bl.ScalarFun.from_json(eta.to_json())
+    if kind == "SystemDef":
+        sys_ = bl.make("linear", {"A": [[-1.0, 1.0], [0.0, -1.0]]}).system
+        return sys_, dataclasses.replace(sys_)
+    traj = bl.integrate(rotation(), [1.0, 0.0], bl.InputSignal.constant([0.0]), 1.0)
+    return traj, dataclasses.replace(traj)
+
+
+@pytest.mark.parametrize("kind", ["ScalarFun", "SystemDef", "Trajectory"])
+def test_array_holders_compare_and_hash_by_identity(kind):
+    # field-wise == used to raise on the arrays' ambiguous truth value
+    obj, copy = _array_holder(kind)
+    assert obj == obj and obj != copy
+    assert hash(obj) == hash(obj) and isinstance(hash(copy), int)
+    if kind == "ScalarFun":  # a margin compares through its eta
+        margin = bl.GrowthMargin(obj)
+        assert margin == bl.GrowthMargin(obj) and margin != bl.GrowthMargin(copy)
+        assert hash(margin) == hash(bl.GrowthMargin(obj))
 
 
 class TestSemigroupGrowth:

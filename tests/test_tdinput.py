@@ -101,7 +101,7 @@ class TestLiftProject:
         d = bl.DisturbanceSignal(np.array([0.9]), np.array([[0.7]]), np.array([-0.9]))
         grid = np.linspace(0, 2, 101)
         u, traj_cl = bl.lift_disturbance(sigma1.system, sigma1.margin, [0.5], d, 2.0)
-        d2 = bl.project_input(sigma1.system, sigma1.margin, [0.5], u, 2.0, grid=grid)
+        d2 = bl.project_input(sigma1.system, sigma1.margin, [0.5], u, 2.0, None, grid)
         for t in grid:
             eta = sigma1.margin(np.linalg.norm(traj_cl.state_at(t)))
             if eta > 1e-6:
@@ -111,19 +111,19 @@ class TestLiftProject:
         # phi stays at 0, eta vanishes, yet the input is nonzero: non-dominated
         u = bl.InputSignal.constant([1.0])
         with pytest.raises(bl.DivisionGuardError):
-            bl.project_input(sigma1.system, sigma1.margin, [0.0], u, 1.0)
+            bl.project_input(sigma1.system, sigma1.margin, [0.0], u, 1.0, None, [0.0, 1.0])
 
     def test_zero_input_projects_to_zero(self, sigma1):
         u = bl.InputSignal.constant([0.0])
-        d = bl.project_input(sigma1.system, sigma1.margin, [0.0], u, 1.0)
+        d = bl.project_input(sigma1.system, sigma1.margin, [0.0], u, 1.0, None, [0.0, 1.0])
         assert d.sup_norm() == 0.0
 
-    @pytest.mark.parametrize("grid", [None, np.linspace(0.0, 1.0, 11)])
+    @pytest.mark.parametrize("grid", [[0.0, 0.5, 1.0], np.linspace(0.0, 1.0, 11)])
     def test_division_guard_names_first_offending_time(self, sigma1, grid):
         # phi stays at 0 and u is dominated (zero) before t = 0.5, not after
         u = bl.InputSignal([0.5], [[0.0]], [1.0])
         with pytest.raises(bl.DivisionGuardError, match=r"at t=0\.5: margin 0\.0 but"):
-            bl.project_input(sigma1.system, sigma1.margin, [0.0], u, 1.0, grid=grid)
+            bl.project_input(sigma1.system, sigma1.margin, [0.0], u, 1.0, None, grid)
 
     @pytest.mark.parametrize("grid", [[0.5, 0.2], [], [0.2, 0.2], [0.0, 1.5], [-0.1, 0.5]])
     def test_rejects_a_bad_grid(self, sigma1, grid):
@@ -131,7 +131,7 @@ class TestLiftProject:
         # to escape as numpy's concatenate error
         u = bl.InputSignal.constant([0.1])
         with pytest.raises(ValueError, match="grid"):
-            bl.project_input(sigma1.system, sigma1.margin, [0.5], u, 1.0, grid=np.array(grid))
+            bl.project_input(sigma1.system, sigma1.margin, [0.5], u, 1.0, None, np.array(grid))
 
     def test_projection_clipped_to_unit_ball(self, sigma1):
         # u / eta(||phi||) of the lifted unit disturbance exceeds 1 by ~2e-8
@@ -139,7 +139,7 @@ class TestLiftProject:
         d = bl.DisturbanceSignal.constant([1.0])
         u, _ = bl.lift_disturbance(sigma1.system, sigma1.margin, [0.5], d, 2.0)
         grid = np.linspace(0.0, 2.0, 201)
-        back = bl.project_input(sigma1.system, sigma1.margin, [0.5], u, 2.0, grid=grid)
+        back = bl.project_input(sigma1.system, sigma1.margin, [0.5], u, 2.0, None, grid)
         assert back.sup_norm() == 1.0
 
 
