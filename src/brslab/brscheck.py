@@ -10,9 +10,8 @@ disturbance (the matched-input pairing of the bijection).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,13 +108,6 @@ class LipschitzProbeReport:
     max_ratio: float
     L_estimate: float
     diverged: bool
-
-    def to_json(self) -> str:
-        # a diverged probe keeps L_estimate = inf in memory and writes null
-        obj = asdict(self)
-        if math.isinf(obj["L_estimate"]):
-            obj["L_estimate"] = None
-        return json.dumps(obj, sort_keys=True, allow_nan=False)
 
 
 def _random_in_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
@@ -288,47 +280,35 @@ def _probe_pairs(dim, tau, C, pairs, seed, purpose, n_ladder):
 
 
 def _probe_reports(sys, levels, cfg, ratio_cap) -> tuple[list, int | None]:
-    """One report per level (tau, C, pair_list, inputs): the max over every
-    distinct pair (x1, x2) and every input u in `inputs(i)` of
-    max_grid ||phi(t,x1,u) - phi(t,x2,u)|| / ||x1 - x2||, on the level's
-    65-point grid of [0, tau].
+    """One report per level (tau, C, pair_count, rows): the max over every
+    row (x1, x2, u) of max_grid ||phi(t,x1,u) - phi(t,x2,u)|| / ||x1 - x2||,
+    on the level's 65-point grid of [0, tau].
 
-    Both rows of every pair of every level are sampled as one ensemble.  A
+    Both states of every row of every level are sampled as one ensemble.  A
     level diverges if one of its own rows blows up or its ratio passes
     ratio_cap.  The level of the row that blows up first is returned too
     (None if none does).
     """
-    X1, X2, us, level_of = [], [], [], []
-    for k, (_, _, pair_list, inputs) in enumerate(levels):
-        for i, (x1, x2) in enumerate(pair_list):
-            if np.array_equal(x1, x2):
-                continue
-            for u in inputs(i):
-                X1.append(x1)
-                X2.append(x2)
-                us.append(u)
-                level_of.append(k)
-    level_of = np.asarray(level_of, dtype=int)
-    P = level_of.size
-    ratios, t_cross = np.zeros(0), np.zeros(0)
-    if P:
-        X1, X2 = np.array(X1, dtype=float), np.array(X2, dtype=float)
-        groups = []
-        for k, (tau, *_) in enumerate(levels):
-            mine = np.flatnonzero(level_of == k)
-            if mine.size:  # rows i and P + i of each of the level's pairs
-                groups.append((np.linspace(0.0, tau, 65), np.concatenate([mine, P + mine])))
-        samples, both = _sample_ensemble(sys, np.vstack([X1, X2]), us * 2, groups, cfg)
-        diff = np.linalg.norm(samples[:, :P] - samples[:, P:], axis=2).max(axis=0)
-        ratios = diff / np.linalg.norm(X1 - X2, axis=1)
-        t_cross = np.minimum(both[:P], both[P:])  # per pair: its first crossing
+    rows = [row for *_, level_rows in levels for row in level_rows]
+    level_of = np.repeat(np.arange(len(levels)), [len(level_rows) for *_, level_rows in levels])
+    P = len(rows)
+    X1, X2, us = zip(*rows)
+    X1, X2 = np.array(X1, dtype=float), np.array(X2, dtype=float)
+    groups = []
+    for k, (tau, *_) in enumerate(levels):
+        mine = np.flatnonzero(level_of == k)  # rows i and P + i of the level's pairs
+        groups.append((np.linspace(0.0, tau, 65), np.concatenate([mine, P + mine])))
+    samples, both = _sample_ensemble(sys, np.vstack([X1, X2]), us * 2, groups, cfg)
+    diff = np.linalg.norm(samples[:, :P] - samples[:, P:], axis=2).max(axis=0)
+    ratios = diff / np.linalg.norm(X1 - X2, axis=1)
+    t_cross = np.minimum(both[:P], both[P:])  # per pair: its first crossing
     reports = []
-    for k, (tau, C, pair_list, _) in enumerate(levels):
+    for k, (tau, C, pair_count, _) in enumerate(levels):
         mine = level_of == k
-        max_ratio = float(ratios[mine].max()) if mine.any() else 0.0
+        max_ratio = float(ratios[mine].max())
         diverged = bool(np.isfinite(t_cross[mine]).any()) or max_ratio > ratio_cap
         reports.append(LipschitzProbeReport(
-            tau, C, len(pair_list), max_ratio, math.inf if diverged else max_ratio, diverged
+            tau, C, pair_count, max_ratio, math.inf if diverged else max_ratio, diverged
         ))
     first = int(level_of[np.argmin(t_cross)]) if np.isfinite(t_cross).any() else None
     return reports, first
@@ -352,14 +332,14 @@ def probe_lipschitz_openloop(
     pair_list = _probe_pairs(
         sys.state_dim, tau, C, pairs, seed, "open_probe_pairs", len(NEAR_ZERO_LADDER)
     )
-
-    def inputs(i):
-        if u_fixed is not None:
-            return [u_fixed]
-        rng = seeded_rng(seed, "open_probe_inputs", i)
-        return [_random_pc_input(rng, sys.input_dim, tau, 0.999 * C)]
-
-    return _probe_reports(sys, [(tau, C, pair_list, inputs)], cfg, RATIO_CAP)[0][0]
+    rows = []
+    for i, (x1, x2) in enumerate(pair_list):
+        u = u_fixed
+        if u is None:
+            rng = seeded_rng(seed, "open_probe_inputs", i)
+            u = _random_pc_input(rng, sys.input_dim, tau, 0.999 * C)
+        rows.append((x1, x2, u))
+    return _probe_reports(sys, [(tau, C, len(pair_list), rows)], cfg, RATIO_CAP)[0][0]
 
 
 def probe_lipschitz_tdi(
@@ -389,7 +369,8 @@ def _tdi_probes(sys, margin, levels, pairs, seed, cfg, n_dist, ratio_cap):
     for tau, C in levels:
         pair_list = _probe_pairs(sys.state_dim, tau, C, pairs, seed, "tdi_probe_pairs", 4)
         dists = disturbance_family(sys.input_dim, tau, n_dist, seed)
-        specs.append((tau, C, pair_list, lambda i, dists=dists: dists))
+        rows = [(x1, x2, d) for x1, x2 in pair_list for d in dists]
+        specs.append((tau, C, len(pair_list), rows))
     return _probe_reports(closed_loop(sys, margin), specs, cfg, ratio_cap)
 
 

@@ -24,6 +24,7 @@ import math
 import numbers
 import os
 import sys as _sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -183,19 +184,30 @@ def _lyap_cfg(cfg: dict) -> LyapunovConfig:
     sub = cfg.get("lyapunov", {})
     if not isinstance(sub, dict):
         raise ConfigError("lyapunov settings must be an object")
-    sub = dict(sub)
-    sub.setdefault("seed", cfg["seed"])
-    if "integrator" in sub:
-        sub["integrator"] = _int_cfg(sub["integrator"])
     try:
-        return LyapunovConfig(**sub)
+        # one seed: the disturbances of U_q draw from the seed stamped on the artifacts
+        return LyapunovConfig(**sub, seed=cfg["seed"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad lyapunov settings: {exc}") from exc
 
 
+def _plain(obj):
+    """obj with every array or tuple as a list and every NaN or infinity as None."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def _stamped(obj: dict, cfg: dict, indent: int | None = None) -> str:
-    """RFC 8259 JSON of obj plus the config hash and seed; NaN/inf raise."""
-    obj = dict(obj, config_hash=_config_hash(cfg), seed=cfg["seed"])
+    """RFC 8259 JSON of obj plus the config hash and seed, a non-finite
+    float written as null: every JSON the CLI emits is written here."""
+    obj = _plain(dict(obj, config_hash=_config_hash(cfg), seed=cfg["seed"]))
     return json.dumps(obj, sort_keys=True, indent=indent, default=float, allow_nan=False)
 
 
@@ -235,9 +247,7 @@ def cmd_simulate(args) -> int:
     traj.to_csv(out / "trajectory.csv")
     _emit(
         out / "simulate.json",
-        {"t_max": None if math.isinf(traj.t_max_estimate) else traj.t_max_estimate,
-         "blew_up": traj.blew_up,
-         "final_state": traj.states[-1].tolist()},
+        {"t_max": traj.t_max_estimate, "blew_up": traj.blew_up, "final_state": traj.states[-1]},
         cfg,
     )
     return 0
@@ -275,15 +285,7 @@ def cmd_rfc_verify(args) -> int:
         _setting(cfg, "samples", 20, int),
         cfg["seed"],
     )
-    out = _out_dir(args)
-    _emit(
-        out / "rfc_report.json",
-        {"holds": report.holds,
-         # -inf when no sample was drawn; strict JSON has no infinities
-         "max_violation": report.max_violation if math.isfinite(report.max_violation) else None,
-         "c": report.c, "worst": report.worst},
-        cfg,
-    )
+    _emit(_out_dir(args) / "rfc_report.json", asdict(report), cfg)
     if not report.holds:
         return _fail({"falsified": "RFC-TDI", "worst": report.worst}, cfg)
     return 0
@@ -306,8 +308,7 @@ def cmd_lipschitz_probe(args) -> int:
         report = probe_lipschitz_tdi(
             bundle.system, _margin(bundle, cfg), tau, C, pairs, cfg["seed"]
         )
-    out = _out_dir(args)
-    _emit(out / f"lipschitz_{args.mode}.json", json.loads(report.to_json()), cfg)
+    _emit(_out_dir(args) / f"lipschitz_{args.mode}.json", asdict(report), cfg)
     return 0
 
 
@@ -379,7 +380,7 @@ def cmd_lyapunov_verify(args) -> int:
         rep = verify_growth(bundle.system, margin, x, u, lyap_cfg, l_table)
         if rep.vacuous:  # outside the premise: draw another pair
             continue
-        reports.append(json.loads(rep.to_json()))
+        reports.append(asdict(rep))
         if not (rep.passes_V and rep.passes_W):
             return _fail({"falsified": "growth", "report": reports[-1]}, cfg)
     out = _out_dir(args)

@@ -15,7 +15,7 @@ import io
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +44,14 @@ __all__ = [
 ]
 
 L_INFLATION = 1.1
+# Forward-difference steps of the Dini quotients, largest first, and the
+# slack of the growth check: relative on dV/dt <= V and dW/dt <= 1,
+# absolute on dV/dt.
+DINI_STEPS = (1e-2, 1e-3)
+TOL_GROWTH = 0.1
+GROWTH_ABS_SLACK = 0.05
+# Tolerances of the closed-loop trajectories behind U_q and the Dini steps.
+_V_CFG = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11)
 
 
 class TailBudgetError(ValueError):
@@ -62,44 +70,27 @@ class NotRfcTdiError(RuntimeError):
     RFC over trajectory-dominated inputs on this ball."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class LyapunovConfig:
     Q: int = 14
     n_dist: int = 6
     time_grid_density: int = 16
     seed: int = 0
     tail_tol: float = 1e-3
-    dini_h_ladder: tuple = (1e-2, 1e-3)
-    tol_growth: float = 0.1
-    growth_abs_slack: float = 0.05
-    integrator: IntegratorConfig | None = None
 
     def __post_init__(self):
         for name in ("Q", "n_dist", "time_grid_density", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("tail_tol", "tol_growth", "growth_abs_slack"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if not (isinstance(self.tail_tol, numbers.Real) and 0 < self.tail_tol < math.inf):
+            raise ValueError(f"tail_tol must be a finite number > 0, got {self.tail_tol!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.Q < 1:
             raise ValueError("Q must be at least 1")
-        if self.tail_tol <= 0:
-            raise ValueError("tail_tol must be positive")
-        ladder = tuple(float(h) for h in self.dini_h_ladder)
-        # a NaN or infinite step would never end the Dini integration
-        if not (ladder and all(0 < h < math.inf for h in ladder)) or any(np.diff(ladder) >= 0):
-            raise ValueError("dini_h_ladder must be non-empty, strictly decreasing, finite"
-                             f" and positive, got {list(ladder)}")
-        object.__setattr__(self, "dini_h_ladder", ladder)
         if self.n_dist < 1 or self.time_grid_density < 1:
             raise ValueError("n_dist and time_grid_density must be >= 1")
-
-    def int_cfg(self) -> IntegratorConfig:
-        return self.integrator or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11)
 
 
 @dataclass
@@ -256,7 +247,7 @@ def _eval_Vs(
     samples, t_cross = _sample_ensemble(
         closed_loop(sys, margin), np.repeat(X, nd, axis=0), dists,
         [(union, np.arange(b * nd, (b + 1) * nd)) for b, union in enumerate(unions)],
-        cfg.int_cfg(),
+        _V_CFG,
     )
     row = int(np.argmin(t_cross))  # the first to blow up, if any does
     if math.isfinite(t_cross[row]):
@@ -346,16 +337,6 @@ class GrowthReport:
     passes_V: bool = True
     passes_W: bool = True
 
-    def to_json(self) -> str:
-        obj = asdict(self)
-        obj["x"] = np.asarray(self.x).tolist()
-        obj["u_value"] = np.asarray(self.u_value).tolist()
-        # a vacuous pair leaves V0, W0 and the Dini quotients at NaN: write null
-        for key in ("V0", "W0", "dini_V", "dini_W"):
-            if math.isnan(obj[key]):
-                obj[key] = None
-        return json.dumps(obj, sort_keys=True, default=float, allow_nan=False)
-
 
 def verify_growth(
     sys: SystemDef,
@@ -369,8 +350,8 @@ def verify_growth(
     chi(||u||) <= ||x||, with chi = eta^{-1}(2 s); a pair outside the
     premise is returned `vacuous`, with nothing integrated.
 
-    The Dini derivative is estimated by forward differences over the step
-    ladder; the ball radius R is frozen across evaluations so grid layouts
+    The Dini derivative is estimated by forward differences over
+    DINI_STEPS; the ball radius R is frozen across evaluations so grid layouts
     match and discretization bias cancels in the quotient.  V at x and at
     every x(h) comes from one ensemble.
     """
@@ -381,21 +362,20 @@ def verify_growth(
     rhs = float(np.linalg.norm(x))
     if lhs > rhs:
         return GrowthReport(x, u_value, lhs, rhs, vacuous=True)
-    h_max = max(cfg.dini_h_ladder)
-    traj = integrate(sys, x, InputSignal.constant(u_value), h_max, cfg.int_cfg())
+    traj = integrate(sys, x, InputSignal.constant(u_value), DINI_STEPS[0], _V_CFG)
     if traj.blew_up:
         raise NotRfcTdiError("open loop blew up inside the Dini step window")
     R_frozen = max(1.0, rhs, float(traj.norms().max()))
-    states = np.vstack([x] + [traj.state_at(h) for h in cfg.dini_h_ladder])
+    states = np.vstack([x] + [traj.state_at(h) for h in DINI_STEPS])
     v0, *v_ladder = _eval_Vs(sys, margin, states, cfg, l_table, R_override=R_frozen)
     report = GrowthReport(x, u_value, lhs, rhs, vacuous=False, V0=v0.V, W0=v0.W)
-    for h, vh in zip(cfg.dini_h_ladder, v_ladder):
+    for h, vh in zip(DINI_STEPS, v_ladder):
         report.per_h_V[h] = (vh.V - v0.V) / h
         report.per_h_W[h] = (vh.W - v0.W) / h
     report.dini_V = max(report.per_h_V.values())
     report.dini_W = max(report.per_h_W.values())
-    report.passes_V = report.dini_V <= v0.V * (1.0 + cfg.tol_growth) + cfg.growth_abs_slack
-    report.passes_W = report.dini_W <= 1.0 + cfg.tol_growth
+    report.passes_V = report.dini_V <= v0.V * (1.0 + TOL_GROWTH) + GROWTH_ABS_SLACK
+    report.passes_W = report.dini_W <= 1.0 + TOL_GROWTH
     return report
 
 
@@ -470,8 +450,6 @@ def dump_table(
             "time_grid_density": cfg.time_grid_density,
             "seed": cfg.seed,
             "tail_tol": cfg.tail_tol,
-            "dini_h_ladder": list(cfg.dini_h_ladder),
-            "tol_growth": cfg.tol_growth,
         },
         "seed": cfg.seed,
         "c": l_table.c,

@@ -16,10 +16,8 @@ go on.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -116,11 +114,10 @@ class SystemDef:
         return dx
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntegratorConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    max_step: float = math.inf
     blowup_threshold: float = 1e9
 
     def __post_init__(self):
@@ -129,8 +126,6 @@ class IntegratorConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite number > 0, got {value}")
-        if not self.max_step > 0:
-            raise ValueError(f"max_step must be > 0 (inf for no limit), got {self.max_step}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,17 +149,9 @@ class Trajectory:
         return self.dense(np.clip(t, 0.0, self.times[-1])).T
 
     def to_csv(self, path) -> None:
-        path = Path(path)
         header = "t," + ",".join(f"x{i}" for i in range(self.states.shape[1]))
         data = np.column_stack([self.times, self.states])
         np.savetxt(path, data, delimiter=",", header=header, comments="")
-        sidecar = {
-            "t_max": None if math.isinf(self.t_max_estimate) else self.t_max_estimate,
-            "blew_up": bool(self.blew_up),
-        }
-        path.with_suffix(path.suffix + ".json").write_text(
-            json.dumps(sidecar, sort_keys=True)
-        )
 
 
 def _segment_edges(breakpoints, tau: float) -> np.ndarray:
@@ -193,7 +180,7 @@ def _solver(A, span: float, rows: int) -> dict:
     return {"method": "BDF", "jac": jac}
 
 
-def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, A, keep, grid=None):
+def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, solver: dict, keep, grid=None):
     """Solve the stack y' = f_at(a, b, live)(t, y) of len(ends) rows across
     `edges`, one solve per [a, b] from the previous solve's last state, and
     hand each solution to keep(b, sol).  Returns the state where the run
@@ -205,10 +192,9 @@ def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, A, keep, grid=None):
     row norm crossing `cfg.blowup_threshold`: the crossing row, and any
     other live row at or above the threshold by then, is frozen at its
     state there, as at its end, and the other rows go on from the
-    crossing time.  The run ends when no row is live.  The rows are states
-    of equal size of a system with linear part A (None if it has none);
-    `_solver` picks RK45 or BDF from A and the whole span of `edges`.  The
-    tolerances are divided by sqrt(rows), so every row stays within `cfg`
+    crossing time.  The run ends when no row is live.  Every solve takes
+    the method options `solver`, `_solver`'s for the whole span of `edges`.
+    The tolerances are divided by sqrt(rows), so every row stays within `cfg`
     although the solver's error norm is an RMS over all components.  With
     `grid` a solve reports the grid times below b not reported yet, then b,
     instead of its own steps and keeps no dense output.
@@ -230,7 +216,6 @@ def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, A, keep, grid=None):
     blowup_event.terminal = True
     blowup_event.direction = 1.0
     scale = math.sqrt(rows)
-    solver = _solver(A, edges[-1] - edges[0], rows)
     y, a, reported = y0, edges[0], 0
     # the upward event never fires for a row that starts above the threshold
     crossed = scaled_norms(y0) >= 1.0
@@ -251,7 +236,6 @@ def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, A, keep, grid=None):
                 y,
                 rtol=cfg.rel_tol / scale,
                 atol=cfg.abs_tol / scale,
-                max_step=cfg.max_step,
                 events=blowup_event,
                 **solver,
                 **out,
@@ -309,8 +293,8 @@ def integrate(
         states.append(sol.y[:, 1:].T)
         steps.extend(sol.sol.interpolants)
 
-    edges = _segment_edges(u.breakpoints, tau)
-    _, t_cross = _run(f_at, x0, edges, cfg, [tau], sys.linear_part, keep)
+    solver = _solver(sys.linear_part, tau, 1)
+    _, t_cross = _run(f_at, x0, _segment_edges(u.breakpoints, tau), cfg, [tau], solver, keep)
     t_max = float(t_cross[0])
 
     times = np.concatenate(times)
@@ -319,13 +303,12 @@ def integrate(
                           OdeSolution([0.0, 0.0], [ConstantDenseOutput(0.0, 0.0, x0)]))
     # as solve_ivp does: at a step time, BDF output is read from the step
     # that starts there, RK45 output from the step that ends there
-    bdf = _solver(sys.linear_part, tau, 1)["method"] == "BDF"
     return Trajectory(
         times=times,
         states=np.vstack(states),
         t_max_estimate=t_max,
         blew_up=t_max < math.inf,
-        dense=OdeSolution(times, steps, alt_segment=bdf),
+        dense=OdeSolution(times, steps, alt_segment=solver["method"] == "BDF"),
     )
 
 
@@ -440,7 +423,8 @@ def _sample_ensemble(
             scatter(k, got, sol.y[:, :got].reshape(N, n, got))
             k += got
 
-    end, t_cross = _run(f_at, X0.ravel(), edges, cfg, ends, A, keep, union)
+    solver = _solver(A, ends.max(), N)
+    end, t_cross = _run(f_at, X0.ravel(), edges, cfg, ends, solver, keep, union)
     # the union times at the last end, or after the last row froze, hold the last state
     rest = union.size - k
     scatter(k, rest, np.broadcast_to(end.reshape(N, n, 1), (N, n, rest)))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -282,13 +283,24 @@ class TestProbes:
             rep = bl.probe_lipschitz_tdi(quad, margin, tau, 2.0, 2, 3, n_dist=3, ratio_cap=cap)
             assert rep.diverged and rep.L_estimate == math.inf, cap
 
-    def test_openloop_report_serializes(self, sigma1):
+    def test_openloop_report_serializes(self, sigma1, tmp_path):
+        # lipschitz_open.json holds the report's fields, stamped with the config
+        from brslab.cli import main
+
+        cfg = {"system": {"name": "sigma1"}, "seed": 3, "horizon": 0.5, "C": 1.0,
+               "samples": 2, "u_constant": [1.0]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["lipschitz", "probe", "--mode", "open", "--config", str(path),
+                     "--out", str(tmp_path)]) == 0
+        obj = json.loads((tmp_path / "lipschitz_open.json").read_text())
+        assert set(obj) == {"tau", "C", "pair_count", "max_ratio", "L_estimate", "diverged",
+                            "config_hash", "seed"}
         rep = bl.probe_lipschitz_openloop(
             sigma1.system, 0.5, 1.0, 2, seed=3,
             u_fixed=bl.InputSignal.constant([1.0]),
         )
-        obj = __import__("json").loads(rep.to_json())
-        assert set(obj) == {"tau", "C", "pair_count", "max_ratio", "L_estimate", "diverged"}
+        assert obj["max_ratio"] == rep.max_ratio and obj["pair_count"] == rep.pair_count
 
     def test_tdi_probe_bounded_on_sigma1(self, sigma1):
         rep = bl.probe_lipschitz_tdi(sigma1.system, sigma1.margin, 0.5, 1.0, 2, seed=3)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -23,10 +24,6 @@ class TestConfig:
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
             bl.LyapunovConfig(Q=0)
-
-    def test_rejects_nondecreasing_ladder(self):
-        with pytest.raises(ValueError):
-            bl.LyapunovConfig(dini_h_ladder=(1e-3, 1e-2))
 
     def test_rejects_nonpositive_tail(self):
         with pytest.raises(ValueError):
@@ -162,7 +159,7 @@ def per_trajectory_uq(ex_sys, margin, x, cfg, c):
     thetas = [theta(R, q, c) for q in range(1, cfg.Q + 1)]
     cl = closed_loop(ex_sys, margin)
     dists = bl.disturbance_family(ex_sys.input_dim, thetas[-1], cfg.n_dist, cfg.seed)
-    trajs = [bl.integrate(cl, x, d, thetas[-1], cfg.int_cfg()) for d in dists]
+    trajs = [bl.integrate(cl, x, d, thetas[-1], lyapunov._V_CFG) for d in dists]
     out = []
     for q, th in zip(range(1, cfg.Q + 1), thetas):
         grid = _dyadic_grid(th, cfg.time_grid_density)
@@ -351,12 +348,28 @@ class TestVerifyGrowth:
         rep = bl.verify_growth(sigma1.system, sigma1.margin, [0.1], [5.0], lyap_cfg, l_table)
         assert rep.vacuous
 
-    def test_report_serializes(self, sigma1, lyap_cfg, l_table):
-        u = 0.4 * sigma1.margin(0.8)
-        rep = bl.verify_growth(sigma1.system, sigma1.margin, [0.8], [u], lyap_cfg, l_table)
-        assert not rep.vacuous
-        obj = json.loads(rep.to_json())
-        assert obj["passes_V"] and obj["passes_W"]
+    def test_report_serializes(self, tmp_path):
+        # lyapunov_verify.json holds every field of each report, in strict JSON
+        from brslab.cli import main
+
+        cfg = {"system": {"name": "sigma1"}, "seed": 42, "c": 0.0, "radii": [0.0, 0.5, 1.0],
+               "growth_pairs": 2,
+               "lyapunov": {"Q": 10, "n_dist": 2, "time_grid_density": 4, "tail_tol": 5e-3}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["lyapunov", "verify", "--config", str(path), "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "lyapunov_verify.json").read_text()
+        reports = json.loads(text, parse_constant=_reject_constant)["growth_reports"]
+        assert len(reports) == 2
+        for obj in reports:
+            assert set(obj) == {f.name for f in dataclasses.fields(lyapunov.GrowthReport)}
+            assert len(obj["x"]) == 1 and len(obj["u_value"]) == 1
+            assert list(obj["per_h_V"]) == list(obj["per_h_W"]) == ["0.001", "0.01"]
+            assert obj["passes_V"] and obj["passes_W"] and not obj["vacuous"]
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON constant {token}")
 
 
 class TestSupDifference:
