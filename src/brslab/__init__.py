@@ -32,6 +32,7 @@ from .tdinput import (
 from .brscheck import (
     LipschitzProbeReport,
     NotBrsError,
+    NotRfcTdiError,
     ReachBoundFit,
     fit_additive_bound,
     find_rfc_offset,
@@ -45,7 +46,6 @@ from .lyapunov import (
     LipschitzTable,
     LyapunovConfig,
     LyapunovValue,
-    NotRfcTdiError,
     TailBudgetError,
     UqEstimate,
     build_l_table,

@@ -25,6 +25,7 @@ __all__ = [
     "RFCBoundReport",
     "LipschitzProbeReport",
     "NotBrsError",
+    "NotRfcTdiError",
     "sample_reach",
     "fit_additive_bound",
     "verify_rfc_tdi",
@@ -61,6 +62,11 @@ NEAR_ZERO_LADDER = tuple(10.0 ** (-k) for k in range(3, 13))
 
 class NotBrsError(RuntimeError):
     """Samples contain blow-ups: the system is not BRS on the sampled box."""
+
+
+class NotRfcTdiError(RuntimeError):
+    """The RFC bound or a closed-loop trajectory fails: the system is not
+    RFC over trajectory-dominated inputs on this ball."""
 
 
 @dataclass
@@ -261,9 +267,7 @@ def find_rfc_offset(
     for c in RFC_OFFSETS:
         if verify_rfc_tdi(sys, margin, kappa, c, C, tau, n, seed).holds:
             return c
-    raise NotBrsError(
-        f"RFC bound fails for every offset in {RFC_OFFSETS}: not RFC-TDI evidence"
-    )
+    raise NotRfcTdiError(f"RFC bound fails for every offset in RFC_OFFSETS = {RFC_OFFSETS}")
 
 
 def _probe_pairs(dim, tau, C, pairs, seed, purpose, n_ladder):

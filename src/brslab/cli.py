@@ -1,9 +1,12 @@
 """Command-line front end: batch experiments emitting CSV/JSON artifacts.
 
 Exit codes: 0 success, 1 falsified property (witness JSON on stdout),
-2 usage, config or integrator (step-size underflow) error.  Every emitted
-JSON embeds the config hash and the seed, and outputs are pure functions of
-(config, seed, binary version).
+2 usage, config or integrator (step-size underflow) error.  `main` loads the
+config and builds the example once for every subcommand, and is the one
+place that maps exceptions to exit codes; a `cmd_*` handler returns 1 only
+for a witness read off its own report.  Every emitted JSON, witnesses
+included, embeds the config hash and the seed, and outputs are pure
+functions of (config, seed, binary version).
 
 `lyapunov build` stamps its manifest with a reuse key: the config hash, a
 digest of brslab's own sources and the numpy and scipy versions.
@@ -33,6 +36,7 @@ import scipy
 from . import examples as ex
 from .brscheck import (
     NotBrsError,
+    NotRfcTdiError,
     fit_additive_bound,
     find_rfc_offset,
     probe_lipschitz_openloop,
@@ -44,7 +48,6 @@ from .brscheck import (
 from .compfun import eta_from_chis
 from .lyapunov import (
     LyapunovConfig,
-    NotRfcTdiError,
     TailBudgetError,
     build_l_table,
     dump_table,
@@ -236,9 +239,7 @@ def _vector(cfg: dict, key: str, dim: int) -> np.ndarray:
     return v
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config, args)
-    bundle = _bundle(cfg)
+def cmd_simulate(args, cfg: dict, bundle: ex.ExampleBundle) -> int:
     x0 = _vector(cfg, "x0", bundle.system.state_dim)
     u = InputSignal.constant(_vector(cfg, "u_constant", bundle.system.input_dim))
     tau = _setting(cfg, "horizon", 1.0)
@@ -253,16 +254,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_brs_fit(args) -> int:
-    cfg = _load_config(args.config, args)
-    bundle = _bundle(cfg)
+def cmd_brs_fit(args, cfg: dict, bundle: ex.ExampleBundle) -> int:
     samples = _reach_samples(bundle, cfg)
     out = _out_dir(args)
     samples.to_csv(out / "reach_samples.csv")
-    try:
-        fit = fit_additive_bound(samples)
-    except NotBrsError as exc:
-        return _fail({"falsified": "BRS", "detail": str(exc)}, cfg)
+    fit = fit_additive_bound(samples)
     _emit(
         out / "brs_fit.json",
         {"chi": json.loads(fit.chi1.to_json()), "c": fit.c, "residual": fit.residual},
@@ -271,9 +267,7 @@ def cmd_brs_fit(args) -> int:
     return 0
 
 
-def cmd_rfc_verify(args) -> int:
-    cfg = _load_config(args.config, args)
-    bundle = _bundle(cfg)
+def cmd_rfc_verify(args, cfg: dict, bundle: ex.ExampleBundle) -> int:
     margin = _margin(bundle, cfg)
     report = verify_rfc_tdi(
         bundle.system,
@@ -291,9 +285,7 @@ def cmd_rfc_verify(args) -> int:
     return 0
 
 
-def cmd_lipschitz_probe(args) -> int:
-    cfg = _load_config(args.config, args)
-    bundle = _bundle(cfg)
+def cmd_lipschitz_probe(args, cfg: dict, bundle: ex.ExampleBundle) -> int:
     tau = _setting(cfg, "horizon", 1.0)
     C = _setting(cfg, "C", 1.0)
     pairs = _setting(cfg, "samples", 10, int)
@@ -324,10 +316,9 @@ def _stored_tables(cfg: dict, out: Path):
     return l_table, table
 
 
-def _build_pipeline(cfg: dict, stored_in: Path | None = None):
-    """bundle, margin, Lyapunov config, l_table and radial table; the two
-    tables come from `stored_in` when it holds them for this config."""
-    bundle = _bundle(cfg)
+def _build_pipeline(cfg: dict, bundle: ex.ExampleBundle, stored_in: Path | None = None):
+    """margin, Lyapunov config, l_table and radial table; the two tables
+    come from `stored_in` when it holds them for this config."""
     margin = _margin(bundle, cfg)
     lyap_cfg = _lyap_cfg(cfg)
     radii = _array(cfg, "radii", np.linspace(0.0, 2.0, 21))
@@ -335,7 +326,7 @@ def _build_pipeline(cfg: dict, stored_in: Path | None = None):
         raise ConfigError(f"radii must be a non-empty list of finite numbers >= 0, got {radii}")
     stored = None if stored_in is None else _stored_tables(cfg, stored_in)
     if stored is not None:
-        return bundle, margin, lyap_cfg, *stored
+        return margin, lyap_cfg, *stored
     if "c" in cfg:
         c = _setting(cfg, "c", None)
     else:
@@ -346,21 +337,18 @@ def _build_pipeline(cfg: dict, stored_in: Path | None = None):
         )
     l_table = build_l_table(bundle.system, margin, lyap_cfg.Q, c, cfg["seed"])
     table = radial_table(bundle.system, margin, radii, lyap_cfg, l_table)
-    return bundle, margin, lyap_cfg, l_table, table
+    return margin, lyap_cfg, l_table, table
 
 
-def cmd_lyapunov_build(args) -> int:
-    cfg = _load_config(args.config, args)
-    bundle, margin, lyap_cfg, l_table, table = _build_pipeline(cfg)
-    out = _out_dir(args)
-    dump_table(table, out, lyap_cfg, l_table, _reuse_key(cfg))
+def cmd_lyapunov_build(args, cfg: dict, bundle: ex.ExampleBundle) -> int:
+    _, lyap_cfg, l_table, table = _build_pipeline(cfg, bundle)
+    dump_table(table, _out_dir(args), lyap_cfg, l_table, _reuse_key(cfg))
     return 0
 
 
-def cmd_lyapunov_verify(args) -> int:
-    cfg = _load_config(args.config, args)
+def cmd_lyapunov_verify(args, cfg: dict, bundle: ex.ExampleBundle) -> int:
     n_pairs = _setting(cfg, "growth_pairs", 10, int)
-    bundle, margin, lyap_cfg, l_table, table = _build_pipeline(cfg, _out_path(args))
+    margin, lyap_cfg, l_table, table = _build_pipeline(cfg, bundle, _out_path(args))
     bad = (table["alpha1"] > table["V"] + 1e-9) | (
         table["V"] > table["alpha2_plus_C"] + 1e-9
     )
@@ -392,11 +380,6 @@ def cmd_lyapunov_verify(args) -> int:
 def _unit(rng, dim):
     v = rng.standard_normal(dim)
     return v / np.linalg.norm(v)
-
-
-def cmd_examples_list(args) -> int:
-    print(ex.list_examples())
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,9 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     exs = sub.add_parser("examples", help="registry listing")
     exs_sub = exs.add_subparsers(dest="subcommand", required=True)
-    sp = exs_sub.add_parser("list")
-    common(sp)
-    sp.set_defaults(fn=cmd_examples_list)
+    exs_sub.add_parser("list")
 
     return p
 
@@ -452,20 +433,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "examples":
+        print(ex.list_examples())
+        return 0
     try:
-        return args.fn(args)
+        cfg = _load_config(args.config, args)
+        return args.fn(args, cfg, _bundle(cfg))
     except (ConfigError, TailBudgetError) as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
     except StepSizeError as exc:
         print(f"integrator error: {exc}", file=_sys.stderr)
         return 2
+    # only a loaded config gets this far: the witness carries its hash and seed
     except NotBrsError as exc:
-        print(json.dumps({"falsified": "BRS/RFC", "detail": str(exc)}))
-        return 1
+        return _fail({"falsified": "BRS", "detail": str(exc)}, cfg)
     except NotRfcTdiError as exc:
-        print(json.dumps({"falsified": "RFC-TDI", "detail": str(exc)}))
-        return 1
+        return _fail({"falsified": "RFC-TDI", "detail": str(exc)}, cfg)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -85,21 +86,6 @@ def _make_sigma1(params: dict) -> ExampleBundle:
     )
 
 
-def _make_sigma2(params: dict) -> ExampleBundle:
-    def rhs(x, u):
-        return -_xlogx(x)
-
-    sysdef = SystemDef(state_dim=1, input_dim=1, rhs=rhs, name="sigma2")
-    return ExampleBundle(
-        name="sigma2",
-        system=sysdef,
-        closed_forms={"flow": _sigma1_flow_u1},
-        documented_properties=(
-            "undisturbed: rhs ignores u; equals sigma1 with u fixed at 1",
-        ),
-    )
-
-
 def _make_linear(params: dict) -> ExampleBundle:
     A = np.asarray(params.get("A", [[0.0]]), dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
@@ -139,10 +125,13 @@ def _make_quadratic(params: dict) -> ExampleBundle:
 
 
 def _make_reaction_diffusion(params: dict) -> ExampleBundle:
-    n = int(params.get("n", 32))
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    a = float(params.get("a", 5.0))
+    n, a = params.get("n", 32), params.get("a", 5.0)
+    # n follows LyapunovConfig's integer rule; a non-finite a would stall RK45 on NaN steps
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if isinstance(a, bool) or not isinstance(a, numbers.Real) or not math.isfinite(a):
+        raise ValueError(f"a must be a finite number, got {a!r}")
+    n, a = int(n), float(a)
     lap = np.zeros((n, n))
     idx = np.arange(n)
     lap[idx, idx] = -2.0
@@ -185,7 +174,6 @@ def _make_reaction_diffusion(params: dict) -> ExampleBundle:
 # Each example's builder and the params keys it reads.
 _REGISTRY: dict[str, tuple[Callable[[dict], ExampleBundle], frozenset]] = {
     "sigma1": (_make_sigma1, frozenset()),
-    "sigma2": (_make_sigma2, frozenset()),
     "linear": (_make_linear, frozenset({"A", "B"})),
     "quadratic": (_make_quadratic, frozenset()),
     "reaction_diffusion": (_make_reaction_diffusion, frozenset({"n", "a"})),

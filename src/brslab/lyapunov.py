@@ -23,7 +23,7 @@ import numpy as np
 from .compfun import ScalarFun, chi_from_eta, gk_eval, theta
 from .sysdyn import InputSignal, IntegratorConfig, SystemDef, _sample_ensemble, integrate
 from .tdinput import GrowthMargin, closed_loop, disturbance_family
-from .brscheck import RATIO_CAP, _tdi_probes
+from .brscheck import RATIO_CAP, NotRfcTdiError, _tdi_probes
 
 __all__ = [
     "LyapunovConfig",
@@ -63,11 +63,6 @@ class TailBudgetError(ValueError):
             f"Q={Q} leaves tail bound {tail_bound:.3e} > tail_tol {tail_tol:.1e};"
             f" minimal admissible Q is {min_Q}"
         )
-
-
-class NotRfcTdiError(RuntimeError):
-    """Closed-loop blow-up inside the evaluation window: the system is not
-    RFC over trajectory-dominated inputs on this ball."""
 
 
 @dataclass(frozen=True)

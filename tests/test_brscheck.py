@@ -168,6 +168,14 @@ class TestRfc:
     def test_offset_sweep_returns_smallest(self, rfc_offset):
         assert rfc_offset == 0.0
 
+    def test_no_offset_is_an_rfc_tdi_falsification(self):
+        # x' = x + u under eta(s) = s/2 outgrows kappa^{-1}(t + |x| + c) = 2 (t + |x| + c)
+        lin = bl.make("linear", {"A": [[1.0]], "B": [[1.0]]})
+        eta = bl.ScalarFun(np.array([0.0, 1.0]), np.array([0.0, 0.5]), 0.5,
+                           frozenset({"Kinf", "Lip1"}))
+        with pytest.raises(bl.NotRfcTdiError, match="every offset"):
+            bl.find_rfc_offset(lin.system, bl.GrowthMargin(eta), eta, 2.0, 3.0, 8, 1)
+
     def test_requires_kinf_kappa(self, sigma1):
         f = bl.ScalarFun(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 1.0)
         with pytest.raises(ValueError):

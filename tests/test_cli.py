@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from brslab.cli import main
+from brslab.cli import _config_hash, main
 from brslab.compfun import theta
 
 
@@ -81,6 +81,11 @@ class TestUsageErrors:
             {"system": {"name": "linear", "params": {"A": [[1.0, 2.0]]}}},
             {"system": {"name": "reaction_diffusion", "params": {"n": 0}}},
             {"system": {"name": "linear", "params": {"A": [[math.nan]]}}},
+            # a NaN `a` hung RK45; a bool or fractional `n` was truncated
+            {"system": {"name": "reaction_diffusion", "params": {"n": 4, "a": math.nan}}},
+            {"system": {"name": "reaction_diffusion", "params": {"n": True}}},
+            {"system": {"name": "reaction_diffusion", "params": {"n": 2.7}}},
+            {"system": {"name": "reaction_diffusion", "params": {"n": "8"}}},
         ],
     )
     def test_wrong_shape_or_setting_in_simulate(self, tmp_path, capsys, extra):
@@ -322,6 +327,41 @@ class TestBrsFit:
         assert "diverged" in witness["detail"]
 
 
+# Each falsification path: (argv head, config, label, a key the witness carries).
+WITNESSES = {
+    "brs_fit": (["brs", "fit"],
+                {"system": {"name": "quadratic"}, "seed": 7, "C": 3.0, "horizon": 3.0,
+                 "samples": 15}, "BRS", "detail"),
+    # the reach fit behind from_fit meets the blow-ups first
+    "rfc_from_fit": (["rfc", "verify"],
+                     {"system": {"name": "quadratic"}, "seed": 1, "eta_source": "from_fit",
+                      "C": 2.0, "samples": 6}, "BRS", "detail"),
+    "lyapunov_build": (["lyapunov", "build"],
+                       {"system": {"name": "quadratic"}, "seed": 3, "eta_source": "from_fit",
+                        "C": 0.1, "horizon": 2.0, "samples": 6, "c": 0.0,
+                        "radii": [0.0, 2.0],
+                        "lyapunov": {"Q": 11, "n_dist": 2, "time_grid_density": 4}},
+                       "RFC-TDI", "detail"),
+    # with a < 0 the cubic term outgrows the one cell's diffusion up to the blow-up threshold
+    "rfc_report": (["rfc", "verify"],
+                   {"system": {"name": "reaction_diffusion", "params": {"n": 1, "a": -50.0}},
+                    "seed": 1, "C": 1.0, "horizon": 1.0, "samples": 4, "c": 0.0},
+                   "RFC-TDI", "worst"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WITNESSES))
+def test_falsification_prints_one_stamped_witness(tmp_path, capsys, case):
+    cmd, cfg, label, key = WITNESSES[case]
+    path = write_cfg(tmp_path, cfg)
+    assert main([*cmd, "--config", path, "--out", str(tmp_path / "o")]) == 1
+    witness = strict_loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert witness["falsified"] == label
+    assert witness[key]
+    assert witness["seed"] == cfg["seed"]
+    assert witness["config_hash"] == _config_hash(cfg)
+
+
 class TestRfcAndProbes:
     def test_rfc_verify_sigma1(self, tmp_path):
         cfg = sigma1_cfg(tmp_path, C=1.5, horizon=2.0, samples=6, c=0.0)
@@ -463,3 +503,8 @@ class TestExamplesList:
         assert main(["examples", "list"]) == 0
         listing = json.loads(capsys.readouterr().out)
         assert "sigma1" in listing
+
+    def test_takes_no_options(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["examples", "list", "--config", "x"])
+        assert exc.value.code == 2

@@ -12,7 +12,7 @@ class TestRegistry:
     def test_listing_is_json(self):
         listing = json.loads(bl.list_examples())
         assert set(listing) == {
-            "linear", "quadratic", "reaction_diffusion", "sigma1", "sigma2"
+            "linear", "quadratic", "reaction_diffusion", "sigma1"
         }
         for entry in listing.values():
             assert entry["documented_properties"]
@@ -40,6 +40,17 @@ class TestRegistry:
     def test_linear_rejects_non_finite_entries(self, params):
         with pytest.raises(ValueError, match="finite"):
             bl.make("linear", params)
+
+    # a NaN or infinite `a` stalled RK45; a bool or fractional `n` was truncated
+    @pytest.mark.parametrize(
+        "params, key",
+        [({"n": 4, "a": math.nan}, "a"), ({"n": 4, "a": math.inf}, "a"),
+         ({"n": True}, "n"), ({"n": 2.7}, "n"), ({"n": "8"}, "n")],
+        ids=["a-nan", "a-inf", "n-bool", "n-float", "n-str"],
+    )
+    def test_reaction_diffusion_rejects_bad_n_or_a(self, params, key):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            bl.make("reaction_diffusion", params)
 
     def test_known_params_still_apply(self):
         assert bl.make("reaction_diffusion", {"n": 8, "a": 2.0}).system.state_dim == 8
@@ -93,23 +104,6 @@ class TestSigma1:
             d = np.array([rng.uniform(-1, 1)])
             deriv = (cl.rhs(np.array([x + h]), d) - cl.rhs(np.array([x - h]), d))[0] / (2 * h)
             assert abs(deriv) <= max(abs(x), x * x) + 1e-4
-
-
-class TestSigma2:
-    def test_matches_sigma1_at_unit_input(self, sigma1):
-        s2 = bl.make("sigma2")
-        rng = np.random.default_rng(31)
-        for _ in range(100):
-            x = rng.uniform(-3, 3, 1)
-            u = rng.uniform(-3, 3, 1)
-            assert s2.system.rhs(x, u) == pytest.approx(
-                sigma1.system.rhs(x, np.array([1.0])), abs=1e-15
-            )
-
-    def test_flow_is_sigma1_unit_flow(self):
-        s2 = bl.make("sigma2")
-        traj = bl.integrate(s2.system, [0.125], bl.InputSignal.constant([0.0]), math.log(3))
-        assert traj.states[-1][0] == pytest.approx(0.5, rel=1e-7)
 
 
 class TestLinear:
