@@ -104,6 +104,7 @@ class RFCBoundReport:
     max_violation: float
     holds: bool
     worst: tuple | None = None
+    blowup_time: float | None = None  # the earliest crossing of the blow-up threshold
 
 
 @dataclass
@@ -231,8 +232,8 @@ def verify_rfc_tdi(
 
     n seeded states in the C-ball are sampled as one closed-loop ensemble,
     read on the 65-point grid of [0, tau]; a blow-up holds its crossing
-    state, far above any bound.  `worst` is the (t, ||x||, ||phi||) of the
-    largest violation.
+    state, far above any bound, and its crossing time is `blowup_time`.
+    `worst` is the (t, ||x||, ||phi||) of the largest violation.
     """
     if not {"Kinf"} <= kappa.tags:
         raise ValueError("kappa must be tagged Kinf")
@@ -241,7 +242,7 @@ def verify_rfc_tdi(
     dists = disturbance_family(sys.input_dim, tau, max(3, n // 4), seed)
     X0 = [_random_in_ball(seeded_rng(seed, "rfc_states", i), sys.state_dim, C) for i in range(n)]
     grid = np.linspace(0.0, tau, 65)
-    samples, _ = _sample_ensemble(
+    samples, t_cross = _sample_ensemble(
         closed_loop(sys, margin), X0, [dists[i % len(dists)] for i in range(n)],
         [(grid, np.arange(n))], _SAMPLE_CFG,
     )
@@ -251,7 +252,9 @@ def verify_rfc_tdi(
     j, i = np.unravel_index(int(np.argmax(viol)), viol.shape)
     max_violation = float(viol[j, i])
     worst = (float(grid[j]), float(nx[i]), float(norms[j, i]))
-    return RFCBoundReport(c, max_violation, max_violation <= 1e-9, worst)
+    first = float(t_cross.min())
+    return RFCBoundReport(c, max_violation, max_violation <= 1e-9, worst,
+                          first if math.isfinite(first) else None)
 
 
 def find_rfc_offset(

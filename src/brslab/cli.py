@@ -14,7 +14,9 @@ digest of brslab's own sources and the numpy and scipy versions.
 --out when the manifest there carries its own key, and builds them
 otherwise (no manifest or table, an unreadable one, a table that is not the
 one the manifest was written with, or another key); either way it writes
-the same bytes.  The growth pairs and the sandwich check always run.
+the same bytes.  Under eta_source "from_fit" the manifest also holds the
+fitted margin, which verify reads back with the tables instead of sampling
+and fitting again.  The growth pairs and the sandwich check always run.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .brscheck import (
     seeded_rng,
     verify_rfc_tdi,
 )
-from .compfun import eta_from_chis
+from .compfun import ScalarFun, eta_from_chis
 from .lyapunov import (
     LyapunovConfig,
     TailBudgetError,
@@ -281,7 +283,8 @@ def cmd_rfc_verify(args, cfg: dict, bundle: ex.ExampleBundle) -> int:
     )
     _emit(_out_dir(args) / "rfc_report.json", asdict(report), cfg)
     if not report.holds:
-        return _fail({"falsified": "RFC-TDI", "worst": report.worst}, cfg)
+        return _fail({"falsified": "RFC-TDI", "worst": report.worst,
+                      "blowup_time": report.blowup_time}, cfg)
     return 0
 
 
@@ -305,28 +308,33 @@ def cmd_lipschitz_probe(args, cfg: dict, bundle: ex.ExampleBundle) -> int:
 
 
 def _stored_tables(cfg: dict, out: Path):
-    """(l_table, table) as `lyapunov build` wrote them to out for this
-    config and code, or None if out holds no such pair."""
+    """(fitted, l_table, table) as `lyapunov build` wrote them to out for
+    this config and code, `fitted` the margin it fitted under eta_source
+    "from_fit" (None under "paper"), or None if out holds no such tables."""
     try:
         table, l_table, manifest = load_table(out)
-    except (OSError, ValueError):
+        fitted = None
+        if cfg.get("eta_source", "paper") == "from_fit":
+            fitted = GrowthMargin(ScalarFun.from_json(json.dumps(manifest["fitted_eta"])))
+    except (OSError, KeyError, TypeError, ValueError):
         return None
     if any(manifest.get(k) != v for k, v in _reuse_key(cfg).items()):
         return None
-    return l_table, table
+    return fitted, l_table, table
 
 
 def _build_pipeline(cfg: dict, bundle: ex.ExampleBundle, stored_in: Path | None = None):
-    """margin, Lyapunov config, l_table and radial table; the two tables
-    come from `stored_in` when it holds them for this config."""
-    margin = _margin(bundle, cfg)
+    """margin, Lyapunov config, l_table and radial table; the two tables,
+    and a margin fitted under eta_source "from_fit", come from `stored_in`
+    when it holds them for this config."""
+    stored = None if stored_in is None else _stored_tables(cfg, stored_in)
+    margin = (stored and stored[0]) or _margin(bundle, cfg)  # a stored fit is not refitted
     lyap_cfg = _lyap_cfg(cfg)
     radii = _array(cfg, "radii", np.linspace(0.0, 2.0, 21))
     if radii.ndim != 1 or radii.size == 0 or not np.all(np.isfinite(radii) & (radii >= 0)):
         raise ConfigError(f"radii must be a non-empty list of finite numbers >= 0, got {radii}")
-    stored = None if stored_in is None else _stored_tables(cfg, stored_in)
     if stored is not None:
-        return margin, lyap_cfg, *stored
+        return margin, lyap_cfg, *stored[1:]
     if "c" in cfg:
         c = _setting(cfg, "c", None)
     else:
@@ -341,8 +349,11 @@ def _build_pipeline(cfg: dict, bundle: ex.ExampleBundle, stored_in: Path | None 
 
 
 def cmd_lyapunov_build(args, cfg: dict, bundle: ex.ExampleBundle) -> int:
-    _, lyap_cfg, l_table, table = _build_pipeline(cfg, bundle)
-    dump_table(table, _out_dir(args), lyap_cfg, l_table, _reuse_key(cfg))
+    margin, lyap_cfg, l_table, table = _build_pipeline(cfg, bundle)
+    extra = _reuse_key(cfg)
+    if cfg.get("eta_source", "paper") == "from_fit":  # verify reads it back instead of refitting
+        extra["fitted_eta"] = json.loads(margin.eta.to_json())
+    dump_table(table, _out_dir(args), lyap_cfg, l_table, extra)
     return 0
 
 

@@ -85,7 +85,7 @@ class ScalarFun:
                 out = np.where(
                     over, self.values[-1] + self.slope * (s_arr - self.knots[-1]), out
                 )
-        return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
+        return float(out) if s_arr.ndim == 0 else out
 
     def to_json(self) -> str:
         obj = {

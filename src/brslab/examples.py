@@ -22,29 +22,30 @@ from .tdinput import GrowthMargin
 __all__ = ["ExampleBundle", "make", "list_examples"]
 
 _LOG_GUARD = 1e-300
+_E_INV = math.exp(-1)
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
-    """x * ln|x| with the removable singularity at 0 mapped to 0."""
+    """x * ln|x| with the removable singularity at 0 mapped to 0, also for
+    |x| < _LOG_GUARD.  Below the guard the log reads the guard and x reads
+    -0.0, whose product with that negative log is +0.0."""
     ax = np.abs(x)
-    safe = np.where(ax < _LOG_GUARD, 1.0, ax)
-    return np.where(ax < _LOG_GUARD, 0.0, x * np.log(safe))
+    return np.where(ax < _LOG_GUARD, -0.0, x) * np.log(np.maximum(ax, _LOG_GUARD))
 
 
 def _sigma1_eta(s: np.ndarray) -> np.ndarray:
     """Growth margin for the non-Lipschitz scalar system: -s / (2 ln s) on
-    [0, 1/e], s/2 beyond."""
+    [0, 1/e], s/2 beyond (and at NaN), 0 at s <= _LOG_GUARD.  The log reads
+    s clipped to [_LOG_GUARD, 1/e], so it never sees a value it warns on."""
     s = np.asarray(s, dtype=float)
-    small = (s > _LOG_GUARD) & (s <= math.exp(-1))
-    safe = np.where(small, s, 0.5)
-    out = np.where(small, -safe / (2.0 * np.log(safe)), 0.5 * s)
-    return np.where(s <= _LOG_GUARD, 0.0, out)
+    c = np.minimum(np.maximum(s, _LOG_GUARD), _E_INV)
+    small = np.where(s > _LOG_GUARD, c / (-2.0 * np.log(c)), 0.0)
+    return np.where(s <= _E_INV, small, 0.5 * s)
 
 
 def _sigma1_eta_scalarfun() -> ScalarFun:
-    e_inv = math.exp(-1)
     knots = np.concatenate(
-        [[0.0], np.geomspace(1e-12, 0.9 * e_inv, 160), np.linspace(0.92 * e_inv, e_inv, 20)]
+        [[0.0], np.geomspace(1e-12, 0.9 * _E_INV, 160), np.linspace(0.92 * _E_INV, _E_INV, 20)]
     )
     values = _sigma1_eta(knots)
     return ScalarFun(knots, values, 0.5, frozenset({"Kinf", "Lip1"}), _sigma1_eta)

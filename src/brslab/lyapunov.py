@@ -213,8 +213,10 @@ def _eval_Vs(
 ) -> list[LyapunovValue]:
     """`eval_V` at every row of X, all closed-loop families in one ensemble.
 
-    State b's n_dist rows run to its own Theta(R_b, Q) and read its own
-    union grid, with R_b = R_override or max(||x_b||, 1).
+    State b's n_dist rows run to Theta(R_b, Q) and read the union grid of
+    its ball, R_b = R_override or max(||x_b||, 1).  Thetas, grids and the
+    disturbance family are built once per distinct R_b, and the ensemble
+    holds one row group per ball: the rows of all of that ball's states.
     """
     norms = np.linalg.norm(X, axis=1)
     c = l_table.c
@@ -231,34 +233,39 @@ def _eval_Vs(
             raise TailBudgetError(cfg.Q, tail, cfg.tail_tol, min_Q)
     qs = range(1, cfg.Q + 1)
     m_diag = [lyap_M(q, q, l_table) for q in qs]  # before integrating: Q must fit the table
-    thetas = [[theta(float(R), q, c) for q in qs] for R in balls]
+    radii, ball_of = np.unique(balls, return_inverse=True)
+    thetas = [[theta(float(R), q, c) for q in qs] for R in radii]
     grids = [[_dyadic_grid(th, cfg.time_grid_density) for th in ths] for ths in thetas]
     unions = [np.unique(np.concatenate(g)) for g in grids]
     nd = cfg.n_dist
-    # state b owns rows b*nd .. b*nd + nd - 1, which read its union grid
-    dists = []
-    for ths in thetas:
-        dists += disturbance_family(sys.input_dim, ths[-1], nd, cfg.seed)
+    families = [disturbance_family(sys.input_dim, ths[-1], nd, cfg.seed) for ths in thetas]
+    # state b owns rows b*nd .. b*nd + nd - 1, which read its ball's union grid
+    rows = np.arange(len(X) * nd).reshape(len(X), nd)
     samples, t_cross = _sample_ensemble(
-        closed_loop(sys, margin), np.repeat(X, nd, axis=0), dists,
-        [(union, np.arange(b * nd, (b + 1) * nd)) for b, union in enumerate(unions)],
+        closed_loop(sys, margin), np.repeat(X, nd, axis=0),
+        [d for j in ball_of for d in families[j]],
+        [(union, rows[ball_of == j].ravel()) for j, union in enumerate(unions)],
         _V_CFG,
     )
     row = int(np.argmin(t_cross))  # the first to blow up, if any does
     if math.isfinite(t_cross[row]):
         raise NotRfcTdiError(
             f"closed loop from ||x||={norms[row // nd]:.3g} blew up at"
-            f" t={t_cross[row]:.3g} < {unions[row // nd][-1]:.3g}: not RFC-TDI on this ball"
+            f" t={t_cross[row]:.3g} < {unions[ball_of[row // nd]][-1]:.3g}:"
+            " not RFC-TDI on this ball"
         )
+    # per ball: the discount at each union time, and where each q's grid sits in it
+    decays = [np.exp(-union)[:, None] for union in unions]
+    picks = [[np.searchsorted(union, g) for g in gs] for union, gs in zip(unions, grids)]
     values = []
-    for b, union in enumerate(unions):
-        S = samples[: union.size, b * nd : (b + 1) * nd]
+    for b, k in enumerate(ball_of):
+        S = samples[: unions[k].size, b * nd : (b + 1) * nd]
         # discounted margin, shape (T, n_dist): row = grid time, column = disturbance
-        disc = np.exp(-union)[:, None] * np.asarray(margin(np.linalg.norm(S, axis=2)))
+        disc = decays[k] * np.asarray(margin(np.linalg.norm(S, axis=2)))
         V = 1.0
         per_q = []
-        for q, th, g, m in zip(qs, thetas[b], grids[b], m_diag):
-            gq = gk_eval(q, disc[np.searchsorted(union, g)])
+        for q, th, g, pick, m in zip(qs, thetas[k], grids[k], picks[k], m_diag):
+            gq = gk_eval(q, disc[pick])
             # first disturbance attaining the sup, at its earliest grid time
             j = np.argmax(gq, axis=0)
             i = int(np.argmax(gq[j, np.arange(gq.shape[1])]))

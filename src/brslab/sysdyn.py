@@ -326,6 +326,13 @@ def _time_grid(grid, end: float, name: str = "grid") -> np.ndarray:
     return g
 
 
+def _consecutive(idx: np.ndarray):
+    """Distinct indices idx as the slice over the same entries if they fill a
+    range (a view, not a copy, and in the same order if idx increases)."""
+    lo, hi = (int(idx.min()), int(idx.max()) + 1) if idx.size else (0, 0)
+    return slice(lo, hi) if hi - lo == idx.size else idx
+
+
 def _sample_ensemble(
     sys: SystemDef, X0, inputs, groups, cfg: IntegratorConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -340,12 +347,13 @@ def _sample_ensemble(
     and its later grid times hold its state there, while the other rows go
     on.  Integration restarts at the union of the rows' breakpoints and grid
     ends.  The solver reports only the union of the grids (`t_eval`, no dense
-    output), at most _REPORT_VALUES state values per call, and each row keeps
-    only its own times.  Returns the samples, shape (T, N, n) for T the
-    longest grid's length (NaN after the end of a shorter one), and each
-    row's crossing time, shape (N,) (inf if it did not cross).  `sys.rhs`
-    must be row-wise: (K, n) states with (K, m) inputs give (K, n)
-    derivatives.
+    output), at most _REPORT_VALUES state values per call.  Reported states
+    are held, and scattered (each group's times and rows in one copy) when
+    one more solve would hold over _REPORT_VALUES values, and at the end.
+    Returns the samples, shape (T, N, n) for T the longest grid's length
+    (NaN after the end of a shorter one), and each row's crossing time,
+    shape (N,) (inf if it did not cross).  `sys.rhs` must be row-wise:
+    (K, n) states with (K, m) inputs give (K, n) derivatives.
     """
     X0 = np.asarray(X0, dtype=float)
     N, n = X0.shape
@@ -363,6 +371,7 @@ def _sample_ensemble(
     covered = np.sort(np.concatenate([np.zeros(0, dtype=int)] + [rows for _, rows in groups]))
     if not np.array_equal(covered, np.arange(N)):
         raise ValueError(f"the groups must hold each of the {N} rows exactly once")
+    groups = [(g, _consecutive(rows)) for g, rows in groups]
     ends = np.empty(N)
     for g, rows in groups:
         ends[rows] = g[-1]
@@ -399,35 +408,39 @@ def _sample_ensemble(
     # per group: its rows, the union index of each of its times, entries filled
     reads = [[rows, np.searchsorted(union, g), 0] for g, rows in groups]
     samples = np.full((max(g.size for g, _ in groups), N, n), np.nan)
+    k = 0  # union times scattered so far
 
-    def scatter(k, got, Y):
-        """Grid entries at union times k .. k + got - 1 from Y, shape (N, n, got)."""
+    def scatter(Y):
+        """Grid entries at the next len(Y) union times from Y, shape (len(Y), N, n)."""
+        nonlocal k
         for read in reads:
             rows, at, lo = read
-            hi = int(np.searchsorted(at, k + got))
+            hi = int(np.searchsorted(at, k + len(Y)))
             if hi > lo:
-                block = Y[np.ix_(rows, np.arange(n), at[lo:hi] - k)]
-                samples[lo:hi, rows] = block.transpose(2, 0, 1)
+                samples[lo:hi, rows] = Y[_consecutive(at[lo:hi] - k)][:, rows]
                 read[2] = hi
+        k += len(Y)
 
     per_call = max(1, _REPORT_VALUES // (N * n))
     edges = _segment_edges(
         np.concatenate([switch_at, ends, union[per_call::per_call]]), ends.max()
     )
-    k = 0  # union times filled so far
+    held = []  # reported states not scattered yet, each (times, N, n)
 
     def keep(b, sol):
-        nonlocal k
         got = int(np.searchsorted(sol.t, b))  # the union times in the solve, b aside
-        if got > 0:
-            scatter(k, got, sol.y[:, :got].reshape(N, n, got))
-            k += got
+        if held and sum(map(len, held)) + got > per_call:
+            scatter(np.concatenate(held))
+            held.clear()
+        if got:
+            held.append(sol.y[:, :got].T.reshape(got, N, n))
 
     solver = _solver(A, ends.max(), N)
     end, t_cross = _run(f_at, X0.ravel(), edges, cfg, ends, solver, keep, union)
+    if held:
+        scatter(np.concatenate(held))
     # the union times at the last end, or after the last row froze, hold the last state
-    rest = union.size - k
-    scatter(k, rest, np.broadcast_to(end.reshape(N, n, 1), (N, n, rest)))
+    scatter(np.broadcast_to(end.reshape(N, n), (union.size - k, N, n)))
     return samples, t_cross
 
 

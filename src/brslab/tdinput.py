@@ -87,7 +87,8 @@ def closed_loop(sys: SystemDef, margin: GrowthMargin) -> SystemDef:
     eta = margin.eta
 
     def rhs_cl(x, d):
-        return sys.rhs(x, d * eta(np.linalg.norm(x, axis=-1, keepdims=True)))
+        # np.linalg.norm's own sum of squares, without its dispatch on every call
+        return sys.rhs(x, d * eta(np.sqrt((x * x).sum(axis=-1, keepdims=True))))
 
     return SystemDef(
         state_dim=sys.state_dim,

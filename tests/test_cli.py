@@ -382,6 +382,22 @@ class TestRfcAndProbes:
         assert open_rep["diverged"] and not tdi_rep["diverged"]
 
 
+    def test_rfc_witness_names_the_blowup(self, tmp_path, capsys):
+        cmd, cfg, *_ = WITNESSES["rfc_report"]
+        out = tmp_path / "out"
+        assert main([*cmd, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+        witness = strict_loads(capsys.readouterr().out.strip().splitlines()[-1])
+        rep = strict_loads((out / "rfc_report.json").read_text())
+        assert 0.0 < witness["blowup_time"] == rep["blowup_time"] < cfg["horizon"]
+
+    def test_rfc_report_on_readme_config_names_no_blowup(self, tmp_path):
+        cfg = sigma1_cfg(tmp_path, eta_source="paper", C=1.5, horizon=2.0, samples=20, c=0.0)
+        out = tmp_path / "out"
+        assert main(["rfc", "verify", "--config", cfg, "--out", str(out)]) == 0
+        rep = strict_loads((out / "rfc_report.json").read_text())
+        assert rep["holds"] and "blowup_time" in rep and rep["blowup_time"] is None
+
+
 class TestLyapunov:
     def lyap_cfg(self, tmp_path):
         return sigma1_cfg(
@@ -496,6 +512,55 @@ class TestVerifyReusesBuild:
         assert len(manifest["code_digest"]) == 16 and len(manifest["table_sha256"]) == 64
         assert manifest["numpy_version"] == np.__version__
         assert manifest["scipy_version"] == scipy.__version__
+
+
+    def from_fit_cfg(self, tmp_path):
+        return sigma1_cfg(tmp_path, eta_source="from_fit", C=1.5, horizon=2.0, samples=20,
+                          c=0.0, radii=[0.0, 0.5, 1.0], growth_pairs=2,
+                          lyapunov={"Q": 14, "n_dist": 2, "time_grid_density": 4})
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        import brslab.cli as cli
+
+        calls = []
+
+        def counted(*args, _fn=cli.sample_reach, **kwargs):
+            calls.append(args)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sample_reach", counted)
+        return calls
+
+    def test_from_fit_verify_reads_the_fitted_margin(self, tmp_path, fits):
+        cfg = self.from_fit_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert main(["lyapunov", "build", "--config", cfg, "--out", str(out)]) == 0
+        manifest = strict_loads((out / "lyapunov_manifest.json").read_text())
+        assert manifest["fitted_eta"]["tags"] == ["Kinf", "Lip1"]
+        stored = self.verify_bytes(cfg, out)
+        assert len(fits) == 1
+        assert self.verify_bytes(cfg, tmp_path / "refit") == stored
+        assert len(fits) == 2
+
+    def test_from_fit_without_stored_margin_refits(self, tmp_path, fits, table_calls):
+        cfg = self.from_fit_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert main(["lyapunov", "build", "--config", cfg, "--out", str(out)]) == 0
+        path = out / "lyapunov_manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["fitted_eta"]
+        path.write_text(json.dumps(manifest))
+        del table_calls[:]
+        self.verify_bytes(cfg, out)
+        assert len(fits) == 2
+        assert table_calls == ["build_l_table", "radial_table"]
+
+    def test_paper_manifest_holds_no_fitted_margin(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["lyapunov", "build", "--config", self.lyap_cfg(tmp_path),
+                     "--out", str(out)]) == 0
+        assert "fitted_eta" not in strict_loads((out / "lyapunov_manifest.json").read_text())
 
 
 class TestExamplesList:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import brslab as bl
+import brslab.examples as examples
 
 
 class TestRegistry:
@@ -152,3 +153,54 @@ class TestReactionDiffusion:
             bl.IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9),
         )
         assert not traj.blew_up
+
+
+# The sigma1 kernels as they were written with one np.where per case: the
+# references the leaner kernels must reproduce bit for bit.
+def xlogx_where(x):
+    ax = np.abs(x)
+    safe = np.where(ax < 1e-300, 1.0, ax)
+    return np.where(ax < 1e-300, 0.0, x * np.log(safe))
+
+
+def sigma1_eta_where(s):
+    s = np.asarray(s, dtype=float)
+    small = (s > 1e-300) & (s <= math.exp(-1))
+    safe = np.where(small, s, 0.5)
+    out = np.where(small, -safe / (2.0 * np.log(safe)), 0.5 * s)
+    return np.where(s <= 1e-300, 0.0, out)
+
+
+E_INV = math.exp(-1)
+KERNEL_POINTS = [0.0, -0.0, 1e-310, 1e-300, np.nextafter(E_INV, 0.0), E_INV,
+                 np.nextafter(E_INV, 1.0), 1.0, math.nan, math.inf, -math.inf]
+
+
+def kernel_inputs():
+    """Every point as a 0-d array, and all of them, negated too, as (N,) and (N, 1)."""
+    points = np.array(KERNEL_POINTS + [-v for v in KERNEL_POINTS])
+    return [np.array(v) for v in points] + [points, points[:, None]]
+
+
+def assert_same_bits(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    assert np.array_equal(got, ref, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))  # == cannot tell -0.0 from 0.0
+
+
+class TestSigma1Kernels:
+    @pytest.mark.parametrize("x", kernel_inputs(), ids=repr)
+    def test_xlogx_matches_where_form(self, x):
+        assert_same_bits(examples._xlogx(x), xlogx_where(x))
+
+    @pytest.mark.parametrize("s", kernel_inputs(), ids=repr)
+    def test_eta_matches_where_form(self, s):
+        assert_same_bits(examples._sigma1_eta(s), sigma1_eta_where(s))
+
+    def test_random_points_match_where_forms(self):
+        rng = np.random.default_rng(11)
+        x = np.concatenate([rng.uniform(-2.0, 2.0, 500), rng.uniform(-1.0, 1.0, 500) ** 9,
+                            np.geomspace(1e-320, 1e3, 500)])
+        assert_same_bits(examples._xlogx(x), xlogx_where(x))
+        assert_same_bits(examples._sigma1_eta(np.abs(x)), sigma1_eta_where(np.abs(x)))

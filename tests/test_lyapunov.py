@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -11,9 +12,12 @@ from hypothesis.extra.numpy import arrays
 import brslab as bl
 import brslab.brscheck as brscheck
 import brslab.lyapunov as lyapunov
+import brslab.sysdyn as sysdyn
 from brslab.compfun import theta
 from brslab.lyapunov import LipschitzTable, _dyadic_grid, sandwich_funs
 from brslab.tdinput import closed_loop
+
+from conftest import SEED
 
 
 class TestConfig:
@@ -435,3 +439,58 @@ class TestRadialTable:
             csv.write_text(bad)
             with pytest.raises(ValueError):
                 load_table(tmp_path)
+
+
+def solver_work(monkeypatch) -> dict:
+    """Calls of sysdyn's solve_ivp from now on and the RHS evaluations they made."""
+    work = {"calls": 0, "nfev": 0}
+    solve_ivp = sysdyn.solve_ivp
+
+    def counted(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        work["calls"] += 1
+        work["nfev"] += sol.nfev
+        return sol
+
+    monkeypatch.setattr(sysdyn, "solve_ivp", counted)
+    return work
+
+
+def digest(*values) -> str:
+    return hashlib.sha256(np.asarray(values, dtype=float).tobytes()).hexdigest()[:32]
+
+
+# (|x|, fraction of eta(|x|)/2 taken by |u|) of the guarded growth pairs; the
+# sign of x alternates, and the premise chi(|u|) <= |x| holds for each
+GUARD_PAIRS = ((0.45, 0.3), (-1.2, 0.6), (1.85, 0.9))
+
+# sha256 of the output's float64 bytes, solve_ivp calls and summed nfev, on
+# sigma1 with the session's l_table and LyapunovConfig: growth_sweep's 21
+# radii (126 rows in one ensemble, which crosses sysdyn._REPORT_VALUES), the
+# l_table itself, and three growth pairs (three states on one ball each)
+ENSEMBLE_DIGESTS = {
+    "radial_table": ("f70b48ee26b5e50462dd53992a0dcd88", 146, 1810),
+    "l_table": ("c03a554a21e10a307b9b1c3aff03456e", 27, 1302),
+    "verify_growth_0": ("d9680aac51cce92e56cdefb583e587aa", 10, 200),
+    "verify_growth_1": ("f4449a619c94c9ff55569c519441778e", 10, 242),
+    "verify_growth_2": ("7a3e6edcc5bf9ba0f6d770c3ea50783b", 10, 326),
+}
+
+
+class TestEnsembleDigests:
+    @pytest.mark.parametrize("name", sorted(ENSEMBLE_DIGESTS))
+    def test_bits_and_work(self, name, sigma1, rfc_offset, l_table, lyap_cfg, monkeypatch):
+        work = solver_work(monkeypatch)
+        if name == "radial_table":
+            table = bl.radial_table(sigma1.system, sigma1.margin, np.linspace(0.0, 2.0, 21),
+                                    lyap_cfg, l_table)
+            got = digest(*(table[c] for c in lyapunov._COLUMNS))
+        elif name == "l_table":
+            got = digest(bl.build_l_table(sigma1.system, sigma1.margin, 14, rfc_offset, SEED).L)
+        else:
+            r, frac = GUARD_PAIRS[int(name[-1])]
+            u = frac * 0.5 * sigma1.margin(abs(r))
+            rep = bl.verify_growth(sigma1.system, sigma1.margin, [r], [u], lyap_cfg, l_table)
+            assert not rep.vacuous
+            got = digest(rep.V0, rep.W0, *rep.per_h_V.values(), *rep.per_h_W.values())
+        assert (got, work["calls"], work["nfev"]) == ENSEMBLE_DIGESTS[name]

@@ -150,3 +150,29 @@ class TestSampleTdi:
         for d in family:
             u, _ = bl.lift_disturbance(sigma1.system, sigma1.margin, [0.7], d, 1.5)
             assert domination_gap(sigma1.system, sigma1.margin, [0.7], u, 1.5) <= TOL_MEMBERSHIP
+
+
+class TestClosedLoopNorm:
+    POINTS = [0.0, -0.0, 1e-310, 1e-300, math.exp(-1), 1.0, 3.0, math.nan, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("x", [np.array(POINTS), np.array(POINTS)[:, None],
+                                   np.array(POINTS[:9]).reshape(3, 3)], ids=["N", "N1", "rows"])
+    def test_sum_of_squares_is_linalg_norm(self, x):
+        got = np.sqrt((x * x).sum(axis=-1, keepdims=True))
+        assert np.array_equal(got, np.linalg.norm(x, axis=-1, keepdims=True), equal_nan=True)
+
+    @pytest.mark.parametrize("name", ["sigma1", "linear"])
+    def test_rhs_matches_linalg_norm_form(self, sigma1, name):
+        points = np.array(self.POINTS + [-v for v in self.POINTS])
+        if name == "sigma1":
+            system, margin, x = sigma1.system, sigma1.margin, points[:, None]
+        else:  # three states per row, so the norm is a sum of three squares; B = I
+            system = bl.make("linear", {"A": np.zeros((3, 3)).tolist()}).system
+            margin = bl.make("reaction_diffusion", {"n": 3}).margin
+            finite = points[np.isfinite(points)]  # an infinite norm meets B's zeros as inf * 0
+            x = np.random.default_rng(9).permutation(np.resize(finite, 60)).reshape(20, 3)
+        d = np.random.default_rng(4).uniform(-1.0, 1.0, (len(x), system.input_dim))
+        ref = system.rhs(x, d * margin.eta(np.linalg.norm(x, axis=-1, keepdims=True)))
+        cl = bl.closed_loop(system, margin)
+        assert np.array_equal(cl.rhs(x, d), ref, equal_nan=True)
+        assert np.array_equal(cl.rhs(x[3], d[3]), ref[3], equal_nan=True)  # one state
