@@ -39,8 +39,11 @@ __all__ = [
 RATIO_CAP = 1e6
 # Offsets `find_rfc_offset` tries, smallest first.
 RFC_OFFSETS = (0.0, 1.0, 2.0, 4.0, 8.0)
-# Tolerances of the reach samples and the RFC check.
+# Tolerances of the reach samples and the RFC check, of the open-loop probe,
+# and the closed-loop probe's default.
 _SAMPLE_CFG = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
+_OPEN_PROBE_CFG = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13)
+_TDI_PROBE_CFG = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
 # Second SeedSequence entry of each seeded draw, [seed, tag, *index]: one stream
 # per purpose, so adding draws to one never shifts another.
 SEED_TAGS = {
@@ -115,6 +118,7 @@ class LipschitzProbeReport:
     max_ratio: float
     L_estimate: float
     diverged: bool
+    blowup_time: float | None = None  # the level's earliest crossing of the blow-up threshold
 
 
 def _random_in_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
@@ -266,7 +270,9 @@ def find_rfc_offset(
     n: int,
     seed: int,
 ) -> float:
-    """Smallest offset in RFC_OFFSETS for which the RFC bound holds."""
+    """Smallest offset in RFC_OFFSETS for which the RFC bound holds on n >= 1 states."""
+    if n < 1:  # the bound holds vacuously on no states, for every offset
+        raise ValueError(f"the RFC offset search needs n >= 1 states, got n={n}")
     for c in RFC_OFFSETS:
         if verify_rfc_tdi(sys, margin, kappa, c, C, tau, n, seed).holds:
             return c
@@ -286,15 +292,14 @@ def _probe_pairs(dim, tau, C, pairs, seed, purpose, n_ladder):
     return pair_list
 
 
-def _probe_reports(sys, levels, cfg, ratio_cap) -> tuple[list, int | None]:
+def _probe_reports(sys, levels, cfg) -> list[LipschitzProbeReport]:
     """One report per level (tau, C, pair_count, rows): the max over every
     row (x1, x2, u) of max_grid ||phi(t,x1,u) - phi(t,x2,u)|| / ||x1 - x2||,
     on the level's 65-point grid of [0, tau].
 
     Both states of every row of every level are sampled as one ensemble.  A
-    level diverges if one of its own rows blows up or its ratio passes
-    ratio_cap.  The level of the row that blows up first is returned too
-    (None if none does).
+    level diverges if one of its own rows blows up, at its `blowup_time`, or
+    its ratio passes RATIO_CAP.
     """
     rows = [row for *_, level_rows in levels for row in level_rows]
     level_of = np.repeat(np.arange(len(levels)), [len(level_rows) for *_, level_rows in levels])
@@ -313,12 +318,13 @@ def _probe_reports(sys, levels, cfg, ratio_cap) -> tuple[list, int | None]:
     for k, (tau, C, pair_count, _) in enumerate(levels):
         mine = level_of == k
         max_ratio = float(ratios[mine].max())
-        diverged = bool(np.isfinite(t_cross[mine]).any()) or max_ratio > ratio_cap
+        first = float(t_cross[mine].min())
+        diverged = math.isfinite(first) or max_ratio > RATIO_CAP
         reports.append(LipschitzProbeReport(
-            tau, C, pair_count, max_ratio, math.inf if diverged else max_ratio, diverged
+            tau, C, pair_count, max_ratio, math.inf if diverged else max_ratio, diverged,
+            first if math.isfinite(first) else None,
         ))
-    first = int(level_of[np.argmin(t_cross)]) if np.isfinite(t_cross).any() else None
-    return reports, first
+    return reports
 
 
 def probe_lipschitz_openloop(
@@ -335,7 +341,6 @@ def probe_lipschitz_openloop(
     non-Lipschitz behavior concentrates at the origin.  `diverged` flags any
     ratio beyond RATIO_CAP.
     """
-    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13)
     pair_list = _probe_pairs(
         sys.state_dim, tau, C, pairs, seed, "open_probe_pairs", len(NEAR_ZERO_LADDER)
     )
@@ -346,39 +351,37 @@ def probe_lipschitz_openloop(
             rng = seeded_rng(seed, "open_probe_inputs", i)
             u = _random_pc_input(rng, sys.input_dim, tau, 0.999 * C)
         rows.append((x1, x2, u))
-    return _probe_reports(sys, [(tau, C, len(pair_list), rows)], cfg, RATIO_CAP)[0][0]
+    return _probe_reports(sys, [(tau, C, len(pair_list), rows)], _OPEN_PROBE_CFG)[0]
 
 
 def probe_lipschitz_tdi(
     sys: SystemDef,
     margin: GrowthMargin,
-    tau: float,
-    C: float,
+    tau,
+    C,
     pairs: int,
     seed: int,
-    cfg: IntegratorConfig | None = None,
+    cfg: IntegratorConfig = _TDI_PROBE_CFG,
     n_dist: int = 4,
-    ratio_cap: float = RATIO_CAP,
-) -> LipschitzProbeReport:
+) -> LipschitzProbeReport | list[LipschitzProbeReport]:
     """Pair probe under matched trajectory-dominated inputs.
 
     Each pair shares a disturbance lifted from both initial states through
-    the closed loop, realizing the matched-input map u1 -> u2.
+    the closed loop, realizing the matched-input map u1 -> u2.  Scalar tau
+    and C give one report; equal-length 1-D arrays give one report per
+    level (tau[k], C[k]), all levels sampled as one ensemble.
     """
-    return _tdi_probes(sys, margin, [(tau, C)], pairs, seed, cfg, n_dist, ratio_cap)[0][0]
-
-
-def _tdi_probes(sys, margin, levels, pairs, seed, cfg, n_dist, ratio_cap):
-    """`probe_lipschitz_tdi` at every (tau, C) in `levels`, sampled as one
-    ensemble; returns the reports and the crossing level as `_probe_reports`."""
-    cfg = cfg or IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
-    specs = []
-    for tau, C in levels:
-        pair_list = _probe_pairs(sys.state_dim, tau, C, pairs, seed, "tdi_probe_pairs", 4)
-        dists = disturbance_family(sys.input_dim, tau, n_dist, seed)
+    taus, Cs = np.asarray(tau, dtype=float), np.asarray(C, dtype=float)
+    if taus.shape != Cs.shape or taus.ndim > 1 or taus.size == 0:
+        raise ValueError(f"tau and C must be numbers or 1-D arrays of one length: {tau}, {C}")
+    levels = []
+    for tau_k, C_k in zip(taus.ravel().tolist(), Cs.ravel().tolist()):
+        pair_list = _probe_pairs(sys.state_dim, tau_k, C_k, pairs, seed, "tdi_probe_pairs", 4)
+        dists = disturbance_family(sys.input_dim, tau_k, n_dist, seed)
         rows = [(x1, x2, d) for x1, x2 in pair_list for d in dists]
-        specs.append((tau, C, len(pair_list), rows))
-    return _probe_reports(closed_loop(sys, margin), specs, cfg, ratio_cap)
+        levels.append((tau_k, C_k, len(pair_list), rows))
+    reports = _probe_reports(closed_loop(sys, margin), levels, cfg)
+    return reports if taus.ndim else reports[0]
 
 
 def gronwall_bound(M_sg: float, lambda_sg: float, L: float, tau: float) -> float:

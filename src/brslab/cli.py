@@ -151,17 +151,17 @@ def _bundle(cfg: dict) -> ex.ExampleBundle:
         raise ConfigError(f"cannot build system {cfg['system']['name']!r}: {exc}") from exc
 
 
+def _samples(cfg: dict, default: int, purpose: str) -> int:
+    """cfg["samples"], at least 1: a fit or an RFC offset on no samples checks nothing."""
+    samples = _setting(cfg, "samples", default, int)
+    if samples < 1:
+        raise ConfigError(f"samples must be >= 1 for {purpose}, got {samples}")
+    return samples
+
+
 def _reach_samples(bundle: ex.ExampleBundle, cfg: dict):
-    samples = _setting(cfg, "samples", 40, int)
-    if samples < 1:  # a bound fitted to no samples is undefined
-        raise ConfigError(f"samples must be >= 1 for reach sampling, got {samples}")
-    return sample_reach(
-        bundle.system,
-        _setting(cfg, "C", 2.0),
-        _setting(cfg, "horizon", 3.0),
-        samples,
-        cfg["seed"],
-    )
+    return sample_reach(bundle.system, _setting(cfg, "C", 2.0), _setting(cfg, "horizon", 3.0),
+                        _samples(cfg, 40, "reach sampling"), cfg["seed"])
 
 
 def _margin(bundle: ex.ExampleBundle, cfg: dict) -> GrowthMargin:
@@ -341,7 +341,7 @@ def _build_pipeline(cfg: dict, bundle: ex.ExampleBundle, stored_in: Path | None 
         c = find_rfc_offset(
             bundle.system, margin, margin.eta,
             _setting(cfg, "C", 2.0), _setting(cfg, "horizon", 3.0),
-            _setting(cfg, "samples", 12, int), cfg["seed"],
+            _samples(cfg, 12, "the RFC offset search"), cfg["seed"],
         )
     l_table = build_l_table(bundle.system, margin, lyap_cfg.Q, c, cfg["seed"])
     table = radial_table(bundle.system, margin, radii, lyap_cfg, l_table)

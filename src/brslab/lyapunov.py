@@ -23,7 +23,7 @@ import numpy as np
 from .compfun import ScalarFun, chi_from_eta, gk_eval, theta
 from .sysdyn import InputSignal, IntegratorConfig, SystemDef, _sample_ensemble, integrate
 from .tdinput import GrowthMargin, closed_loop, disturbance_family
-from .brscheck import RATIO_CAP, NotRfcTdiError, _tdi_probes
+from .brscheck import NotRfcTdiError, probe_lipschitz_tdi
 
 __all__ = [
     "LyapunovConfig",
@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 L_INFLATION = 1.1
+L_PROBE_PAIRS, L_PROBE_DIST = 2, 3  # random pairs and disturbances per level of the probe
 # Forward-difference steps of the Dini quotients, largest first, and the
 # slack of the growth check: relative on dV/dt <= V and dW/dt <= 1,
 # absolute on dV/dt.
@@ -134,24 +135,24 @@ def build_l_table(
     Q: int,
     c: float,
     seed: int,
-    pairs: int = 2,
-    n_dist: int = 3,
 ) -> LipschitzTable:
     """Probe L(Theta(q,q), q) for q = 1..Q, inflated by 10 percent.
 
-    The Q probes are `probe_lipschitz_tdi`'s, sampled as one ensemble in
-    which level q runs to Theta(q,q) and reads its own 65 grid points.  A
-    diverged probe is a NotRfcTdiError naming the level of the first row to
-    blow up, or else the first level whose ratio passes RATIO_CAP.
+    The Q levels are one `probe_lipschitz_tdi` ensemble in which level q
+    runs to Theta(q,q) and reads its own 65 grid points.  A diverged probe
+    is a NotRfcTdiError naming the level with the earliest blow-up, or else
+    the first level whose ratio passes RATIO_CAP.
     """
-    levels = [(theta(float(q), q, c), float(q)) for q in range(1, Q + 1)]
-    reports, crossed = _tdi_probes(sys, margin, levels, pairs, seed, None, n_dist, RATIO_CAP)
-    bad = [k for k, rep in enumerate(reports) if rep.diverged]
+    taus = [theta(float(q), q, c) for q in range(1, Q + 1)]
+    reports = probe_lipschitz_tdi(sys, margin, np.array(taus), np.arange(1.0, Q + 1.0),
+                                  L_PROBE_PAIRS, seed, n_dist=L_PROBE_DIST)
+    bad = [q for q, rep in enumerate(reports, start=1) if rep.diverged]
     if bad:
-        k = bad[0] if crossed is None else crossed
+        crossed = [(rep.blowup_time, q) for q, rep in enumerate(reports, start=1)
+                   if rep.blowup_time is not None]
+        q = min(crossed)[1] if crossed else bad[0]
         raise NotRfcTdiError(
-            f"closed-loop pair probe diverged at level q={k + 1}"
-            f" (tau={levels[k][0]}, C={levels[k][1]})"
+            f"closed-loop pair probe diverged at level q={q} (tau={taus[q - 1]}, C={float(q)})"
         )
     return LipschitzTable(tuple(L_INFLATION * rep.max_ratio for rep in reports), c)
 
@@ -179,8 +180,12 @@ def _dyadic_grid(horizon: float, density: int) -> np.ndarray:
     return horizon * np.arange(n + 1) / n
 
 
-def _tail_bound(Q: int, nx: float, c: float) -> float:
-    return 2.0 ** (1 - Q) * (1.0 + nx + c)
+def _min_Q(x: np.ndarray, c: float, tail_tol: float) -> int:
+    """Least Q with 2^(1-Q) (1 + ||x|| + c) <= tail_tol, in log space: the
+    sum, and even ||x||, may lie past the float range."""
+    big = max(1.0, float(np.abs(x).max()), c)
+    scaled = 1.0 / big + float(np.linalg.norm(x / big)) + c / big
+    return math.ceil(1.0 + math.log2(big) + math.log2(scaled) - math.log2(tail_tol))
 
 
 def eval_V(
@@ -190,47 +195,34 @@ def eval_V(
     cfg: LyapunovConfig,
     l_table: LipschitzTable,
     R_override: float | None = None,
-) -> LyapunovValue:
-    """Truncated series V(x) = 1 + sum_q 2^{-q} U_q(x) / (1 + M(q,q)).
+) -> LyapunovValue | list[LyapunovValue]:
+    """Truncated series V(x) = 1 + sum_q 2^{-q} U_q(x) / (1 + M(q,q)): one
+    LyapunovValue for one state x, shape (n,), or a list for a stack (K, n).
 
-    All U_q share one ensemble of closed-loop trajectories, integrated to
-    the largest horizon and sampled once on the union of the Q dyadic grids;
-    each q reads its own grid's points into `per_q`.  Every grid contains
-    s = 0, so each U_q estimate dominates G_q(eta(||x||)), the zero-input
-    zero-time substitution.
+    All closed-loop families are one ensemble: state b's n_dist rows run to
+    Theta(R_b, Q), R_b = R_override or max(||x_b||, 1), and read the union of
+    its ball's Q dyadic grids, which are built once per distinct R_b (one row
+    group per ball); each q reads its own grid into `per_q`.  Every grid
+    holds s = 0, so each U_q estimate dominates G_q(eta(||x||)).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return _eval_Vs(sys, margin, x[None, :], cfg, l_table, R_override)[0]
-
-
-def _eval_Vs(
-    sys: SystemDef,
-    margin: GrowthMargin,
-    X,
-    cfg: LyapunovConfig,
-    l_table: LipschitzTable,
-    R_override: float | None = None,
-) -> list[LyapunovValue]:
-    """`eval_V` at every row of X, all closed-loop families in one ensemble.
-
-    State b's n_dist rows run to Theta(R_b, Q) and read the union grid of
-    its ball, R_b = R_override or max(||x_b||, 1).  Thetas, grids and the
-    disturbance family are built once per distinct R_b, and the ensemble
-    holds one row group per ball: the rows of all of that ball's states.
-    """
-    norms = np.linalg.norm(X, axis=1)
+    X = np.asarray(x, dtype=float)
+    if X.ndim > 2:
+        raise ValueError(f"x must be one state or a stack of states, got shape {X.shape}")
+    one = X.ndim < 2
+    X = np.atleast_2d(X)
+    with np.errstate(over="ignore"):  # a norm past 1.3e154 is inf: over any tail budget
+        norms = np.linalg.norm(X, axis=1)
     c = l_table.c
+    tails = [2.0 ** (1 - cfg.Q) * (1.0 + nx + c) for nx in norms.tolist()]
+    for xb, tail in zip(X, tails):
+        if tail > cfg.tail_tol:
+            raise TailBudgetError(cfg.Q, tail, cfg.tail_tol, _min_Q(xb, c, cfg.tail_tol))
     if R_override is None:
         balls = np.maximum(norms, 1.0)
     else:
         balls = np.full(len(X), float(R_override))
         if np.any(balls < norms - 1e-12):
             raise ValueError("R_override must cover ||x||")
-    tails = [_tail_bound(cfg.Q, nx, c) for nx in norms]
-    for nx, tail in zip(norms, tails):
-        if tail > cfg.tail_tol:
-            min_Q = math.ceil(1.0 + math.log2((1.0 + nx + c) / cfg.tail_tol))
-            raise TailBudgetError(cfg.Q, tail, cfg.tail_tol, min_Q)
     qs = range(1, cfg.Q + 1)
     m_diag = [lyap_M(q, q, l_table) for q in qs]  # before integrating: Q must fit the table
     radii, ball_of = np.unique(balls, return_inverse=True)
@@ -273,7 +265,7 @@ def _eval_Vs(
             per_q.append(UqEstimate(q, float(balls[b]), th, value, (i, float(g[j[i]]))))
             V += 2.0 ** (-q) * value / (1.0 + m)
         values.append(LyapunovValue(V, math.log1p(V), tails[b], per_q))
-    return values
+    return values[0] if one else values
 
 
 def sandwich_funs(
@@ -369,7 +361,7 @@ def verify_growth(
         raise NotRfcTdiError("open loop blew up inside the Dini step window")
     R_frozen = max(1.0, rhs, float(traj.norms().max()))
     states = np.vstack([x] + [traj.state_at(h) for h in DINI_STEPS])
-    v0, *v_ladder = _eval_Vs(sys, margin, states, cfg, l_table, R_override=R_frozen)
+    v0, *v_ladder = eval_V(sys, margin, states, cfg, l_table, R_override=R_frozen)
     report = GrowthReport(x, u_value, lhs, rhs, vacuous=False, V0=v0.V, W0=v0.W)
     for h, vh in zip(DINI_STEPS, v_ladder):
         report.per_h_V[h] = (vh.V - v0.V) / h
@@ -393,15 +385,17 @@ def radial_table(
     l_table: LipschitzTable,
 ) -> dict:
     """Evaluate V, W and the sandwich bounds along states r * e1, with V
-    at every radius from one ensemble."""
+    at every radius from one ensemble.  V comes first: a radius over the
+    tail budget is a TailBudgetError before the bounds are built up to it."""
     radii = np.asarray(radii, dtype=float)
+    e1 = np.zeros(sys.state_dim)
+    e1[0] = 1.0
+    values = eval_V(sys, margin, radii[:, None] * e1, cfg, l_table)
     alpha1, alpha2, C = sandwich_funs(
         margin, l_table, cfg.Q, s_max=max(8.0, float(radii.max()))
     )
-    e1 = np.zeros(sys.state_dim)
-    e1[0] = 1.0
     rows = {c: [] for c in _COLUMNS}
-    for r, lv in zip(radii, _eval_Vs(sys, margin, radii[:, None] * e1, cfg, l_table)):
+    for r, lv in zip(radii, values):
         rows["norm_x"].append(float(r))
         rows["V"].append(lv.V)
         rows["W"].append(lv.W)

@@ -176,6 +176,11 @@ class TestRfc:
         with pytest.raises(bl.NotRfcTdiError, match="every offset"):
             bl.find_rfc_offset(lin.system, bl.GrowthMargin(eta), eta, 2.0, 3.0, 8, 1)
 
+    def test_offset_search_needs_a_state(self, sigma1):
+        eta = sigma1.margin.eta
+        with pytest.raises(ValueError, match="n >= 1"):
+            bl.find_rfc_offset(sigma1.system, sigma1.margin, eta, 2.0, 3.0, 0, 1)
+
     def test_requires_kinf_kappa(self, sigma1):
         f = bl.ScalarFun(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 1.0)
         with pytest.raises(ValueError):
@@ -280,16 +285,19 @@ class TestProbes:
         rep = bl.probe_lipschitz_tdi(sys_, bl.GrowthMargin(eta), 1.0, 1.0, 2, seed=3)
         assert rep.max_ratio == pytest.approx(1.0, abs=1e-9)
 
-    def test_closed_loop_blowup_is_divergence(self):
+    def test_closed_loop_blowup_is_divergence(self, monkeypatch):
         # x' = x^2 with the margin fitted on the small box of the CLI's
-        # RFC-TDI falsification case; on the C = 2 ball some rows blow up
+        # RFC-TDI falsification case; on the C = 2 ball some rows blow up,
+        # which is a divergence with no ratio cap at all
         quad = bl.make("quadratic").system
         fit = bl.fit_additive_bound(bl.sample_reach(quad, 0.1, 2.0, 6, 3))
         margin = bl.GrowthMargin(bl.eta_from_chis(fit.chi1, fit.chi2, fit.chi3))
         tau = theta(2.0, 2, 0.0)
         for cap in (RATIO_CAP, math.inf):
-            rep = bl.probe_lipschitz_tdi(quad, margin, tau, 2.0, 2, 3, n_dist=3, ratio_cap=cap)
+            monkeypatch.setattr(brscheck, "RATIO_CAP", cap)  # read when the probe runs
+            rep = bl.probe_lipschitz_tdi(quad, margin, tau, 2.0, 2, 3, n_dist=3)
             assert rep.diverged and rep.L_estimate == math.inf, cap
+            assert 0.0 < rep.blowup_time < tau, cap
 
     def test_openloop_report_serializes(self, sigma1, tmp_path):
         # lipschitz_open.json holds the report's fields, stamped with the config
@@ -303,7 +311,8 @@ class TestProbes:
                      "--out", str(tmp_path)]) == 0
         obj = json.loads((tmp_path / "lipschitz_open.json").read_text())
         assert set(obj) == {"tau", "C", "pair_count", "max_ratio", "L_estimate", "diverged",
-                            "config_hash", "seed"}
+                            "blowup_time", "config_hash", "seed"}
+        assert obj["blowup_time"] is None
         rep = bl.probe_lipschitz_openloop(
             sigma1.system, 0.5, 1.0, 2, seed=3,
             u_fixed=bl.InputSignal.constant([1.0]),
@@ -314,6 +323,20 @@ class TestProbes:
         rep = bl.probe_lipschitz_tdi(sigma1.system, sigma1.margin, 0.5, 1.0, 2, seed=3)
         assert not rep.diverged
         assert rep.L_estimate == rep.max_ratio
+
+    def test_tdi_levels_give_one_report_each(self, sigma1):
+        taus, Cs = np.array([0.5, 0.75]), np.array([1.0, 2.0])
+        reps = bl.probe_lipschitz_tdi(sigma1.system, sigma1.margin, taus, Cs, 1, seed=3)
+        assert [(r.tau, r.C) for r in reps] == [(0.5, 1.0), (0.75, 2.0)]
+        assert all(not r.diverged and r.blowup_time is None for r in reps)
+        one = bl.probe_lipschitz_tdi(sigma1.system, sigma1.margin, taus[:1], Cs[:1], 1, seed=3)
+        assert isinstance(one, list) and len(one) == 1
+
+    @pytest.mark.parametrize("tau, C", [([0.5, 1.0], [1.0]), (0.5, [1.0]), ([], []),
+                                        ([[0.5]], [[1.0]])])
+    def test_tdi_levels_must_pair_up(self, sigma1, tau, C):
+        with pytest.raises(ValueError, match="tau and C"):
+            bl.probe_lipschitz_tdi(sigma1.system, sigma1.margin, tau, C, 1, seed=3)
 
     def test_rejects_bad_args(self, sigma1):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -219,6 +221,33 @@ class TestUsageErrors:
         cfg = sigma1_cfg(tmp_path, c=0.0, radii=[0.0, 5.0], lyapunov={"Q": 3})
         assert main(["lyapunov", "build", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "minimal admissible Q is 11" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("radius, min_q", [(1e300, 1008), (2e4, 26)])
+    def test_huge_radius_fails_the_tail_budget_first(self, tmp_path, capsys, radius, min_q):
+        # V's tail check comes before the sandwich bounds are built out to
+        # the radius (1e300 knots would not fit in memory, 2e4 took seconds)
+        cfg = sigma1_cfg(tmp_path, c=0.0, radii=[radius])
+        start = time.perf_counter()
+        assert main(["lyapunov", "build", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert f"minimal admissible Q is {min_q}" in capsys.readouterr().err
+
+    def test_minimal_q_past_the_float_range(self, tmp_path, capsys):
+        # (1 + ||x|| + c) / tail_tol overflows; its log2 does not
+        cfg = sigma1_cfg(tmp_path, c=1e308, radii=[1.0])
+        assert main(["lyapunov", "build", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        min_q = int(re.search(r"minimal admissible Q is (\d+)", err).group(1))
+        assert min_q == 1035  # 1 + log2(1e308 / 1e-3), rounded up
+
+    @pytest.mark.parametrize("cmd", ["build", "verify"])
+    def test_rfc_offset_search_needs_samples(self, tmp_path, capsys, cmd):
+        # with no c the offset is searched, and on no states every offset holds
+        cfg = sigma1_cfg(tmp_path, C=1.0, horizon=0.5, samples=0)
+        assert main(["lyapunov", cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "samples" in err and "RFC offset" in err
+        assert not any((tmp_path / "o").glob("*"))
 
 
 class TestStrictJson:

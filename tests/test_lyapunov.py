@@ -118,6 +118,14 @@ class TestEvalV:
             assert lv.V >= 1.0
             assert lv.W == pytest.approx(math.log1p(lv.V), abs=1e-15)
 
+    def test_one_state_or_a_stack(self, sigma1, lyap_cfg, l_table):
+        one = bl.eval_V(sigma1.system, sigma1.margin, [0.8], lyap_cfg, l_table)
+        stack = bl.eval_V(sigma1.system, sigma1.margin, [[0.8]], lyap_cfg, l_table)
+        assert isinstance(one, lyapunov.LyapunovValue) and len(stack) == 1
+        assert (stack[0].V, stack[0].per_q) == (one.V, one.per_q)
+        with pytest.raises(ValueError, match="stack of states"):
+            bl.eval_V(sigma1.system, sigma1.margin, [[[0.8]]], lyap_cfg, l_table)
+
     def test_tail_budget_error_names_minimal_q(self, sigma1, l_table):
         cfg = bl.LyapunovConfig(Q=3, seed=1)
         with pytest.raises(bl.TailBudgetError) as exc:
@@ -294,7 +302,8 @@ class TestOneSamplerCallPerStage:
             margin = bl.GrowthMargin(bl.ScalarFun([0.0, 1.0], [0.0, 0.5], 0.5, {"Kinf", "Lip1"}))
             cfg = bl.LyapunovConfig(seed=20240811, Q=13, n_dist=4, time_grid_density=8)
         table = unit_table(cfg.Q, 0.0)
-        batched = lyapunov._eval_Vs(ex_sys, margin, np.array(X), cfg, table, R)
+        batched = bl.eval_V(ex_sys, margin, np.array(X), cfg, table, R)
+        assert isinstance(batched, list) and len(batched) == len(X)
         for x, lv in zip(X, batched):
             one = bl.eval_V(ex_sys, margin, x, cfg, table, R)
             assert lv.V == pytest.approx(one.V, rel=1e-6)

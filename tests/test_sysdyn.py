@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -439,6 +440,28 @@ SCALAR_TAU_DIGESTS = {
     "reaction_diffusion": ("17d91d706536fdc4d5ca57c4c16e98c6", math.inf),
     "quadratic_blowup": ("bf375c674e87e42ed187aff71df33e50", 0.49999999896633285),
 }
+
+
+def test_sampler_memory_stays_within_the_report_cap():
+    # 64 rows read at 8,193 grid times: the samples take 4.2 MB.  Reported
+    # states are scattered into them whenever one more solve would hold over
+    # _REPORT_VALUES values (256 kB), so the run allocates little beyond the
+    # samples; states held to the end of the run would double them, and
+    # joining them for one scatter would triple them
+    decay = bl.SystemDef(1, 1, lambda x, u: -x, name="decay")
+    N = 64
+    grid = np.linspace(0.0, 1.0, 8193)
+    inputs = [bl.InputSignal.constant([0.0])] * N
+    tracemalloc.start()
+    try:
+        samples, _ = _sample_ensemble(decay, np.linspace(0.1, 1.0, N)[:, None], inputs,
+                                      one_group(grid, N), bl.IntegratorConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.allclose(samples[-1, :, 0], np.linspace(0.1, 1.0, N) * math.exp(-1.0))
+    batch = 8 * sysdyn._REPORT_VALUES  # bytes of the states one solve may report
+    assert peak < samples.nbytes + 8 * batch
 
 
 class TestRaggedHorizons:
