@@ -51,6 +51,7 @@ from .compfun import ScalarFun, eta_from_chis
 from .lyapunov import (
     LyapunovConfig,
     TailBudgetError,
+    _check_tail_budget,
     build_l_table,
     dump_table,
     load_table,
@@ -343,6 +344,9 @@ def _build_pipeline(cfg: dict, bundle: ex.ExampleBundle, stored_in: Path | None 
             _setting(cfg, "C", 2.0), _setting(cfg, "horizon", 3.0),
             _samples(cfg, 12, "the RFC offset search"), cfg["seed"],
         )
+    # the radial table's states r * e1 have norm r: a radius over the tail
+    # budget fails here, before the Lipschitz probe
+    _check_tail_budget(radii[:, None], c, lyap_cfg)
     l_table = build_l_table(bundle.system, margin, lyap_cfg.Q, c, cfg["seed"])
     table = radial_table(bundle.system, margin, radii, lyap_cfg, l_table)
     return margin, lyap_cfg, l_table, table

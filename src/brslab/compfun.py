@@ -73,8 +73,20 @@ class ScalarFun:
             chords = np.diff(values) / np.diff(knots)
             if np.any(chords > 1 + 1e-12) or self.slope > 1 + 1e-12:
                 raise ValueError("Lip1 tag requires all slopes <= 1")
+        # the last knot, its value and the slope past it as floats, for
+        # __call__'s float path
+        object.__setattr__(
+            self, "_end", (float(knots[-1]), float(values[-1]), float(self.slope))
+        )
 
     def __call__(self, s):
+        if self.exact is None and isinstance(s, float):
+            # one float, as a margin call on one state: the array path's
+            # arithmetic without its dispatch on 0-d arrays, the same bits
+            knot, value, slope = self._end
+            if s > knot:
+                return float(value + slope * (s - knot))
+            return float(np.interp(s, self.knots, self.values))
         s_arr = np.asarray(s, dtype=float)
         if self.exact is not None:
             out = self.exact(s_arr)

@@ -180,12 +180,38 @@ def _dyadic_grid(horizon: float, density: int) -> np.ndarray:
     return horizon * np.arange(n + 1) / n
 
 
-def _min_Q(x: np.ndarray, c: float, tail_tol: float) -> int:
-    """Least Q with 2^(1-Q) (1 + ||x|| + c) <= tail_tol, in log space: the
-    sum, and even ||x||, may lie past the float range."""
+def _scaled_sum(x: np.ndarray, c: float) -> tuple[float, float]:
+    """(big, scaled) with 1 + ||x|| + c = big * scaled, big = max(1, max|x_i|, c):
+    the sum, and even ||x||, may lie past the float range; scaled does not."""
     big = max(1.0, float(np.abs(x).max()), c)
-    scaled = 1.0 / big + float(np.linalg.norm(x / big)) + c / big
+    return big, 1.0 / big + float(np.linalg.norm(x / big)) + c / big
+
+
+def _min_Q(x: np.ndarray, c: float, tail_tol: float) -> int:
+    """Least Q with 2^(1-Q) (1 + ||x|| + c) <= tail_tol, in log space."""
+    big, scaled = _scaled_sum(x, c)
     return math.ceil(1.0 + math.log2(big) + math.log2(scaled) - math.log2(tail_tol))
+
+
+def _check_tail_budget(
+    X: np.ndarray, c: float, cfg: LyapunovConfig
+) -> tuple[np.ndarray, list[float]]:
+    """The norms of the states X, shape (K, n), and their tail bounds
+    2^(1-Q) (1 + ||x|| + c); a TailBudgetError for the first bound over
+    cfg.tail_tol.  A bound whose sum overflows (a norm past 1.3e154 is inf)
+    is taken from _scaled_sum, so it is finite where the bound is."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(X, axis=1)
+    tails = []
+    for x, nx in zip(X, norms.tolist()):
+        tail = 2.0 ** (1 - cfg.Q) * (1.0 + nx + c)
+        if tail == math.inf:
+            big, scaled = _scaled_sum(x, c)
+            tail = 2.0 ** (1 - cfg.Q) * big * scaled
+        if tail > cfg.tail_tol:
+            raise TailBudgetError(cfg.Q, tail, cfg.tail_tol, _min_Q(x, c, cfg.tail_tol))
+        tails.append(tail)
+    return norms, tails
 
 
 def eval_V(
@@ -210,13 +236,8 @@ def eval_V(
         raise ValueError(f"x must be one state or a stack of states, got shape {X.shape}")
     one = X.ndim < 2
     X = np.atleast_2d(X)
-    with np.errstate(over="ignore"):  # a norm past 1.3e154 is inf: over any tail budget
-        norms = np.linalg.norm(X, axis=1)
     c = l_table.c
-    tails = [2.0 ** (1 - cfg.Q) * (1.0 + nx + c) for nx in norms.tolist()]
-    for xb, tail in zip(X, tails):
-        if tail > cfg.tail_tol:
-            raise TailBudgetError(cfg.Q, tail, cfg.tail_tol, _min_Q(xb, c, cfg.tail_tol))
+    norms, tails = _check_tail_budget(X, c, cfg)
     if R_override is None:
         balls = np.maximum(norms, 1.0)
     else:

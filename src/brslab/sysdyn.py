@@ -24,6 +24,7 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import OdeSolution, solve_ivp
 from scipy.integrate._ivp.base import ConstantDenseOutput
+from scipy.integrate._ivp.rk import RkDenseOutput
 from scipy.linalg import expm
 
 __all__ = [
@@ -140,13 +141,41 @@ class Trajectory:
     blew_up: bool
     dense: OdeSolution = field(repr=False)
 
+    def __post_init__(self):
+        # state_at's float path: the step times as floats, and the bisection
+        # on the side OdeSolution searches them ("right" for BDF's alt_segment)
+        object.__setattr__(self, "_ts", self.dense.ts.tolist())
+        object.__setattr__(
+            self, "_find", bisect.bisect_left if self.dense.side == "left" else bisect.bisect_right
+        )
+
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.states, axis=1)
 
     def state_at(self, t) -> np.ndarray:
         """State at time t, shape (n,), or at an array of times, shape (T, n);
-        times outside [0, times[-1]] read the nearer end."""
-        return self.dense(np.clip(t, 0.0, self.times[-1])).T
+        times outside [0, times[-1]] read the nearer end.
+
+        A float t (the read of every right-hand-side call of a FeedbackSignal)
+        takes the same step and the same arithmetic as OdeSolution, in Python
+        floats: the same bits without its array dispatch."""
+        if not isinstance(t, float):
+            return self.dense(np.clip(t, 0.0, self.times[-1])).T
+        ts = self._ts
+        t = min(max(t, 0.0), ts[-1])
+        steps = self.dense.interpolants
+        step = steps[min(max(self._find(ts, t) - 1, 0), len(steps) - 1)]
+        if type(step) is not RkDenseOutput:  # BDF's and the constant one
+            return step(t)
+        # RkDenseOutput._call_impl on a 0-d t: the powers x, x^2, ... by
+        # repeated multiplication, as np.cumprod builds them
+        x = (t - step.t_old) / step.h
+        p = [x]
+        for _ in range(step.order):
+            p.append(p[-1] * x)
+        y = step.h * np.dot(step.Q, p)
+        y += step.y_old
+        return y
 
     def to_csv(self, path) -> None:
         header = "t," + ",".join(f"x{i}" for i in range(self.states.shape[1]))

@@ -9,6 +9,7 @@ reads the input off the trajectory, projection divides the input back out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +76,8 @@ class FeedbackSignal:
 
     def eval(self, t: float) -> np.ndarray:
         x = self._traj.state_at(t)  # past the path's end: its last state
-        return self._d.eval(t) * float(self._margin(np.linalg.norm(x)))
+        # np.linalg.norm's own formula for a 1-D x, as a float for the margin
+        return self._d.eval(t) * float(self._margin(math.sqrt(x.dot(x))))
 
 
 class DivisionGuardError(ValueError):

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from brslab import cli
 from brslab.cli import _config_hash, main
 from brslab.compfun import theta
 
@@ -232,6 +233,17 @@ class TestUsageErrors:
         assert time.perf_counter() - start < 1.0
         assert f"minimal admissible Q is {min_q}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", ["build", "verify"])
+    def test_tail_budget_fails_before_the_lipschitz_probe(self, tmp_path, capsys, monkeypatch,
+                                                          cmd):
+        def probe(*args):
+            raise AssertionError("build_l_table ran before the tail budget check")
+
+        monkeypatch.setattr(cli, "build_l_table", probe)
+        cfg = sigma1_cfg(tmp_path, c=0.0, radii=[0.5, 2e4])
+        assert main(["lyapunov", cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "minimal admissible Q is 26" in capsys.readouterr().err
+
     def test_minimal_q_past_the_float_range(self, tmp_path, capsys):
         # (1 + ||x|| + c) / tail_tol overflows; its log2 does not
         cfg = sigma1_cfg(tmp_path, c=1e308, radii=[1.0])
@@ -343,11 +355,12 @@ class TestBrsFit:
 
     def test_closed_loop_blowup_falsifies_rfc_tdi(self, tmp_path, capsys):
         # x' = x^2 fits a reachability bound on the small sampled box, but the
-        # closed-loop Lipschitz probe on the C = q balls blows up
+        # closed-loop Lipschitz probe on the C = q balls blows up; the radii
+        # stay within Q 11's tail budget, which is checked before the probe
         cfg = write_cfg(
             tmp_path,
             {"system": {"name": "quadratic"}, "seed": 3, "eta_source": "from_fit",
-             "C": 0.1, "horizon": 2.0, "samples": 6, "c": 0.0, "radii": [0.0, 2.0],
+             "C": 0.1, "horizon": 2.0, "samples": 6, "c": 0.0, "radii": [0.0],
              "lyapunov": {"Q": 11, "n_dist": 2, "time_grid_density": 4}},
         )
         assert main(["lyapunov", "build", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -368,7 +381,7 @@ WITNESSES = {
     "lyapunov_build": (["lyapunov", "build"],
                        {"system": {"name": "quadratic"}, "seed": 3, "eta_source": "from_fit",
                         "C": 0.1, "horizon": 2.0, "samples": 6, "c": 0.0,
-                        "radii": [0.0, 2.0],
+                        "radii": [0.0],  # within Q 11's tail budget
                         "lyapunov": {"Q": 11, "n_dist": 2, "time_grid_density": 4}},
                        "RFC-TDI", "detail"),
     # with a < 0 the cubic term outgrows the one cell's diffusion up to the blow-up threshold

@@ -178,3 +178,57 @@ class TestAlphaAndMargins:
         s = np.linspace(0.0, 3.0, 40)
         # chi(eta(s)/2) recovers s on the knot range
         assert np.allclose(chi(np.asarray(eta(s)) / 2), s, atol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def fitted_funs():
+    """A fitted chi, the unit-Lipschitz margin and alpha built from the fit
+    of sigma1 samples, as reach_tdi's chain builds them."""
+    import brslab as bl
+
+    fit = bl.fit_additive_bound(bl.sample_reach(bl.make("sigma1").system, 2.0, 3.0, 40, 5))
+    return {
+        "fitted": fit.chi1,
+        "Lip1": eta_from_chis(fit.chi1, fit.chi2, fit.chi3),
+        "alpha": build_alpha(fit.chi1, fit.chi2, fit.chi3),
+    }
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestScalarPath:
+    """A float argument takes __call__'s Python-float path; a 0-d or a 1-d
+    array the array path.  Both give the same bits."""
+
+    SPECIAL = [0.0, -0.0, -1.0, -1e-300, math.nan, math.inf, -math.inf]
+
+    def assert_same_bits(self, f, points):
+        with np.errstate(over="ignore"):  # numpy warns where the tail overflows to inf
+            stacked = f(np.array(points))
+            zero_d = [f(np.array(s)) for s in points]
+        for s, ref, ref0 in zip(points, stacked, zero_d):
+            got = f(s)
+            assert type(got) is float
+            assert bits(got) == bits(ref) == bits(ref0), s
+
+    @pytest.mark.parametrize("name", ["fitted", "Lip1", "alpha"])
+    def test_knots_between_and_past(self, fitted_funs, name):
+        f = fitted_funs[name]
+        k = f.knots
+        points = k.tolist() + ((k[:-1] + k[1:]) / 2).tolist()
+        points += [k[-1] * 1.5, k[-1] + 1e-9, float(np.nextafter(k[-1], np.inf))] + self.SPECIAL
+        self.assert_same_bits(f, points)
+
+    @pytest.mark.parametrize("name", ["fitted", "Lip1", "alpha"])
+    @given(s=st.floats(allow_nan=True, allow_infinity=True))
+    @settings(max_examples=200, deadline=None)
+    def test_any_float(self, fitted_funs, name, s):
+        self.assert_same_bits(fitted_funs[name], [s])
+
+    @given(s=st.floats(min_value=-1.0, max_value=4.0))
+    @settings(max_examples=200, deadline=None)
+    def test_np_float64_takes_the_float_path(self, fitted_funs, s):
+        f = fitted_funs["Lip1"]
+        assert bits(f(np.float64(s))) == bits(f(s))

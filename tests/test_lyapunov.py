@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +133,14 @@ class TestEvalV:
             bl.eval_V(sigma1.system, sigma1.margin, [1.0], cfg, l_table)
         min_q = exc.value.min_Q
         assert 2.0 ** (1 - min_q) * (1.0 + 1.0 + l_table.c) <= cfg.tail_tol
+
+    def test_tail_bound_past_a_norm_of_1e154_is_finite(self, sigma1, lyap_cfg, l_table):
+        # ||x||^2 overflows, the bound 2^(1-Q) (1 + ||x|| + c) does not
+        with pytest.raises(bl.TailBudgetError) as exc:
+            bl.eval_V(sigma1.system, sigma1.margin, [1e300], lyap_cfg, l_table)
+        bound = float(re.search(r"tail bound (\S+) >", str(exc.value)).group(1))
+        assert bound == pytest.approx(2.0 ** (1 - lyap_cfg.Q) * 1e300, rel=1e-3)
+        assert exc.value.min_Q == 1008
 
     def test_lower_bound_by_alpha1_series(self, sigma1, lyap_cfg, l_table):
         r = 1.5

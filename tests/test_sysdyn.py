@@ -192,6 +192,33 @@ class TestStateAt:
         assert state_at_digest(state_at_trajectories(name)) == STATE_AT_DIGESTS[name]
 
 
+class TestStateAtFloatPath:
+    @pytest.mark.parametrize("name", ["sigma1_open_loop", "reaction_diffusion"])
+    def test_other_scalar_types_read_the_same_bits(self, name):
+        # a float takes the Python-float path; an int, an np.float32 and a
+        # 0-d array take OdeSolution's
+        traj = state_at_trajectories(name)[0]
+        end = float(traj.times[-1])
+        for t in [0, 1, int(end) + 2]:
+            assert traj.state_at(t).tobytes() == traj.state_at(float(t)).tobytes()
+        for t in [0.3, end / 3, end + 0.5]:
+            t32 = np.float32(t)
+            assert traj.state_at(t32).tobytes() == traj.state_at(float(t32)).tobytes()
+            assert traj.state_at(np.array(t)).tobytes() == traj.state_at(t).tobytes()
+
+    def test_rk45_float_reads_skip_ode_solution(self, monkeypatch):
+        traj = state_at_trajectories("sigma1_open_loop")[0]
+        t = np.concatenate([traj.times, np.linspace(-1.0, 3.0, 17)])
+        ref = traj.state_at(t)
+
+        def array_path(self, t):
+            raise AssertionError("a float read went through OdeSolution.__call__")
+
+        monkeypatch.setattr(sysdyn.OdeSolution, "__call__", array_path)
+        got = np.array([traj.state_at(float(s)) for s in t])
+        assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
 class TestBlowup:
     def test_quadratic_tmax(self):
         q = bl.make("quadratic")

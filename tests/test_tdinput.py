@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -176,3 +177,31 @@ class TestClosedLoopNorm:
         cl = bl.closed_loop(system, margin)
         assert np.array_equal(cl.rhs(x, d), ref, equal_nan=True)
         assert np.array_equal(cl.rhs(x[3], d[3]), ref[3], equal_nan=True)  # one state
+
+
+def round_trip_digest(sigma1) -> str:
+    """Digest of lift_disturbance -> integrate(u) -> project_input on sigma1,
+    under its closed-form margin and under one fitted from reach samples (no
+    closed form), for three disturbances with switches: the open-loop steps
+    and states under the lifted input, and the recovered disturbance values."""
+    fit = bl.fit_additive_bound(bl.sample_reach(sigma1.system, 2.0, 2.0, 40, 5))
+    fitted = bl.GrowthMargin(bl.eta_from_chis(fit.chi1, fit.chi2, fit.chi3))
+    h = hashlib.sha256()
+    grid = np.linspace(0.0, 2.0, 65)
+    for margin in (sigma1.margin, fitted):
+        for x0, d in zip([0.5, -0.8, 1.3], disturbance_family(1, 2.0, 6, 20240811)[-3:]):
+            u, _ = bl.lift_disturbance(sigma1.system, margin, [x0], d, 2.0)
+            traj = bl.integrate(sigma1.system, [x0], u, 2.0)
+            back = bl.project_input(sigma1.system, margin, [x0], u, 2.0, None, grid)
+            for a in (traj.times, traj.states, back._all_values()):
+                h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:32]
+
+
+# Recorded with numpy 2.4 and scipy 1.17 on x86-64 while FeedbackSignal read
+# its trajectory through OdeSolution and its margin on 0-d arrays.
+ROUND_TRIP_DIGEST = "9ea8ef0dca2fd9572dd828076bf2b709"
+
+
+def test_round_trip_is_bit_identical(sigma1):
+    assert round_trip_digest(sigma1) == ROUND_TRIP_DIGEST
