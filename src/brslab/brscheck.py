@@ -79,15 +79,6 @@ class ReachSamples:
     norm_u: np.ndarray
     norm_phi: np.ndarray
 
-    def to_csv(self, path) -> None:
-        np.savetxt(
-            path,
-            np.column_stack([self.t, self.norm_x, self.norm_u, self.norm_phi]),
-            delimiter=",",
-            header="t,norm_x,norm_u,norm_phi",
-            comments="",
-        )
-
 
 @dataclass
 class ReachBoundFit:

@@ -1,12 +1,13 @@
 """Command-line front end: batch experiments emitting CSV/JSON artifacts.
 
 Exit codes: 0 success, 1 falsified property (witness JSON on stdout),
-2 usage, config or integrator (step-size underflow) error.  `main` loads the
-config and builds the example once for every subcommand, and is the one
-place that maps exceptions to exit codes; a `cmd_*` handler returns 1 only
-for a witness read off its own report.  Every emitted JSON, witnesses
-included, embeds the config hash and the seed, and outputs are pure
-functions of (config, seed, binary version).
+2 usage, config, integrator (step-size underflow) or output error.  `main`
+loads the config, builds the example and makes --out once for every
+subcommand, and is the one place that maps exceptions to exit codes; a
+`cmd_*` handler returns 1 only for a witness read off its own report.  This
+module alone holds the artifact formats: `_csv` writes every CSV, `_stamped`
+every JSON (the manifest and witnesses included) with the config hash and
+the seed, and outputs are pure functions of (config, seed, binary version).
 
 `lyapunov build` stamps its manifest with a reuse key: the config hash, a
 digest of brslab's own sources and the numpy and scipy versions.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import json
 import math
 import numbers
@@ -49,12 +51,12 @@ from .brscheck import (
 )
 from .compfun import ScalarFun, eta_from_chis
 from .lyapunov import (
+    _COLUMNS,
+    LipschitzTable,
     LyapunovConfig,
     TailBudgetError,
     _check_tail_budget,
     build_l_table,
-    dump_table,
-    load_table,
     radial_table,
     verify_growth,
 )
@@ -130,16 +132,6 @@ def _setting(cfg: dict, key: str, default, kind=float):
         bound = "> 0" if positive else ">= 0"
         raise ConfigError(f"{key} must be a finite number {bound}, got {value}")
     return value
-
-
-def _out_path(args) -> Path:
-    return Path(args.out or os.environ.get("BRSLAB_OUT") or ".")
-
-
-def _out_dir(args) -> Path:
-    path = _out_path(args)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _bundle(cfg: dict) -> ex.ExampleBundle:
@@ -221,6 +213,21 @@ def _emit(out_path: Path, obj: dict, cfg: dict) -> None:
     out_path.write_text(_stamped(obj, cfg, indent=2))
 
 
+def _csv(columns: dict) -> bytes:
+    """A header of the column names, then one row per index, each value
+    `%.18e` (exact): every CSV the CLI emits is written here."""
+    buf = io.StringIO()
+    np.savetxt(buf, np.column_stack(list(columns.values())), delimiter=",",
+               header=",".join(columns), comments="")
+    return buf.getvalue().encode("ascii")
+
+
+def _fun_obj(f: ScalarFun) -> dict:
+    """The knots, values, slope and tags of f, from which the ScalarFun
+    constructor rebuilds it (a closed form `exact` is not kept)."""
+    return {"knots": f.knots, "values": f.values, "slope": f.slope, "tags": sorted(f.tags)}
+
+
 def _fail(witness: dict, cfg: dict) -> int:
     print(_stamped(witness, cfg))
     return 1
@@ -242,13 +249,13 @@ def _vector(cfg: dict, key: str, dim: int) -> np.ndarray:
     return v
 
 
-def cmd_simulate(args, cfg: dict, bundle: ex.ExampleBundle) -> int:
+def cmd_simulate(args, cfg: dict, bundle: ex.ExampleBundle, out: Path) -> int:
     x0 = _vector(cfg, "x0", bundle.system.state_dim)
     u = InputSignal.constant(_vector(cfg, "u_constant", bundle.system.input_dim))
     tau = _setting(cfg, "horizon", 1.0)
     traj = integrate(bundle.system, x0, u, tau, _int_cfg(cfg.get("integrator", {})))
-    out = _out_dir(args)
-    traj.to_csv(out / "trajectory.csv")
+    columns = {"t": traj.times, **{f"x{i}": x for i, x in enumerate(traj.states.T)}}
+    (out / "trajectory.csv").write_bytes(_csv(columns))
     _emit(
         out / "simulate.json",
         {"t_max": traj.t_max_estimate, "blew_up": traj.blew_up, "final_state": traj.states[-1]},
@@ -257,20 +264,16 @@ def cmd_simulate(args, cfg: dict, bundle: ex.ExampleBundle) -> int:
     return 0
 
 
-def cmd_brs_fit(args, cfg: dict, bundle: ex.ExampleBundle) -> int:
+def cmd_brs_fit(args, cfg: dict, bundle: ex.ExampleBundle, out: Path) -> int:
     samples = _reach_samples(bundle, cfg)
-    out = _out_dir(args)
-    samples.to_csv(out / "reach_samples.csv")
+    (out / "reach_samples.csv").write_bytes(_csv(asdict(samples)))
     fit = fit_additive_bound(samples)
-    _emit(
-        out / "brs_fit.json",
-        {"chi": json.loads(fit.chi1.to_json()), "c": fit.c, "residual": fit.residual},
-        cfg,
-    )
+    _emit(out / "brs_fit.json",
+          {"chi": _fun_obj(fit.chi1), "c": fit.c, "residual": fit.residual}, cfg)
     return 0
 
 
-def cmd_rfc_verify(args, cfg: dict, bundle: ex.ExampleBundle) -> int:
+def cmd_rfc_verify(args, cfg: dict, bundle: ex.ExampleBundle, out: Path) -> int:
     margin = _margin(bundle, cfg)
     report = verify_rfc_tdi(
         bundle.system,
@@ -282,14 +285,14 @@ def cmd_rfc_verify(args, cfg: dict, bundle: ex.ExampleBundle) -> int:
         _setting(cfg, "samples", 20, int),
         cfg["seed"],
     )
-    _emit(_out_dir(args) / "rfc_report.json", asdict(report), cfg)
+    _emit(out / "rfc_report.json", asdict(report), cfg)
     if not report.holds:
         return _fail({"falsified": "RFC-TDI", "worst": report.worst,
                       "blowup_time": report.blowup_time}, cfg)
     return 0
 
 
-def cmd_lipschitz_probe(args, cfg: dict, bundle: ex.ExampleBundle) -> int:
+def cmd_lipschitz_probe(args, cfg: dict, bundle: ex.ExampleBundle, out: Path) -> int:
     tau = _setting(cfg, "horizon", 1.0)
     C = _setting(cfg, "C", 1.0)
     pairs = _setting(cfg, "samples", 10, int)
@@ -304,22 +307,50 @@ def cmd_lipschitz_probe(args, cfg: dict, bundle: ex.ExampleBundle) -> int:
         report = probe_lipschitz_tdi(
             bundle.system, _margin(bundle, cfg), tau, C, pairs, cfg["seed"]
         )
-    _emit(_out_dir(args) / f"lipschitz_{args.mode}.json", asdict(report), cfg)
+    _emit(out / f"lipschitz_{args.mode}.json", asdict(report), cfg)
     return 0
+
+
+_TABLE_CSV = "lyapunov_table.csv"
+_MANIFEST = "lyapunov_manifest.json"
+
+
+def _m_table(l_table: LipschitzTable) -> dict:
+    """The inflated L per level, keyed "Theta(q,q),q"."""
+    return {
+        f"{tau:.12g},{q:.12g}": L
+        for q, (tau, L) in enumerate(zip(l_table.theta, l_table.L), start=1)
+    }
 
 
 def _stored_tables(cfg: dict, out: Path):
     """(fitted, l_table, table) as `lyapunov build` wrote them to out for
-    this config and code, `fitted` the margin it fitted under eta_source
-    "from_fit" (None under "paper"), or None if out holds no such tables."""
+    this config and code, bit for bit, `fitted` the margin it fitted under
+    eta_source "from_fit" (None under "paper"), or None if out holds no
+    such tables: a missing, unreadable or foreign file, or a table that is
+    not the one the manifest was written with."""
     try:
-        table, l_table, manifest = load_table(out)
+        manifest = json.loads((out / _MANIFEST).read_text())
+        if any(manifest.get(k) != v for k, v in _reuse_key(cfg).items()):
+            return None
+        csv = (out / _TABLE_CSV).read_bytes()
+        header, *rows = csv.decode("ascii").splitlines()
+        if (header != ",".join(_COLUMNS)
+                or hashlib.sha256(csv).hexdigest() != manifest["table_sha256"]):
+            return None
+        # the keys are sorted as strings; the level q is the part after the comma
+        levels = sorted((float(key.split(",")[1]), L) for key, L in manifest["M_table"].items())
+        l_table = LipschitzTable(tuple(L for _, L in levels), manifest["c"])
+        if manifest["M_table"] != _m_table(l_table):
+            return None
+        data = np.loadtxt(rows, delimiter=",", ndmin=2)
+        table = {c: data[:, i] for i, c in enumerate(_COLUMNS)}
         fitted = None
         if cfg.get("eta_source", "paper") == "from_fit":
-            fitted = GrowthMargin(ScalarFun.from_json(json.dumps(manifest["fitted_eta"])))
-    except (OSError, KeyError, TypeError, ValueError):
-        return None
-    if any(manifest.get(k) != v for k, v in _reuse_key(cfg).items()):
+            eta = manifest["fitted_eta"]  # the constructor checks it as it did the fit
+            fitted = GrowthMargin(ScalarFun(eta["knots"], eta["values"], eta["slope"],
+                                            eta["tags"]))
+    except (OSError, KeyError, TypeError, ValueError, AttributeError, IndexError):
         return None
     return fitted, l_table, table
 
@@ -352,18 +383,27 @@ def _build_pipeline(cfg: dict, bundle: ex.ExampleBundle, stored_in: Path | None 
     return margin, lyap_cfg, l_table, table
 
 
-def cmd_lyapunov_build(args, cfg: dict, bundle: ex.ExampleBundle) -> int:
+def cmd_lyapunov_build(args, cfg: dict, bundle: ex.ExampleBundle, out: Path) -> int:
     margin, lyap_cfg, l_table, table = _build_pipeline(cfg, bundle)
-    extra = _reuse_key(cfg)
+    csv = _csv({c: table[c] for c in _COLUMNS})
+    (out / _TABLE_CSV).write_bytes(csv)
+    manifest = {
+        "cfg": asdict(lyap_cfg),
+        "c": l_table.c,
+        "M_table": _m_table(l_table),
+        # a table truncated or rewritten since no longer matches its manifest
+        "table_sha256": hashlib.sha256(csv).hexdigest(),
+        **_reuse_key(cfg),
+    }
     if cfg.get("eta_source", "paper") == "from_fit":  # verify reads it back instead of refitting
-        extra["fitted_eta"] = json.loads(margin.eta.to_json())
-    dump_table(table, _out_dir(args), lyap_cfg, l_table, extra)
+        manifest["fitted_eta"] = _fun_obj(margin.eta)
+    _emit(out / _MANIFEST, manifest, cfg)
     return 0
 
 
-def cmd_lyapunov_verify(args, cfg: dict, bundle: ex.ExampleBundle) -> int:
+def cmd_lyapunov_verify(args, cfg: dict, bundle: ex.ExampleBundle, out: Path) -> int:
     n_pairs = _setting(cfg, "growth_pairs", 10, int)
-    margin, lyap_cfg, l_table, table = _build_pipeline(cfg, bundle, _out_path(args))
+    margin, lyap_cfg, l_table, table = _build_pipeline(cfg, bundle, out)
     bad = (table["alpha1"] > table["V"] + 1e-9) | (
         table["V"] > table["alpha2_plus_C"] + 1e-9
     )
@@ -386,7 +426,6 @@ def cmd_lyapunov_verify(args, cfg: dict, bundle: ex.ExampleBundle) -> int:
         reports.append(asdict(rep))
         if not (rep.passes_V and rep.passes_W):
             return _fail({"falsified": "growth", "report": reports[-1]}, cfg)
-    out = _out_dir(args)
     _emit(out / "lyapunov_verify.json",
           {"sandwich_ok": True, "growth_reports": reports}, cfg)
     return 0
@@ -449,16 +488,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "examples":
-        print(ex.list_examples())
+        print(json.dumps(ex.list_examples(), indent=2, sort_keys=True))
         return 0
     try:
         cfg = _load_config(args.config, args)
-        return args.fn(args, cfg, _bundle(cfg))
+        bundle = _bundle(cfg)
+        out = Path(args.out or os.environ.get("BRSLAB_OUT") or ".")
+        out.mkdir(parents=True, exist_ok=True)
+        return args.fn(args, cfg, bundle, out)
     except (ConfigError, TailBudgetError) as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
     except StepSizeError as exc:
         print(f"integrator error: {exc}", file=_sys.stderr)
+        return 2
+    except OSError as exc:  # an --out that cannot be made or written
+        print(f"output error: {exc}", file=_sys.stderr)
         return 2
     # only a loaded config gets this far: the witness carries its hash and seed
     except NotBrsError as exc:

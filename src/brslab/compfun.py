@@ -8,7 +8,6 @@ makes every class tag checkable in finite time.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -38,7 +37,7 @@ class ScalarFun:
     beyond the last knot.  `tags` is a subset of {"K", "Kinf", "Lip1"}.
     `exact` optionally is a closed form used for evaluation instead of
     interpolation; the knots remain authoritative for the class-tag checks
-    and for JSON, which holds the knots only.  `==` and `hash` go by
+    and for the CLI's JSON copy, which holds the knots only.  `==` and `hash` go by
     identity.
     """
 
@@ -98,25 +97,6 @@ class ScalarFun:
                     over, self.values[-1] + self.slope * (s_arr - self.knots[-1]), out
                 )
         return float(out) if s_arr.ndim == 0 else out
-
-    def to_json(self) -> str:
-        obj = {
-            "knots": self.knots.tolist(),
-            "values": self.values.tolist(),
-            "slope": self.slope,
-            "tags": sorted(self.tags),
-        }
-        return json.dumps(obj, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScalarFun":
-        obj = json.loads(text)
-        return cls(
-            np.asarray(obj["knots"], dtype=float),
-            np.asarray(obj["values"], dtype=float),
-            float(obj["slope"]),
-            frozenset(obj["tags"]),
-        )
 
 
 def gk_eval(k: int, z):

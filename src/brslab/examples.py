@@ -7,7 +7,6 @@ test suite and the CLI.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -196,9 +195,9 @@ def make(name: str, params: dict | None = None) -> ExampleBundle:
     return build(params)
 
 
-def list_examples() -> str:
-    listing = {
+def list_examples() -> dict:
+    """The documented properties of every example, by name."""
+    return {
         name: {"documented_properties": list(make(name).documented_properties)}
         for name in sorted(_REGISTRY)
     }
-    return json.dumps(listing, indent=2, sort_keys=True)

@@ -10,13 +10,9 @@ so the sandwich and growth checks carry explicit slack.
 
 from __future__ import annotations
 
-import hashlib
-import io
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -39,8 +35,6 @@ __all__ = [
     "sandwich_funs",
     "verify_growth",
     "radial_table",
-    "dump_table",
-    "load_table",
 ]
 
 L_INFLATION = 1.1
@@ -424,79 +418,3 @@ def radial_table(
         rows["alpha1"].append(float(alpha1(r)))
         rows["alpha2_plus_C"].append(float(alpha2(r)) + C)
     return {k: np.asarray(v) for k, v in rows.items()}
-
-
-_TABLE_CSV = "lyapunov_table.csv"
-_MANIFEST = "lyapunov_manifest.json"
-
-
-def _m_table(l_table: LipschitzTable) -> dict:
-    """The inflated L per level, keyed "Theta(q,q),q"."""
-    return {
-        f"{tau:.12g},{q:.12g}": L
-        for q, (tau, L) in enumerate(zip(l_table.theta, l_table.L), start=1)
-    }
-
-
-def dump_table(
-    table: dict,
-    out_dir,
-    cfg: LyapunovConfig,
-    l_table: LipschitzTable,
-    extra_manifest: dict | None = None,
-) -> None:
-    """Write the radial table to _TABLE_CSV (`%.18e`) and the LipschitzTable,
-    cfg, `extra_manifest` and the table file's sha256 to _MANIFEST (JSON
-    floats), both exact."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO()
-    np.savetxt(
-        buf,
-        np.column_stack([table[c] for c in _COLUMNS]),
-        delimiter=",",
-        header=",".join(_COLUMNS),
-        comments="",
-    )
-    csv = buf.getvalue().encode("ascii")
-    (out_dir / _TABLE_CSV).write_bytes(csv)
-    manifest = {
-        "cfg": {
-            "Q": cfg.Q,
-            "n_dist": cfg.n_dist,
-            "time_grid_density": cfg.time_grid_density,
-            "seed": cfg.seed,
-            "tail_tol": cfg.tail_tol,
-        },
-        "seed": cfg.seed,
-        "c": l_table.c,
-        "M_table": _m_table(l_table),
-        # a table truncated or rewritten since no longer matches its manifest
-        "table_sha256": hashlib.sha256(csv).hexdigest(),
-    }
-    manifest.update(extra_manifest or {})
-    (out_dir / _MANIFEST).write_text(json.dumps(manifest, sort_keys=True, indent=2))
-
-
-def load_table(out_dir) -> tuple[dict, LipschitzTable, dict]:
-    """The inverse of `dump_table`: (table, l_table, manifest) read from
-    out_dir, bit for bit as written.
-
-    A missing file is an OSError; any other content than `dump_table`
-    writes is a ValueError.
-    """
-    out_dir = Path(out_dir)
-    manifest = json.loads((out_dir / _MANIFEST).read_text())
-    csv = (out_dir / _TABLE_CSV).read_bytes()
-    try:
-        if hashlib.sha256(csv).hexdigest() != manifest["table_sha256"]:
-            raise ValueError(f"{_TABLE_CSV} is not the table {_MANIFEST} was written with")
-        # the keys are sorted as strings; the level q is the part after the comma
-        levels = sorted((float(key.split(",")[1]), L) for key, L in manifest["M_table"].items())
-        l_table = LipschitzTable(tuple(L for _, L in levels), manifest["c"])
-    except (KeyError, TypeError, AttributeError, IndexError) as exc:
-        raise ValueError(f"{_MANIFEST} holds no Lipschitz table: {exc!r}") from exc
-    if manifest["M_table"] != _m_table(l_table):
-        raise ValueError(f"{_MANIFEST}'s M_table is not a table of the levels 1..{l_table.Q}")
-    data = np.loadtxt(csv.decode("ascii").splitlines()[1:], delimiter=",", ndmin=2)
-    return {c: data[:, i] for i, c in enumerate(_COLUMNS)}, l_table, manifest

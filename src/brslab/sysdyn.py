@@ -177,11 +177,6 @@ class Trajectory:
         y += step.y_old
         return y
 
-    def to_csv(self, path) -> None:
-        header = "t," + ",".join(f"x{i}" for i in range(self.states.shape[1]))
-        data = np.column_stack([self.times, self.states])
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
-
 
 def _segment_edges(breakpoints, tau: float) -> np.ndarray:
     bp = np.unique(np.asarray(breakpoints, dtype=float))

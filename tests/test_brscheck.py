@@ -29,12 +29,6 @@ class TestSampleReach:
         assert a.t.shape == a.norm_phi.shape
         assert np.array_equal(a.norm_phi, b.norm_phi)
 
-    def test_csv_header(self, tmp_path, sigma1):
-        s = sample_reach(sigma1.system, 1.0, 1.0, 3, seed=5)
-        path = tmp_path / "reach.csv"
-        s.to_csv(path)
-        assert path.read_text().splitlines()[0] == "t,norm_x,norm_u,norm_phi"
-
     def test_blowups_recorded_as_inf(self):
         q = bl.make("quadratic")
         s = sample_reach(q.system, 3.0, 3.0, 20, seed=5)

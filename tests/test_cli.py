@@ -1,14 +1,20 @@
+import contextlib
+import hashlib
+import io
 import json
 import math
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import brslab as bl
 from brslab import cli
 from brslab.cli import _config_hash, main
 from brslab.compfun import theta
+from brslab.lyapunov import _COLUMNS, LipschitzTable, radial_table
 
 
 def write_cfg(tmp_path, obj, name="cfg.json"):
@@ -615,3 +621,255 @@ class TestExamplesList:
         with pytest.raises(SystemExit) as exc:
             main(["examples", "list", "--config", "x"])
         assert exc.value.code == 2
+
+
+# The README config; the artifact digests below run every subcommand on it.
+README_CFG = {
+    "system": {"name": "sigma1"}, "seed": 42, "eta_source": "paper", "x0": [0.5],
+    "u_constant": [1.0], "horizon": 2.0, "C": 1.5, "samples": 20, "c": 0.0,
+    "radii": [0.0, 0.5, 1.0, 1.5, 2.0], "growth_pairs": 5,
+    "lyapunov": {"Q": 14, "n_dist": 6, "time_grid_density": 16, "tail_tol": 1e-3},
+}
+
+# every subcommand, in this order, into one --out
+ARTIFACT_COMMANDS = (
+    ("simulate",), ("brs", "fit"), ("rfc", "verify"),
+    ("lipschitz", "probe", "--mode", "open"), ("lipschitz", "probe", "--mode", "tdi"),
+    ("lyapunov", "build"), ("lyapunov", "verify"), ("examples", "list"),
+)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:32]
+
+
+def artifact_digests(tmp_path, eta_source: str, with_c: bool) -> dict:
+    """Exit code and stdout digest of each subcommand on the README config,
+    then the digest of each file it left in --out; the manifest's
+    code_digest, a digest of the sources themselves, is blanked first."""
+    cfg = dict(README_CFG, eta_source=eta_source)
+    if not with_c:
+        del cfg["c"]
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    got = {}
+    for cmd in ARTIFACT_COMMANDS:
+        argv = list(cmd) if cmd[0] == "examples" else [*cmd, "--config", path, "--out", str(out)]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv)
+        got[" ".join(cmd)] = (code, _sha(stdout.getvalue().encode()))
+    for p in sorted(out.iterdir()):
+        data = re.sub(rb'"code_digest": "[0-9a-f]*"', b'"code_digest": ""', p.read_bytes())
+        got[p.name] = _sha(data)
+    return got
+
+
+# Recorded with the artifact formats still spread over the numeric modules:
+# moving every format into the CLI changed no byte (RK45 and the seeded draws
+# make the digests specific to the numpy and scipy versions, as those of
+# test_lyapunov.ENSEMBLE_DIGESTS are).
+NO_STDOUT = "e3b0c44298fc1c149afbf4c8996fb924"
+COMMAND_OUTPUTS = {
+    "simulate": (0, NO_STDOUT), "brs fit": (0, NO_STDOUT), "rfc verify": (0, NO_STDOUT),
+    "lipschitz probe --mode open": (0, NO_STDOUT),
+    "lipschitz probe --mode tdi": (0, NO_STDOUT),
+    "lyapunov build": (0, NO_STDOUT), "lyapunov verify": (0, NO_STDOUT),
+    "examples list": (0, "1dee514ce57b520636db9e4737afc1ff"),
+}
+ARTIFACT_DIGESTS = {
+    ("paper", True): {
+        "brs_fit.json": "a106dcae86ea2b022d4910ef52e66f69",
+        "lipschitz_open.json": "7c56ef8df81b2e4c9c534f9c58d979e0",
+        "lipschitz_tdi.json": "d8f7a1aee452a33afbefc5b47776a042",
+        "lyapunov_manifest.json": "2e198899c361358844c0cc2c5f56e29e",
+        "lyapunov_table.csv": "70b2c312aa4a005037a15a506762e280",
+        "lyapunov_verify.json": "6f562bbb8430cbd0b91f2384be58da96",
+        "reach_samples.csv": "eebadafdb4916d365740d3e27035396f",
+        "rfc_report.json": "8ccde843df45c07d3cbd231218b08829",
+        "simulate.json": "75f9c7d7f490a459b9c3b721fb61f555",
+        "trajectory.csv": "ea3a65596c6363731bb065eb1e3b5e50",
+    },
+    ("paper", False): {
+        "brs_fit.json": "8d8293ce04e823bcaae853a219ef4ec9",
+        "lipschitz_open.json": "dd7fae189faa7becfa731dc68956e15a",
+        "lipschitz_tdi.json": "e6ab0d634cea86987fbcb35d1ef4e894",
+        "lyapunov_manifest.json": "c3b2f3637cd39cf2206c02c63a5ae024",
+        "lyapunov_table.csv": "70b2c312aa4a005037a15a506762e280",
+        "lyapunov_verify.json": "59cbb9c64085630751988c02d27a23a0",
+        "reach_samples.csv": "eebadafdb4916d365740d3e27035396f",
+        "rfc_report.json": "b54f6f8f0207f6231ef184ab2c3209c6",
+        "simulate.json": "6fc566c870cbaa6ad8797472e818654c",
+        "trajectory.csv": "ea3a65596c6363731bb065eb1e3b5e50",
+    },
+    ("from_fit", True): {
+        "brs_fit.json": "e0e57dd0c88e19b85b24bfc16c89b059",
+        "lipschitz_open.json": "20e4b7ba3bca9dc7f90414a2b87b98a1",
+        "lipschitz_tdi.json": "9759e664848766a6644d43e69f673fc5",
+        "lyapunov_manifest.json": "e2f2d65ba54e5efc37338baadd9cab6d",
+        "lyapunov_table.csv": "e651191b7fc68694a406003c0da75cc2",
+        "lyapunov_verify.json": "2f9529ab45903dafdbe509ca6f464202",
+        "reach_samples.csv": "eebadafdb4916d365740d3e27035396f",
+        "rfc_report.json": "9a62a955fdf2a35e704f4461abd7e348",
+        "simulate.json": "37fd33b14b23979a7a799af403a26db4",
+        "trajectory.csv": "ea3a65596c6363731bb065eb1e3b5e50",
+    },
+    ("from_fit", False): {
+        "brs_fit.json": "b774ecc4a7954cb8c4cb4f04e1902f05",
+        "lipschitz_open.json": "60b875c390cc951db230222a67fcaf00",
+        "lipschitz_tdi.json": "29eb1daa6324726ab0dcc678c13c192c",
+        "lyapunov_manifest.json": "42d3928eb4b75c4c4b36ac12989811db",
+        "lyapunov_table.csv": "e651191b7fc68694a406003c0da75cc2",
+        "lyapunov_verify.json": "b26f6b25c9bb90751871c030a08896df",
+        "reach_samples.csv": "eebadafdb4916d365740d3e27035396f",
+        "rfc_report.json": "5f8fa1825d04e613c1ed5e20c8f6a6d1",
+        "simulate.json": "72a3c69176c2b2cf51aa4e106fb4b773",
+        "trajectory.csv": "ea3a65596c6363731bb065eb1e3b5e50",
+    },
+}
+
+
+@pytest.mark.parametrize("eta_source, with_c", sorted(ARTIFACT_DIGESTS))
+def test_artifact_digests(tmp_path, eta_source, with_c):
+    assert artifact_digests(tmp_path, eta_source, with_c) == {
+        **COMMAND_OUTPUTS, **ARTIFACT_DIGESTS[eta_source, with_c]}
+
+
+class TestOutputDir:
+    """An --out that cannot be made is an output error, before any work."""
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_simulate(self, tmp_path, capsys, sub):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        cfg = sigma1_cfg(tmp_path, x0=[0.5], horizon=0.5)
+        assert main(["simulate", "--config", cfg, "--out", str(afile / sub)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and "Traceback" not in err
+        assert afile.read_text() == ""
+
+    def test_lyapunov_build_fails_before_the_probe(self, tmp_path, capsys, monkeypatch):
+        def probe(*args):
+            raise AssertionError("build_l_table ran before --out was made")
+
+        monkeypatch.setattr(cli, "build_l_table", probe)
+        (tmp_path / "afile").write_text("")
+        cfg = sigma1_cfg(tmp_path, c=0.0, radii=[0.5])
+        assert main(["lyapunov", "build", "--config", cfg,
+                     "--out", str(tmp_path / "afile")]) == 2
+        assert capsys.readouterr().err.startswith("output error: ")
+
+
+def _lyapunov_build(monkeypatch, tmp_path, cfg: dict, margin, lyap_cfg, l_table, table):
+    """--out of `lyapunov build` on cfg with the given pipeline results."""
+    monkeypatch.setattr(cli, "_build_pipeline",
+                        lambda *args: (margin, lyap_cfg, l_table, table))
+    out = tmp_path / "out"
+    assert main(["lyapunov", "build", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    return out
+
+
+class TestArtifactFormats:
+    def test_trajectory_csv_header_and_no_sidecar(self, tmp_path):
+        path = write_cfg(tmp_path, {"system": {"name": "linear",
+                                               "params": {"A": [[0.0, 1.0], [-1.0, 0.0]]}},
+                                    "seed": 1, "x0": [1.0, 0.0], "horizon": 1.0})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        assert (out / "trajectory.csv").read_text().splitlines()[0] == "t,x0,x1"
+        # t_max and blew_up are simulate.json's, stamped with the config hash and seed
+        assert sorted(p.name for p in out.iterdir()) == ["simulate.json", "trajectory.csv"]
+
+    def test_reach_samples_csv_header(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = sigma1_cfg(tmp_path, C=1.0, horizon=1.0, samples=3)
+        assert main(["brs", "fit", "--config", cfg, "--out", str(out)]) == 0
+        header = (out / "reach_samples.csv").read_text().splitlines()[0]
+        assert header == "t,norm_x,norm_u,norm_phi"
+
+    def test_stored_tables_read_back_bit_for_bit(self, tmp_path, monkeypatch, sigma1,
+                                                 lyap_cfg, l_table):
+        rng = np.random.default_rng(3)
+        # the fixture's tables, then values that need all 17 significant digits
+        cases = [(radial_table(sigma1.system, sigma1.margin, [0.0, 0.3, 1.7], lyap_cfg,
+                               l_table), l_table)]
+        cases.append(({c: rng.standard_normal(4) * 10.0 ** rng.integers(-300, 300, 4)
+                       for c in _COLUMNS},
+                      LipschitzTable(tuple(1.0 + rng.random(12) / 3.0), c=math.pi / 7.0)))
+        cfg = {"system": {"name": "sigma1"}, "seed": 42}
+        for table, lt in cases:
+            out = _lyapunov_build(monkeypatch, tmp_path, cfg, sigma1.margin, lyap_cfg, lt, table)
+            assert (out / "lyapunov_table.csv").read_text().splitlines()[0] == ",".join(_COLUMNS)
+            fitted, got_lt, got = cli._stored_tables(cfg, out)
+            assert fitted is None
+            assert (got_lt.L, got_lt.c, got_lt.theta, got_lt.M) == (lt.L, lt.c, lt.theta, lt.M)
+            assert set(got) == set(table)
+            assert all(np.array_equal(got[c], table[c]) for c in table)
+            manifest = strict_loads((out / "lyapunov_manifest.json").read_text())
+            assert manifest["c"] == lt.c and manifest["cfg"]["seed"] == lyap_cfg.seed
+            assert manifest["seed"] == 42 and manifest["config_hash"] == _config_hash(cfg)
+
+    def test_stored_tables_rejects_what_build_does_not_write(self, tmp_path, monkeypatch,
+                                                             sigma1, lyap_cfg):
+        cfg = {"system": {"name": "sigma1"}, "seed": 42}
+        table = {c: np.arange(3.0) for c in _COLUMNS}
+        out = _lyapunov_build(monkeypatch, tmp_path, cfg, sigma1.margin, lyap_cfg,
+                              LipschitzTable([1.5, 1.2, 1.1]), table)
+        assert cli._stored_tables(cfg, out) is not None
+        path = out / "lyapunov_manifest.json"
+        manifest = json.loads(path.read_text())
+        key = next(k for k in manifest["M_table"] if k.endswith(",1"))  # level 1 missing
+        for bad in ({**manifest, "M_table": {k: v for k, v in manifest["M_table"].items()
+                                             if k != key}},
+                    {**manifest, "c": 0.5}, {**manifest, "M_table": []}, [manifest]):
+            path.write_text(json.dumps(bad))
+            assert cli._stored_tables(cfg, out) is None
+        path.write_text(json.dumps(manifest))
+        csv = out / "lyapunov_table.csv"
+        text = csv.read_text()
+        for bad in ("", text.splitlines()[0], "x\n1,2,3,4,5,6", text[:-9]):
+            csv.write_text(bad)
+            assert cli._stored_tables(cfg, out) is None
+        # a foreign table whose manifest carries its sha256: the header differs
+        foreign = text.replace("tail_bound", "tail").encode()
+        csv.write_bytes(foreign)
+        path.write_text(json.dumps({**manifest,
+                                    "table_sha256": hashlib.sha256(foreign).hexdigest()}))
+        assert cli._stored_tables(cfg, out) is None
+
+    def fitted(self, monkeypatch, tmp_path, eta, lyap_cfg, l_table):
+        """The margin `lyapunov build` stored for eta under eta_source from_fit."""
+        cfg = {"system": {"name": "sigma1"}, "seed": 42, "eta_source": "from_fit"}
+        out = _lyapunov_build(monkeypatch, tmp_path, cfg, bl.GrowthMargin(eta), lyap_cfg,
+                              l_table, {c: np.arange(2.0) for c in _COLUMNS})
+        return cli._stored_tables(cfg, out)[0].eta
+
+    def test_fitted_margin_round_trip(self, tmp_path, monkeypatch, lyap_cfg):
+        f = bl.ScalarFun(np.array([0.0, 1.0, 3.0]), np.array([0.0, 0.5, 1.5]), 0.25,
+                         frozenset({"Kinf", "Lip1"}))
+        g = self.fitted(monkeypatch, tmp_path, f, lyap_cfg, LipschitzTable([1.5]))
+        assert np.array_equal(f.knots, g.knots)
+        assert np.array_equal(f.values, g.values)
+        assert f.slope == g.slope and f.tags == g.tags
+
+    def test_exact_form_evaluates_and_is_stored_by_its_knots(self, tmp_path, monkeypatch,
+                                                             sigma1, lyap_cfg):
+        eta = sigma1.margin.eta
+        s = 0.2
+        assert eta(s) == pytest.approx(-s / (2 * math.log(s)), abs=1e-15)
+        g = self.fitted(monkeypatch, tmp_path, eta, lyap_cfg, LipschitzTable([1.5]))
+        assert g.exact is None and np.array_equal(g.knots, eta.knots)
+        assert g(s) == np.interp(s, eta.knots, eta.values)
+
+
+FORMAT_WORDS = ("savetxt", "json.dump", "write_text", "write_bytes", "import json")
+
+
+def test_only_the_cli_writes_artifact_formats():
+    # the numeric modules return arrays and objects; the CLI alone decides
+    # how they are written
+    src = Path(cli.__file__).parent
+    holders = {p.name for p in src.glob("*.py")
+               if any(word in p.read_text() for word in FORMAT_WORDS)}
+    assert holders == {"cli.py"}

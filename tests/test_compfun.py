@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -50,21 +49,6 @@ class TestScalarFun:
     def test_lip1_tag_rejects_steep_chord(self):
         with pytest.raises(ValueError):
             pl([0.0, 1.0], [0.0, 1.5], tags=("Lip1",))
-
-    def test_json_roundtrip(self):
-        f = pl([0.0, 1.0, 3.0], [0.0, 0.5, 1.5], slope=0.25, tags=("Kinf", "Lip1"))
-        g = ScalarFun.from_json(f.to_json())
-        assert np.array_equal(f.knots, g.knots)
-        assert np.array_equal(f.values, g.values)
-        assert f.slope == g.slope and f.tags == g.tags
-
-    def test_exact_form_evaluates_and_json_holds_the_knots(self):
-        eta = __import__("brslab").make("sigma1").margin.eta
-        s = 0.2
-        assert eta(s) == pytest.approx(-s / (2 * math.log(s)), abs=1e-15)
-        g = ScalarFun.from_json(eta.to_json())
-        assert g.exact is None and np.array_equal(g.knots, eta.knots)
-        assert g(s) == np.interp(s, eta.knots, eta.values)
 
 
 class TestGk:

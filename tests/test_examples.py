@@ -11,7 +11,8 @@ import brslab.examples as examples
 
 class TestRegistry:
     def test_listing_is_json(self):
-        listing = json.loads(bl.list_examples())
+        listing = bl.list_examples()
+        assert json.loads(json.dumps(listing)) == listing
         assert set(listing) == {
             "linear", "quadratic", "reaction_diffusion", "sigma1"
         }

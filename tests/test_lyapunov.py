@@ -14,8 +14,9 @@ import brslab as bl
 import brslab.brscheck as brscheck
 import brslab.lyapunov as lyapunov
 import brslab.sysdyn as sysdyn
+from brslab import cli
 from brslab.compfun import theta
-from brslab.lyapunov import LipschitzTable, _dyadic_grid, sandwich_funs
+from brslab.lyapunov import LipschitzTable, _dyadic_grid, radial_table, sandwich_funs
 from brslab.tdinput import closed_loop
 
 from conftest import SEED
@@ -406,57 +407,11 @@ class TestSupDifference:
 
 
 class TestRadialTable:
-    def test_columns_and_export(self, tmp_path, sigma1, lyap_cfg, l_table):
-        from brslab.lyapunov import dump_table, radial_table
-
+    def test_columns_and_export(self, sigma1, lyap_cfg, l_table):
         table = radial_table(sigma1.system, sigma1.margin, [0.0, 1.0], lyap_cfg, l_table)
-        assert set(table) == {"norm_x", "V", "W", "tail_bound", "alpha1", "alpha2_plus_C"}
-        dump_table(table, tmp_path, lyap_cfg, l_table)
-        header = (tmp_path / "lyapunov_table.csv").read_text().splitlines()[0]
-        assert header == "norm_x,V,W,tail_bound,alpha1,alpha2_plus_C"
-        manifest = json.loads((tmp_path / "lyapunov_manifest.json").read_text())
-        assert manifest["c"] == l_table.c
-        assert manifest["seed"] == lyap_cfg.seed
-
-    def test_load_table_inverts_dump_table(self, tmp_path, sigma1, lyap_cfg, l_table):
-        from brslab.lyapunov import dump_table, load_table, radial_table
-
-        rng = np.random.default_rng(3)
-        # the fixture's tables, then values that need all 17 significant digits
-        cases = [(radial_table(sigma1.system, sigma1.margin, [0.0, 0.3, 1.7], lyap_cfg,
-                               l_table), l_table)]
-        cases.append(({c: rng.standard_normal(4) * 10.0 ** rng.integers(-300, 300, 4)
-                       for c in ("norm_x", "V", "W", "tail_bound", "alpha1", "alpha2_plus_C")},
-                      LipschitzTable(tuple(1.0 + rng.random(12) / 3.0), c=math.pi / 7.0)))
-        for table, lt in cases:
-            dump_table(table, tmp_path, lyap_cfg, lt, {"config_hash": "abc"})
-            got, got_lt, manifest = load_table(tmp_path)
-            assert (got_lt.L, got_lt.c, got_lt.theta, got_lt.M) == (lt.L, lt.c, lt.theta, lt.M)
-            assert set(got) == set(table)
-            assert all(np.array_equal(got[c], table[c]) for c in table)
-            assert manifest["config_hash"] == "abc"
-
-    def test_load_table_rejects_what_dump_table_does_not_write(self, tmp_path, lyap_cfg):
-        from brslab.lyapunov import dump_table, load_table
-
-        table = {c: np.arange(3.0) for c in
-                 ("norm_x", "V", "W", "tail_bound", "alpha1", "alpha2_plus_C")}
-        dump_table(table, tmp_path, lyap_cfg, LipschitzTable([1.5, 1.2, 1.1]))
-        path = tmp_path / "lyapunov_manifest.json"
-        manifest = json.loads(path.read_text())
-        key = next(k for k in manifest["M_table"] if k.endswith(",1"))  # level 1 missing
-        for bad in ({**manifest, "M_table": {k: v for k, v in manifest["M_table"].items()
-                                             if k != key}},
-                    {**manifest, "c": 0.5}, {**manifest, "M_table": []}, [manifest]):
-            path.write_text(json.dumps(bad))
-            with pytest.raises(ValueError):
-                load_table(tmp_path)
-        path.write_text(json.dumps(manifest))
-        csv = tmp_path / "lyapunov_table.csv"
-        for bad in ("", csv.read_text().splitlines()[0], "x\n1,2,3,4,5,6", csv.read_text()[:-9]):
-            csv.write_text(bad)
-            with pytest.raises(ValueError):
-                load_table(tmp_path)
+        assert list(table) == list(lyapunov._COLUMNS)
+        csv = cli._csv({c: table[c] for c in lyapunov._COLUMNS}).decode()
+        assert csv.splitlines()[0] == "norm_x,V,W,tail_bound,alpha1,alpha2_plus_C"
 
 
 def solver_work(monkeypatch) -> dict:

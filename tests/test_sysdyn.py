@@ -645,22 +645,11 @@ class TestIntegratorConfig:
             bl.IntegratorConfig(**{field: value})
 
 
-class TestTrajectoryExport:
-    def test_csv_and_sidecar(self, tmp_path):
-        traj = bl.integrate(rotation(), [1.0, 0.0], bl.InputSignal.constant([0.0]), 1.0)
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == "t,x0,x1"
-        # t_max and blew_up are simulate.json's, stamped with the config hash and seed
-        assert [p.name for p in tmp_path.iterdir()] == ["traj.csv"]
-
-
 def _array_holder(kind):
     """An object of the given array-holding value type and an equal-valued copy."""
     if kind == "ScalarFun":
         eta = bl.make("sigma1").margin.eta
-        return eta, bl.ScalarFun.from_json(eta.to_json())
+        return eta, bl.ScalarFun(eta.knots, eta.values, eta.slope, eta.tags)
     if kind == "SystemDef":
         sys_ = bl.make("linear", {"A": [[-1.0, 1.0], [0.0, -1.0]]}).system
         return sys_, dataclasses.replace(sys_)
