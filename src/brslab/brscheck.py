@@ -17,7 +17,8 @@ import numpy as np
 
 from .compfun import ScalarFun, inverse
 from .sysdyn import InputSignal, IntegratorConfig, SystemDef, _sample_ensemble
-from .tdinput import GrowthMargin, closed_loop, disturbance_family
+from .tdinput import (GrowthMargin, _random_steps, _unit, closed_loop, disturbance_family,
+                      seeded_rng)
 
 __all__ = [
     "ReachSamples",
@@ -33,7 +34,6 @@ __all__ = [
     "probe_lipschitz_openloop",
     "probe_lipschitz_tdi",
     "gronwall_bound",
-    "seeded_rng",
 ]
 
 RATIO_CAP = 1e6
@@ -44,22 +44,6 @@ RFC_OFFSETS = (0.0, 1.0, 2.0, 4.0, 8.0)
 _SAMPLE_CFG = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
 _OPEN_PROBE_CFG = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13)
 _TDI_PROBE_CFG = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
-# Second SeedSequence entry of each seeded draw, [seed, tag, *index]: one stream
-# per purpose, so adding draws to one never shifts another.
-SEED_TAGS = {
-    "rfc_states": 7,
-    "open_probe_pairs": 11,
-    "open_probe_inputs": 13,
-    "tdi_probe_pairs": 17,
-    "growth_pairs": 23,
-}
-
-
-def seeded_rng(seed: int, purpose: str, *index: int) -> np.random.Generator:
-    """Generator on the SeedSequence [seed, SEED_TAGS[purpose], *index]."""
-    return np.random.default_rng(np.random.SeedSequence([seed, SEED_TAGS[purpose], *index]))
-
-
 NEAR_ZERO_LADDER = tuple(10.0 ** (-k) for k in range(3, 13))
 
 
@@ -97,7 +81,7 @@ class RFCBoundReport:
     c: float
     max_violation: float
     holds: bool
-    worst: tuple | None = None
+    worst: tuple
     blowup_time: float | None = None  # the earliest crossing of the blow-up threshold
 
 
@@ -113,18 +97,13 @@ class LipschitzProbeReport:
 
 
 def _random_in_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    return v * radius * rng.uniform() ** (1.0 / dim)
+    return _unit(rng, dim) * radius * rng.uniform() ** (1.0 / dim)
 
 
 def _random_pc_input(
     rng: np.random.Generator, dim: int, tau: float, sup_bound: float
 ) -> InputSignal:
-    n_switch = int(rng.integers(0, 4))
-    bps = np.sort(rng.uniform(0.0, tau, n_switch)) if n_switch else np.array([])
-    vals = rng.standard_normal((bps.size + 1, dim))
-    vals /= np.linalg.norm(vals, axis=1, keepdims=True)
+    bps, vals = _random_steps(rng, dim, tau, int(rng.integers(0, 4)))
     vals *= rng.uniform(0.0, sup_bound, (bps.size + 1, 1))
     return InputSignal(bps, vals[:-1], vals[-1])
 
@@ -144,7 +123,7 @@ def sample_reach(sys: SystemDef, C: float, tau: float, n: int, seed: int) -> Rea
     t_grid = np.linspace(0.0, tau, 9)[1:]
     X0, us = [], []
     for i in range(n):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        rng = seeded_rng(seed, "reach_samples", i)
         X0.append(_random_in_ball(rng, sys.state_dim, C))
         us.append(_random_pc_input(rng, sys.input_dim, tau, 0.999 * C))
     samples, t_cross = _sample_ensemble(sys, X0, us, [(t_grid, np.arange(n))], _SAMPLE_CFG)
@@ -225,15 +204,15 @@ def verify_rfc_tdi(
 ) -> RFCBoundReport:
     """Check ||phi|| <= kappa^{-1}(t + ||x|| + c) over lifted disturbances.
 
-    n seeded states in the C-ball are sampled as one closed-loop ensemble,
+    n >= 1 seeded states in the C-ball are sampled as one closed-loop ensemble,
     read on the 65-point grid of [0, tau]; a blow-up holds its crossing
     state, far above any bound, and its crossing time is `blowup_time`.
     `worst` is the (t, ||x||, ||phi||) of the largest violation.
     """
     if not {"Kinf"} <= kappa.tags:
         raise ValueError("kappa must be tagged Kinf")
-    if n == 0:
-        return RFCBoundReport(c, -math.inf, True, None)
+    if n < 1:  # on no states the bound holds vacuously
+        raise ValueError(f"the RFC check needs n >= 1 states, got n={n}")
     dists = disturbance_family(sys.input_dim, tau, max(3, n // 4), seed)
     X0 = [_random_in_ball(seeded_rng(seed, "rfc_states", i), sys.state_dim, C) for i in range(n)]
     grid = np.linspace(0.0, tau, 65)
@@ -262,8 +241,6 @@ def find_rfc_offset(
     seed: int,
 ) -> float:
     """Smallest offset in RFC_OFFSETS for which the RFC bound holds on n >= 1 states."""
-    if n < 1:  # the bound holds vacuously on no states, for every offset
-        raise ValueError(f"the RFC offset search needs n >= 1 states, got n={n}")
     for c in RFC_OFFSETS:
         if verify_rfc_tdi(sys, margin, kappa, c, C, tau, n, seed).holds:
             return c

@@ -46,7 +46,6 @@ from .brscheck import (
     probe_lipschitz_openloop,
     probe_lipschitz_tdi,
     sample_reach,
-    seeded_rng,
     verify_rfc_tdi,
 )
 from .compfun import ScalarFun, eta_from_chis
@@ -61,7 +60,7 @@ from .lyapunov import (
     verify_growth,
 )
 from .sysdyn import InputSignal, IntegratorConfig, StepSizeError, integrate
-from .tdinput import GrowthMargin
+from .tdinput import GrowthMargin, _unit, seeded_rng
 
 
 class ConfigError(ValueError):
@@ -94,8 +93,8 @@ def _load_config(path: str | None, args) -> dict:
     if path is None:
         raise ConfigError("--config is required for this subcommand")
     try:
-        cfg = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -144,17 +143,18 @@ def _bundle(cfg: dict) -> ex.ExampleBundle:
         raise ConfigError(f"cannot build system {cfg['system']['name']!r}: {exc}") from exc
 
 
-def _samples(cfg: dict, default: int, purpose: str) -> int:
-    """cfg["samples"], at least 1: a fit or an RFC offset on no samples checks nothing."""
-    samples = _setting(cfg, "samples", default, int)
-    if samples < 1:
-        raise ConfigError(f"samples must be >= 1 for {purpose}, got {samples}")
-    return samples
+def _count(cfg: dict, key: str, default: int, purpose: str) -> int:
+    """cfg[key], at least 1: a fit on no samples fits nothing, and an RFC
+    or growth check on none would pass."""
+    count = _setting(cfg, key, default, int)
+    if count < 1:
+        raise ConfigError(f"{key} must be >= 1 for {purpose}, got {count}")
+    return count
 
 
 def _reach_samples(bundle: ex.ExampleBundle, cfg: dict):
     return sample_reach(bundle.system, _setting(cfg, "C", 2.0), _setting(cfg, "horizon", 3.0),
-                        _samples(cfg, 40, "reach sampling"), cfg["seed"])
+                        _count(cfg, "samples", 40, "reach sampling"), cfg["seed"])
 
 
 def _margin(bundle: ex.ExampleBundle, cfg: dict) -> GrowthMargin:
@@ -282,7 +282,7 @@ def cmd_rfc_verify(args, cfg: dict, bundle: ex.ExampleBundle, out: Path) -> int:
         _setting(cfg, "c", 0.0),
         _setting(cfg, "C", 2.0),
         _setting(cfg, "horizon", 3.0),
-        _setting(cfg, "samples", 20, int),
+        _count(cfg, "samples", 20, "the RFC check"),
         cfg["seed"],
     )
     _emit(out / "rfc_report.json", asdict(report), cfg)
@@ -373,7 +373,7 @@ def _build_pipeline(cfg: dict, bundle: ex.ExampleBundle, stored_in: Path | None 
         c = find_rfc_offset(
             bundle.system, margin, margin.eta,
             _setting(cfg, "C", 2.0), _setting(cfg, "horizon", 3.0),
-            _samples(cfg, 12, "the RFC offset search"), cfg["seed"],
+            _count(cfg, "samples", 12, "the RFC offset search"), cfg["seed"],
         )
     # the radial table's states r * e1 have norm r: a radius over the tail
     # budget fails here, before the Lipschitz probe
@@ -402,7 +402,7 @@ def cmd_lyapunov_build(args, cfg: dict, bundle: ex.ExampleBundle, out: Path) -> 
 
 
 def cmd_lyapunov_verify(args, cfg: dict, bundle: ex.ExampleBundle, out: Path) -> int:
-    n_pairs = _setting(cfg, "growth_pairs", 10, int)
+    n_pairs = _count(cfg, "growth_pairs", 10, "the growth check")
     margin, lyap_cfg, l_table, table = _build_pipeline(cfg, bundle, out)
     bad = (table["alpha1"] > table["V"] + 1e-9) | (
         table["V"] > table["alpha2_plus_C"] + 1e-9
@@ -429,11 +429,6 @@ def cmd_lyapunov_verify(args, cfg: dict, bundle: ex.ExampleBundle, out: Path) ->
     _emit(out / "lyapunov_verify.json",
           {"sandwich_ok": True, "growth_reports": reports}, cfg)
     return 0
-
-
-def _unit(rng, dim):
-    v = rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
 
 
 def build_parser() -> argparse.ArgumentParser:

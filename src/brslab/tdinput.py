@@ -26,10 +26,45 @@ __all__ = [
     "lift_disturbance",
     "project_input",
     "disturbance_family",
+    "seeded_rng",
 ]
 
 EPS_DIV = 1e-9
 TOL_MEMBERSHIP = 1e-6
+# Each seeded draw has the SeedSequence [seed, *SEED_TAGS[purpose], *index].
+# SeedSequence ignores trailing zeros, so the streams are not disjoint: the
+# untagged reach draw or family member i is also the tagged draw of tag i
+# with index 0 or none (rfc_states 0 is reach draw 7; ROADMAP item 11).
+SEED_TAGS = {
+    "reach_samples": (),
+    "disturbances": (),
+    "rfc_states": (7,),
+    "open_probe_pairs": (11,),
+    "open_probe_inputs": (13,),
+    "tdi_probe_pairs": (17,),
+    "growth_pairs": (23,),
+}
+
+
+def seeded_rng(seed: int, purpose: str, *index: int) -> np.random.Generator:
+    """Generator on the SeedSequence [seed, *SEED_TAGS[purpose], *index]."""
+    return np.random.default_rng(np.random.SeedSequence([seed, *SEED_TAGS[purpose], *index]))
+
+
+def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A uniformly distributed unit vector of R^dim."""
+    v = rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+def _random_steps(rng: np.random.Generator, dim: int, tau: float, n_switch: int):
+    """(times, vectors) of a random step signal: the sorted distinct positive
+    values of n_switch uniform draws in [0, tau), and one unit vector of R^dim
+    per segment, one more than the times."""
+    times = np.unique(rng.uniform(0.0, tau, n_switch))
+    times = times[times > 0]
+    vals = rng.standard_normal((times.size + 1, dim))
+    return times, vals / np.linalg.norm(vals, axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -166,14 +201,8 @@ def disturbance_family(
             e = np.zeros(input_dim)
             e[i] = sign
             family.append(DisturbanceSignal.constant(e))
-    idx = len(family)
     while len(family) < n:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
-        n_switch = int(rng.integers(1, 5))
-        bps = np.sort(rng.uniform(0.0, tau, n_switch))
-        bps = bps[np.concatenate([[True], np.diff(bps) > 0]) & (bps > 0)]
-        vals = rng.standard_normal((bps.size + 1, input_dim))
-        vals /= np.linalg.norm(vals, axis=1, keepdims=True)
+        rng = seeded_rng(seed, "disturbances", len(family))
+        bps, vals = _random_steps(rng, input_dim, tau, int(rng.integers(1, 5)))
         family.append(DisturbanceSignal(bps, vals[:-1], vals[-1]))
-        idx += 1
     return family[:n]

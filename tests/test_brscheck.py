@@ -238,7 +238,7 @@ def per_state_rfc(sys, margin, kappa, c, C, tau, n, seed):
     grid = np.linspace(0.0, tau, 65)
     best, worst = -math.inf, None
     for i in range(n):
-        x0 = _random_in_ball(brscheck.seeded_rng(seed, "rfc_states", i), sys.state_dim, C)
+        x0 = _random_in_ball(tdinput.seeded_rng(seed, "rfc_states", i), sys.state_dim, C)
         norms = np.linalg.norm(bl.integrate(cl, x0, dists[i % len(dists)], tau, cfg)
                                .state_at(grid), axis=1)
         nx = float(np.linalg.norm(x0))

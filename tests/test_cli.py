@@ -5,6 +5,7 @@ import json
 import math
 import re
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,12 @@ class TestUsageErrors:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["simulate", "--config", str(path)]) == 2
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "config error: cannot read config" in capsys.readouterr().err
 
     def test_bad_eta_source(self, tmp_path):
         path = write_cfg(
@@ -181,6 +188,9 @@ class TestUsageErrors:
             # the disturbances of U_q draw from the top-level seed, stamped on every artifact
             (["lyapunov", "build"], {"lyapunov": {"seed": 7}}),
             (["simulate"], {"integrator": {"max_step": 0.1}}),
+            # a check on no states or pairs held vacuously and exited 0
+            (["rfc", "verify"], {"samples": 0}),
+            (["lyapunov", "verify"], {"growth_pairs": 0}),
         ],
     )
     def test_bad_scalar_or_radii_setting(self, tmp_path, capsys, cmd, extra):
@@ -283,13 +293,6 @@ class TestStrictJson:
                      "--out", str(out)]) == 0
         rep = strict_loads((out / "lipschitz_open.json").read_text())
         assert rep["diverged"] and rep["L_estimate"] is None
-
-    def test_rfc_report_without_samples_writes_null_violation(self, tmp_path):
-        cfg = sigma1_cfg(tmp_path, C=1.0, horizon=1.0, samples=0, c=0.0)
-        out = tmp_path / "out"
-        assert main(["rfc", "verify", "--config", cfg, "--out", str(out)]) == 0
-        rep = strict_loads((out / "rfc_report.json").read_text())
-        assert rep["holds"] and rep["max_violation"] is None
 
 
 class TestSimulate:
@@ -487,6 +490,48 @@ class TestLyapunov:
         rep = json.loads((out / "lyapunov_verify.json").read_text())
         assert rep["sandwich_ok"]
         assert len(rep["growth_reports"]) == 2
+
+    def verify_witness(self, tmp_path, capsys):
+        """The stamped witness of a `lyapunov verify` that exits 1 into a fresh --out."""
+        cfg = self.lyap_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert main(["lyapunov", "verify", "--config", cfg, "--out", str(out)]) == 1
+        assert not (out / "lyapunov_verify.json").exists()
+        witness = strict_loads(capsys.readouterr().out)
+        stamp = json.loads(Path(cfg).read_text())
+        assert (witness.pop("config_hash"), witness.pop("seed")) == (_config_hash(stamp), 42)
+        return witness
+
+    def test_sandwich_witness(self, tmp_path, capsys, monkeypatch):
+        tables = []
+
+        def below_alpha1(*args):
+            table = radial_table(*args)
+            table["V"][1] = table["alpha1"][1] / 2  # V(0.5) under its lower bound
+            tables.append(table)
+            return table
+
+        monkeypatch.setattr(cli, "radial_table", below_alpha1)
+        witness = self.verify_witness(tmp_path, capsys)
+        (table,) = tables
+        row = {c: float(table[c][1]) for c in ("norm_x", "V", "alpha1", "alpha2_plus_C")}
+        assert witness == {"falsified": "sandwich", **row} and row["norm_x"] == 0.5
+
+    def test_growth_witness(self, tmp_path, capsys, monkeypatch):
+        reports = []
+
+        def second_fails(*args):
+            rep = bl.verify_growth(*args)
+            if not rep.vacuous:
+                reports.append(rep)
+                rep.passes_V = len(reports) < 2
+            return rep
+
+        monkeypatch.setattr(cli, "verify_growth", second_fails)
+        witness = self.verify_witness(tmp_path, capsys)
+        assert len(reports) == 2
+        report = json.loads(json.dumps(cli._plain(asdict(reports[1])), default=float))
+        assert witness == {"falsified": "growth", "report": report}
 
 
 class TestVerifyReusesBuild:

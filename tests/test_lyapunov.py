@@ -371,6 +371,13 @@ class TestVerifyGrowth:
         rep = bl.verify_growth(sigma1.system, sigma1.margin, [0.1], [5.0], lyap_cfg, l_table)
         assert rep.vacuous
 
+    def test_blowup_inside_the_dini_window(self, lyap_cfg):
+        # x' = x^2 from 200 blows up at t = 5e-3, inside the window [0, 1e-2]
+        unit = bl.ScalarFun([0.0, 1.0], [0.0, 1.0], 1.0, frozenset({"Kinf", "Lip1"}))
+        with pytest.raises(bl.NotRfcTdiError, match="inside the Dini step window"):
+            bl.verify_growth(bl.make("quadratic").system, bl.GrowthMargin(unit), [200.0], [0.0],
+                             lyap_cfg, unit_table(1, 0.0))
+
     def test_report_serializes(self, tmp_path):
         # lyapunov_verify.json holds every field of each report, in strict JSON
         from brslab.cli import main
