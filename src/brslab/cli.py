@@ -3,11 +3,14 @@
 Exit codes: 0 success, 1 falsified property (witness JSON on stdout),
 2 usage, config, integrator (step-size underflow) or output error.  `main`
 loads the config, builds the example and makes --out once for every
-subcommand, and is the one place that maps exceptions to exit codes; a
-`cmd_*` handler returns 1 only for a witness read off its own report.  This
-module alone holds the artifact formats: `_csv` writes every CSV, `_stamped`
-every JSON (the manifest and witnesses included) with the config hash and
-the seed, and outputs are pure functions of (config, seed, binary version).
+subcommand.  A `cmd_*` handler computes and returns (artifacts, witness):
+the artifacts by file name, each CSV bytes from `_csv` or an object for
+`_stamped`, and the falsification witness or None.  `main` alone writes the
+artifacts, prints the witness (its own BRS and RFC-TDI ones too) and picks
+the exit code.  This module alone holds the artifact formats: `_csv` writes
+every CSV, `_stamped` every JSON (the manifest and witnesses included) with
+the config hash and the seed, and outputs are pure functions of (config,
+seed, binary version).
 
 `lyapunov build` stamps its manifest with a reuse key: the config hash, a
 digest of brslab's own sources and the numpy and scipy versions.
@@ -169,24 +172,16 @@ def _margin(bundle: ex.ExampleBundle, cfg: dict) -> GrowthMargin:
     return GrowthMargin(eta_from_chis(fit.chi1, fit.chi2, fit.chi3))
 
 
-def _int_cfg(sub) -> IntegratorConfig:
+def _block(cfg: dict, key: str, build):
+    """build(cfg[key]) for the settings object `key` ({} if absent); a block
+    that is not an object, or that build rejects, is a ConfigError."""
+    sub = cfg.get(key, {})
     if not isinstance(sub, dict):
-        raise ConfigError("integrator settings must be an object")
+        raise ConfigError(f"{key} settings must be an object")
     try:
-        return IntegratorConfig(**{k: float(v) for k, v in sub.items()})
+        return build(sub)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad integrator settings: {exc}") from exc
-
-
-def _lyap_cfg(cfg: dict) -> LyapunovConfig:
-    sub = cfg.get("lyapunov", {})
-    if not isinstance(sub, dict):
-        raise ConfigError("lyapunov settings must be an object")
-    try:
-        # one seed: the disturbances of U_q draw from the seed stamped on the artifacts
-        return LyapunovConfig(**sub, seed=cfg["seed"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad lyapunov settings: {exc}") from exc
+        raise ConfigError(f"bad {key} settings: {exc}") from exc
 
 
 def _plain(obj):
@@ -209,10 +204,6 @@ def _stamped(obj: dict, cfg: dict, indent: int | None = None) -> str:
     return json.dumps(obj, sort_keys=True, indent=indent, default=float, allow_nan=False)
 
 
-def _emit(out_path: Path, obj: dict, cfg: dict) -> None:
-    out_path.write_text(_stamped(obj, cfg, indent=2))
-
-
 def _csv(columns: dict) -> bytes:
     """A header of the column names, then one row per index, each value
     `%.18e` (exact): every CSV the CLI emits is written here."""
@@ -226,11 +217,6 @@ def _fun_obj(f: ScalarFun) -> dict:
     """The knots, values, slope and tags of f, from which the ScalarFun
     constructor rebuilds it (a closed form `exact` is not kept)."""
     return {"knots": f.knots, "values": f.values, "slope": f.slope, "tags": sorted(f.tags)}
-
-
-def _fail(witness: dict, cfg: dict) -> int:
-    print(_stamped(witness, cfg))
-    return 1
 
 
 def _array(cfg: dict, key: str, default) -> np.ndarray:
@@ -249,31 +235,28 @@ def _vector(cfg: dict, key: str, dim: int) -> np.ndarray:
     return v
 
 
-def cmd_simulate(args, cfg: dict, bundle: ex.ExampleBundle, out: Path) -> int:
+def cmd_simulate(args, cfg: dict, bundle: ex.ExampleBundle, out: Path):
     x0 = _vector(cfg, "x0", bundle.system.state_dim)
     u = InputSignal.constant(_vector(cfg, "u_constant", bundle.system.input_dim))
     tau = _setting(cfg, "horizon", 1.0)
-    traj = integrate(bundle.system, x0, u, tau, _int_cfg(cfg.get("integrator", {})))
+    int_cfg = _block(cfg, "integrator",
+                     lambda sub: IntegratorConfig(**{k: float(v) for k, v in sub.items()}))
+    traj = integrate(bundle.system, x0, u, tau, int_cfg)
     columns = {"t": traj.times, **{f"x{i}": x for i, x in enumerate(traj.states.T)}}
-    (out / "trajectory.csv").write_bytes(_csv(columns))
-    _emit(
-        out / "simulate.json",
-        {"t_max": traj.t_max_estimate, "blew_up": traj.blew_up, "final_state": traj.states[-1]},
-        cfg,
-    )
-    return 0
+    return {"trajectory.csv": _csv(columns),
+            "simulate.json": {"t_max": traj.t_max_estimate, "blew_up": traj.blew_up,
+                              "final_state": traj.states[-1]}}, None
 
 
-def cmd_brs_fit(args, cfg: dict, bundle: ex.ExampleBundle, out: Path) -> int:
+def cmd_brs_fit(args, cfg: dict, bundle: ex.ExampleBundle, out: Path):
     samples = _reach_samples(bundle, cfg)
-    (out / "reach_samples.csv").write_bytes(_csv(asdict(samples)))
     fit = fit_additive_bound(samples)
-    _emit(out / "brs_fit.json",
-          {"chi": _fun_obj(fit.chi1), "c": fit.c, "residual": fit.residual}, cfg)
-    return 0
+    return {"reach_samples.csv": _csv(asdict(samples)),
+            "brs_fit.json": {"chi": _fun_obj(fit.chi1), "c": fit.c,
+                             "residual": fit.residual}}, None
 
 
-def cmd_rfc_verify(args, cfg: dict, bundle: ex.ExampleBundle, out: Path) -> int:
+def cmd_rfc_verify(args, cfg: dict, bundle: ex.ExampleBundle, out: Path):
     margin = _margin(bundle, cfg)
     report = verify_rfc_tdi(
         bundle.system,
@@ -285,14 +268,12 @@ def cmd_rfc_verify(args, cfg: dict, bundle: ex.ExampleBundle, out: Path) -> int:
         _count(cfg, "samples", 20, "the RFC check"),
         cfg["seed"],
     )
-    _emit(out / "rfc_report.json", asdict(report), cfg)
-    if not report.holds:
-        return _fail({"falsified": "RFC-TDI", "worst": report.worst,
-                      "blowup_time": report.blowup_time}, cfg)
-    return 0
+    witness = None if report.holds else {
+        "falsified": "RFC-TDI", "worst": report.worst, "blowup_time": report.blowup_time}
+    return {"rfc_report.json": asdict(report)}, witness
 
 
-def cmd_lipschitz_probe(args, cfg: dict, bundle: ex.ExampleBundle, out: Path) -> int:
+def cmd_lipschitz_probe(args, cfg: dict, bundle: ex.ExampleBundle, out: Path):
     tau = _setting(cfg, "horizon", 1.0)
     C = _setting(cfg, "C", 1.0)
     pairs = _setting(cfg, "samples", 10, int)
@@ -307,8 +288,7 @@ def cmd_lipschitz_probe(args, cfg: dict, bundle: ex.ExampleBundle, out: Path) ->
         report = probe_lipschitz_tdi(
             bundle.system, _margin(bundle, cfg), tau, C, pairs, cfg["seed"]
         )
-    _emit(out / f"lipschitz_{args.mode}.json", asdict(report), cfg)
-    return 0
+    return {f"lipschitz_{args.mode}.json": asdict(report)}, None
 
 
 _TABLE_CSV = "lyapunov_table.csv"
@@ -361,7 +341,8 @@ def _build_pipeline(cfg: dict, bundle: ex.ExampleBundle, stored_in: Path | None 
     when it holds them for this config."""
     stored = None if stored_in is None else _stored_tables(cfg, stored_in)
     margin = (stored and stored[0]) or _margin(bundle, cfg)  # a stored fit is not refitted
-    lyap_cfg = _lyap_cfg(cfg)
+    # one seed: the disturbances of U_q draw from the seed stamped on the artifacts
+    lyap_cfg = _block(cfg, "lyapunov", lambda sub: LyapunovConfig(**sub, seed=cfg["seed"]))
     radii = _array(cfg, "radii", np.linspace(0.0, 2.0, 21))
     if radii.ndim != 1 or radii.size == 0 or not np.all(np.isfinite(radii) & (radii >= 0)):
         raise ConfigError(f"radii must be a non-empty list of finite numbers >= 0, got {radii}")
@@ -383,10 +364,9 @@ def _build_pipeline(cfg: dict, bundle: ex.ExampleBundle, stored_in: Path | None 
     return margin, lyap_cfg, l_table, table
 
 
-def cmd_lyapunov_build(args, cfg: dict, bundle: ex.ExampleBundle, out: Path) -> int:
+def cmd_lyapunov_build(args, cfg: dict, bundle: ex.ExampleBundle, out: Path):
     margin, lyap_cfg, l_table, table = _build_pipeline(cfg, bundle)
     csv = _csv({c: table[c] for c in _COLUMNS})
-    (out / _TABLE_CSV).write_bytes(csv)
     manifest = {
         "cfg": asdict(lyap_cfg),
         "c": l_table.c,
@@ -397,11 +377,10 @@ def cmd_lyapunov_build(args, cfg: dict, bundle: ex.ExampleBundle, out: Path) -> 
     }
     if cfg.get("eta_source", "paper") == "from_fit":  # verify reads it back instead of refitting
         manifest["fitted_eta"] = _fun_obj(margin.eta)
-    _emit(out / _MANIFEST, manifest, cfg)
-    return 0
+    return {_TABLE_CSV: csv, _MANIFEST: manifest}, None
 
 
-def cmd_lyapunov_verify(args, cfg: dict, bundle: ex.ExampleBundle, out: Path) -> int:
+def cmd_lyapunov_verify(args, cfg: dict, bundle: ex.ExampleBundle, out: Path):
     n_pairs = _count(cfg, "growth_pairs", 10, "the growth check")
     margin, lyap_cfg, l_table, table = _build_pipeline(cfg, bundle, out)
     bad = (table["alpha1"] > table["V"] + 1e-9) | (
@@ -409,12 +388,9 @@ def cmd_lyapunov_verify(args, cfg: dict, bundle: ex.ExampleBundle, out: Path) ->
     )
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
-        return _fail(
-            {"falsified": "sandwich", "norm_x": table["norm_x"][i],
-             "V": table["V"][i], "alpha1": table["alpha1"][i],
-             "alpha2_plus_C": table["alpha2_plus_C"][i]},
-            cfg,
-        )
+        return {}, {"falsified": "sandwich", "norm_x": table["norm_x"][i],
+                    "V": table["V"][i], "alpha1": table["alpha1"][i],
+                    "alpha2_plus_C": table["alpha2_plus_C"][i]}
     rng = seeded_rng(cfg["seed"], "growth_pairs")
     reports = []
     while len(reports) < n_pairs:
@@ -425,63 +401,44 @@ def cmd_lyapunov_verify(args, cfg: dict, bundle: ex.ExampleBundle, out: Path) ->
             continue
         reports.append(asdict(rep))
         if not (rep.passes_V and rep.passes_W):
-            return _fail({"falsified": "growth", "report": reports[-1]}, cfg)
-    _emit(out / "lyapunov_verify.json",
-          {"sandwich_ok": True, "growth_reports": reports}, cfg)
-    return 0
+            return {}, {"falsified": "growth", "report": reports[-1]}
+    return {"lyapunov_verify.json": {"sandwich_ok": True, "growth_reports": reports}}, None
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="brslab")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    groups = {}
+    # built on every call, so a handler rebound on this module is the one called
+    for command, subcommand, fn, text in (
+        ("simulate", None, cmd_simulate, "integrate a trajectory to CSV"),
+        ("brs", "fit", cmd_brs_fit, "reachability-bound fitting"),
+        ("rfc", "verify", cmd_rfc_verify, "robust forward completeness checks"),
+        ("lipschitz", "probe", cmd_lipschitz_probe, "flow regularity probes"),
+        ("lyapunov", "build", cmd_lyapunov_build, "Lyapunov construction/verification"),
+        ("lyapunov", "verify", cmd_lyapunov_verify, "Lyapunov construction/verification"),
+        ("examples", "list", None, "registry listing"),
+    ):
+        if subcommand is None:
+            sp = sub.add_parser(command, help=text)
+        else:
+            if command not in groups:
+                groups[command] = sub.add_parser(command, help=text).add_subparsers(
+                    dest="subcommand", required=True)
+            sp = groups[command].add_parser(subcommand)
+        if fn is None:  # examples list takes no options
+            continue
+        if command == "lipschitz":
+            sp.add_argument("--mode", choices=("open", "tdi"), required=True)
         sp.add_argument("--config", default=None)
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=None)
-
-    sp = sub.add_parser("simulate", help="integrate a trajectory to CSV")
-    common(sp)
-    sp.set_defaults(fn=cmd_simulate)
-
-    brs = sub.add_parser("brs", help="reachability-bound fitting")
-    brs_sub = brs.add_subparsers(dest="subcommand", required=True)
-    sp = brs_sub.add_parser("fit")
-    common(sp)
-    sp.set_defaults(fn=cmd_brs_fit)
-
-    rfc = sub.add_parser("rfc", help="robust forward completeness checks")
-    rfc_sub = rfc.add_subparsers(dest="subcommand", required=True)
-    sp = rfc_sub.add_parser("verify")
-    common(sp)
-    sp.set_defaults(fn=cmd_rfc_verify)
-
-    lip = sub.add_parser("lipschitz", help="flow regularity probes")
-    lip_sub = lip.add_subparsers(dest="subcommand", required=True)
-    sp = lip_sub.add_parser("probe")
-    sp.add_argument("--mode", choices=("open", "tdi"), required=True)
-    common(sp)
-    sp.set_defaults(fn=cmd_lipschitz_probe)
-
-    lyap = sub.add_parser("lyapunov", help="Lyapunov construction/verification")
-    lyap_sub = lyap.add_subparsers(dest="subcommand", required=True)
-    sp = lyap_sub.add_parser("build")
-    common(sp)
-    sp.set_defaults(fn=cmd_lyapunov_build)
-    sp = lyap_sub.add_parser("verify")
-    common(sp)
-    sp.set_defaults(fn=cmd_lyapunov_verify)
-
-    exs = sub.add_parser("examples", help="registry listing")
-    exs_sub = exs.add_subparsers(dest="subcommand", required=True)
-    exs_sub.add_parser("list")
-
+        sp.set_defaults(fn=fn)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.command == "examples":
         print(json.dumps(ex.list_examples(), indent=2, sort_keys=True))
         return 0
@@ -490,7 +447,11 @@ def main(argv=None) -> int:
         bundle = _bundle(cfg)
         out = Path(args.out or os.environ.get("BRSLAB_OUT") or ".")
         out.mkdir(parents=True, exist_ok=True)
-        return args.fn(args, cfg, bundle, out)
+        artifacts, witness = args.fn(args, cfg, bundle, out)
+        for name, body in artifacts.items():
+            if not isinstance(body, bytes):
+                body = _stamped(body, cfg, indent=2).encode("ascii")
+            (out / name).write_bytes(body)
     except (ConfigError, TailBudgetError) as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
@@ -502,9 +463,13 @@ def main(argv=None) -> int:
         return 2
     # only a loaded config gets this far: the witness carries its hash and seed
     except NotBrsError as exc:
-        return _fail({"falsified": "BRS", "detail": str(exc)}, cfg)
+        witness = {"falsified": "BRS", "detail": str(exc)}
     except NotRfcTdiError as exc:
-        return _fail({"falsified": "RFC-TDI", "detail": str(exc)}, cfg)
+        witness = {"falsified": "RFC-TDI", "detail": str(exc)}
+    if witness is None:
+        return 0
+    print(_stamped(witness, cfg))
+    return 1
 
 
 if __name__ == "__main__":

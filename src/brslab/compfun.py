@@ -26,8 +26,6 @@ __all__ = [
     "chi_from_eta",
 ]
 
-# Slope floor keeping clamped chords strictly increasing.
-EPS_SLOPE = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class ScalarFun:
@@ -145,8 +143,11 @@ def theta(R: float, q: int, c: float) -> float:
 def lip1_minorant(f: ScalarFun) -> ScalarFun:
     """Largest-practical K-inf minorant of f with unit Lipschitz constant.
 
-    Sweeps the knots left to right, clamping every chord slope into
-    (EPS_SLOPE, 1].  The result stays below f and strictly increasing.
+    Sweeps the knots left to right, clamping every chord slope and the
+    extrapolation slope to at most 1.  The Kinf tag makes f strictly
+    increasing with a slope > 0, so the result stays below f with every
+    slope in (0, 1] (a chord step under half an ulp would come out flat,
+    which the constructor rejects).
     """
     if "Kinf" not in f.tags:
         raise ValueError("lip1_minorant requires a Kinf-tagged input")
@@ -155,15 +156,8 @@ def lip1_minorant(f: ScalarFun) -> ScalarFun:
     out = np.empty_like(fvals)
     out[0] = 0.0
     for i in range(1, knots.size):
-        dx = knots[i] - knots[i - 1]
-        cand = min(fvals[i], out[i - 1] + dx)
-        if cand <= out[i - 1]:
-            cand = min(fvals[i], out[i - 1] + EPS_SLOPE * dx)
-        out[i] = cand
-    slope = min(f.slope, 1.0)
-    if slope <= 0:
-        slope = EPS_SLOPE
-    return ScalarFun(knots.copy(), out, slope, frozenset({"Kinf", "Lip1"}))
+        out[i] = min(fvals[i], out[i - 1] + (knots[i] - knots[i - 1]))
+    return ScalarFun(knots.copy(), out, min(f.slope, 1.0), frozenset({"Kinf", "Lip1"}))
 
 
 def inverse(f: ScalarFun) -> ScalarFun:

@@ -50,6 +50,11 @@ def _sigma1_eta_scalarfun() -> ScalarFun:
     return ScalarFun(knots, values, 0.5, frozenset({"Kinf", "Lip1"}), _sigma1_eta)
 
 
+def _half_margin() -> GrowthMargin:
+    """The growth margin eta(s) = s / 2 of `linear` and `reaction_diffusion`."""
+    return GrowthMargin(ScalarFun([0.0, 1.0], [0.0, 0.5], 0.5, frozenset({"Kinf", "Lip1"})))
+
+
 def _sigma1_flow_u1(t: float, x: np.ndarray) -> np.ndarray:
     """Closed-form flow under the constant unit input."""
     x = np.asarray(x, dtype=float)
@@ -107,6 +112,7 @@ def _make_linear(params: dict) -> ExampleBundle:
     return ExampleBundle(
         name="linear",
         system=sysdef,
+        margin=_half_margin(),
         documented_properties=("x' = A x + B u",),
     )
 
@@ -146,9 +152,6 @@ def _make_reaction_diffusion(params: dict) -> ExampleBundle:
 
     # d/dx [x^3 / (1 + x^2)] peaks at 9/8; ||b|| = 1.
     L = max(1.125 * a, 1.0)
-    eta = ScalarFun(
-        np.array([0.0, 1.0]), np.array([0.0, 0.5]), 0.5, frozenset({"Kinf", "Lip1"})
-    )
     sysdef = SystemDef(
         state_dim=n,
         input_dim=1,
@@ -160,7 +163,7 @@ def _make_reaction_diffusion(params: dict) -> ExampleBundle:
     return ExampleBundle(
         name="reaction_diffusion",
         system=sysdef,
-        margin=GrowthMargin(eta),
+        margin=_half_margin(),
         documented_properties=(
             f"method-of-lines, {n} cells, Laplacian scaled by n^2",
             "saturating cubic nonlinearity with distributed scalar injection",

@@ -124,7 +124,10 @@ def closed_loop(sys: SystemDef, margin: GrowthMargin) -> SystemDef:
     eta = margin.eta
 
     def rhs_cl(x, d):
-        # np.linalg.norm's own sum of squares, without its dispatch on every call
+        # np.linalg.norm's own sum of squares, without its dispatch on every
+        # call; one state reads the margin on its float path
+        if x.ndim == 1:
+            return sys.rhs(x, d * eta(math.sqrt((x * x).sum())))
         return sys.rhs(x, d * eta(np.sqrt((x * x).sum(axis=-1, keepdims=True))))
 
     return SystemDef(

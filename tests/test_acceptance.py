@@ -201,7 +201,7 @@ def test_criterion_09_monotone_refinement(sigma1, l_table):
     # non-normal linear system, whose transient growth along e2 puts the sup
     # at interior times that coarse grids and few disturbances miss.
     lin = bl.make("linear", {"A": [[-1.0, 10.0], [0.0, -1.0]]})
-    half = bl.GrowthMargin(bl.ScalarFun([0.0, 1.0], [0.0, 0.5], 0.5, {"Kinf", "Lip1"}))
+    half = lin.margin  # eta(s) = s/2
     lin_table = bl.build_l_table(lin.system, half, 13, 0.0, SEED)
     lin_base = bl.LyapunovConfig(seed=SEED, Q=13, n_dist=2, time_grid_density=4)
     lin_fine = bl.LyapunovConfig(seed=SEED, Q=13, n_dist=4, time_grid_density=8)

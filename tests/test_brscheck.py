@@ -165,10 +165,8 @@ class TestRfc:
     def test_no_offset_is_an_rfc_tdi_falsification(self):
         # x' = x + u under eta(s) = s/2 outgrows kappa^{-1}(t + |x| + c) = 2 (t + |x| + c)
         lin = bl.make("linear", {"A": [[1.0]], "B": [[1.0]]})
-        eta = bl.ScalarFun(np.array([0.0, 1.0]), np.array([0.0, 0.5]), 0.5,
-                           frozenset({"Kinf", "Lip1"}))
         with pytest.raises(bl.NotRfcTdiError, match="every offset"):
-            bl.find_rfc_offset(lin.system, bl.GrowthMargin(eta), eta, 2.0, 3.0, 8, 1)
+            bl.find_rfc_offset(lin.system, lin.margin, lin.margin.eta, 2.0, 3.0, 8, 1)
 
     def test_offset_search_needs_a_state(self, sigma1):
         eta = sigma1.margin.eta

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -918,3 +919,42 @@ def test_only_the_cli_writes_artifact_formats():
     holders = {p.name for p in src.glob("*.py")
                if any(word in p.read_text() for word in FORMAT_WORDS)}
     assert holders == {"cli.py"}
+
+
+HANDLER_WORDS = ("write_bytes", "write_text", "print(", "_fail(")
+
+
+def test_only_main_writes_prints_and_exits_1():
+    # a cmd_* handler returns (artifacts, witness); main writes the one,
+    # prints the other and picks the exit code
+    source = Path(cli.__file__).read_text()
+    functions = [node for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.FunctionDef)]
+    handlers = {f.name: ast.get_source_segment(source, f)
+                for f in functions if f.name.startswith("cmd_")}
+    assert len(handlers) == 6
+    for name, body in handlers.items():
+        assert [w for w in HANDLER_WORDS if w in body] == [], name
+    returns_1 = {f.name for f in functions for node in ast.walk(f)
+                 if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
+                 and type(node.value.value) is int and node.value.value == 1}
+    assert returns_1 == {"main"}
+
+
+def test_growing_linear_runs_on_its_own_margin(tmp_path, capsys):
+    # linear ships eta(s) = s/2, so eta_source "paper" runs on it; its
+    # growth leaves no RFC offset, so the build needs c
+    cfg = {"system": {"name": "linear", "params": {"A": [[1.0]], "B": [[1.0]]}}, "seed": 42}
+    path = write_cfg(tmp_path, cfg)
+    assert main(["lyapunov", "build", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert strict_loads(capsys.readouterr().out)["falsified"] == "RFC-TDI"
+    path = write_cfg(tmp_path, dict(cfg, c=0.0))
+    runs = []
+    for name in ("a", "b"):
+        argv = ["--config", path, "--out", str(tmp_path / name)]
+        # the sandwich and the growth check hold on the growing system
+        assert [main(["lyapunov", stage, *argv]) for stage in ("build", "verify")] == [0, 0]
+        runs.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+    assert sorted(runs[0]) == ["lyapunov_manifest.json", "lyapunov_table.csv",
+                               "lyapunov_verify.json"]
+    assert runs[0] == runs[1]

@@ -217,9 +217,8 @@ class TestEnsembleEstimates:
     @pytest.mark.parametrize("r", [0.25, 1.0, 2.0])
     def test_non_normal_linear_witness(self, n_dist, density, r):
         lin = bl.make("linear", {"A": [[-1.0, 10.0], [0.0, -1.0]]})
-        half = bl.GrowthMargin(bl.ScalarFun([0.0, 1.0], [0.0, 0.5], 0.5, {"Kinf", "Lip1"}))
         cfg = bl.LyapunovConfig(seed=20240811, Q=13, n_dist=n_dist, time_grid_density=density)
-        self.assert_matches_reference(lin.system, half, [0.0, r], cfg, 0.0)
+        self.assert_matches_reference(lin.system, lin.margin, [0.0, r], cfg, 0.0)
 
     def test_one_ensemble_and_no_integrate_per_call(self, sigma1, monkeypatch):
         calls = count_calls(monkeypatch)
@@ -229,6 +228,34 @@ class TestEnsembleEstimates:
         bl.probe_lipschitz_tdi(sigma1.system, sigma1.margin, 0.5, 1.0, 2, seed=3)
         bl.probe_lipschitz_openloop(sigma1.system, 0.5, 1.0, 2, seed=3)
         assert calls == {"ensemble": 3, "integrate": 0}
+
+
+class TestGrowingLinear:
+    """x' = x + u under linear's margin eta(s) = s/2: the closed loop grows
+    like e^{1.5 t}, so the probe and the sups have something to find."""
+
+    @pytest.fixture(scope="class")
+    def growing(self):
+        lin = bl.make("linear", {"A": [[1.0]], "B": [[1.0]]})
+        return lin, bl.build_l_table(lin.system, lin.margin, 14, 0.0, SEED)
+
+    def test_l_table_is_the_growth_rate(self, growing):
+        # d = +1 on two states of one sign scales their gap by e^{1.5 t}
+        _, table = growing
+        expect = [lyapunov.L_INFLATION * math.exp(1.5 * th) for th in table.theta]
+        assert table.L == pytest.approx(expect, rel=1e-6)
+
+    def test_sups_sit_past_time_zero(self, growing):
+        lin, table = growing
+        values = bl.eval_V(lin.system, lin.margin, [[0.5], [1.0], [2.0]],
+                           bl.LyapunovConfig(seed=SEED), table)
+        for r, lv in zip([0.5, 1.0, 2.0], values):
+            s0 = 1.0 + sum(2.0 ** -q * bl.gk_eval(q, lin.margin(r)) / (1.0 + m)
+                           for q, m in enumerate(table.M, start=1))
+            assert lv.V > s0
+            positive = [est for est in lv.per_q if est.value > 0]
+            assert positive and all(est.argmax[1] > 0 for est in positive)
+        assert values[-1].V == pytest.approx(1.094633, abs=1e-6)
 
 
 def count_calls(monkeypatch) -> dict:
@@ -308,8 +335,8 @@ class TestOneSamplerCallPerStage:
         if system == "sigma1":
             ex_sys, margin, cfg = sigma1.system, sigma1.margin, bl.LyapunovConfig(seed=1)
         else:  # the criterion-9 witness, whose sups sit at interior times
-            ex_sys = bl.make("linear", {"A": [[-1.0, 10.0], [0.0, -1.0]]}).system
-            margin = bl.GrowthMargin(bl.ScalarFun([0.0, 1.0], [0.0, 0.5], 0.5, {"Kinf", "Lip1"}))
+            lin = bl.make("linear", {"A": [[-1.0, 10.0], [0.0, -1.0]]})
+            ex_sys, margin = lin.system, lin.margin
             cfg = bl.LyapunovConfig(seed=20240811, Q=13, n_dist=4, time_grid_density=8)
         table = unit_table(cfg.Q, 0.0)
         batched = bl.eval_V(ex_sys, margin, np.array(X), cfg, table, R)

@@ -4,11 +4,14 @@ the public entries it times."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import brslab as bl
+from brslab import cli
 
 from conftest import SEED
+from test_cli import README_CFG
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -41,3 +44,21 @@ def test_tracer_wraps_callables_the_stages_call(sigma1):
     assert metrics["brscheck.probe_tdi.calls"] > 0
     assert metrics["lyapunov.eval_V.calls"] > 0
     assert bl.eval_V.__module__ == "brslab.lyapunov"  # the originals are back
+
+
+def test_tracer_times_the_cli_stages(tmp_path):
+    # build_parser looks the handlers up when main runs, so the tracer's
+    # rebound cmd_lyapunov_build|verify are the ones called
+    tracer = load_tracer()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(README_CFG))
+    argv = ["--config", str(path), "--out", str(tmp_path / "out")]
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        codes = [cli.main(["lyapunov", stage, *argv]) for stage in ("build", "verify")]
+    finally:
+        traced.uninstall()
+    assert codes == [0, 0]
+    metrics = traced.metrics()
+    assert metrics["cli.build.s"] > 0 and metrics["cli.verify.s"] > 0
