@@ -196,23 +196,27 @@ def verify_rfc_tdi(
     sys: SystemDef,
     margin: GrowthMargin,
     kappa: ScalarFun,
-    c: float,
+    c,
     C: float,
     tau: float,
     n: int,
     seed: int,
-) -> RFCBoundReport:
+) -> RFCBoundReport | list[RFCBoundReport]:
     """Check ||phi|| <= kappa^{-1}(t + ||x|| + c) over lifted disturbances.
 
     n >= 1 seeded states in the C-ball are sampled as one closed-loop ensemble,
     read on the 65-point grid of [0, tau]; a blow-up holds its crossing
     state, far above any bound, and its crossing time is `blowup_time`.
-    `worst` is the (t, ||x||, ||phi||) of the largest violation.
+    `worst` is the (t, ||x||, ||phi||) of the largest violation.  A number c
+    gives one report, a non-empty 1-D array one per offset from the same ensemble.
     """
     if not {"Kinf"} <= kappa.tags:
         raise ValueError("kappa must be tagged Kinf")
     if n < 1:  # on no states the bound holds vacuously
         raise ValueError(f"the RFC check needs n >= 1 states, got n={n}")
+    offsets = np.asarray(c, dtype=float)
+    if offsets.ndim > 1 or offsets.size == 0:
+        raise ValueError(f"c must be a number or a non-empty 1-D array: {c}")
     dists = disturbance_family(sys.input_dim, tau, max(3, n // 4), seed)
     X0 = [_random_in_ball(seeded_rng(seed, "rfc_states", i), sys.state_dim, C) for i in range(n)]
     grid = np.linspace(0.0, tau, 65)
@@ -222,13 +226,16 @@ def verify_rfc_tdi(
     )
     norms = np.linalg.norm(samples, axis=2)  # row = grid time, column = state
     nx = np.linalg.norm(X0, axis=1)
-    viol = norms - np.asarray(inverse(kappa)(grid[:, None] + nx + c))
-    j, i = np.unravel_index(int(np.argmax(viol)), viol.shape)
-    max_violation = float(viol[j, i])
-    worst = (float(grid[j]), float(nx[i]), float(norms[j, i]))
-    first = float(t_cross.min())
-    return RFCBoundReport(c, max_violation, max_violation <= 1e-9, worst,
-                          first if math.isfinite(first) else None)
+    bound, first = inverse(kappa), float(t_cross.min())
+    reports = []
+    for c_k in offsets.tolist() if offsets.ndim else [c]:
+        viol = norms - np.asarray(bound(grid[:, None] + nx + c_k))
+        j, i = np.unravel_index(int(np.argmax(viol)), viol.shape)
+        max_violation = float(viol[j, i])
+        worst = (float(grid[j]), float(nx[i]), float(norms[j, i]))
+        reports.append(RFCBoundReport(c_k, max_violation, max_violation <= 1e-9, worst,
+                                      first if math.isfinite(first) else None))
+    return reports if offsets.ndim else reports[0]
 
 
 def find_rfc_offset(
@@ -240,10 +247,10 @@ def find_rfc_offset(
     n: int,
     seed: int,
 ) -> float:
-    """Smallest offset in RFC_OFFSETS for which the RFC bound holds on n >= 1 states."""
-    for c in RFC_OFFSETS:
-        if verify_rfc_tdi(sys, margin, kappa, c, C, tau, n, seed).holds:
-            return c
+    """Smallest offset in RFC_OFFSETS whose RFC bound holds on n >= 1 states (one ensemble)."""
+    for report in verify_rfc_tdi(sys, margin, kappa, np.array(RFC_OFFSETS), C, tau, n, seed):
+        if report.holds:
+            return report.c
     raise NotRfcTdiError(f"RFC bound fails for every offset in RFC_OFFSETS = {RFC_OFFSETS}")
 
 

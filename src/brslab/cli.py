@@ -117,20 +117,26 @@ def _load_config(path: str | None, args) -> dict:
 _POSITIVE = ("C", "horizon")
 
 
-def _setting(cfg: dict, key: str, default, kind=float):
-    """cfg[key], or default, as a finite `kind` >= 0 (> 0 for C and horizon);
-    anything else, or an int setting that is a bool or no integer, is a
-    ConfigError."""
-    value = cfg.get(key, default)
-    if kind is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
+def _number(key: str, value, kind=float):
+    """value as a `kind`: it must be a JSON number in float range, an integer
+    for int, and not a bool; anything else is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if kind is int else numbers.Real):
+        raise ConfigError(
+            f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
     try:
-        value = kind(value)
-        finite = math.isfinite(value)  # an int past float range overflows here
-    except (TypeError, ValueError, OverflowError) as exc:
+        float(value)  # an int past float range overflows here
+    except OverflowError as exc:
         raise ConfigError(f"{key} must be a number: {exc}") from exc
+    return kind(value)
+
+
+def _setting(cfg: dict, key: str, default, kind=float):
+    """cfg[key], or default, as a finite `kind` >= 0 (> 0 for C and horizon)
+    by `_number`; anything else is a ConfigError."""
+    value = _number(key, cfg.get(key, default), kind)
     positive = key in _POSITIVE
-    if not (finite and (value > 0 if positive else value >= 0)):
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
         bound = "> 0" if positive else ">= 0"
         raise ConfigError(f"{key} must be a finite number {bound}, got {value}")
     return value
@@ -220,10 +226,16 @@ def _fun_obj(f: ScalarFun) -> dict:
 
 
 def _array(cfg: dict, key: str, default) -> np.ndarray:
-    try:
-        return np.asarray(cfg.get(key, default), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be a list of numbers: {exc}") from exc
+    """cfg[key], or default, as a float array; cfg[key], or each of its
+    entries if it is a list, must be a number by `_number`."""
+    value = cfg.get(key, default)
+    if key in cfg:
+        try:
+            for v in value if isinstance(value, list) else [value]:
+                _number(key, v)
+        except ConfigError as exc:
+            raise ConfigError(f"{key} must be a list of numbers: {exc}") from exc
+    return np.asarray(value, dtype=float)
 
 
 def _vector(cfg: dict, key: str, dim: int) -> np.ndarray:
@@ -240,7 +252,7 @@ def cmd_simulate(args, cfg: dict, bundle: ex.ExampleBundle, out: Path):
     u = InputSignal.constant(_vector(cfg, "u_constant", bundle.system.input_dim))
     tau = _setting(cfg, "horizon", 1.0)
     int_cfg = _block(cfg, "integrator",
-                     lambda sub: IntegratorConfig(**{k: float(v) for k, v in sub.items()}))
+                     lambda sub: IntegratorConfig(**{k: _number(k, v) for k, v in sub.items()}))
     traj = integrate(bundle.system, x0, u, tau, int_cfg)
     columns = {"t": traj.times, **{f"x{i}": x for i, x in enumerate(traj.states.T)}}
     return {"trajectory.csv": _csv(columns),

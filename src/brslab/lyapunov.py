@@ -73,7 +73,8 @@ class LyapunovConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not (isinstance(self.tail_tol, numbers.Real) and 0 < self.tail_tol < math.inf):
+        if isinstance(self.tail_tol, bool) or not (
+                isinstance(self.tail_tol, numbers.Real) and 0 < self.tail_tol < math.inf):
             raise ValueError(f"tail_tol must be a finite number > 0, got {self.tail_tol!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")

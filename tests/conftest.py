@@ -36,3 +36,10 @@ def l_table(sigma1, rfc_offset):
 @pytest.fixture(scope="session")
 def lyap_cfg():
     return bl.LyapunovConfig(seed=SEED)
+
+
+@pytest.fixture(scope="session")
+def growing():
+    """x' = x + u under linear's margin eta(s) = s/2, and its Q = 14 table at c = 0."""
+    lin = bl.make("linear", {"A": [[1.0]], "B": [[1.0]]})
+    return lin, bl.build_l_table(lin.system, lin.margin, 14, 0.0, SEED)

@@ -140,34 +140,51 @@ def test_criterion_06_lipschitz_dichotomy(sigma1):
     assert not tdi_rep.diverged and tdi_rep.L_estimate <= bound
 
 
-def test_criterion_07_sandwich_bounds(sigma1, lyap_cfg, l_table):
-    radii = np.linspace(0.0, 2.0, 21)
-    table = bl.radial_table(sigma1.system, sigma1.margin, radii, lyap_cfg, l_table)
+def _sandwich(bundle, cfg, l_table):
+    """(ok, V(0)) of V(0) = 1 and alpha1 <= V <= alpha2 + C on 21 radii in [0, 2]."""
+    table = bl.radial_table(bundle.system, bundle.margin, np.linspace(0.0, 2.0, 21), cfg,
+                            l_table)
     v0_ok = abs(table["V"][0] - 1.0) <= 1e-9
     lower_ok = bool(np.all(table["alpha1"] <= table["V"] + 1e-12))
     upper_ok = bool(np.all(table["V"] <= table["alpha2_plus_C"] + 1e-12))
-    ok = v0_ok and lower_ok and upper_ok
-    report(7, ok, f"V(0)={table['V'][0]:.12f}, 21 radial points in [0,2]")
-    assert v0_ok and lower_ok and upper_ok
+    return v0_ok and lower_ok and upper_ok, table["V"][0]
 
 
-def test_criterion_08_growth_condition(sigma1, lyap_cfg, l_table):
+def test_criterion_07_sandwich_bounds(sigma1, lyap_cfg, l_table, growing):
+    # sigma1, whose sups sit at s = 0, and the growing witness, whose sups do not
+    ok, v0 = _sandwich(sigma1, lyap_cfg, l_table)
+    ok_growing, v0_growing = _sandwich(growing[0], lyap_cfg, growing[1])
+    report(7, ok and ok_growing,
+           f"V(0)={v0:.12f} (growing {v0_growing:.12f}), 21 radial points in [0,2]")
+    assert ok and ok_growing
+
+
+def _growth_margins(bundle, cfg, l_table, pairs):
+    """Worst Dini margins (V, W) over `pairs` premise pairs r in [0.1, 2],
+    each of which must pass."""
     rng = np.random.default_rng(np.random.SeedSequence([SEED, 8]))
     checked = 0
     worst_v, worst_w = -math.inf, -math.inf
-    while checked < 100:
+    while checked < pairs:
         r = rng.uniform(0.1, 2.0)
         x = np.array([r * rng.choice([-1.0, 1.0])])
-        u = np.array([rng.uniform(0.0, 0.95) * 0.5 * sigma1.margin(r)])
-        rep = bl.verify_growth(sigma1.system, sigma1.margin, x, u, lyap_cfg, l_table)
+        u = np.array([rng.uniform(0.0, 0.95) * 0.5 * bundle.margin(r)])
+        rep = bl.verify_growth(bundle.system, bundle.margin, x, u, cfg, l_table)
         if rep.vacuous:
             continue
         checked += 1
         worst_v = max(worst_v, rep.dini_V - (rep.V0 * 1.1 + 0.05))
         worst_w = max(worst_w, rep.dini_W - 1.1)
         assert rep.passes_V and rep.passes_W
-    ok = worst_v <= 0 and worst_w <= 0
-    report(8, ok, f"100 premise pairs, worst V margin {worst_v:.2e}, W {worst_w:.2e}")
+    return worst_v, worst_w
+
+
+def test_criterion_08_growth_condition(sigma1, lyap_cfg, l_table, growing):
+    worst_v, worst_w = _growth_margins(sigma1, lyap_cfg, l_table, 100)
+    growing_v, growing_w = _growth_margins(growing[0], lyap_cfg, growing[1], 30)
+    ok = max(worst_v, growing_v) <= 0 and max(worst_w, growing_w) <= 0
+    report(8, ok, f"100 premise pairs, worst V margin {worst_v:.2e}, W {worst_w:.2e}; "
+                  f"growing 30 pairs, V {growing_v:.2e}, W {growing_w:.2e}")
 
 
 def _s0_series(margin, nx, Q, l_table):

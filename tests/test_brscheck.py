@@ -173,6 +173,24 @@ class TestRfc:
         with pytest.raises(ValueError, match="n >= 1"):
             bl.find_rfc_offset(sigma1.system, sigma1.margin, eta, 2.0, 3.0, 0, 1)
 
+    def test_offsets_give_one_report_each(self):
+        # the non-normal witness holds from c = 1 on; each report is the
+        # number call's, bit for bit
+        lin = bl.make("linear", {"A": [[-1.0, 10.0], [0.0, -1.0]]})
+        args = (lin.system, lin.margin, lin.margin.eta)
+        offsets = np.array(brscheck.RFC_OFFSETS)
+        reports = bl.verify_rfc_tdi(*args, offsets, 2.0, 3.0, 12, 5)
+        assert [r.c for r in reports] == list(brscheck.RFC_OFFSETS)
+        assert [r.holds for r in reports] == [False, True, True, True, True]
+        for c, report in zip(offsets.tolist(), reports):
+            assert report == bl.verify_rfc_tdi(*args, c, 2.0, 3.0, 12, 5)
+
+    @pytest.mark.parametrize("c", [np.array([]), np.zeros((2, 1))])
+    def test_offsets_must_be_one_dimensional(self, sigma1, c):
+        eta = sigma1.margin.eta
+        with pytest.raises(ValueError, match="1-D"):
+            bl.verify_rfc_tdi(sigma1.system, sigma1.margin, eta, c, 2.0, 3.0, 2, 1)
+
     def test_requires_kinf_kappa(self, sigma1):
         f = bl.ScalarFun(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 1.0)
         with pytest.raises(ValueError):

@@ -103,6 +103,16 @@ class TestUsageErrors:
             {"system": {"name": "reaction_diffusion", "params": {"n": True}}},
             {"system": {"name": "reaction_diffusion", "params": {"n": 2.7}}},
             {"system": {"name": "reaction_diffusion", "params": {"n": "8"}}},
+            # a number is a JSON number, not a bool or a string: these exited 0
+            {"horizon": "1.5"},
+            {"horizon": True},
+            {"x0": [True]},
+            {"u_constant": ["1.0"]},
+            {"integrator": {"rel_tol": "1e-6"}},
+            {"integrator": {"rel_tol": True}},
+            # past float range: escaped as an OverflowError traceback
+            {"integrator": {"rel_tol": 10**400}},
+            {"x0": [10**400]},
         ],
     )
     def test_wrong_shape_or_setting_in_simulate(self, tmp_path, capsys, extra):
@@ -192,6 +202,11 @@ class TestUsageErrors:
             # a check on no states or pairs held vacuously and exited 0
             (["rfc", "verify"], {"samples": 0}),
             (["lyapunov", "verify"], {"growth_pairs": 0}),
+            # a bool or a numeric string was read as a number
+            (["brs", "fit"], {"C": True}),
+            (["rfc", "verify"], {"c": False}),
+            (["lyapunov", "build"], {"radii": ["0.5", 1.0]}),
+            (["lyapunov", "build"], {"lyapunov": {"tail_tol": True}}),
         ],
     )
     def test_bad_scalar_or_radii_setting(self, tmp_path, capsys, cmd, extra):

@@ -149,6 +149,24 @@ def test_draw_digest(name, m, seed, handed):
     assert DRAWS[name](handed, seed, m) == DRAW_DIGESTS[name, m, seed]
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("m", INPUT_DIMS)
+def test_offset_search_samples_the_rfc_draws_once(m, seed, handed, monkeypatch):
+    """Every offset is read from one call, handed the draws `rfc_states` pins."""
+    zeros = brscheck._sample_ensemble
+
+    def above_every_bound(*args):
+        samples, t_cross = zeros(*args)
+        return samples + 1e9, t_cross
+
+    monkeypatch.setattr(brscheck, "_sample_ensemble", above_every_bound)
+    margin = bl.make("sigma1").margin
+    with pytest.raises(bl.NotRfcTdiError, match="every offset"):
+        brscheck.find_rfc_offset(stub_system(m), margin, margin.eta, 2.0, 3.0, 9, seed)
+    (X0, ds), = handed
+    assert draw_digest(X0, *signal_arrays(ds)) == DRAW_DIGESTS["rfc_states", m, seed]
+
+
 @dataclass
 class _Report:
     vacuous: bool

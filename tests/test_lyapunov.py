@@ -234,11 +234,6 @@ class TestGrowingLinear:
     """x' = x + u under linear's margin eta(s) = s/2: the closed loop grows
     like e^{1.5 t}, so the probe and the sups have something to find."""
 
-    @pytest.fixture(scope="class")
-    def growing(self):
-        lin = bl.make("linear", {"A": [[1.0]], "B": [[1.0]]})
-        return lin, bl.build_l_table(lin.system, lin.margin, 14, 0.0, SEED)
-
     def test_l_table_is_the_growth_rate(self, growing):
         # d = +1 on two states of one sign scales their gap by e^{1.5 t}
         _, table = growing
@@ -309,6 +304,23 @@ class TestOneSamplerCallPerStage:
                                bl.LyapunovConfig(seed=1), unit_table(14, 0.0))
         assert calls == {"ensemble": 1, "integrate": 1}
         assert not rep.vacuous and len(rep.per_h_V) == 2
+
+    @pytest.mark.parametrize("name, params, offset", [
+        ("sigma1", None, 0.0),
+        # the non-normal witness needs the third offset, the growing one none
+        ("linear", {"A": [[-1.0, 10.0], [0.0, -1.0]]}, 2.0),
+        ("linear", {"A": [[1.0]], "B": [[1.0]]}, None),
+    ])
+    def test_find_rfc_offset(self, name, params, offset, monkeypatch):
+        ex = bl.make(name, params)
+        calls = count_calls(monkeypatch)
+        args = (ex.system, ex.margin, ex.margin.eta, 2.0, 3.0, 12, 42)
+        if offset is None:
+            with pytest.raises(bl.NotRfcTdiError, match="every offset"):
+                bl.find_rfc_offset(*args)
+        else:
+            assert bl.find_rfc_offset(*args) == offset
+        assert calls == {"ensemble": 1, "integrate": 0}
 
     def test_readme_build_and_verify(self, tmp_path, monkeypatch):
         # build: l_table and radial table; verify: one per growth pair
