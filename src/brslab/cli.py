@@ -31,7 +31,6 @@ import hashlib
 import io
 import json
 import math
-import numbers
 import os
 import sys as _sys
 from dataclasses import asdict
@@ -62,7 +61,7 @@ from .lyapunov import (
     radial_table,
     verify_growth,
 )
-from .sysdyn import InputSignal, IntegratorConfig, StepSizeError, integrate
+from .sysdyn import InputSignal, IntegratorConfig, StepSizeError, _number, _numbers, integrate
 from .tdinput import GrowthMargin, _unit, seeded_rng
 
 
@@ -92,6 +91,12 @@ def _reuse_key(cfg: dict) -> dict:
             "numpy_version": np.__version__, "scipy_version": scipy.__version__}
 
 
+# Every top-level key a subcommand reads; any other is a ConfigError, so a
+# misspelt one cannot fall back to its default silently.
+_KEYS = frozenset({"system", "seed", "eta_source", "x0", "u_constant", "horizon", "C", "c",
+                   "samples", "radii", "growth_pairs", "integrator", "lyapunov"})
+
+
 def _load_config(path: str | None, args) -> dict:
     if path is None:
         raise ConfigError("--config is required for this subcommand")
@@ -101,6 +106,9 @@ def _load_config(path: str | None, args) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
+    unknown = sorted(set(cfg) - _KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}; known: {sorted(_KEYS)}")
     if args.seed is not None:
         cfg["seed"] = args.seed
     if "seed" not in cfg:
@@ -117,29 +125,14 @@ def _load_config(path: str | None, args) -> dict:
 _POSITIVE = ("C", "horizon")
 
 
-def _number(key: str, value, kind=float):
-    """value as a `kind`: it must be a JSON number in float range, an integer
-    for int, and not a bool; anything else is a ConfigError."""
-    if isinstance(value, bool) or not isinstance(
-            value, numbers.Integral if kind is int else numbers.Real):
-        raise ConfigError(
-            f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
-    try:
-        float(value)  # an int past float range overflows here
-    except OverflowError as exc:
-        raise ConfigError(f"{key} must be a number: {exc}") from exc
-    return kind(value)
-
-
 def _setting(cfg: dict, key: str, default, kind=float):
-    """cfg[key], or default, as a finite `kind` >= 0 (> 0 for C and horizon)
-    by `_number`; anything else is a ConfigError."""
-    value = _number(key, cfg.get(key, default), kind)
-    positive = key in _POSITIVE
-    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
-        bound = "> 0" if positive else ">= 0"
-        raise ConfigError(f"{key} must be a finite number {bound}, got {value}")
-    return value
+    """cfg[key], or default, as a `kind` >= 0 (> 0 for C and horizon) by
+    `_number`; anything else is a ConfigError."""
+    bound = {"gt": 0} if key in _POSITIVE else {"ge": 0}
+    try:
+        return _number(key, cfg.get(key, default), kind, **bound)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _bundle(cfg: dict) -> ex.ExampleBundle:
@@ -226,24 +219,18 @@ def _fun_obj(f: ScalarFun) -> dict:
 
 
 def _array(cfg: dict, key: str, default) -> np.ndarray:
-    """cfg[key], or default, as a float array; cfg[key], or each of its
-    entries if it is a list, must be a number by `_number`."""
-    value = cfg.get(key, default)
-    if key in cfg:
-        try:
-            for v in value if isinstance(value, list) else [value]:
-                _number(key, v)
-        except ConfigError as exc:
-            raise ConfigError(f"{key} must be a list of numbers: {exc}") from exc
-    return np.asarray(value, dtype=float)
+    """cfg[key], or default, as a float array of numbers by `_numbers`;
+    anything else is a ConfigError."""
+    try:
+        return _numbers(key, cfg.get(key, default))
+    except ValueError as exc:
+        raise ConfigError(f"{key} must hold finite numbers: {exc}") from exc
 
 
 def _vector(cfg: dict, key: str, dim: int) -> np.ndarray:
     v = _array(cfg, key, np.zeros(dim))
     if v.shape != (dim,):
         raise ConfigError(f"{key} must be a list of {dim} numbers, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ConfigError(f"{key} must hold finite numbers, got {v.tolist()}")
     return v
 
 
@@ -251,8 +238,7 @@ def cmd_simulate(args, cfg: dict, bundle: ex.ExampleBundle, out: Path):
     x0 = _vector(cfg, "x0", bundle.system.state_dim)
     u = InputSignal.constant(_vector(cfg, "u_constant", bundle.system.input_dim))
     tau = _setting(cfg, "horizon", 1.0)
-    int_cfg = _block(cfg, "integrator",
-                     lambda sub: IntegratorConfig(**{k: _number(k, v) for k, v in sub.items()}))
+    int_cfg = _block(cfg, "integrator", lambda sub: IntegratorConfig(**sub))
     traj = integrate(bundle.system, x0, u, tau, int_cfg)
     columns = {"t": traj.times, **{f"x{i}": x for i, x in enumerate(traj.states.T)}}
     return {"trajectory.csv": _csv(columns),
@@ -356,7 +342,7 @@ def _build_pipeline(cfg: dict, bundle: ex.ExampleBundle, stored_in: Path | None 
     # one seed: the disturbances of U_q draw from the seed stamped on the artifacts
     lyap_cfg = _block(cfg, "lyapunov", lambda sub: LyapunovConfig(**sub, seed=cfg["seed"]))
     radii = _array(cfg, "radii", np.linspace(0.0, 2.0, 21))
-    if radii.ndim != 1 or radii.size == 0 or not np.all(np.isfinite(radii) & (radii >= 0)):
+    if radii.ndim != 1 or radii.size == 0 or not np.all(radii >= 0):
         raise ConfigError(f"radii must be a non-empty list of finite numbers >= 0, got {radii}")
     if stored is not None:
         return margin, lyap_cfg, *stored[1:]

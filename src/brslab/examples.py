@@ -8,14 +8,13 @@ test suite and the CLI.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .compfun import ScalarFun
-from .sysdyn import _STIFF_RHO_SPAN, SystemDef
+from .sysdyn import _STIFF_RHO_SPAN, SystemDef, _number, _numbers
 from .tdinput import GrowthMargin
 
 __all__ = ["ExampleBundle", "make", "list_examples"]
@@ -92,16 +91,14 @@ def _make_sigma1(params: dict) -> ExampleBundle:
 
 
 def _make_linear(params: dict) -> ExampleBundle:
-    A = np.asarray(params.get("A", [[0.0]]), dtype=float)
+    A = _numbers("A", params.get("A", [[0.0]]))
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise ValueError(f"A must be a non-empty square matrix, got shape {A.shape}")
-    B = np.asarray(params.get("B", np.eye(A.shape[0])), dtype=float)
+    B = _numbers("B", params.get("B", np.eye(A.shape[0])))
     if B.ndim != 2 or B.shape[0] != A.shape[0] or B.shape[1] == 0:
         raise ValueError(
             f"B must have {A.shape[0]} rows and at least one column, got shape {B.shape}"
         )
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
-        raise ValueError("A and B must have finite entries")
 
     def rhs(x, u):
         return u @ B.T
@@ -131,13 +128,8 @@ def _make_quadratic(params: dict) -> ExampleBundle:
 
 
 def _make_reaction_diffusion(params: dict) -> ExampleBundle:
-    n, a = params.get("n", 32), params.get("a", 5.0)
-    # n follows LyapunovConfig's integer rule; a non-finite a would stall RK45 on NaN steps
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if isinstance(a, bool) or not isinstance(a, numbers.Real) or not math.isfinite(a):
-        raise ValueError(f"a must be a finite number, got {a!r}")
-    n, a = int(n), float(a)
+    # a non-finite a would stall RK45 on NaN steps
+    n, a = _number("n", params.get("n", 32), int, ge=1), _number("a", params.get("a", 5.0))
     lap = np.zeros((n, n))
     idx = np.arange(n)
     lap[idx, idx] = -2.0

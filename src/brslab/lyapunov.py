@@ -11,13 +11,12 @@ so the sandwich and growth checks carry explicit slack.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .compfun import ScalarFun, chi_from_eta, gk_eval, theta
-from .sysdyn import InputSignal, IntegratorConfig, SystemDef, _sample_ensemble, integrate
+from .sysdyn import InputSignal, IntegratorConfig, SystemDef, _number, _sample_ensemble, integrate
 from .tdinput import GrowthMargin, closed_loop, disturbance_family
 from .brscheck import NotRfcTdiError, probe_lipschitz_tdi
 
@@ -69,19 +68,10 @@ class LyapunovConfig:
     tail_tol: float = 1e-3
 
     def __post_init__(self):
-        for name in ("Q", "n_dist", "time_grid_density", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if isinstance(self.tail_tol, bool) or not (
-                isinstance(self.tail_tol, numbers.Real) and 0 < self.tail_tol < math.inf):
-            raise ValueError(f"tail_tol must be a finite number > 0, got {self.tail_tol!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.Q < 1:
-            raise ValueError("Q must be at least 1")
-        if self.n_dist < 1 or self.time_grid_density < 1:
-            raise ValueError("n_dist and time_grid_density must be >= 1")
+        for name in ("Q", "n_dist", "time_grid_density"):
+            _number(name, getattr(self, name), int, ge=1)
+        _number("seed", self.seed, int, ge=0)
+        _number("tail_tol", self.tail_tol, gt=0)
 
 
 @dataclass
@@ -226,11 +216,12 @@ def eval_V(
     group per ball); each q reads its own grid into `per_q`.  Every grid
     holds s = 0, so each U_q estimate dominates G_q(eta(||x||)).
     """
-    X = np.asarray(x, dtype=float)
-    if X.ndim > 2:
-        raise ValueError(f"x must be one state or a stack of states, got shape {X.shape}")
-    one = X.ndim < 2
-    X = np.atleast_2d(X)
+    x = np.asarray(x, dtype=float)
+    one = x.ndim < 2
+    X = np.atleast_2d(x)
+    if X.shape[1:] != (sys.state_dim,) or X.size == 0:
+        raise ValueError(f"x must be one state or a non-empty stack of states of width"
+                         f" {sys.state_dim}, got shape {x.shape}")
     c = l_table.c
     norms, tails = _check_tail_budget(X, c, cfg)
     if R_override is None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -44,6 +45,33 @@ class StepSizeError(RuntimeError):
 
 def _as_vector(v) -> np.ndarray:
     return np.atleast_1d(np.asarray(v, dtype=float))
+
+
+def _number(name: str, value, kind=float, *, ge=None, gt=None):
+    """value as a `kind` by the one rule for numbers from outside the
+    program: a real (an integral for int) but not a bool, in float range,
+    finite, and >= ge or > gt when given; anything else is a ValueError
+    that names it."""
+    what = "an integer" if kind is int else "a finite number"
+    bound = "" if ge is None and gt is None else f" >= {ge}" if gt is None else f" > {gt}"
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if kind is int else numbers.Real):
+        raise ValueError(f"{name} must be {what}{bound}, got {value!r}")
+    try:
+        x = float(value)  # an int past float range overflows here
+    except OverflowError as exc:
+        raise ValueError(f"{name} must be {what} in float range: {exc}") from exc
+    if not (math.isfinite(x) and (ge is None or x >= ge) and (gt is None or x > gt)):
+        raise ValueError(f"{name} must be {what}{bound}, got {value!r}")
+    return kind(value)
+
+
+def _numbers(name: str, value) -> np.ndarray:
+    """value, a number or a nested list or array of them, as a float array,
+    each entry a number by `_number`."""
+    for v in np.asarray(value, dtype=object).flat:
+        _number(name, v)
+    return np.asarray(value, dtype=float)
 
 
 class InputSignal:
@@ -124,9 +152,7 @@ class IntegratorConfig:
     def __post_init__(self):
         # a NaN tolerance never accepts a step and a NaN threshold never fires
         for name in ("rel_tol", "abs_tol", "blowup_threshold"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a finite number > 0, got {value}")
+            _number(name, getattr(self, name), gt=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,8 +321,7 @@ def integrate(
     time.  An `x0` or an input whose dimension does not match `sys` is a
     ValueError.
     """
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError(f"tau must be a finite number > 0, got {tau}")
+    _number("tau", tau, gt=0)
     cfg = cfg or IntegratorConfig()
     x0 = _as_vector(x0)
     if x0.shape != (sys.state_dim,):

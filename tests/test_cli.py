@@ -113,6 +113,10 @@ class TestUsageErrors:
             # past float range: escaped as an OverflowError traceback
             {"integrator": {"rel_tol": 10**400}},
             {"x0": [10**400]},
+            # linear's A and B follow the same rule: these ran as 1, -1 and 0
+            {"system": {"name": "linear", "params": {"A": [[True]]}}},
+            {"system": {"name": "linear", "params": {"A": [["-1"]]}}},
+            {"system": {"name": "linear", "params": {"B": [[False]]}}},
         ],
     )
     def test_wrong_shape_or_setting_in_simulate(self, tmp_path, capsys, extra):
@@ -207,6 +211,10 @@ class TestUsageErrors:
             (["rfc", "verify"], {"c": False}),
             (["lyapunov", "build"], {"radii": ["0.5", 1.0]}),
             (["lyapunov", "build"], {"lyapunov": {"tail_tol": True}}),
+            # past float range: written into the manifest as a 401-digit integer
+            (["lyapunov", "build"], {"lyapunov": {"tail_tol": 10**400}}),
+            # a misspelt top-level key fell back to its default
+            (["simulate"], {"horizn": 5}),
         ],
     )
     def test_bad_scalar_or_radii_setting(self, tmp_path, capsys, cmd, extra):
@@ -922,6 +930,14 @@ class TestArtifactFormats:
         g = self.fitted(monkeypatch, tmp_path, eta, lyap_cfg, LipschitzTable([1.5]))
         assert g.exact is None and np.array_equal(g.knots, eta.knots)
         assert g(s) == np.interp(s, eta.knots, eta.values)
+
+
+def test_only_sysdyn_holds_the_number_rule():
+    # every number from outside the program is read by sysdyn._number
+    src = Path(cli.__file__).parent
+    holders = {p.name for p in src.glob("*.py")
+               if re.search(r"import numbers|isinstance\([^)]*\bbool\b", p.read_text())}
+    assert holders == {"sysdyn.py"}
 
 
 FORMAT_WORDS = ("savetxt", "json.dump", "write_text", "write_bytes", "import json")

@@ -36,8 +36,10 @@ class TestRegistry:
         with pytest.raises(ValueError, match=re.escape(message)):
             bl.make(name, params)
 
+    # a bool or a numeric string was read as a number
     @pytest.mark.parametrize(
-        "params", [{"A": [[math.nan]]}, {"A": [[0.0]], "B": [[math.inf]]}]
+        "params", [{"A": [[math.nan]]}, {"A": [[0.0]], "B": [[math.inf]]},
+                   {"A": [[True]]}, {"A": [["-1"]]}, {"B": [[False]]}]
     )
     def test_linear_rejects_non_finite_entries(self, params):
         with pytest.raises(ValueError, match="finite"):

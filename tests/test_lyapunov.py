@@ -35,6 +35,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             bl.LyapunovConfig(tail_tol=0.0)
 
+    def test_rejects_tail_past_float_range(self):
+        with pytest.raises(ValueError, match="^tail_tol must be"):
+            bl.LyapunovConfig(tail_tol=10**400)
+
 
 class TestLipschitzTable:
     def test_levels_derive_theta_and_m(self):
@@ -125,8 +129,12 @@ class TestEvalV:
         stack = bl.eval_V(sigma1.system, sigma1.margin, [[0.8]], lyap_cfg, l_table)
         assert isinstance(one, lyapunov.LyapunovValue) and len(stack) == 1
         assert (stack[0].V, stack[0].per_q) == (one.V, one.per_q)
+        # an empty or wrong-width stack failed deep inside the sampler
+        for bad in ([[[0.8]]], np.empty((0, 1)), [[0.8, 0.1, 0.2], [0.1, 0.2, 0.3]]):
+            with pytest.raises(ValueError, match="stack of states"):
+                bl.eval_V(sigma1.system, sigma1.margin, bad, lyap_cfg, l_table)
         with pytest.raises(ValueError, match="stack of states"):
-            bl.eval_V(sigma1.system, sigma1.margin, [[[0.8]]], lyap_cfg, l_table)
+            radial_table(sigma1.system, sigma1.margin, [], lyap_cfg, l_table)
 
     def test_tail_budget_error_names_minimal_q(self, sigma1, l_table):
         cfg = bl.LyapunovConfig(Q=3, seed=1)

@@ -638,7 +638,11 @@ class TestIntegratorConfig:
         "field, value",
         [("rel_tol", math.nan), ("rel_tol", math.inf), ("rel_tol", 0.0),
          ("abs_tol", math.nan), ("abs_tol", math.inf), ("abs_tol", -1e-9),
-         ("blowup_threshold", math.nan), ("blowup_threshold", math.inf)],
+         ("blowup_threshold", math.nan), ("blowup_threshold", math.inf),
+         # a bool was read as 1; a string and an int past float range escaped
+         # as TypeError and OverflowError
+         ("rel_tol", True), ("rel_tol", "1e-6"),
+         pytest.param("blowup_threshold", 10**400, id="blowup_threshold-1e400")],
     )
     def test_rejects_non_finite_or_non_positive(self, field, value):
         with pytest.raises(ValueError, match=field):
