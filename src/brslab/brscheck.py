@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compfun import ScalarFun, inverse
-from .sysdyn import InputSignal, IntegratorConfig, SystemDef, _sample_ensemble
+from .sysdyn import InputSignal, IntegratorConfig, SystemDef, _number, _sample_ensemble
 from .tdinput import (GrowthMargin, _random_steps, _unit, closed_loop, disturbance_family,
                       seeded_rng)
 
@@ -116,10 +116,7 @@ def sample_reach(sys: SystemDef, C: float, tau: float, n: int, seed: int) -> Rea
     tau/8, 2 tau/8, .., tau.  All draws are sampled as one ensemble; a draw
     that blows up is +inf from its crossing time on.
     """
-    if C <= 0 or tau <= 0:
-        raise ValueError("C and tau must be positive")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got n={n}")
+    C, tau, n = _number("C", C, gt=0), _number("tau", tau, gt=0), _number("n", n, int, ge=1)
     t_grid = np.linspace(0.0, tau, 9)[1:]
     X0, us = [], []
     for i in range(n):

@@ -116,6 +116,9 @@ def _load_config(path: str | None, args) -> dict:
     cfg["seed"] = _setting(cfg, "seed", None, int)
     if not isinstance(cfg.get("system"), dict) or "name" not in cfg["system"]:
         raise ConfigError("config needs system: {name, params}")
+    unknown = sorted(set(cfg["system"]) - {"name", "params"})
+    if unknown:
+        raise ConfigError(f"unknown system keys {unknown}; known: ['name', 'params']")
     if cfg.get("eta_source", "paper") not in ("paper", "from_fit"):
         raise ConfigError("eta_source must be 'paper' or 'from_fit'")
     return cfg

@@ -8,9 +8,12 @@ or BDF with the linear part as its Newton matrix when that part is stiff
 over the span integrated.  Blow-up is detected by a norm-threshold event
 and reported as data, never as a crash.  A family of trajectories of one
 system is integrated as a single stacked ODE and read only on the time
-grid its consumer needs; one rule ends each of its rows: a row freezes at
-the end of its grid or at its blow-up, whichever comes first, and the rest
-go on.
+grid its consumer needs: the sampler steps the solver itself and writes
+each step's grid states out as the step is taken, as solve_ivp's `t_eval`
+does inside without holding them to the end.  One rule ends each of its
+rows: a row freezes at the end of its grid or at its blow-up, whichever
+comes first, and the rest go on.  sysdyn is the one module that imports
+scipy.integrate.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import OdeSolution, solve_ivp
+from scipy.integrate import BDF, RK45, OdeSolution, solve_ivp
 from scipy.integrate._ivp.base import ConstantDenseOutput
 from scipy.integrate._ivp.rk import RkDenseOutput
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 __all__ = [
     "InputSignal",
@@ -217,37 +221,37 @@ _STIFF_RHO_SPAN = 2000.0
 
 
 def _solver(A, span: float, rows: int) -> dict:
-    """solve_ivp's method options for `rows` stacked states of a system with
-    linear part A (None if it has none) integrated over `span`.
+    """The solver class and its options for `rows` stacked states of a system
+    with linear part A (None if it has none) integrated over `span`.
 
     RK45 unless rho(A) * span reaches _STIFF_RHO_SPAN; then BDF with the
     constant Newton matrix A, kron(I_rows, A) for a stack.  The rest of the
     right-hand side is taken as non-stiff, so its derivative is left out.
     """
     if A is None or np.abs(np.linalg.eigvals(A)).max() * span < _STIFF_RHO_SPAN:
-        return {"method": "RK45"}
+        return {"method": RK45}
     jac = A if rows == 1 else sparse.kron(sparse.identity(rows), A, format="csc")
-    return {"method": "BDF", "jac": jac}
+    return {"method": BDF, "jac": jac}
 
 
-def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, solver: dict, keep, grid=None):
+def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, solve):
     """Solve the stack y' = f_at(a, b, live)(t, y) of len(ends) rows across
-    `edges`, one solve per [a, b] from the previous solve's last state, and
-    hand each solution to keep(b, sol).  Returns the state where the run
-    ended and each row's blow-up crossing time (inf if it did not cross).
-    Rows that start at or above `cfg.blowup_threshold` cross at edges[0].
+    `edges`, one solve per [a, b] from the previous solve's last state.
+    Returns the state where the run ended and each row's blow-up crossing
+    time (inf if it did not cross).  Rows that start at or above
+    `cfg.blowup_threshold` cross at edges[0].
 
     Row i is live from a while a < ends[i]; `live` selects those rows and
     f_at must hold the others still.  The blow-up event is the largest live
     row norm crossing `cfg.blowup_threshold`: the crossing row, and any
     other live row at or above the threshold by then, is frozen at its
     state there, as at its end, and the other rows go on from the
-    crossing time.  The run ends when no row is live.  Every solve takes
-    the method options `solver`, `_solver`'s for the whole span of `edges`.
-    The tolerances are divided by sqrt(rows), so every row stays within `cfg`
-    although the solver's error norm is an RMS over all components.  With
-    `grid` a solve reports the grid times below b not reported yet, then b,
-    instead of its own steps and keeps no dense output.
+    crossing time.  The run ends when no row is live.  Each solve is
+    solve(fun, a, b, y, event, rtol=, atol=), which returns (t, y, crossed):
+    the time and state where it ended, at b or, if `crossed`, at the
+    event's upward zero.  The tolerances are divided by sqrt(rows), so every
+    row stays within `cfg` although the solver's error norm is an RMS over
+    all components.
     """
     threshold = cfg.blowup_threshold
     stop = np.array(ends, dtype=float)  # a crossing row stops at its crossing time
@@ -266,7 +270,7 @@ def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, solver: dict, keep, grid=
     blowup_event.terminal = True
     blowup_event.direction = 1.0
     scale = math.sqrt(rows)
-    y, a, reported = y0, edges[0], 0
+    y, a = y0, edges[0]
     # the upward event never fires for a row that starts above the threshold
     crossed = scaled_norms(y0) >= 1.0
     stop[crossed] = t_cross[crossed] = a
@@ -276,33 +280,13 @@ def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, solver: dict, keep, grid=
             if not live.any():
                 return y, t_cross
             sel = slice(None) if live.all() else live  # read by blowup_event
-            if grid is None:
-                out = {"dense_output": True}
-            else:
-                out = {"t_eval": np.append(grid[reported : np.searchsorted(grid, b)], b)}
-            sol = solve_ivp(
-                f_at(a, b, sel),
-                (a, b),
-                y,
-                rtol=cfg.rel_tol / scale,
-                atol=cfg.abs_tol / scale,
-                events=blowup_event,
-                **solver,
-                **out,
-            )
-            if sol.status == -1:
-                raise StepSizeError(f"integrator failed on [{a}, {b}]: {sol.message}")
-            keep(b, sol)
-            reported += int(np.searchsorted(sol.t, b))  # a grid time at b is the next solve's
-            if sol.status == 1:  # the terminal event ends the last step at the crossing
-                y, a = sol.y_events[0][0], float(sol.t_events[0][0])
+            a, y, event = solve(f_at(a, b, sel), float(a), float(b), y, blowup_event,
+                                rtol=cfg.rel_tol / scale, atol=cfg.abs_tol / scale)
+            if event:  # the terminal event ends the last step at the crossing
                 r = scaled_norms(y)
                 # a row left live above the threshold would never cross it upward
                 crossed = live & (r >= min(r[live].max(), 1.0))
                 stop[crossed] = t_cross[crossed] = a
-            else:
-                # a copy: a view would keep the whole solve's output alive
-                y, a = sol.y[:, -1].copy(), b
     return y, t_cross
 
 
@@ -336,14 +320,20 @@ def integrate(
     times = [np.zeros(1)]
     states = [x0[None, :]]
     steps = []  # one dense-output interpolant per solver step
+    solver = _solver(sys.linear_part, tau, 1)
 
-    def keep(b, sol):
+    def solve(fun, a, b, y, event, **tol):
+        sol = solve_ivp(fun, (a, b), y, events=event, dense_output=True, **solver, **tol)
+        if sol.status == -1:
+            raise StepSizeError(f"integrator failed on [{a}, {b}]: {sol.message}")
         times.append(sol.t[1:])
         states.append(sol.y[:, 1:].T)
         steps.extend(sol.sol.interpolants)
+        if sol.status == 1:
+            return float(sol.t_events[0][0]), sol.y_events[0][0], True
+        return b, sol.y[:, -1], False
 
-    solver = _solver(sys.linear_part, tau, 1)
-    _, t_cross = _run(f_at, x0, _segment_edges(u.breakpoints, tau), cfg, [tau], solver, keep)
+    _, t_cross = _run(f_at, x0, _segment_edges(u.breakpoints, tau), cfg, [tau], solve)
     t_max = float(t_cross[0])
 
     times = np.concatenate(times)
@@ -357,13 +347,58 @@ def integrate(
         states=np.vstack(states),
         t_max_estimate=t_max,
         blew_up=t_max < math.inf,
-        dense=OdeSolution(times, steps, alt_segment=solver["method"] == "BDF"),
+        dense=OdeSolution(times, steps, alt_segment=issubclass(solver["method"], BDF)),
     )
 
 
-# State values one solver call may report; longer stretches of an ensemble's
-# grid restart at a grid time, so memory stays bounded as rows and times grow.
-_REPORT_VALUES = 1 << 15
+_ROOT_TOL = 4.0 * np.finfo(float).eps  # solve_ivp's tolerance on an event's root
+
+
+def _stream(fun, a: float, b: float, y, event, t_eval, emit, method, **options):
+    """One solve over [a, b] that hands each step's states at the times of
+    `t_eval` to emit(Y), shape (len(y), K), as the step is taken, as
+    solve_ivp does inside for its `t_eval`, with the same bits, but without
+    holding them to the end.  t_eval increases, lies in [a, b] and ends at
+    b, whose state is returned and not emitted.
+
+    Returns (t, y, crossed): b and the state the last step's interpolant
+    reads there, or, when `event` rises through zero across a step, its
+    root on the step's interpolant and the state there (solve_ivp's
+    terminal event).
+    """
+    solver = method(fun, a, y, b, **options)
+    last = len(t_eval) - 1  # b's index
+    g, i = event(a, y), 0
+    while True:
+        message = solver.step()
+        if solver.status == "failed":
+            raise StepSizeError(f"integrator failed on [{a}, {b}]: {message}")
+        t, sol = solver.t, None
+        g_new = event(t, solver.y)
+        crossed = g <= 0.0 <= g_new
+        if crossed:
+            sol = solver.dense_output()
+            t = brentq(lambda s: event(s, sol(s)), solver.t_old, t,
+                       xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+        g = g_new
+        j = int(np.searchsorted(t_eval, t, side="right"))
+        if j > i:
+            if sol is None:
+                sol = solver.dense_output()
+            Y = sol(t_eval[i:j])
+            if i < last:
+                emit(Y[:, : min(j, last) - i])
+            i = j
+        if crossed:
+            return t, sol(t), True
+        if solver.status == "finished":
+            return b, Y[:, -1].copy(), False
+
+
+# State values the sampler holds before it scatters them into the samples:
+# one copy per few steps costs less than one per step, and memory beyond the
+# samples stays bounded however long the grid.
+_HELD_VALUES = 1 << 15
 
 
 def _time_grid(grid, end: float, name: str = "grid") -> np.ndarray:
@@ -394,15 +429,16 @@ def _sample_ensemble(
     last time of its own grid and is frozen there, or from the time its norm
     crosses the blow-up threshold if that comes first: its derivative is zero
     and its later grid times hold its state there, while the other rows go
-    on.  Integration restarts at the union of the rows' breakpoints and grid
-    ends.  The solver reports only the union of the grids (`t_eval`, no dense
-    output), at most _REPORT_VALUES state values per call.  Reported states
-    are held, and scattered (each group's times and rows in one copy) when
-    one more solve would hold over _REPORT_VALUES values, and at the end.
-    Returns the samples, shape (T, N, n) for T the longest grid's length
-    (NaN after the end of a shorter one), and each row's crossing time,
-    shape (N,) (inf if it did not cross).  `sys.rhs` must be row-wise:
-    (K, n) states with (K, m) inputs give (K, n) derivatives.
+    on.  Integration restarts only at the union of the rows' breakpoints and
+    grid ends.  Each solver step reads its interpolant at the union grid
+    times inside it (`_stream`); the sampler holds those states until one
+    more step would take them past _HELD_VALUES values, then scatters them
+    into the samples, each group's times and rows in one copy, so nothing
+    but the samples grows with the grid.  Returns the samples, shape
+    (T, N, n) for T the longest grid's length (NaN after the end of a
+    shorter one), and each row's crossing time, shape (N,) (inf if it did
+    not cross).  `sys.rhs` must be row-wise: (K, n) states with (K, m)
+    inputs give (K, n) derivatives.
     """
     X0 = np.asarray(X0, dtype=float)
     N, n = X0.shape
@@ -470,24 +506,31 @@ def _sample_ensemble(
                 read[2] = hi
         k += len(Y)
 
-    per_call = max(1, _REPORT_VALUES // (N * n))
-    edges = _segment_edges(
-        np.concatenate([switch_at, ends, union[per_call::per_call]]), ends.max()
-    )
-    held = []  # reported states not scattered yet, each (times, N, n)
+    held = []  # steps' states not scattered yet, each (N * n, K)
+    emitted = 0  # union times handed out by the solver so far
 
-    def keep(b, sol):
-        got = int(np.searchsorted(sol.t, b))  # the union times in the solve, b aside
-        if held and sum(map(len, held)) + got > per_call:
-            scatter(np.concatenate(held))
+    def flush():
+        if held:
+            Y = held[0] if len(held) == 1 else np.concatenate(held, axis=1)
+            scatter(Y.T.reshape(-1, N, n))
             held.clear()
-        if got:
-            held.append(sol.y[:, :got].T.reshape(got, N, n))
+
+    def emit(Y):  # one step's states at the next union times, shape (N * n, K)
+        nonlocal emitted
+        if (emitted - k + Y.shape[1]) * N * n > _HELD_VALUES:
+            flush()
+        held.append(Y)
+        emitted += Y.shape[1]
 
     solver = _solver(A, ends.max(), N)
-    end, t_cross = _run(f_at, X0.ravel(), edges, cfg, ends, solver, keep, union)
-    if held:
-        scatter(np.concatenate(held))
+
+    def solve(fun, a, b, y, event, **tol):
+        t_eval = np.append(union[emitted : np.searchsorted(union, b)], b)
+        return _stream(fun, a, b, y, event, t_eval, emit, **solver, **tol)
+
+    edges = _segment_edges(np.concatenate([switch_at, ends]), ends.max())
+    end, t_cross = _run(f_at, X0.ravel(), edges, cfg, ends, solve)
+    flush()
     # the union times at the last end, or after the last row froze, hold the last state
     scatter(np.broadcast_to(end.reshape(N, n), (union.size - k, N, n)))
     return samples, t_cross

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compfun import ScalarFun
-from .sysdyn import InputSignal, IntegratorConfig, SystemDef, Trajectory, _time_grid, integrate
+from .sysdyn import (InputSignal, IntegratorConfig, SystemDef, Trajectory, _number, _time_grid,
+                     integrate)
 
 __all__ = [
     "GrowthMargin",
@@ -194,8 +195,7 @@ def disturbance_family(
 ) -> list[DisturbanceSignal]:
     """Deterministic family: zero, the signed unit axes, then seeded random
     piecewise-constant signals with values on the unit sphere."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    tau, n = _number("tau", tau, gt=0), _number("n", n, int, ge=1)
     family: list[DisturbanceSignal] = [
         DisturbanceSignal.constant(np.zeros(input_dim))
     ]

@@ -4,8 +4,35 @@ import numpy as np
 import pytest
 
 import brslab as bl
+from brslab import sysdyn
 
 SEED = 20240811
+
+
+def solver_work(monkeypatch) -> dict:
+    """Solver starts sysdyn makes from now on, in `integrate` and the sampler
+    alike: the class name of each in order ("methods") and the right-hand
+    side evaluations they make ("nfev")."""
+    work = {"methods": [], "nfev": 0}
+    choose = sysdyn._solver
+
+    def counted_solver(*args):
+        options = choose(*args)
+        method = options["method"]
+
+        class Counted(method):
+            def __init__(self, fun, *rest, **kwargs):
+                def counted_fun(t, y):
+                    work["nfev"] += 1
+                    return fun(t, y)
+
+                work["methods"].append(method.__name__)
+                super().__init__(counted_fun, *rest, **kwargs)
+
+        return {**options, "method": Counted}
+
+    monkeypatch.setattr(sysdyn, "_solver", counted_solver)
+    return work
 
 
 def pytest_configure(config):

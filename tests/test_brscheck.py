@@ -38,10 +38,18 @@ class TestSampleReach:
         with pytest.raises(ValueError):
             sample_reach(sigma1.system, 0.0, 1.0, 3, seed=5)
 
-    @pytest.mark.parametrize("n", [0, -2])
+    # a bool n returned one sample
+    @pytest.mark.parametrize("n", [0, -2, True])
     def test_rejects_bad_sizes(self, sigma1, n):
-        with pytest.raises(ValueError, match=f"n must be >= 1, got n={n}"):
+        with pytest.raises(ValueError, match=f"n must be an integer >= 1, got {n}"):
             sample_reach(sigma1.system, 1.0, 1.0, n, seed=5)
+
+    # a NaN C or an infinite tau escaped as numpy's OverflowError
+    @pytest.mark.parametrize("C, tau, name", [(math.nan, 0.5, "C"), (1.0, math.inf, "tau"),
+                                              (1.0, -0.5, "tau")])
+    def test_rejects_bad_ball_or_horizon(self, sigma1, C, tau, name):
+        with pytest.raises(ValueError, match=f"{name} must be a finite number > 0"):
+            sample_reach(sigma1.system, C, tau, 3, seed=1)
 
 
 def _per_sample_reach(sys, C, tau, n, seed, grid_points=8):

@@ -19,7 +19,7 @@ from brslab.compfun import theta
 from brslab.lyapunov import LipschitzTable, _dyadic_grid, radial_table, sandwich_funs
 from brslab.tdinput import closed_loop
 
-from conftest import SEED
+from conftest import SEED, solver_work
 
 
 class TestConfig:
@@ -468,21 +468,6 @@ class TestRadialTable:
         assert csv.splitlines()[0] == "norm_x,V,W,tail_bound,alpha1,alpha2_plus_C"
 
 
-def solver_work(monkeypatch) -> dict:
-    """Calls of sysdyn's solve_ivp from now on and the RHS evaluations they made."""
-    work = {"calls": 0, "nfev": 0}
-    solve_ivp = sysdyn.solve_ivp
-
-    def counted(*args, **kwargs):
-        sol = solve_ivp(*args, **kwargs)
-        work["calls"] += 1
-        work["nfev"] += sol.nfev
-        return sol
-
-    monkeypatch.setattr(sysdyn, "solve_ivp", counted)
-    return work
-
-
 def digest(*values) -> str:
     return hashlib.sha256(np.asarray(values, dtype=float).tobytes()).hexdigest()[:32]
 
@@ -491,13 +476,18 @@ def digest(*values) -> str:
 # sign of x alternates, and the premise chi(|u|) <= |x| holds for each
 GUARD_PAIRS = ((0.45, 0.3), (-1.2, 0.6), (1.85, 0.9))
 
-# sha256 of the output's float64 bytes, solve_ivp calls and summed nfev, on
+# sha256 of the output's float64 bytes, solver starts and summed nfev, on
 # sigma1 with the session's l_table and LyapunovConfig: growth_sweep's 21
-# radii (126 rows in one ensemble, which crosses sysdyn._REPORT_VALUES), the
-# l_table itself, and three growth pairs (three states on one ball each)
+# radii (126 rows in one ensemble), the l_table itself, and three growth
+# pairs (three states on one ball each).  Each ensemble is one solve per
+# stretch between the rows' breakpoints and row ends, its grid states read
+# from the solver's steps as they are taken.  radial_table and l_table were
+# recorded again when the solves stopped restarting at grid times (they
+# were 146 and 27 solves, 1,810 and 1,302 evaluations): the table moved by at
+# most 2.7e-14 relative and the radial table's alpha2_plus_C by 2e-16.
 ENSEMBLE_DIGESTS = {
-    "radial_table": ("f70b48ee26b5e50462dd53992a0dcd88", 146, 1810),
-    "l_table": ("c03a554a21e10a307b9b1c3aff03456e", 27, 1302),
+    "radial_table": ("6ee0b4ee2dfee48dfba0bdf2836714a2", 99, 1434),
+    "l_table": ("9834ecc145b5bc93fce4563bdbc81d3b", 14, 1132),
     "verify_growth_0": ("d9680aac51cce92e56cdefb583e587aa", 10, 200),
     "verify_growth_1": ("f4449a619c94c9ff55569c519441778e", 10, 242),
     "verify_growth_2": ("7a3e6edcc5bf9ba0f6d770c3ea50783b", 10, 326),
@@ -520,4 +510,25 @@ class TestEnsembleDigests:
             rep = bl.verify_growth(sigma1.system, sigma1.margin, [r], [u], lyap_cfg, l_table)
             assert not rep.vacuous
             got = digest(rep.V0, rep.W0, *rep.per_h_V.values(), *rep.per_h_W.values())
-        assert (got, work["calls"], work["nfev"]) == ENSEMBLE_DIGESTS[name]
+        assert (got, len(work["methods"]), work["nfev"]) == ENSEMBLE_DIGESTS[name]
+
+
+def test_radial_ensemble_starts_one_solver_per_edge(sigma1, l_table, lyap_cfg, monkeypatch):
+    # the sampler restarts its solver only at the rows' breakpoints and ends,
+    # never at a grid time
+    work = solver_work(monkeypatch)
+    calls = []
+    sample = lyapunov._sample_ensemble
+
+    def spy(sys, X0, inputs, groups, cfg):
+        calls.append((inputs, groups))
+        return sample(sys, X0, inputs, groups, cfg)
+
+    monkeypatch.setattr(lyapunov, "_sample_ensemble", spy)
+    bl.radial_table(sigma1.system, sigma1.margin, np.linspace(0.0, 2.0, 21), lyap_cfg, l_table)
+    [(inputs, groups)] = calls
+    ends = [grid[-1] for grid, rows in groups for _ in rows]
+    edges = sysdyn._segment_edges(np.concatenate([u.breakpoints for u in inputs] + [ends]),
+                                  max(ends))
+    assert len(inputs) == 126
+    assert len(work["methods"]) == edges.size - 1

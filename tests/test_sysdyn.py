@@ -1,16 +1,20 @@
+import ast
 import dataclasses
 import hashlib
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.linalg import expm
 
 import brslab as bl
 from brslab import sysdyn
 from brslab.sysdyn import _sample_ensemble, semigroup_growth
 from brslab.tdinput import closed_loop
+from conftest import solver_work
 
 
 def rotation():
@@ -469,26 +473,29 @@ SCALAR_TAU_DIGESTS = {
 }
 
 
-def test_sampler_memory_stays_within_the_report_cap():
-    # 64 rows read at 8,193 grid times: the samples take 4.2 MB.  Reported
-    # states are scattered into them whenever one more solve would hold over
-    # _REPORT_VALUES values (256 kB), so the run allocates little beyond the
-    # samples; states held to the end of the run would double them, and
-    # joining them for one scatter would triple them
-    decay = bl.SystemDef(1, 1, lambda x, u: -x, name="decay")
-    N = 64
-    grid = np.linspace(0.0, 1.0, 8193)
+# Bytes a sampler run may allocate beyond its samples: a few solver steps'
+# states.  One step here reads at most 321 grid times of the 64 rows (164 kB)
+# or 9 of the 504 x 8 states (263 kB), and the sampler holds at most 256 kB
+# of them before it scatters them; states held to the end of the run would
+# add the samples' own 4.2 MB or 8.3 MB.
+FEW_STEPS_BYTES = 2 << 20
+
+
+@pytest.mark.parametrize("N, n, points", [(64, 1, 8193), (504, 8, 257)])
+def test_sampler_memory_stays_within_a_few_steps(N, n, points):
+    # the solver's steps are scattered into the samples as they are taken
+    decay = bl.SystemDef(n, 1, lambda x, u: -x, name="decay")
+    X0 = np.linspace(0.1, 1.0, N * n).reshape(N, n)
     inputs = [bl.InputSignal.constant([0.0])] * N
+    grid = np.linspace(0.0, 1.0, points)
     tracemalloc.start()
     try:
-        samples, _ = _sample_ensemble(decay, np.linspace(0.1, 1.0, N)[:, None], inputs,
-                                      one_group(grid, N), bl.IntegratorConfig())
+        samples, _ = _sample_ensemble(decay, X0, inputs, one_group(grid, N), bl.IntegratorConfig())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.allclose(samples[-1, :, 0], np.linspace(0.1, 1.0, N) * math.exp(-1.0))
-    batch = 8 * sysdyn._REPORT_VALUES  # bytes of the states one solve may report
-    assert peak < samples.nbytes + 8 * batch
+    assert np.allclose(samples[-1], X0 * math.exp(-1.0))
+    assert peak < samples.nbytes + FEW_STEPS_BYTES
 
 
 class TestRaggedHorizons:
@@ -533,19 +540,6 @@ class TestRaggedHorizons:
         assert np.all(t_cross[[0, 2]] == math.inf)
 
 
-def solver_methods(monkeypatch):
-    """The `method` of every solve_ivp call sysdyn makes from now on."""
-    methods = []
-    solve_ivp = sysdyn.solve_ivp
-
-    def counted(*args, **kwargs):
-        methods.append(kwargs["method"])
-        return solve_ivp(*args, **kwargs)
-
-    monkeypatch.setattr(sysdyn, "solve_ivp", counted)
-    return methods
-
-
 def stiff_rd(n=32):
     rd = bl.make("reaction_diffusion", {"n": n})
     return rd, bl.IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9)
@@ -557,7 +551,7 @@ class TestSolverSelection:
 
     def test_stiff_linear_part_uses_bdf(self, monkeypatch):
         rd, cfg = stiff_rd()
-        methods = solver_methods(monkeypatch)
+        methods = solver_work(monkeypatch)["methods"]
         bl.integrate(rd.system, np.full(32, 0.1), bl.InputSignal.constant([0.5]), 1.0, cfg)
         assert methods == ["BDF"]
         methods.clear()
@@ -567,7 +561,7 @@ class TestSolverSelection:
         assert methods and set(methods) == {"BDF"}
 
     def test_everything_else_uses_rk45(self, monkeypatch):
-        methods = solver_methods(monkeypatch)
+        methods = solver_work(monkeypatch)["methods"]
         sigma1 = bl.make("sigma1")
         switching = bl.InputSignal([0.5], [[1.0]], [0.3])
         bl.integrate(sigma1.system, [0.6], switching, 2.0)
@@ -616,7 +610,7 @@ class TestStiffPath:
     def test_blowup_time_and_row(self, monkeypatch):
         # x2 = e^t carries the norm to the threshold at ln(threshold); the
         # -5000 mode makes rho(A) * tau = 125,000
-        methods = solver_methods(monkeypatch)
+        methods = solver_work(monkeypatch)["methods"]
         lin = bl.make("linear", {"A": [[-5000.0, 0.0], [0.0, 1.0]]}).system
         zero = bl.InputSignal.constant([0.0, 0.0])
         cfg = bl.IntegratorConfig()
@@ -689,3 +683,31 @@ class TestSemigroupGrowth:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             semigroup_growth(np.ones((2, 3)))
+
+
+# scipy's solver classes and the function that steps one to the end
+SOLVER_NAMES = frozenset(
+    [name for name, obj in vars(scipy.integrate).items()
+     if isinstance(obj, type) and issubclass(obj, scipy.integrate.OdeSolver)] + ["solve_ivp"]
+)
+
+
+def test_only_sysdyn_steps_a_solver():
+    # one stepping loop: no other module imports scipy.integrate or names a
+    # solver, so none can construct one
+    users = {}
+    for path in sorted(Path(sysdyn.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                used = [a.name for a in node.names if a.name.startswith("scipy.integrate")]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                used = [a.name for a in node.names
+                        if module.startswith("scipy.integrate") or a.name in SOLVER_NAMES
+                        or (module == "scipy" and a.name == "integrate")]
+            else:
+                used = [name for name in (getattr(node, "id", None), getattr(node, "attr", None))
+                        if name in SOLVER_NAMES]
+            users.setdefault(path.name, set()).update(used)
+    assert {name for name, used in users.items() if used} == {"sysdyn.py"}
+    assert {"RK45", "BDF", "solve_ivp"} <= users["sysdyn.py"]

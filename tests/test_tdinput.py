@@ -49,6 +49,14 @@ class TestDisturbanceSignal:
         for d in fam6:
             assert d.sup_norm() <= 1 + 1e-9
 
+    # a bool n returned one member
+    @pytest.mark.parametrize("n, tau, name", [(True, 1.0, "n"), (0, 1.0, "n"),
+                                              (3, math.nan, "tau"), (3, 0.0, "tau")])
+    def test_family_rejects_bad_size_or_horizon(self, n, tau, name):
+        rule = "an integer >= 1" if name == "n" else "a finite number > 0"
+        with pytest.raises(ValueError, match=f"{name} must be {rule}"):
+            disturbance_family(1, tau, n, seed=3)
+
     def test_family_deterministic(self):
         a = disturbance_family(1, 2.0, 5, seed=11)
         b = disturbance_family(1, 2.0, 5, seed=11)
