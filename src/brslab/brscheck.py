@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compfun import ScalarFun, inverse
-from .sysdyn import InputSignal, IntegratorConfig, SystemDef, _number, _sample_ensemble
+from .sysdyn import InputSignal, IntegratorConfig, SystemDef, _number, _numbers, _sample_ensemble
 from .tdinput import (GrowthMargin, _random_steps, _unit, closed_loop, disturbance_family,
                       seeded_rng)
 
@@ -209,9 +209,8 @@ def verify_rfc_tdi(
     """
     if not {"Kinf"} <= kappa.tags:
         raise ValueError("kappa must be tagged Kinf")
-    if n < 1:  # on no states the bound holds vacuously
-        raise ValueError(f"the RFC check needs n >= 1 states, got n={n}")
-    offsets = np.asarray(c, dtype=float)
+    # n >= 1: on no states the bound holds vacuously
+    offsets, C, n = _numbers("c", c, ge=0), _number("C", C, gt=0), _number("n", n, int, ge=1)
     if offsets.ndim > 1 or offsets.size == 0:
         raise ValueError(f"c must be a number or a non-empty 1-D array: {c}")
     dists = disturbance_family(sys.input_dim, tau, max(3, n // 4), seed)
@@ -253,8 +252,6 @@ def find_rfc_offset(
 
 def _probe_pairs(dim, tau, C, pairs, seed, purpose, n_ladder):
     """Near-zero ladder pairs (0, r e1), then seeded random pairs in the C-ball."""
-    if tau <= 0 or C <= 0:
-        raise ValueError("tau and C must be positive")
     e1 = np.zeros(dim)
     e1[0] = 1.0
     pair_list = [(np.zeros(dim), r * e1) for r in NEAR_ZERO_LADDER[:n_ladder]]
@@ -313,6 +310,8 @@ def probe_lipschitz_openloop(
     non-Lipschitz behavior concentrates at the origin.  `diverged` flags any
     ratio beyond RATIO_CAP.
     """
+    tau, C = _number("tau", tau, gt=0), _number("C", C, gt=0)
+    pairs = _number("pairs", pairs, int, ge=0)
     pair_list = _probe_pairs(
         sys.state_dim, tau, C, pairs, seed, "open_probe_pairs", len(NEAR_ZERO_LADDER)
     )
@@ -343,7 +342,8 @@ def probe_lipschitz_tdi(
     and C give one report; equal-length 1-D arrays give one report per
     level (tau[k], C[k]), all levels sampled as one ensemble.
     """
-    taus, Cs = np.asarray(tau, dtype=float), np.asarray(C, dtype=float)
+    taus, Cs = _numbers("tau", tau, gt=0), _numbers("C", C, gt=0)
+    pairs = _number("pairs", pairs, int, ge=0)
     if taus.shape != Cs.shape or taus.ndim > 1 or taus.size == 0:
         raise ValueError(f"tau and C must be numbers or 1-D arrays of one length: {tau}, {C}")
     levels = []
@@ -358,6 +358,6 @@ def probe_lipschitz_tdi(
 
 def gronwall_bound(M_sg: float, lambda_sg: float, L: float, tau: float) -> float:
     """Trajectory-sensitivity constant M exp((2 M L + lambda) tau)."""
-    if M_sg < 1 or L < 0 or tau < 0:
-        raise ValueError("need M_sg >= 1, L >= 0, tau >= 0")
+    M_sg, lambda_sg = _number("M_sg", M_sg, ge=1), _number("lambda_sg", lambda_sg)
+    L, tau = _number("L", L, ge=0), _number("tau", tau, ge=0)
     return M_sg * math.exp((2.0 * M_sg * L + lambda_sg) * tau)

@@ -124,16 +124,12 @@ def _load_config(path: str | None, args) -> dict:
     return cfg
 
 
-# Ball radius and horizon: the library needs both strictly positive.
-_POSITIVE = ("C", "horizon")
-
-
-def _setting(cfg: dict, key: str, default, kind=float):
-    """cfg[key], or default, as a `kind` >= 0 (> 0 for C and horizon) by
-    `_number`; anything else is a ConfigError."""
-    bound = {"gt": 0} if key in _POSITIVE else {"ge": 0}
+def _setting(cfg: dict, key: str, default, kind=float, *, ge=0, gt=None):
+    """cfg[key], or default, as a `kind` >= ge, and > gt if given, by
+    `_number`; anything else is a ConfigError.  Counts take ge=1: a fit on
+    no samples fits nothing, and a check on none would pass."""
     try:
-        return _number(key, cfg.get(key, default), kind, **bound)
+        return _number(key, cfg.get(key, default), kind, ge=ge, gt=gt)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -148,18 +144,10 @@ def _bundle(cfg: dict) -> ex.ExampleBundle:
         raise ConfigError(f"cannot build system {cfg['system']['name']!r}: {exc}") from exc
 
 
-def _count(cfg: dict, key: str, default: int, purpose: str) -> int:
-    """cfg[key], at least 1: a fit on no samples fits nothing, and an RFC
-    or growth check on none would pass."""
-    count = _setting(cfg, key, default, int)
-    if count < 1:
-        raise ConfigError(f"{key} must be >= 1 for {purpose}, got {count}")
-    return count
-
-
 def _reach_samples(bundle: ex.ExampleBundle, cfg: dict):
-    return sample_reach(bundle.system, _setting(cfg, "C", 2.0), _setting(cfg, "horizon", 3.0),
-                        _count(cfg, "samples", 40, "reach sampling"), cfg["seed"])
+    return sample_reach(bundle.system, _setting(cfg, "C", 2.0, gt=0),
+                        _setting(cfg, "horizon", 3.0, gt=0),
+                        _setting(cfg, "samples", 40, int, ge=1), cfg["seed"])
 
 
 def _margin(bundle: ex.ExampleBundle, cfg: dict) -> GrowthMargin:
@@ -240,7 +228,7 @@ def _vector(cfg: dict, key: str, dim: int) -> np.ndarray:
 def cmd_simulate(args, cfg: dict, bundle: ex.ExampleBundle, out: Path):
     x0 = _vector(cfg, "x0", bundle.system.state_dim)
     u = InputSignal.constant(_vector(cfg, "u_constant", bundle.system.input_dim))
-    tau = _setting(cfg, "horizon", 1.0)
+    tau = _setting(cfg, "horizon", 1.0, gt=0)
     int_cfg = _block(cfg, "integrator", lambda sub: IntegratorConfig(**sub))
     traj = integrate(bundle.system, x0, u, tau, int_cfg)
     columns = {"t": traj.times, **{f"x{i}": x for i, x in enumerate(traj.states.T)}}
@@ -264,9 +252,9 @@ def cmd_rfc_verify(args, cfg: dict, bundle: ex.ExampleBundle, out: Path):
         margin,
         margin.eta,
         _setting(cfg, "c", 0.0),
-        _setting(cfg, "C", 2.0),
-        _setting(cfg, "horizon", 3.0),
-        _count(cfg, "samples", 20, "the RFC check"),
+        _setting(cfg, "C", 2.0, gt=0),
+        _setting(cfg, "horizon", 3.0, gt=0),
+        _setting(cfg, "samples", 20, int, ge=1),
         cfg["seed"],
     )
     witness = None if report.holds else {
@@ -275,8 +263,8 @@ def cmd_rfc_verify(args, cfg: dict, bundle: ex.ExampleBundle, out: Path):
 
 
 def cmd_lipschitz_probe(args, cfg: dict, bundle: ex.ExampleBundle, out: Path):
-    tau = _setting(cfg, "horizon", 1.0)
-    C = _setting(cfg, "C", 1.0)
+    tau = _setting(cfg, "horizon", 1.0, gt=0)
+    C = _setting(cfg, "C", 1.0, gt=0)
     pairs = _setting(cfg, "samples", 10, int)
     if args.mode == "open":
         u_fixed = None
@@ -354,8 +342,8 @@ def _build_pipeline(cfg: dict, bundle: ex.ExampleBundle, stored_in: Path | None 
     else:
         c = find_rfc_offset(
             bundle.system, margin, margin.eta,
-            _setting(cfg, "C", 2.0), _setting(cfg, "horizon", 3.0),
-            _count(cfg, "samples", 12, "the RFC offset search"), cfg["seed"],
+            _setting(cfg, "C", 2.0, gt=0), _setting(cfg, "horizon", 3.0, gt=0),
+            _setting(cfg, "samples", 12, int, ge=1), cfg["seed"],
         )
     # the radial table's states r * e1 have norm r: a radius over the tail
     # budget fails here, before the Lipschitz probe
@@ -382,7 +370,7 @@ def cmd_lyapunov_build(args, cfg: dict, bundle: ex.ExampleBundle, out: Path):
 
 
 def cmd_lyapunov_verify(args, cfg: dict, bundle: ex.ExampleBundle, out: Path):
-    n_pairs = _count(cfg, "growth_pairs", 10, "the growth check")
+    n_pairs = _setting(cfg, "growth_pairs", 10, int, ge=1)
     margin, lyap_cfg, l_table, table = _build_pipeline(cfg, bundle, out)
     bad = (table["alpha1"] > table["V"] + 1e-9) | (
         table["V"] > table["alpha2_plus_C"] + 1e-9

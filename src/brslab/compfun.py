@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .sysdyn import _number
+
 __all__ = [
     "ScalarFun",
     "gk_eval",
@@ -53,7 +55,10 @@ class ScalarFun:
         object.__setattr__(self, "tags", frozenset(self.tags))
         if knots.ndim != 1 or knots.shape != values.shape or knots.size < 2:
             raise ValueError("knots/values must be 1-d arrays of equal length >= 2")
-        if np.any(np.diff(knots) <= 0) or knots[0] < 0:
+        # written out, not `_numbers`: every growth pair builds these
+        if not (np.isfinite(knots).all() and np.isfinite(values).all()):
+            raise ValueError("knots and values must be finite")
+        if not np.all(np.diff(knots) > 0) or knots[0] < 0:
             raise ValueError("knots must be strictly increasing and nonnegative")
         if np.any(values < 0) or np.any(np.diff(values) < 0):
             raise ValueError("values must be nonnegative and nondecreasing")
@@ -100,16 +105,15 @@ class ScalarFun:
 def gk_eval(k: int, z):
     """Shifted ramp G_k(z) = max{0, z - 1/k}, elementwise on arrays: the one
     clamp of the Lyapunov series V and of its lower bound alpha1."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"index k must be a positive integer, got {k!r}")
+    k = _number("k", k, int, ge=1)
     z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr < 0):
+    if not np.all(z_arr >= 0):
         raise ValueError("z must be nonnegative")
     out = np.maximum(0.0, z_arr - 1.0 / k)
     return float(out) if out.ndim == 0 else out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a bool q is no hit on the int's entry
 def theta(R: float, q: int, c: float) -> float:
     """First time t >= 1 with exp(-t) * (t + R + c) <= 1/q.
 
@@ -117,10 +121,7 @@ def theta(R: float, q: int, c: float) -> float:
     crossing always exists.  Bisection to absolute tolerance 1e-10; the
     returned point always satisfies the defining inequality.
     """
-    if R < 0 or c < 0:
-        raise ValueError("R and c must be nonnegative")
-    if not isinstance(q, (int, np.integer)) or q < 1:
-        raise ValueError(f"q must be a positive integer, got {q!r}")
+    R, q, c = _number("R", R, ge=0), _number("q", q, int, ge=1), _number("c", c, ge=0)
 
     def g(t: float) -> float:
         return math.exp(-t) * (t + R + c)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compfun import ScalarFun, chi_from_eta, gk_eval, theta
-from .sysdyn import InputSignal, IntegratorConfig, SystemDef, _number, _sample_ensemble, integrate
+from .sysdyn import (InputSignal, IntegratorConfig, SystemDef, _number, _numbers, _sample_ensemble,
+                     integrate)
 from .tdinput import GrowthMargin, closed_loop, disturbance_family
 from .brscheck import NotRfcTdiError, probe_lipschitz_tdi
 
@@ -103,9 +104,10 @@ class LipschitzTable:
     M: tuple = field(init=False)
 
     def __post_init__(self):
-        L = tuple(float(v) for v in self.L)
-        thetas = tuple(theta(float(q), q, self.c) for q in range(1, len(L) + 1))
+        L, c = tuple(float(v) for v in _numbers("L", self.L, ge=0)), _number("c", self.c, ge=0)
+        thetas = tuple(theta(float(q), q, c) for q in range(1, len(L) + 1))
         object.__setattr__(self, "L", L)
+        object.__setattr__(self, "c", c)
         object.__setattr__(self, "theta", thetas)
         object.__setattr__(self, "M", tuple(map(max, L, thetas)))
 
@@ -128,6 +130,7 @@ def build_l_table(
     is a NotRfcTdiError naming the level with the earliest blow-up, or else
     the first level whose ratio passes RATIO_CAP.
     """
+    Q, c = _number("Q", Q, int, ge=1), _number("c", c, ge=0)
     taus = [theta(float(q), q, c) for q in range(1, Q + 1)]
     reports = probe_lipschitz_tdi(sys, margin, np.array(taus), np.arange(1.0, Q + 1.0),
                                   L_PROBE_PAIRS, seed, n_dist=L_PROBE_DIST)
@@ -147,6 +150,7 @@ def lyap_M(R: float, q: int, l_table: LipschitzTable) -> float:
 
     The series reads the table on its diagonal only, so R must equal q.
     """
+    R, q = _number("R", R), _number("q", q, int)
     if R != q:
         raise ValueError(f"the Lipschitz table holds M(q,q) only, got R={R} and q={q}")
     if not 1 <= q <= l_table.Q:
@@ -216,7 +220,7 @@ def eval_V(
     group per ball); each q reads its own grid into `per_q`.  Every grid
     holds s = 0, so each U_q estimate dominates G_q(eta(||x||)).
     """
-    x = np.asarray(x, dtype=float)
+    x = _numbers("x", x)
     one = x.ndim < 2
     X = np.atleast_2d(x)
     if X.shape[1:] != (sys.state_dim,) or X.size == 0:
@@ -227,7 +231,7 @@ def eval_V(
     if R_override is None:
         balls = np.maximum(norms, 1.0)
     else:
-        balls = np.full(len(X), float(R_override))
+        balls = np.full(len(X), _number("R_override", R_override, ge=0))
         if np.any(balls < norms - 1e-12):
             raise ValueError("R_override must cover ||x||")
     qs = range(1, cfg.Q + 1)
@@ -288,6 +292,7 @@ def sandwich_funs(
     Theta(s,q)/(1+M(q,q)) on integer knots (interval-wise upper values keep
     it above the jumps of the floor).
     """
+    Q, s_max = _number("Q", Q, int, ge=1), _number("s_max", s_max, ge=0)
     eta = margin.eta
     c = l_table.c
     m_qq = {q: lyap_M(q, q, l_table) for q in range(1, Q + 1)}
@@ -357,8 +362,7 @@ def verify_growth(
     every x(h) comes from one ensemble.
     """
     chi = chi_from_eta(margin.eta)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u_value = np.atleast_1d(np.asarray(u_value, dtype=float))
+    x, u_value = np.atleast_1d(_numbers("x", x)), np.atleast_1d(_numbers("u_value", u_value))
     lhs = float(chi(np.linalg.norm(u_value)))
     rhs = float(np.linalg.norm(x))
     if lhs > rhs:
@@ -394,7 +398,7 @@ def radial_table(
     """Evaluate V, W and the sandwich bounds along states r * e1, with V
     at every radius from one ensemble.  V comes first: a radius over the
     tail budget is a TailBudgetError before the bounds are built up to it."""
-    radii = np.asarray(radii, dtype=float)
+    radii = _numbers("radii", radii, ge=0)
     e1 = np.zeros(sys.state_dim)
     e1[0] = 1.0
     values = eval_V(sys, margin, radii[:, None] * e1, cfg, l_table)

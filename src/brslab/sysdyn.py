@@ -47,10 +47,6 @@ class StepSizeError(RuntimeError):
     """Integrator step size underflow; distinct from blow-up."""
 
 
-def _as_vector(v) -> np.ndarray:
-    return np.atleast_1d(np.asarray(v, dtype=float))
-
-
 def _number(name: str, value, kind=float, *, ge=None, gt=None):
     """value as a `kind` by the one rule for numbers from outside the
     program: a real (an integral for int) but not a bool, in float range,
@@ -70,11 +66,11 @@ def _number(name: str, value, kind=float, *, ge=None, gt=None):
     return kind(value)
 
 
-def _numbers(name: str, value) -> np.ndarray:
+def _numbers(name: str, value, *, ge=None, gt=None) -> np.ndarray:
     """value, a number or a nested list or array of them, as a float array,
-    each entry a number by `_number`."""
+    each entry a number by `_number` with the bounds ge and gt."""
     for v in np.asarray(value, dtype=object).flat:
-        _number(name, v)
+        _number(name, v, ge=ge, gt=gt)
     return np.asarray(value, dtype=float)
 
 
@@ -87,15 +83,15 @@ class InputSignal:
     """
 
     def __init__(self, breakpoints: Sequence[float], segment_values, tail_value):
-        self.breakpoints = np.asarray(breakpoints, dtype=float)
+        self.breakpoints = _numbers("breakpoints", breakpoints, gt=0)
         self._bps = self.breakpoints.tolist()  # eval's bisect beats searchsorted
-        self.tail_value = _as_vector(tail_value)
+        self.tail_value = np.atleast_1d(_numbers("tail_value", tail_value))
         if self.breakpoints.size:
-            vals = np.atleast_2d(np.asarray(segment_values, dtype=float))
+            vals = np.atleast_2d(_numbers("segment_values", segment_values))
             if vals.shape[0] != self.breakpoints.size:
                 raise ValueError("need one segment value per breakpoint")
-            if np.any(np.diff(self.breakpoints) <= 0) or self.breakpoints[0] <= 0:
-                raise ValueError("breakpoints must be positive and strictly increasing")
+            if np.any(np.diff(self.breakpoints) <= 0):
+                raise ValueError("breakpoints must be strictly increasing")
             self.segment_values = vals
         else:
             self.segment_values = np.empty((0, self.tail_value.size))
@@ -130,7 +126,8 @@ class SystemDef:
 
     `rhs` maps an (n,) state and (m,) input to (n,), and is row-wise: (N, n)
     states with (N, m) inputs give the (N, n) derivatives of the N rows.
-    `==` and `hash` go by identity.
+    `==` and `hash` go by identity.  A right-hand side that is NaN where a
+    solve starts makes scipy's first-step selection loop without end.
     """
 
     state_dim: int
@@ -141,7 +138,7 @@ class SystemDef:
     lipschitz_hint: Callable[[float], float] | None = None
 
     def full_rhs(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        dx = _as_vector(self.rhs(x, u))
+        dx = np.atleast_1d(np.asarray(self.rhs(x, u), dtype=float))
         if self.linear_part is not None:
             dx = dx + self.linear_part @ x
         return dx
@@ -303,11 +300,13 @@ def integrate(
     `states` are the solver's own steps; read any other time through
     `state_at`.  On blow-up the trajectory ends at the threshold-crossing
     time.  An `x0` or an input whose dimension does not match `sys` is a
-    ValueError.
+    ValueError.  A right-hand side that is NaN where a solve starts, at x0 or
+    a breakpoint, hangs scipy's first-step selection; one that turns NaN
+    inside a solve ends as a StepSizeError.
     """
     _number("tau", tau, gt=0)
     cfg = cfg or IntegratorConfig()
-    x0 = _as_vector(x0)
+    x0 = np.atleast_1d(_numbers("x0", x0))
     if x0.shape != (sys.state_dim,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({sys.state_dim},)")
     if u.dim != sys.input_dim:
@@ -545,11 +544,9 @@ def semigroup_growth(A: np.ndarray, t_cert: float = 10.0) -> tuple[float, float]
     peak between grid points or after t_cert, so M is an estimate from
     below, not a certificate.
     """
-    A = np.asarray(A, dtype=float)
+    A, t_cert = _numbers("A", A), _number("t_cert", t_cert, gt=0)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A must be a square matrix")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("A must have finite entries")
     lam = float(np.max(np.linalg.eigvals(A).real))
     ts = np.logspace(-3, math.log10(t_cert), 60)
     M = 1.0

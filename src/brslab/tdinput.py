@@ -48,7 +48,9 @@ SEED_TAGS = {
 
 
 def seeded_rng(seed: int, purpose: str, *index: int) -> np.random.Generator:
-    """Generator on the SeedSequence [seed, *SEED_TAGS[purpose], *index]."""
+    """Generator on the SeedSequence [seed, *SEED_TAGS[purpose], *index]; the
+    one read of every seed."""
+    seed = _number("seed", seed, int, ge=0)
     return np.random.default_rng(np.random.SeedSequence([seed, *SEED_TAGS[purpose], *index]))
 
 

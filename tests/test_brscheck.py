@@ -178,7 +178,7 @@ class TestRfc:
 
     def test_offset_search_needs_a_state(self, sigma1):
         eta = sigma1.margin.eta
-        with pytest.raises(ValueError, match="n >= 1"):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
             bl.find_rfc_offset(sigma1.system, sigma1.margin, eta, 2.0, 3.0, 0, 1)
 
     def test_offsets_give_one_report_each(self):

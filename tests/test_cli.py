@@ -300,7 +300,7 @@ class TestUsageErrors:
         cfg = sigma1_cfg(tmp_path, C=1.0, horizon=0.5, samples=0)
         assert main(["lyapunov", cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "samples" in err and "RFC offset" in err
+        assert "config error" in err and "samples must be an integer >= 1" in err
         assert not any((tmp_path / "o").glob("*"))
 
 
@@ -675,6 +675,21 @@ class TestVerifyReusesBuild:
         assert len(fits) == 2
         assert table_calls == ["build_l_table", "radial_table"]
 
+    def test_from_fit_nan_in_stored_margin_refits(self, tmp_path, fits, table_calls):
+        # json reads NaN; the margin rebuilt from it took the place of a fit
+        cfg = self.from_fit_cfg(tmp_path)
+        fresh = self.verify_bytes(cfg, tmp_path / "fresh")
+        out = tmp_path / "out"
+        assert main(["lyapunov", "build", "--config", cfg, "--out", str(out)]) == 0
+        path = out / "lyapunov_manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["fitted_eta"]["values"][-1] = math.nan
+        path.write_text(json.dumps(manifest))
+        del fits[:], table_calls[:]
+        assert self.verify_bytes(cfg, out) == fresh
+        assert len(fits) == 1
+        assert table_calls == ["build_l_table", "radial_table"]
+
     def test_paper_manifest_holds_no_fitted_margin(self, tmp_path):
         out = tmp_path / "out"
         assert main(["lyapunov", "build", "--config", self.lyap_cfg(tmp_path),
@@ -936,11 +951,16 @@ class TestArtifactFormats:
         assert g(s) == np.interp(s, eta.knots, eta.values)
 
 
+# the number rule's own words: the numbers module, and a type test for a bool
+# or an integer, as `isinstance(q, (int, np.integer))`
+NUMBER_RULE = r"import numbers|isinstance\([^)]*\b(bool|int|np\.integer)\b"
+
+
 def test_only_sysdyn_holds_the_number_rule():
     # every number from outside the program is read by sysdyn._number
     src = Path(cli.__file__).parent
     holders = {p.name for p in src.glob("*.py")
-               if re.search(r"import numbers|isinstance\([^)]*\bbool\b", p.read_text())}
+               if re.search(NUMBER_RULE, p.read_text())}
     assert holders == {"sysdyn.py"}
 
 

@@ -34,6 +34,15 @@ class TestScalarFun:
         with pytest.raises(ValueError):
             pl([0.0, 1.0, 1.0], [0.0, 1.0, 2.0])
 
+    # a NaN knot or value passed every comparison, and a manifest's NaN
+    # rebuilt a fitted margin
+    @pytest.mark.parametrize("knots, values, slope", [
+        ([0.0, math.nan], [0.0, 1.0], 1.0), ([0.0, 1.0], [0.0, math.nan], 1.0),
+        ([0.0, math.inf], [0.0, 1.0], 1.0), ([0.0, 1.0], [0.0, 1.0], math.nan)])
+    def test_rejects_non_finite(self, knots, values, slope):
+        with pytest.raises(ValueError, match="finite"):
+            ScalarFun(knots, values, slope)
+
     def test_rejects_decreasing_values(self):
         with pytest.raises(ValueError):
             pl([0.0, 1.0, 2.0], [0.0, 2.0, 1.0])
@@ -69,6 +78,8 @@ class TestGk:
         assert gk_eval(2, z).shape == z.shape
         with pytest.raises(ValueError):
             gk_eval(2, np.array([1.0, -0.1]))
+        with pytest.raises(ValueError, match="z must be nonnegative"):
+            gk_eval(2, np.array([1.0, math.nan]))
 
     @given(
         st.floats(0, 50), st.floats(0, 50), st.integers(1, 100)
