@@ -250,8 +250,10 @@ def find_rfc_offset(
     raise NotRfcTdiError(f"RFC bound fails for every offset in RFC_OFFSETS = {RFC_OFFSETS}")
 
 
-def _probe_pairs(dim, tau, C, pairs, seed, purpose, n_ladder):
-    """Near-zero ladder pairs (0, r e1), then seeded random pairs in the C-ball."""
+def _probe_pairs(dim, C, pairs, seed, purpose, n_ladder):
+    """Near-zero ladder pairs (0, r e1), then seeded random pairs in the
+    C-ball; the seed is read even when no pair is drawn."""
+    seed = _number("seed", seed, int, ge=0)
     e1 = np.zeros(dim)
     e1[0] = 1.0
     pair_list = [(np.zeros(dim), r * e1) for r in NEAR_ZERO_LADDER[:n_ladder]]
@@ -313,7 +315,7 @@ def probe_lipschitz_openloop(
     tau, C = _number("tau", tau, gt=0), _number("C", C, gt=0)
     pairs = _number("pairs", pairs, int, ge=0)
     pair_list = _probe_pairs(
-        sys.state_dim, tau, C, pairs, seed, "open_probe_pairs", len(NEAR_ZERO_LADDER)
+        sys.state_dim, C, pairs, seed, "open_probe_pairs", len(NEAR_ZERO_LADDER)
     )
     rows = []
     for i, (x1, x2) in enumerate(pair_list):
@@ -348,7 +350,7 @@ def probe_lipschitz_tdi(
         raise ValueError(f"tau and C must be numbers or 1-D arrays of one length: {tau}, {C}")
     levels = []
     for tau_k, C_k in zip(taus.ravel().tolist(), Cs.ravel().tolist()):
-        pair_list = _probe_pairs(sys.state_dim, tau_k, C_k, pairs, seed, "tdi_probe_pairs", 4)
+        pair_list = _probe_pairs(sys.state_dim, C_k, pairs, seed, "tdi_probe_pairs", 4)
         dists = disturbance_family(sys.input_dim, tau_k, n_dist, seed)
         rows = [(x1, x2, d) for x1, x2 in pair_list for d in dists]
         levels.append((tau_k, C_k, len(pair_list), rows))

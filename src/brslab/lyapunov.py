@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compfun import ScalarFun, chi_from_eta, gk_eval, theta
-from .sysdyn import (InputSignal, IntegratorConfig, SystemDef, _number, _numbers, _sample_ensemble,
-                     integrate)
+from .sysdyn import InputSignal, IntegratorConfig, SystemDef, _number, _numbers, _sample_ensemble
 from .tdinput import GrowthMargin, closed_loop, disturbance_family
 from .brscheck import NotRfcTdiError, probe_lipschitz_tdi
 
@@ -357,9 +356,11 @@ def verify_growth(
     premise is returned `vacuous`, with nothing integrated.
 
     The Dini derivative is estimated by forward differences over
-    DINI_STEPS; the ball radius R is frozen across evaluations so grid layouts
-    match and discretization bias cancels in the quotient.  V at x and at
-    every x(h) comes from one ensemble.
+    DINI_STEPS.  The open-loop window x(h), h in DINI_STEPS, is one sampler
+    row read at the steps; a blow-up inside it is a NotRfcTdiError.  The ball radius R = max(1, ||x||, ||x(h)||) is frozen
+    across evaluations so grid layouts match and discretization bias
+    cancels in the quotient.  V at x and at every x(h) comes from one
+    ensemble.
     """
     chi = chi_from_eta(margin.eta)
     x, u_value = np.atleast_1d(_numbers("x", x)), np.atleast_1d(_numbers("u_value", u_value))
@@ -367,11 +368,12 @@ def verify_growth(
     rhs = float(np.linalg.norm(x))
     if lhs > rhs:
         return GrowthReport(x, u_value, lhs, rhs, vacuous=True)
-    traj = integrate(sys, x, InputSignal.constant(u_value), DINI_STEPS[0], _V_CFG)
-    if traj.blew_up:
+    window, t_cross = _sample_ensemble(sys, x[None, :], [InputSignal.constant(u_value)],
+                                       [(sorted(DINI_STEPS), [0])], _V_CFG)
+    if math.isfinite(t_cross[0]):
         raise NotRfcTdiError("open loop blew up inside the Dini step window")
-    R_frozen = max(1.0, rhs, float(traj.norms().max()))
-    states = np.vstack([x] + [traj.state_at(h) for h in DINI_STEPS])
+    states = np.vstack([x, window[::-1, 0]])  # x, then x(h) in DINI_STEPS order
+    R_frozen = max(1.0, *np.linalg.norm(states, axis=1).tolist())
     v0, *v_ladder = eval_V(sys, margin, states, cfg, l_table, R_override=R_frozen)
     report = GrowthReport(x, u_value, lhs, rhs, vacuous=False, V0=v0.V, W0=v0.W)
     for h, vh in zip(DINI_STEPS, v_ladder):

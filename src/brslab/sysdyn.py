@@ -126,8 +126,8 @@ class SystemDef:
 
     `rhs` maps an (n,) state and (m,) input to (n,), and is row-wise: (N, n)
     states with (N, m) inputs give the (N, n) derivatives of the N rows.
-    `==` and `hash` go by identity.  A right-hand side that is NaN where a
-    solve starts makes scipy's first-step selection loop without end.
+    `==` and `hash` go by identity.  A right-hand side that is not finite
+    where a solve starts is a StepSizeError, read once there.
     """
 
     state_dim: int
@@ -243,7 +243,8 @@ def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, solve):
     row norm crossing `cfg.blowup_threshold`: the crossing row, and any
     other live row at or above the threshold by then, is frozen at its
     state there, as at its end, and the other rows go on from the
-    crossing time.  The run ends when no row is live.  Each solve is
+    crossing time.  The run ends when no row is live.  A right-hand side
+    not finite where a solve starts is a StepSizeError.  Each solve is
     solve(fun, a, b, y, event, rtol=, atol=), which returns (t, y, crossed):
     the time and state where it ended, at b or, if `crossed`, at the
     event's upward zero.  The tolerances are divided by sqrt(rows), so every
@@ -277,7 +278,12 @@ def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, solve):
             if not live.any():
                 return y, t_cross
             sel = slice(None) if live.all() else live  # read by blowup_event
-            a, y, event = solve(f_at(a, b, sel), float(a), float(b), y, blowup_event,
+            fun = f_at(a, b, sel)
+            # scipy's first-step selection loops without end on a NaN slope
+            if not np.isfinite(fun(float(a), y)).all():
+                raise StepSizeError(f"integrator failed on [{float(a)}, {float(b)}]:"
+                                    " the right-hand side is not finite at its start")
+            a, y, event = solve(fun, float(a), float(b), y, blowup_event,
                                 rtol=cfg.rel_tol / scale, atol=cfg.abs_tol / scale)
             if event:  # the terminal event ends the last step at the crossing
                 r = scaled_norms(y)
@@ -300,9 +306,14 @@ def integrate(
     `states` are the solver's own steps; read any other time through
     `state_at`.  On blow-up the trajectory ends at the threshold-crossing
     time.  An `x0` or an input whose dimension does not match `sys` is a
-    ValueError.  A right-hand side that is NaN where a solve starts, at x0 or
-    a breakpoint, hangs scipy's first-step selection; one that turns NaN
-    inside a solve ends as a StepSizeError.
+    ValueError.  A right-hand side that is not finite where a solve starts,
+    at x0 or a breakpoint, or that turns NaN inside a solve, is a
+    StepSizeError.
+
+    Every pipeline stage reads its states from the ensemble sampler;
+    `integrate` serves only the paths that need the solver's own steps or a
+    dense solution: `brslab simulate`, `tdinput`'s lift and projection (a
+    FeedbackSignal input, which the sampler cannot read) and library callers.
     """
     _number("tau", tau, gt=0)
     cfg = cfg or IntegratorConfig()

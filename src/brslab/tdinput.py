@@ -48,8 +48,8 @@ SEED_TAGS = {
 
 
 def seeded_rng(seed: int, purpose: str, *index: int) -> np.random.Generator:
-    """Generator on the SeedSequence [seed, *SEED_TAGS[purpose], *index]; the
-    one read of every seed."""
+    """Generator on the SeedSequence [seed, *SEED_TAGS[purpose], *index]; every
+    draw reads its seed here."""
     seed = _number("seed", seed, int, ge=0)
     return np.random.default_rng(np.random.SeedSequence([seed, *SEED_TAGS[purpose], *index]))
 
@@ -196,8 +196,10 @@ def disturbance_family(
     input_dim: int, tau: float, n: int, seed: int
 ) -> list[DisturbanceSignal]:
     """Deterministic family: zero, the signed unit axes, then seeded random
-    piecewise-constant signals with values on the unit sphere."""
+    piecewise-constant signals with values on the unit sphere.  The seed is
+    read even when no random member is drawn."""
     tau, n = _number("tau", tau, gt=0), _number("n", n, int, ge=1)
+    seed = _number("seed", seed, int, ge=0)
     family: list[DisturbanceSignal] = [
         DisturbanceSignal.constant(np.zeros(input_dim))
     ]

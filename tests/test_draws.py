@@ -75,7 +75,7 @@ def _pc_inputs(handed, seed, m):
 
 def _probe(purpose):
     def draws(handed, seed, m):
-        pairs = _probe_pairs(m + 1, 1.0, 2.0, 5, seed, purpose, 2)
+        pairs = _probe_pairs(m + 1, 2.0, 5, seed, purpose, 2)
         return draw_digest(*(x for pair in pairs for x in pair))
     return draws
 

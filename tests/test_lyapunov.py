@@ -61,7 +61,7 @@ class TestLipschitzTable:
             bl.eval_V(sigma1.system, sigma1.margin, [0.8], cfg, short)
         with pytest.raises(ValueError, match=rf"q={cfg.Q} .*Q={cfg.Q - 1}"):
             sandwich_funs(sigma1.margin, short, cfg.Q)
-        assert calls == {"ensemble": 0, "integrate": 0}
+        assert calls == {"ensemble": 0}
 
 
 class TestLyapM:
@@ -232,10 +232,10 @@ class TestEnsembleEstimates:
         calls = count_calls(monkeypatch)
         bl.eval_V(sigma1.system, sigma1.margin, [0.8], bl.LyapunovConfig(seed=1),
                   unit_table(14, 0.0))
-        assert calls == {"ensemble": 1, "integrate": 0}
+        assert calls == {"ensemble": 1}
         bl.probe_lipschitz_tdi(sigma1.system, sigma1.margin, 0.5, 1.0, 2, seed=3)
         bl.probe_lipschitz_openloop(sigma1.system, 0.5, 1.0, 2, seed=3)
-        assert calls == {"ensemble": 3, "integrate": 0}
+        assert calls == {"ensemble": 3}
 
 
 class TestGrowingLinear:
@@ -262,20 +262,18 @@ class TestGrowingLinear:
 
 
 def count_calls(monkeypatch) -> dict:
-    """Counts of sampler and integrate calls made from lyapunov and brscheck
-    (which holds no integrate of its own)."""
-    calls = {"ensemble": 0, "integrate": 0}
+    """Counts of sampler calls made from lyapunov and brscheck; neither names
+    `integrate` (test_sysdyn.py's guard), so the sampler is all they run."""
+    calls = {"ensemble": 0}
 
-    def counting(name, fn):
+    def counting(fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls["ensemble"] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    for mod, attr, name in ((lyapunov, "_sample_ensemble", "ensemble"),
-                            (brscheck, "_sample_ensemble", "ensemble"),
-                            (lyapunov, "integrate", "integrate")):
-        monkeypatch.setattr(mod, attr, counting(name, getattr(mod, attr)))
+    for mod in (lyapunov, brscheck):
+        monkeypatch.setattr(mod, "_sample_ensemble", counting(mod._sample_ensemble))
     return calls
 
 
@@ -283,7 +281,7 @@ class TestOneSamplerCallPerStage:
     def test_build_l_table(self, sigma1, monkeypatch):
         calls = count_calls(monkeypatch)
         table = bl.build_l_table(sigma1.system, sigma1.margin, 14, 0.0, 3)
-        assert calls == {"ensemble": 1, "integrate": 0}
+        assert calls == {"ensemble": 1}
         assert table.Q == 14
 
     def test_build_l_table_matches_one_probe_per_level(self, sigma1):
@@ -302,7 +300,7 @@ class TestOneSamplerCallPerStage:
         calls = count_calls(monkeypatch)
         table = bl.radial_table(sigma1.system, sigma1.margin, [0.0, 0.5, 1.0, 1.5, 2.0],
                                 bl.LyapunovConfig(seed=1), unit_table(14, 0.0))
-        assert calls == {"ensemble": 1, "integrate": 0}
+        assert calls == {"ensemble": 1}
         assert table["V"].shape == (5,)
 
     def test_verify_growth(self, sigma1, monkeypatch):
@@ -310,7 +308,7 @@ class TestOneSamplerCallPerStage:
         u = 0.4 * sigma1.margin(0.8)
         rep = bl.verify_growth(sigma1.system, sigma1.margin, [0.8], [u],
                                bl.LyapunovConfig(seed=1), unit_table(14, 0.0))
-        assert calls == {"ensemble": 1, "integrate": 1}
+        assert calls == {"ensemble": 2}  # the Dini window, then V on it
         assert not rep.vacuous and len(rep.per_h_V) == 2
 
     @pytest.mark.parametrize("name, params, offset", [
@@ -328,10 +326,11 @@ class TestOneSamplerCallPerStage:
                 bl.find_rfc_offset(*args)
         else:
             assert bl.find_rfc_offset(*args) == offset
-        assert calls == {"ensemble": 1, "integrate": 0}
+        assert calls == {"ensemble": 1}
 
     def test_readme_build_and_verify(self, tmp_path, monkeypatch):
-        # build: l_table and radial table; verify: one per growth pair
+        # build: l_table and radial table; verify: per growth pair, its Dini
+        # window and V on it
         from brslab.cli import main
 
         cfg = {"system": {"name": "sigma1"}, "seed": 42, "c": 0.0,
@@ -343,7 +342,7 @@ class TestOneSamplerCallPerStage:
         for cmd in ("build", "verify"):
             assert main(["lyapunov", cmd, "--config", str(path), "--out", str(tmp_path)]) == 0
         # verify reads the Lipschitz and radial tables that build wrote
-        assert calls == {"ensemble": 7, "integrate": 5}
+        assert calls == {"ensemble": 12}
 
     @pytest.mark.parametrize("R", [None, 2.5])
     @pytest.mark.parametrize(
@@ -424,6 +423,35 @@ class TestVerifyGrowth:
         with pytest.raises(bl.NotRfcTdiError, match="inside the Dini step window"):
             bl.verify_growth(bl.make("quadratic").system, bl.GrowthMargin(unit), [200.0], [0.0],
                              lyap_cfg, unit_table(1, 0.0))
+
+    # The Dini window comes from the sampler; integrate reads the same solve
+    # at the same times.  On the witness the sampler adds the linear part as
+    # Y @ A.T and integrate as A @ x, which may round apart, so its window is
+    # held to 1e-14 relative (measured equal).
+    @pytest.mark.parametrize("name, rtol", [("sigma1", 0.0), ("growing", 1e-14)])
+    def test_window_matches_integrate(self, name, rtol, sigma1, growing, monkeypatch):
+        ex = sigma1 if name == "sigma1" else growing[0]
+        x, u = [1.5], [0.4 * ex.margin(1.5)]
+        seen = []
+        value = lyapunov.eval_V
+
+        def spy(*args, R_override):
+            seen.append((args[2], R_override))
+            return value(*args, R_override=R_override)
+
+        monkeypatch.setattr(lyapunov, "eval_V", spy)
+        bl.verify_growth(ex.system, ex.margin, x, u, bl.LyapunovConfig(seed=1),
+                         unit_table(14, 0.0))
+        [(states, R)] = seen
+        traj = bl.integrate(ex.system, x, bl.InputSignal.constant(u), lyapunov.DINI_STEPS[0],
+                            lyapunov._V_CFG)
+        window = np.array([traj.state_at(h) for h in lyapunov.DINI_STEPS])
+        assert np.array_equal(states[0], x)
+        np.testing.assert_allclose(states[1:], window, rtol=rtol, atol=0)  # rtol 0: bit for bit
+        # R covers x and its window, and nothing more
+        assert R == max(1.0, *np.linalg.norm(states, axis=1))
+        if name == "growing":
+            assert R == np.linalg.norm(states[1]) > 1.5  # x(1e-2), past x
 
     def test_report_serializes(self, tmp_path):
         # lyapunov_verify.json holds every field of each report, in strict JSON

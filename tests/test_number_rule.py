@@ -14,7 +14,7 @@ import pytest
 import brslab as bl
 from brslab import sysdyn
 from brslab.brscheck import NEAR_ZERO_LADDER
-from brslab.tdinput import seeded_rng
+from brslab.tdinput import disturbance_family, seeded_rng
 
 NAN = math.nan
 
@@ -103,6 +103,13 @@ REJECTED = {
     # drew seed 1's stream
     "seeded_rng_bool_seed": ("seed", lambda s, t: seeded_rng(True, "reach_samples")),
     "sample_reach_nan_seed": ("seed", lambda s, t: bl.sample_reach(s.system, 1.0, 0.5, 2, NAN)),
+    # returned: no member, pair or input was drawn, so the seed went unread
+    "disturbance_family_nan_seed": ("seed", lambda s, t: disturbance_family(1, 1.0, 3, NAN)),
+    "tdi_bool_seed_no_draw": (
+        "seed", lambda s, t: bl.probe_lipschitz_tdi(*sig(s), 0.5, 1.0, 0, True, n_dist=1)),
+    "openloop_nan_seed_no_draw": (
+        "seed", lambda s, t: bl.probe_lipschitz_openloop(s.system, 0.5, 1.0, 0, NAN,
+                                                         u_fixed=bl.InputSignal.constant([0.0]))),
 }
 
 

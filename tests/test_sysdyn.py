@@ -2,6 +2,9 @@ import ast
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -711,3 +714,70 @@ def test_only_sysdyn_steps_a_solver():
             users.setdefault(path.name, set()).update(used)
     assert {name for name, used in users.items() if used} == {"sysdyn.py"}
     assert {"RK45", "BDF", "solve_ivp"} <= users["sysdyn.py"]
+
+
+# the modules that may name `integrate`: its definition, the lift and
+# projection (a FeedbackSignal input, which the sampler cannot read), the
+# `simulate` command and the package's exports
+DENSE_PATHS = frozenset({"sysdyn.py", "tdinput.py", "cli.py", "__init__.py"})
+
+
+def test_only_the_dense_paths_name_integrate():
+    # every pipeline stage reads its trajectories from the ensemble sampler,
+    # so lyapunov and brscheck make no integrate call
+    users = set()
+    for path in sorted(Path(sysdyn.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = (getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "asname", None),
+                     node.name if isinstance(node, (ast.alias, ast.FunctionDef)) else None)
+            if "integrate" in names:
+                users.add(path.name)
+    assert users <= DENSE_PATHS
+    assert "sysdyn.py" in users
+
+
+# A right-hand side that is NaN everywhere, run through integrate, the
+# sampler (by sample_reach) and `brslab simulate`.  scipy's first-step
+# selection loops without end on a NaN slope, so each runs in a child
+# process with a timeout: a hang fails the test rather than stalling it.
+NAN_START = """
+import dataclasses, json, sys
+from pathlib import Path
+import numpy as np
+import brslab as bl
+from brslab import cli, examples
+
+case, out = sys.argv[1:]
+nan = bl.SystemDef(1, 1, lambda x, u: np.full_like(x, np.nan), name="nan")
+try:
+    if case == "integrate":
+        bl.integrate(nan, [0.5], bl.InputSignal.constant([0.0]), 1.0)
+    elif case == "sample_reach":
+        bl.sample_reach(nan, 1.0, 1.0, 2, 0)
+    else:
+        make = examples.make
+        examples.make = lambda name, params=None: dataclasses.replace(make(name, params),
+                                                                      system=nan)
+        cfg = Path(out) / "cfg.json"
+        cfg.write_text(json.dumps({"system": {"name": "sigma1"}, "seed": 1, "x0": [0.5]}))
+        sys.exit(cli.main(["simulate", "--config", str(cfg), "--out", out]))
+except bl.StepSizeError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("case", ["integrate", "sample_reach", "cli"])
+def test_nan_at_a_solve_start_is_a_step_size_error(case, tmp_path):
+    src = str(Path(sysdyn.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", NAN_START, case, str(tmp_path)],
+                          capture_output=True, text=True, timeout=10, env=env)
+    if case == "cli":
+        assert proc.returncode == 2
+        assert "integrator error: integrator failed on [0.0, 1.0]" in proc.stderr
+    else:
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("integrator failed on [0.0, ")
+    assert "not finite at its start" in proc.stdout + proc.stderr
