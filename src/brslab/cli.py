@@ -57,6 +57,7 @@ from .lyapunov import (
     LyapunovConfig,
     TailBudgetError,
     _check_tail_budget,
+    _premise,
     build_l_table,
     radial_table,
     verify_growth,
@@ -381,13 +382,15 @@ def cmd_lyapunov_verify(args, cfg: dict, bundle: ex.ExampleBundle, out: Path):
                     "V": table["V"][i], "alpha1": table["alpha1"][i],
                     "alpha2_plus_C": table["alpha2_plus_C"][i]}
     rng = seeded_rng(cfg["seed"], "growth_pairs")
-    reports = []
-    while len(reports) < n_pairs:
+    pairs = []
+    while len(pairs) < n_pairs:
         x = rng.uniform(0.1, 2.0) * _unit(rng, bundle.system.state_dim)
         u = rng.uniform(0.0, 1.0) * _unit(rng, bundle.system.input_dim)
-        rep = verify_growth(bundle.system, margin, x, u, lyap_cfg, l_table)
-        if rep.vacuous:  # outside the premise: draw another pair
-            continue
+        if _premise(margin, x, u)[2]:  # a pair outside the premise is drawn again
+            pairs.append((x, u))
+    X, U = (np.array(a) for a in zip(*pairs))
+    reports = []
+    for rep in verify_growth(bundle.system, margin, X, U, lyap_cfg, l_table):
         reports.append(asdict(rep))
         if not (rep.passes_V and rep.passes_W):
             return {}, {"falsified": "growth", "report": reports[-1]}

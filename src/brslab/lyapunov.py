@@ -213,11 +213,13 @@ def eval_V(
     """Truncated series V(x) = 1 + sum_q 2^{-q} U_q(x) / (1 + M(q,q)): one
     LyapunovValue for one state x, shape (n,), or a list for a stack (K, n).
 
-    All closed-loop families are one ensemble: state b's n_dist rows run to
-    Theta(R_b, Q), R_b = R_override or max(||x_b||, 1), and read the union of
-    its ball's Q dyadic grids, which are built once per distinct R_b (one row
-    group per ball); each q reads its own grid into `per_q`.  Every grid
-    holds s = 0, so each U_q estimate dominates G_q(eta(||x||)).
+    State b's ball radius R_b is max(||x_b||, 1), or R_override, which is
+    one radius for every state or one per state, shape (K,), each covering
+    its ||x_b||.  All closed-loop families are one ensemble: state b's
+    n_dist rows run to Theta(R_b, Q) and read the union of its ball's Q
+    dyadic grids, which are built once per distinct R_b (one row group per
+    ball); each q reads its own grid into `per_q`.  Every grid holds s = 0,
+    so each U_q estimate dominates G_q(eta(||x||)).
     """
     x = _numbers("x", x)
     one = x.ndim < 2
@@ -230,7 +232,11 @@ def eval_V(
     if R_override is None:
         balls = np.maximum(norms, 1.0)
     else:
-        balls = np.full(len(X), _number("R_override", R_override, ge=0))
+        balls = _numbers("R_override", R_override, ge=0)
+        if balls.shape not in ((), (len(X),)):
+            raise ValueError(f"R_override must be one radius or one per state, got shape"
+                             f" {balls.shape} for {len(X)} states")
+        balls = np.broadcast_to(balls, len(X))
         if np.any(balls < norms - 1e-12):
             raise ValueError("R_override must cover ||x||")
     qs = range(1, cfg.Q + 1)
@@ -343,6 +349,14 @@ class GrowthReport:
     passes_W: bool = True
 
 
+def _premise(margin: GrowthMargin, x: np.ndarray, u_value: np.ndarray) -> tuple:
+    """The growth premise chi(||u||) <= ||x|| of one pair, chi = eta^{-1}(2 s):
+    its two sides, and whether it holds."""
+    lhs = float(chi_from_eta(margin.eta)(np.linalg.norm(u_value)))
+    rhs = float(np.linalg.norm(x))
+    return lhs, rhs, lhs <= rhs
+
+
 def verify_growth(
     sys: SystemDef,
     margin: GrowthMargin,
@@ -350,40 +364,63 @@ def verify_growth(
     u_value,
     cfg: LyapunovConfig,
     l_table: LipschitzTable,
-) -> GrowthReport:
+) -> GrowthReport | list[GrowthReport]:
     """Dini check dV/dt <= V (and dW/dt <= 1) under the premise
-    chi(||u||) <= ||x||, with chi = eta^{-1}(2 s); a pair outside the
-    premise is returned `vacuous`, with nothing integrated.
+    chi(||u||) <= ||x||, with chi = eta^{-1}(2 s): one GrowthReport for one
+    pair, x of shape (n,), or a list for a stack of K pairs, x of shape
+    (K, n) and u_value of shape (K, m).  A pair outside the premise is
+    returned `vacuous`, with nothing integrated for it.
 
     The Dini derivative is estimated by forward differences over
-    DINI_STEPS.  The open-loop window x(h), h in DINI_STEPS, is one sampler
-    row read at the steps; a blow-up inside it is a NotRfcTdiError.  The ball radius R = max(1, ||x||, ||x(h)||) is frozen
-    across evaluations so grid layouts match and discretization bias
-    cancels in the quotient.  V at x and at every x(h) comes from one
+    DINI_STEPS.  Each pair's open-loop window x(h), h in DINI_STEPS, is one
+    row of one sampler call, read at the steps.  A blow-up inside any
+    pair's window is a NotRfcTdiError naming the pair that crosses first,
+    even if another pair of the stack fails the growth check.  Each pair's
+    ball radius R = max(1, ||x||, ||x(h)||) is frozen across its
+    evaluations so grid layouts match and discretization bias cancels in
+    the quotient.  V at every x and every x(h) comes from one `eval_V`
     ensemble.
     """
-    chi = chi_from_eta(margin.eta)
-    x, u_value = np.atleast_1d(_numbers("x", x)), np.atleast_1d(_numbers("u_value", u_value))
-    lhs = float(chi(np.linalg.norm(u_value)))
-    rhs = float(np.linalg.norm(x))
-    if lhs > rhs:
-        return GrowthReport(x, u_value, lhs, rhs, vacuous=True)
-    window, t_cross = _sample_ensemble(sys, x[None, :], [InputSignal.constant(u_value)],
-                                       [(sorted(DINI_STEPS), [0])], _V_CFG)
-    if math.isfinite(t_cross[0]):
-        raise NotRfcTdiError("open loop blew up inside the Dini step window")
-    states = np.vstack([x, window[::-1, 0]])  # x, then x(h) in DINI_STEPS order
-    R_frozen = max(1.0, *np.linalg.norm(states, axis=1).tolist())
-    v0, *v_ladder = eval_V(sys, margin, states, cfg, l_table, R_override=R_frozen)
-    report = GrowthReport(x, u_value, lhs, rhs, vacuous=False, V0=v0.V, W0=v0.W)
-    for h, vh in zip(DINI_STEPS, v_ladder):
-        report.per_h_V[h] = (vh.V - v0.V) / h
-        report.per_h_W[h] = (vh.W - v0.W) / h
-    report.dini_V = max(report.per_h_V.values())
-    report.dini_W = max(report.per_h_W.values())
-    report.passes_V = report.dini_V <= v0.V * (1.0 + TOL_GROWTH) + GROWTH_ABS_SLACK
-    report.passes_W = report.dini_W <= 1.0 + TOL_GROWTH
-    return report
+    x, u_value = _numbers("x", x), _numbers("u_value", u_value)
+    one = x.ndim < 2
+    X, U = np.atleast_2d(x), np.atleast_2d(u_value)
+    if (u_value.ndim < 2) != one or len(X) != len(U):
+        raise ValueError(f"x and u_value must hold as many pairs, got shapes"
+                         f" {x.shape} and {u_value.shape}")
+    reports = []
+    for xk, uk in zip(X, U):
+        lhs, rhs, holds = _premise(margin, xk, uk)
+        reports.append(GrowthReport(xk, uk, lhs, rhs, vacuous=not holds))
+    live = [k for k, rep in enumerate(reports) if not rep.vacuous]
+    if live:
+        window, t_cross = _sample_ensemble(
+            sys, X[live], [InputSignal.constant(u) for u in U[live]],
+            [(sorted(DINI_STEPS), range(len(live)))], _V_CFG)
+        row = int(np.argmin(t_cross))  # the first to blow up, if any does
+        if math.isfinite(t_cross[row]):
+            k = live[row]
+            raise NotRfcTdiError(
+                f"open loop of pair {k} from ||x||={reports[k].premise_rhs:.3g} blew up"
+                f" at t={t_cross[row]:.3g} inside the Dini step window"
+            )
+        # per pair: x, then x(h) in DINI_STEPS order, all on the pair's frozen R
+        states = np.stack([X[live], *window[::-1]], axis=1)
+        R_frozen = np.maximum(1.0, np.linalg.norm(states, axis=2).max(axis=1))
+        w = states.shape[1]
+        values = eval_V(sys, margin, states.reshape(-1, X.shape[1]), cfg, l_table,
+                        R_override=np.repeat(R_frozen, w))
+        for j, k in enumerate(live):
+            v0, *v_ladder = values[j * w : (j + 1) * w]
+            rep = reports[k]
+            rep.V0, rep.W0 = v0.V, v0.W
+            for h, vh in zip(DINI_STEPS, v_ladder):
+                rep.per_h_V[h] = (vh.V - v0.V) / h
+                rep.per_h_W[h] = (vh.W - v0.W) / h
+            rep.dini_V = max(rep.per_h_V.values())
+            rep.dini_W = max(rep.per_h_W.values())
+            rep.passes_V = rep.dini_V <= v0.V * (1.0 + TOL_GROWTH) + GROWTH_ABS_SLACK
+            rep.passes_W = rep.dini_W <= 1.0 + TOL_GROWTH
+    return reports[0] if one else reports
 
 
 # the radial table's columns, in the order of its CSV

@@ -231,6 +231,13 @@ def _solver(A, span: float, rows: int) -> dict:
     return {"method": BDF, "jac": jac}
 
 
+def _first_call(fun, f0):
+    """fun, but its first call returns f0: the solver's constructor reads
+    the slope at the solve's start, which `_run` has just evaluated there."""
+    pending = [f0]
+    return lambda t, y: pending.pop() if pending else fun(t, y)
+
+
 def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, solve):
     """Solve the stack y' = f_at(a, b, live)(t, y) of len(ends) rows across
     `edges`, one solve per [a, b] from the previous solve's last state.
@@ -244,7 +251,8 @@ def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, solve):
     other live row at or above the threshold by then, is frozen at its
     state there, as at its end, and the other rows go on from the
     crossing time.  The run ends when no row is live.  A right-hand side
-    not finite where a solve starts is a StepSizeError.  Each solve is
+    not finite where a solve starts is a StepSizeError; the value checked
+    there is the solver's first evaluation.  Each solve is
     solve(fun, a, b, y, event, rtol=, atol=), which returns (t, y, crossed):
     the time and state where it ended, at b or, if `crossed`, at the
     event's upward zero.  The tolerances are divided by sqrt(rows), so every
@@ -280,10 +288,11 @@ def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, solve):
             sel = slice(None) if live.all() else live  # read by blowup_event
             fun = f_at(a, b, sel)
             # scipy's first-step selection loops without end on a NaN slope
-            if not np.isfinite(fun(float(a), y)).all():
+            f0 = fun(float(a), y)
+            if not np.isfinite(f0).all():
                 raise StepSizeError(f"integrator failed on [{float(a)}, {float(b)}]:"
                                     " the right-hand side is not finite at its start")
-            a, y, event = solve(fun, float(a), float(b), y, blowup_event,
+            a, y, event = solve(_first_call(fun, f0), float(a), float(b), y, blowup_event,
                                 rtol=cfg.rel_tol / scale, atol=cfg.abs_tol / scale)
             if event:  # the terminal event ends the last step at the crossing
                 r = scaled_norms(y)

@@ -547,15 +547,13 @@ class TestLyapunov:
         reports = []
 
         def second_fails(*args):
-            rep = bl.verify_growth(*args)
-            if not rep.vacuous:
-                reports.append(rep)
-                rep.passes_V = len(reports) < 2
-            return rep
+            reports.extend(bl.verify_growth(*args))  # all pairs in one call
+            reports[1].passes_V = False
+            return reports
 
         monkeypatch.setattr(cli, "verify_growth", second_fails)
         witness = self.verify_witness(tmp_path, capsys)
-        assert len(reports) == 2
+        assert len(reports) == 2 and not any(rep.vacuous for rep in reports)
         report = json.loads(json.dumps(cli._plain(asdict(reports[1])), default=float))
         assert witness == {"falsified": "growth", "report": report}
 

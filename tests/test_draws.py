@@ -180,14 +180,18 @@ def test_growth_pair_digest(m, seed, monkeypatch, tmp_path):
     """The (x, u) pairs `lyapunov verify` draws, the redrawn ones included."""
     drawn = []
 
-    def verify_growth(system, margin, x, u, lyap_cfg, l_table):
+    def premise(margin, x, u):
         drawn.append((x, u))
-        return _Report(vacuous=len(drawn) % 3 == 0)  # every third pair is redrawn
+        return 0.0, 0.0, len(drawn) % 3 != 0  # every third pair is redrawn
+
+    def verify_growth(system, margin, X, U, lyap_cfg, l_table):
+        return [_Report(vacuous=False) for _ in X]  # one call for the kept pairs
 
     ok = {"norm_x": np.zeros(1), "V": np.zeros(1), "alpha1": np.zeros(1),
           "alpha2_plus_C": np.ones(1)}
     monkeypatch.setattr(cli, "_bundle", lambda cfg: SimpleNamespace(system=stub_system(m)))
     monkeypatch.setattr(cli, "_build_pipeline", lambda cfg, bundle, out: (None, None, None, ok))
+    monkeypatch.setattr(cli, "_premise", premise)
     monkeypatch.setattr(cli, "verify_growth", verify_growth)
     path = tmp_path / "cfg.json"
     path.write_text(f'{{"system": {{"name": "stub"}}, "seed": {seed}, "growth_pairs": 5}}')

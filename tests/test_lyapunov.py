@@ -329,8 +329,8 @@ class TestOneSamplerCallPerStage:
         assert calls == {"ensemble": 1}
 
     def test_readme_build_and_verify(self, tmp_path, monkeypatch):
-        # build: l_table and radial table; verify: per growth pair, its Dini
-        # window and V on it
+        # build: l_table and radial table; verify: every growth pair's Dini
+        # window, then V on all of them
         from brslab.cli import main
 
         cfg = {"system": {"name": "sigma1"}, "seed": 42, "c": 0.0,
@@ -342,7 +342,24 @@ class TestOneSamplerCallPerStage:
         for cmd in ("build", "verify"):
             assert main(["lyapunov", cmd, "--config", str(path), "--out", str(tmp_path)]) == 0
         # verify reads the Lipschitz and radial tables that build wrote
-        assert calls == {"ensemble": 12}
+        assert calls == {"ensemble": 4}
+
+    @pytest.mark.parametrize("pairs", [1, 5, 20])
+    def test_verify_stage_is_two_calls_for_any_pair_count(self, pairs, tmp_path, monkeypatch):
+        from brslab.cli import main
+
+        cfg = {"system": {"name": "sigma1"}, "seed": 42, "c": 0.0, "radii": [0.0, 1.0],
+               "growth_pairs": pairs,
+               "lyapunov": {"Q": 12, "n_dist": 2, "time_grid_density": 4, "tail_tol": 5e-3}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["--config", str(path), "--out", str(tmp_path)]
+        assert main(["lyapunov", "build", *argv]) == 0
+        calls = count_calls(monkeypatch)
+        assert main(["lyapunov", "verify", *argv]) == 0
+        assert calls == {"ensemble": 2}  # the Dini windows, then V on them
+        reports = json.loads((tmp_path / "lyapunov_verify.json").read_text())["growth_reports"]
+        assert len(reports) == pairs
 
     @pytest.mark.parametrize("R", [None, 2.5])
     @pytest.mark.parametrize(
@@ -417,6 +434,91 @@ class TestVerifyGrowth:
         rep = bl.verify_growth(sigma1.system, sigma1.margin, [0.1], [5.0], lyap_cfg, l_table)
         assert rep.vacuous
 
+    def test_one_pair_returns_one_report(self, sigma1):
+        rep = bl.verify_growth(sigma1.system, sigma1.margin, [0.8], [0.1],
+                               bl.LyapunovConfig(seed=1), unit_table(14, 0.0))
+        assert isinstance(rep, lyapunov.GrowthReport) and not rep.vacuous
+
+    @pytest.mark.parametrize("x, u", [
+        ([[0.8], [0.5]], [[0.1]]),  # two states, one input
+        ([0.8], [[0.1]]),  # one state, a stack of one input
+        ([[0.8]], [0.1]),
+    ])
+    def test_pair_count_mismatch(self, sigma1, x, u, monkeypatch):
+        calls = count_calls(monkeypatch)
+        with pytest.raises(ValueError, match=r"^x and u_value must hold as many pairs"):
+            bl.verify_growth(sigma1.system, sigma1.margin, x, u, bl.LyapunovConfig(seed=1),
+                             unit_table(14, 0.0))
+        assert calls == {"ensemble": 0}
+
+    def test_vacuous_pairs_make_no_rows(self, sigma1, monkeypatch):
+        windows = []
+        sample = lyapunov._sample_ensemble
+
+        def spy(sys, X0, inputs, groups, cfg):
+            if sys is sigma1.system:  # the open-loop windows, not V's closed loop
+                windows.append(np.array(X0))
+            return sample(sys, X0, inputs, groups, cfg)
+
+        monkeypatch.setattr(lyapunov, "_sample_ensemble", spy)
+        args = (bl.LyapunovConfig(seed=1), unit_table(14, 0.0))
+        reps = bl.verify_growth(sigma1.system, sigma1.margin, [[0.1], [0.8], [0.2], [1.5]],
+                                [[5.0], [0.1], [5.0], [0.2]], *args)
+        assert [rep.vacuous for rep in reps] == [True, False, True, False]
+        [X0] = windows
+        assert np.array_equal(X0, [[0.8], [1.5]])  # one row per pair in the premise
+        for rep in reps[::2]:
+            assert math.isnan(rep.V0) and rep.per_h_V == {} and rep.passes_V
+        calls = count_calls(monkeypatch)
+        reps = bl.verify_growth(sigma1.system, sigma1.margin, [[0.1], [0.2]], [[5.0], [5.0]],
+                                *args)
+        assert [rep.vacuous for rep in reps] == [True, True]
+        assert calls == {"ensemble": 0}
+
+    def test_stack_matches_pair_loop_bit_for_bit(self, sigma1, l_table, lyap_cfg, monkeypatch):
+        # sigma1's U_q sups sit at s = 0, and its open-loop windows come out
+        # the same in a stack: every quotient is the loop's, bit for bit
+        X = [[r] for r, _ in GUARD_PAIRS] + [[0.8]]
+        U = [[frac * 0.5 * sigma1.margin(abs(r))] for r, frac in GUARD_PAIRS] + [[0.2]]
+        calls = count_calls(monkeypatch)
+        stacked = bl.verify_growth(sigma1.system, sigma1.margin, X, U, lyap_cfg, l_table)
+        assert calls == {"ensemble": 2}
+        for x, u, rep in zip(X, U, stacked):
+            one = bl.verify_growth(sigma1.system, sigma1.margin, x, u, lyap_cfg, l_table)
+            assert not rep.vacuous
+            assert (rep.V0, rep.W0, rep.dini_V, rep.dini_W) == (one.V0, one.W0,
+                                                                one.dini_V, one.dini_W)
+            assert (rep.per_h_V, rep.per_h_W) == (one.per_h_V, one.per_h_W)
+            assert (rep.passes_V, rep.passes_W) == (one.passes_V, one.passes_W)
+
+    def test_stack_matches_pair_loop_on_the_witness(self):
+        # the witness's sups sit at interior times, so the shared solves move
+        # V by integrator error: measured 7.9e-10 relative on V0 and 3.3e-9
+        # absolute on the quotients, held to 1e-8
+        lin = bl.make("linear", {"A": [[-1.0, 10.0], [0.0, -1.0]]})
+        cfg = bl.LyapunovConfig(seed=20240811, Q=13, n_dist=4, time_grid_density=8)
+        table = unit_table(13, 0.0)
+        X = [[0.0, 0.25], [0.0, 1.0], [0.0, 2.0], [0.5, -1.0]]
+        U = [[0.05, 0.0], [0.0, 0.2], [0.3, -0.1], [0.1, 0.1]]
+        stacked = bl.verify_growth(lin.system, lin.margin, X, U, cfg, table)
+        for x, u, rep in zip(X, U, stacked):
+            one = bl.verify_growth(lin.system, lin.margin, x, u, cfg, table)
+            assert not rep.vacuous
+            assert rep.V0 == pytest.approx(one.V0, rel=1e-8)
+            assert rep.W0 == pytest.approx(one.W0, rel=1e-8)
+            for h in lyapunov.DINI_STEPS:
+                assert rep.per_h_V[h] == pytest.approx(one.per_h_V[h], abs=1e-8)
+                assert rep.per_h_W[h] == pytest.approx(one.per_h_W[h], abs=1e-8)
+            assert (rep.passes_V, rep.passes_W) == (one.passes_V, one.passes_W)
+
+    def test_blowup_names_the_pair(self, lyap_cfg):
+        # the second pair starts at the blow-up threshold, so it crosses at t = 0
+        unit = bl.ScalarFun([0.0, 1.0], [0.0, 1.0], 1.0, frozenset({"Kinf", "Lip1"}))
+        with pytest.raises(bl.NotRfcTdiError,
+                           match=r"pair 1 from \|\|x\|\|=1e\+09 blew up at t=0 inside the Dini"):
+            bl.verify_growth(bl.make("quadratic").system, bl.GrowthMargin(unit),
+                             [[0.5], [1e9]], [[0.0], [0.0]], lyap_cfg, unit_table(1, 0.0))
+
     def test_blowup_inside_the_dini_window(self, lyap_cfg):
         # x' = x^2 from 200 blows up at t = 5e-3, inside the window [0, 1e-2]
         unit = bl.ScalarFun([0.0, 1.0], [0.0, 1.0], 1.0, frozenset({"Kinf", "Lip1"}))
@@ -448,10 +550,11 @@ class TestVerifyGrowth:
         window = np.array([traj.state_at(h) for h in lyapunov.DINI_STEPS])
         assert np.array_equal(states[0], x)
         np.testing.assert_allclose(states[1:], window, rtol=rtol, atol=0)  # rtol 0: bit for bit
-        # R covers x and its window, and nothing more
-        assert R == max(1.0, *np.linalg.norm(states, axis=1))
+        # one R per state, the same for the pair's three: it covers x and
+        # its window, and nothing more
+        assert R.shape == (3,) and np.all(R == max(1.0, *np.linalg.norm(states, axis=1)))
         if name == "growing":
-            assert R == np.linalg.norm(states[1]) > 1.5  # x(1e-2), past x
+            assert R[0] == np.linalg.norm(states[1]) > 1.5  # x(1e-2), past x
 
     def test_report_serializes(self, tmp_path):
         # lyapunov_verify.json holds every field of each report, in strict JSON

@@ -43,6 +43,13 @@ REJECTED = {
     "eval_V_nan_R_override": (
         "R_override",
         lambda s, t: bl.eval_V(*sig(s), [0.5], bl.LyapunovConfig(), t, R_override=NAN)),
+    # one radius per state: an entry that is NaN, and one radius too many
+    "eval_V_nan_R_override_entry": (
+        "R_override", lambda s, t: bl.eval_V(*sig(s), [[0.5], [0.8]], bl.LyapunovConfig(), t,
+                                             R_override=[1.0, NAN])),
+    "eval_V_R_override_wrong_length": (
+        "R_override", lambda s, t: bl.eval_V(*sig(s), [[0.5], [0.8]], bl.LyapunovConfig(), t,
+                                             R_override=[1.0, 1.0, 1.0])),
     "eval_V_nan_state": ("x", lambda s, t: bl.eval_V(*sig(s), [NAN], bl.LyapunovConfig(), t)),
     # returned a table
     "build_l_table_nan_c": ("c", lambda s, t: bl.build_l_table(*sig(s), 2, NAN, 1)),

@@ -781,3 +781,31 @@ def test_nan_at_a_solve_start_is_a_step_size_error(case, tmp_path):
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("integrator failed on [0.0, ")
     assert "not finite at its start" in proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("path", ["integrate", "sampler", "stiff"])
+def test_start_check_is_the_solvers_first_evaluation(path, monkeypatch):
+    """The right-hand side value `_run` checks at each solve start is the
+    one the solver starts from: the system is evaluated exactly as often as
+    the solvers ask for it."""
+    work = solver_work(monkeypatch)
+    calls = []
+    switching = bl.InputSignal([0.5], [[1.0]], [0.3])  # two solves per run
+    base = stiff_rd(8)[0].system if path == "stiff" else bl.make("sigma1").system
+
+    def rhs(x, u):
+        calls.append(1)
+        return base.rhs(x, u)
+
+    counted = dataclasses.replace(base, rhs=rhs)
+    if path == "sampler":
+        _sample_ensemble(counted, [[0.6], [-0.4]], [switching, switching],
+                         one_group(np.linspace(0.0, 2.0, 9), 2), bl.IntegratorConfig())
+    else:
+        x0 = np.full(base.state_dim, 0.6)
+        if path == "stiff":  # rho(A) * tau is about 2 * 248: BDF
+            monkeypatch.setattr(sysdyn, "_STIFF_RHO_SPAN", 100.0)
+        bl.integrate(counted, x0, switching, 2.0)
+    assert len(work["methods"]) == 2
+    assert work["methods"][0] == ("BDF" if path == "stiff" else "RK45")
+    assert len(calls) == work["nfev"]
