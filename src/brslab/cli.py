@@ -210,11 +210,11 @@ def _fun_obj(f: ScalarFun) -> dict:
     return {"knots": f.knots, "values": f.values, "slope": f.slope, "tags": sorted(f.tags)}
 
 
-def _array(cfg: dict, key: str, default) -> np.ndarray:
-    """cfg[key], or default, as a float array of numbers by `_numbers`;
-    anything else is a ConfigError."""
+def _array(cfg: dict, key: str, default, *, ge=None) -> np.ndarray:
+    """cfg[key], or default, as a float array of numbers >= ge, if given, by
+    `_numbers`; anything else is a ConfigError."""
     try:
-        return _numbers(key, cfg.get(key, default))
+        return _numbers(key, cfg.get(key, default), ge=ge)
     except ValueError as exc:
         raise ConfigError(f"{key} must hold finite numbers: {exc}") from exc
 
@@ -297,8 +297,9 @@ def _stored_tables(cfg: dict, out: Path):
     """(fitted, l_table, table) as `lyapunov build` wrote them to out for
     this config and code, bit for bit, `fitted` the margin it fitted under
     eta_source "from_fit" (None under "paper"), or None if out holds no
-    such tables: a missing, unreadable or foreign file, or a table that is
-    not the one the manifest was written with."""
+    such tables: a missing, unreadable or foreign file, a table that is
+    not the one the manifest was written with, or a stored margin whose
+    knots, values or slope are not numbers by `_numbers`."""
     try:
         manifest = json.loads((out / _MANIFEST).read_text())
         if any(manifest.get(k) != v for k, v in _reuse_key(cfg).items()):
@@ -317,9 +318,11 @@ def _stored_tables(cfg: dict, out: Path):
         table = {c: data[:, i] for i, c in enumerate(_COLUMNS)}
         fitted = None
         if cfg.get("eta_source", "paper") == "from_fit":
-            eta = manifest["fitted_eta"]  # the constructor checks it as it did the fit
-            fitted = GrowthMargin(ScalarFun(eta["knots"], eta["values"], eta["slope"],
-                                            eta["tags"]))
+            # read by the number rule, then checked by the constructor as the fit was
+            eta = manifest["fitted_eta"]
+            fitted = GrowthMargin(ScalarFun(_numbers("knots", eta["knots"]),
+                                            _numbers("values", eta["values"]),
+                                            _number("slope", eta["slope"]), eta["tags"]))
     except (OSError, KeyError, TypeError, ValueError, AttributeError, IndexError):
         return None
     return fitted, l_table, table
@@ -333,8 +336,8 @@ def _build_pipeline(cfg: dict, bundle: ex.ExampleBundle, stored_in: Path | None 
     margin = (stored and stored[0]) or _margin(bundle, cfg)  # a stored fit is not refitted
     # one seed: the disturbances of U_q draw from the seed stamped on the artifacts
     lyap_cfg = _block(cfg, "lyapunov", lambda sub: LyapunovConfig(**sub, seed=cfg["seed"]))
-    radii = _array(cfg, "radii", np.linspace(0.0, 2.0, 21))
-    if radii.ndim != 1 or radii.size == 0 or not np.all(radii >= 0):
+    radii = _array(cfg, "radii", np.linspace(0.0, 2.0, 21), ge=0)
+    if radii.ndim != 1 or radii.size == 0:
         raise ConfigError(f"radii must be a non-empty list of finite numbers >= 0, got {radii}")
     if stored is not None:
         return margin, lyap_cfg, *stored[1:]

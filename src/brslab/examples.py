@@ -91,9 +91,11 @@ def _make_sigma1(params: dict) -> ExampleBundle:
 
 
 def _make_linear(params: dict) -> ExampleBundle:
-    A = _numbers("A", params.get("A", [[0.0]]))
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
-        raise ValueError(f"A must be a non-empty square matrix, got shape {A.shape}")
+    # SystemDef reads A's entries and shape as its linear_part; A.ndim is
+    # checked here only because A.shape[0] sets the state dimension and B's default
+    A = np.asarray(params.get("A", [[0.0]]))
+    if A.ndim != 2:
+        raise ValueError(f"A must be a square matrix, got shape {A.shape}")
     B = _numbers("B", params.get("B", np.eye(A.shape[0])))
     if B.ndim != 2 or B.shape[0] != A.shape[0] or B.shape[1] == 0:
         raise ValueError(

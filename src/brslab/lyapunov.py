@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compfun import ScalarFun, chi_from_eta, gk_eval, theta
+from .compfun import ScalarFun, gk_eval, theta
 from .sysdyn import InputSignal, IntegratorConfig, SystemDef, _number, _numbers, _sample_ensemble
 from .tdinput import GrowthMargin, closed_loop, disturbance_family
 from .brscheck import NotRfcTdiError, probe_lipschitz_tdi
@@ -350,9 +350,9 @@ class GrowthReport:
 
 
 def _premise(margin: GrowthMargin, x: np.ndarray, u_value: np.ndarray) -> tuple:
-    """The growth premise chi(||u||) <= ||x|| of one pair, chi = eta^{-1}(2 s):
-    its two sides, and whether it holds."""
-    lhs = float(chi_from_eta(margin.eta)(np.linalg.norm(u_value)))
+    """The growth premise chi(||u||) <= ||x|| of one pair, with the margin's
+    chi = eta^{-1}(2 s): its two sides, and whether it holds."""
+    lhs = float(margin.chi(np.linalg.norm(u_value)))
     rhs = float(np.linalg.norm(x))
     return lhs, rhs, lhs <= rhs
 
@@ -387,6 +387,10 @@ def verify_growth(
     if (u_value.ndim < 2) != one or len(X) != len(U):
         raise ValueError(f"x and u_value must hold as many pairs, got shapes"
                          f" {x.shape} and {u_value.shape}")
+    # before the premise: a vacuous pair of the wrong width is still wrong
+    if X.shape[1:] != (sys.state_dim,) or U.shape[1:] != (sys.input_dim,):
+        raise ValueError(f"x and u_value must have widths {sys.state_dim} and"
+                         f" {sys.input_dim}, got shapes {x.shape} and {u_value.shape}")
     reports = []
     for xk, uk in zip(X, U):
         lhs, rhs, holds = _premise(margin, xk, uk)

@@ -124,10 +124,13 @@ class InputSignal:
 class SystemDef:
     """Right-hand side x' = linear_part @ x + rhs(x, u).
 
-    `rhs` maps an (n,) state and (m,) input to (n,), and is row-wise: (N, n)
-    states with (N, m) inputs give the (N, n) derivatives of the N rows.
-    `==` and `hash` go by identity.  A right-hand side that is not finite
-    where a solve starts is a StepSizeError, read once there.
+    `state_dim` and `input_dim` are integers >= 1 and `linear_part`, if
+    given, a finite (state_dim, state_dim) matrix, stored as a float array;
+    anything else is a ValueError that names the field.  `rhs` maps an (n,)
+    state and (m,) input to (n,), and is row-wise: (N, n) states with (N, m)
+    inputs give the (N, n) derivatives of the N rows.  `==` and `hash` go by
+    identity.  A right-hand side that is not finite where a solve starts is
+    a StepSizeError, read once there.
     """
 
     state_dim: int
@@ -137,10 +140,29 @@ class SystemDef:
     name: str = ""
     lipschitz_hint: Callable[[float], float] | None = None
 
-    def full_rhs(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        dx = np.atleast_1d(np.asarray(self.rhs(x, u), dtype=float))
+    def __post_init__(self):
+        n = _number("state_dim", self.state_dim, int, ge=1)
+        object.__setattr__(self, "state_dim", n)
+        object.__setattr__(self, "input_dim", _number("input_dim", self.input_dim, int, ge=1))
         if self.linear_part is not None:
-            dx = dx + self.linear_part @ x
+            A = _numbers("linear_part", self.linear_part)
+            if A.shape != (n, n):
+                raise ValueError(f"linear_part must be a ({n}, {n}) matrix, got shape {A.shape}")
+            object.__setattr__(self, "linear_part", A)
+
+    def full_rhs(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """x' at one state x, shape (n,), under u, shape (m,), or at a stack
+        of states, shape (K, n), under inputs of shape (K, m): the one
+        evaluator of the vector field, for `integrate` and the sampler alike.
+        An `rhs` whose result is not shaped as x is a ValueError."""
+        dx = np.asarray(self.rhs(x, u), dtype=float)
+        if dx.shape != x.shape:
+            raise ValueError(
+                f"rhs of system {self.name!r} returned shape {dx.shape} for states"
+                f" {x.shape} and inputs {np.shape(u)}; it must be row-wise"
+            )
+        if self.linear_part is not None:
+            dx = dx + x @ self.linear_part.T
         return dx
 
 
@@ -314,10 +336,10 @@ def integrate(
     over [a, b] reads u on [a, b), at b its left limit.  `times` and
     `states` are the solver's own steps; read any other time through
     `state_at`.  On blow-up the trajectory ends at the threshold-crossing
-    time.  An `x0` or an input whose dimension does not match `sys` is a
-    ValueError.  A right-hand side that is not finite where a solve starts,
-    at x0 or a breakpoint, or that turns NaN inside a solve, is a
-    StepSizeError.
+    time.  An `x0` or an input whose dimension does not match `sys`, or an
+    `rhs` that is not row-wise (`SystemDef.full_rhs`), is a ValueError.  A
+    right-hand side that is not finite where a solve starts, at x0 or a
+    breakpoint, or that turns NaN inside a solve, is a StepSizeError.
 
     Every pipeline stage reads its states from the ensemble sampler;
     `integrate` serves only the paths that need the solver's own steps or a
@@ -456,8 +478,7 @@ def _sample_ensemble(
     but the samples grows with the grid.  Returns the samples, shape
     (T, N, n) for T the longest grid's length (NaN after the end of a
     shorter one), and each row's crossing time, shape (N,) (inf if it did
-    not cross).  `sys.rhs` must be row-wise: (K, n) states with (K, m)
-    inputs give (K, n) derivatives.
+    not cross).  The live rows' derivatives are one `sys.full_rhs` call.
     """
     X0 = np.asarray(X0, dtype=float)
     N, n = X0.shape
@@ -479,7 +500,6 @@ def _sample_ensemble(
     ends = np.empty(N)
     for g, rows in groups:
         ends[rows] = g[-1]
-    A = sys.linear_part
     # all rows' input values in one table: row i's start at first[i] and
     # advance by one at each of its breakpoints
     values = np.vstack([u._all_values() for u in inputs])
@@ -491,15 +511,7 @@ def _sample_ensemble(
         U = values[first + np.bincount(switch_row[switch_at <= a], minlength=N)][live]
 
         def f(t, y):
-            Y = y.reshape(N, n)[live]
-            dY = np.asarray(sys.rhs(Y, U))
-            if dY.shape != Y.shape:
-                raise ValueError(
-                    f"rhs of system {sys.name!r} returned shape {dY.shape} for states"
-                    f" {Y.shape} and inputs {U.shape}; it must be row-wise"
-                )
-            if A is not None:
-                dY = dY + Y @ A.T
+            dY = sys.full_rhs(y.reshape(N, n)[live], U)
             if isinstance(live, slice):
                 return dY.ravel()
             full = np.zeros((N, n))  # frozen rows stay where they are
@@ -541,7 +553,7 @@ def _sample_ensemble(
         held.append(Y)
         emitted += Y.shape[1]
 
-    solver = _solver(A, ends.max(), N)
+    solver = _solver(sys.linear_part, ends.max(), N)
 
     def solve(fun, a, b, y, event, **tol):
         t_eval = np.append(union[emitted : np.searchsorted(union, b)], b)

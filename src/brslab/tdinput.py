@@ -10,11 +10,11 @@ reads the input off the trajectory, projection divides the input back out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compfun import ScalarFun
+from .compfun import ScalarFun, chi_from_eta
 from .sysdyn import (InputSignal, IntegratorConfig, SystemDef, Trajectory, _number, _time_grid,
                      integrate)
 
@@ -72,13 +72,17 @@ def _random_steps(rng: np.random.Generator, dim: int, tau: float, n_switch: int)
 
 @dataclass(frozen=True)
 class GrowthMargin:
-    """K-inf, unit-Lipschitz gauge bounding admissible input norms."""
+    """K-inf, unit-Lipschitz gauge bounding admissible input norms, with
+    the premise gauge chi = eta^{-1}(2 s) of the growth check derived once,
+    when the margin is built.  `==` and `hash` go by eta."""
 
     eta: ScalarFun
+    chi: ScalarFun = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not {"Kinf", "Lip1"} <= self.eta.tags:
             raise ValueError("growth margin must be tagged Kinf and Lip1")
+        object.__setattr__(self, "chi", chi_from_eta(self.eta))
 
     def __call__(self, s):
         return self.eta(s)

@@ -517,6 +517,23 @@ class TestLyapunov:
         assert rep["sandwich_ok"]
         assert len(rep["growth_reports"]) == 2
 
+    def test_verify_builds_no_chi_beyond_the_margins_own(self, tmp_path, monkeypatch):
+        # the premise of every draw and every growth pair reads the margin's
+        # chi; each used to build its own, one inverse of eta apiece
+        import brslab.compfun as compfun
+
+        inverted = []
+
+        def counted(f, _fn=compfun.inverse):
+            inverted.append(f)
+            return _fn(f)
+
+        monkeypatch.setattr(compfun, "inverse", counted)
+        cfg = self.lyap_cfg(tmp_path)
+        assert main(["lyapunov", "verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        # one margin, sigma1's, built with the bundle: one chi
+        assert len(inverted) == 1 and inverted[0].knots.size == 181
+
     def verify_witness(self, tmp_path, capsys):
         """The stamped witness of a `lyapunov verify` that exits 1 into a fresh --out."""
         cfg = self.lyap_cfg(tmp_path)
@@ -682,6 +699,29 @@ class TestVerifyReusesBuild:
         path = out / "lyapunov_manifest.json"
         manifest = json.loads(path.read_text())
         manifest["fitted_eta"]["values"][-1] = math.nan
+        path.write_text(json.dumps(manifest))
+        del fits[:], table_calls[:]
+        assert self.verify_bytes(cfg, out) == fresh
+        assert len(fits) == 1
+        assert table_calls == ["build_l_table", "radial_table"]
+
+    @pytest.mark.parametrize("key, value", [("knots", False), ("values", False),
+                                            ("slope", True), ("knots", "0")])
+    def test_from_fit_non_number_in_stored_margin_refits(self, tmp_path, fits, table_calls,
+                                                         key, value):
+        # ScalarFun reads a bool as 0 or 1 and parses a numeric string: each
+        # of these built a margin in the place of a fit
+        cfg = self.from_fit_cfg(tmp_path)
+        fresh = self.verify_bytes(cfg, tmp_path / "fresh")
+        out = tmp_path / "out"
+        assert main(["lyapunov", "build", "--config", cfg, "--out", str(out)]) == 0
+        path = out / "lyapunov_manifest.json"
+        manifest = json.loads(path.read_text())
+        eta = manifest["fitted_eta"]
+        if key == "slope":
+            eta[key] = value
+        else:  # the first knot and value are 0, which False and "0" read as
+            eta[key][0] = value
         path.write_text(json.dumps(manifest))
         del fits[:], table_calls[:]
         assert self.verify_bytes(cfg, out) == fresh

@@ -451,6 +451,19 @@ class TestVerifyGrowth:
                              unit_table(14, 0.0))
         assert calls == {"ensemble": 0}
 
+    @pytest.mark.parametrize("x, u", [
+        # each returned a vacuous report: the premise reads only the norms
+        ([[0.01, 0.01, 0.01]], [[1.0]]),
+        ([[0.01]], [[1.0, 2.0]]),
+        ([0.01, 0.01], [1.0]),
+    ])
+    def test_wrong_width_is_rejected_up_front(self, sigma1, x, u, monkeypatch):
+        calls = count_calls(monkeypatch)
+        with pytest.raises(ValueError, match=r"^x and u_value must have widths 1 and 1"):
+            bl.verify_growth(sigma1.system, sigma1.margin, x, u, bl.LyapunovConfig(seed=1),
+                             unit_table(14, 0.0))
+        assert calls == {"ensemble": 0}
+
     def test_vacuous_pairs_make_no_rows(self, sigma1, monkeypatch):
         windows = []
         sample = lyapunov._sample_ensemble

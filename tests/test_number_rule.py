@@ -32,6 +32,12 @@ def rfc(s, c=0.0, C=1.0, n=2):
     return bl.verify_rfc_tdi(*sig(s), s.margin.eta, c, C, 0.5, n, 3)
 
 
+def decay(state_dim=1, input_dim=1, linear_part=None):
+    """integrate x' = linear_part x - x from (0.5, ...) on the system with these fields."""
+    sys_ = bl.SystemDef(state_dim, input_dim, lambda x, u: -x, linear_part=linear_part)
+    return bl.integrate(sys_, np.full(int(state_dim), 0.5), bl.InputSignal.constant([0.0]), 1.0)
+
+
 # (argument named in the message, call on (sigma1, a Q = 14 unit table))
 REJECTED = {
     # returned 2.0
@@ -69,6 +75,15 @@ REJECTED = {
         "x", lambda s, t: bl.verify_growth(*sig(s), [NAN], [0.1], bl.LyapunovConfig(), t)),
     "verify_growth_nan_u": (
         "u_value", lambda s, t: bl.verify_growth(*sig(s), [0.5], [NAN], bl.LyapunovConfig(), t)),
+    # integrated as one state and one input
+    "system_bool_state_dim": ("state_dim", lambda s, t: decay(True)),
+    "system_bool_input_dim": ("input_dim", lambda s, t: decay(2, True)),
+    # an x0 shape error that expected (1.5,)
+    "system_fractional_state_dim": ("state_dim", lambda s, t: decay(1.5)),
+    # a LinAlgError from the solver choice
+    "system_nan_linear_part": ("linear_part", lambda s, t: decay(2, 1, [[NAN, 0.0], [0.0, 1.0]])),
+    # numpy's matmul error inside the first solve
+    "system_wrong_shape_linear_part": ("linear_part", lambda s, t: decay(2, 1, np.eye(3))),
     # hung in the solver
     "integrate_nan_input": (
         "tail_value",

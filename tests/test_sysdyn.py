@@ -737,6 +737,67 @@ def test_only_the_dense_paths_name_integrate():
     assert "sysdyn.py" in users
 
 
+def _evaluates_the_field(node) -> bool:
+    """node calls `rhs`, or multiplies by a matrix (by `@`, `dot` or
+    `matmul`) or by anything it reads from `linear_part`."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+        return True
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name == "rhs":
+            return True
+        if name not in ("dot", "matmul"):
+            return False
+    elif not isinstance(node, ast.BinOp):
+        return False
+    return any(getattr(n, "attr", None) == "linear_part" for n in ast.walk(node))
+
+
+def test_only_full_rhs_evaluates_the_vector_field():
+    # one evaluator of x' = A x + rhs(x, u), which integrate and the
+    # sampler both call: a second one could disagree with it on a
+    # malformed rhs, as the sampler's own shape check once did
+    tree = ast.parse(Path(sysdyn.__file__).read_text())
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    inside = {id(node) for node in ast.walk(functions["full_rhs"])}
+    found = [node for node in ast.walk(tree) if _evaluates_the_field(node)]
+    assert found and all(id(node) in inside for node in found)
+    for caller in ("integrate", "_sample_ensemble"):
+        assert any(getattr(node, "attr", None) == "full_rhs"
+                   for node in ast.walk(functions[caller])), caller
+
+
+def _summed(x, u):
+    """-(x_1 + x_2), one number per state, where each coordinate needs one."""
+    return np.atleast_1d(-x.sum(axis=-1))
+
+
+NOT_ROW_WISE = bl.SystemDef(2, 1, _summed, name="summed")
+HALF = bl.make("linear").margin  # eta(s) = s / 2
+ZERO = bl.InputSignal.constant([0.0])
+
+
+@pytest.mark.parametrize("path, name, shapes", [
+    # integrate broadcast the (1,) result over both coordinates and returned
+    # a wrong trajectory
+    ("integrate", "summed", r"\(1,\) for states \(2,\) and inputs \(1,\)"),
+    ("sampler", "summed", r"\(2,\) for states \(2, 2\) and inputs \(2, 1\)"),
+    ("lift_disturbance", "summed:eta-loop", r"\(1,\) for states \(2,\) and inputs \(1,\)"),
+], ids=["integrate", "sampler", "lift_disturbance"])
+def test_rhs_that_is_not_row_wise_is_one_error_on_every_path(path, name, shapes):
+    with pytest.raises(ValueError, match=rf"^rhs of system '{name}' returned shape {shapes};"
+                                         " it must be row-wise$") as exc:
+        if path == "integrate":
+            bl.integrate(NOT_ROW_WISE, [1.0, 0.0], ZERO, 1.0)
+        elif path == "sampler":
+            _sample_ensemble(NOT_ROW_WISE, [[1.0, 0.0], [0.0, 1.0]], [ZERO, ZERO],
+                             one_group(np.linspace(0.0, 1.0, 3), 2), bl.IntegratorConfig())
+        else:
+            d = bl.DisturbanceSignal.constant([1.0])
+            bl.lift_disturbance(NOT_ROW_WISE, HALF, [1.0, 0.0], d, 1.0)
+    assert type(exc.value) is ValueError
+
+
 # A right-hand side that is NaN everywhere, run through integrate, the
 # sampler (by sample_reach) and `brslab simulate`.  scipy's first-step
 # selection loops without end on a NaN slope, so each runs in a child
