@@ -12,8 +12,13 @@ grid its consumer needs: the sampler steps the solver itself and writes
 each step's grid states out as the step is taken, as solve_ivp's `t_eval`
 does inside without holding them to the end.  One rule ends each of its
 rows: a row freezes at the end of its grid or at its blow-up, whichever
-comes first, and the rest go on.  sysdyn is the one module that imports
-scipy.integrate.
+comes first, and the rest go on.  `integrate` steps through the same loop
+and keeps every step.
+
+RK45 is sysdyn's own port of scipy's, so importing sysdyn loads no part of
+scipy; a path imports what it needs of scipy when it runs: BDF and sparse
+matrices for a stiff solve, brentq at a blow-up crossing, OdeSolution when
+`integrate` returns its dense solution, expm in `semigroup_growth`.
 """
 
 from __future__ import annotations
@@ -21,16 +26,14 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
+import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.integrate import BDF, RK45, OdeSolution, solve_ivp
-from scipy.integrate._ivp.base import ConstantDenseOutput
-from scipy.integrate._ivp.rk import RkDenseOutput
-from scipy.linalg import expm
-from scipy.optimize import brentq
+
+if TYPE_CHECKING:
+    from scipy.integrate import OdeSolution
 
 __all__ = [
     "InputSignal",
@@ -38,6 +41,8 @@ __all__ = [
     "Trajectory",
     "IntegratorConfig",
     "StepSizeError",
+    "RK45",
+    "RkDenseOutput",
     "integrate",
     "semigroup_growth",
 ]
@@ -68,7 +73,16 @@ def _number(name: str, value, kind=float, *, ge=None, gt=None):
 
 def _numbers(name: str, value, *, ge=None, gt=None) -> np.ndarray:
     """value, a number or a nested list or array of them, as a float array,
-    each entry a number by `_number` with the bounds ge and gt."""
+    each entry a number by `_number` with the bounds ge and gt.  A real float
+    array is read in one vectorised pass, and its first entry out of bounds
+    goes to `_number` as a float, which names it as an entry-by-entry read
+    does."""
+    if isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.itemsize <= 8:
+        a = np.asarray(value, dtype=float)
+        bad = np.flatnonzero(~(np.isfinite(a) & (ge is None or a >= ge) & (gt is None or a > gt)))
+        if bad.size:
+            _number(name, a.flat[bad[0]].item(), ge=ge, gt=gt)
+        return a
     for v in np.asarray(value, dtype=object).flat:
         _number(name, v, ge=ge, gt=gt)
     return np.asarray(value, dtype=float)
@@ -216,7 +230,7 @@ class Trajectory:
         step = steps[min(max(self._find(ts, t) - 1, 0), len(steps) - 1)]
         if type(step) is not RkDenseOutput:  # BDF's and the constant one
             return step(t)
-        # RkDenseOutput._call_impl on a 0-d t: the powers x, x^2, ... by
+        # RkDenseOutput.__call__ on a 0-d t: the powers x, x^2, ... by
         # repeated multiplication, as np.cumprod builds them
         x = (t - step.t_old) / step.h
         p = [x]
@@ -224,6 +238,192 @@ class Trajectory:
             p.append(p[-1] * x)
         y = step.h * np.dot(step.Q, p)
         y += step.y_old
+        return y
+
+
+class RK45:
+    """Explicit Runge-Kutta 5(4) stepper, the Dormand-Prince pair (Dormand &
+    Prince, J. Comput. Appl. Math. 6, 1980) with the step control of Hairer,
+    Norsett & Wanner, Solving ODEs I, sec. II.4, and Shampine's quartic
+    dense output: scipy 1.17's scipy.integrate.RK45, ported expression for
+    expression for a forward solve (t_bound >= t0), so it takes the same
+    steps to the bit.
+
+    fun(t, y) returns the slope at y as a float array of y's shape.  step()
+    takes one step; dense_output() is the interpolant over the last one.
+    `t`, `y`, `t_old`, `h_abs` (the next step's size) and `status`
+    ('running', 'finished' or 'failed') read as scipy's.  The stepper holds
+    no reference to itself, so a finished one is freed at once, not by the
+    cyclic collector.
+    """
+
+    C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+    A = np.array([
+        [0, 0, 0, 0, 0],
+        [1/5, 0, 0, 0, 0],
+        [3/40, 9/40, 0, 0, 0],
+        [44/45, -56/15, 32/9, 0, 0],
+        [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+        [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
+    ])
+    B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+    E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+    P = np.array([
+        [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+        [0, 0, 0, 0],
+        [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+        [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+        [0, 127303824393/49829197408, -318862633887/49829197408,
+         701980252875 / 199316789632],
+        [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+        [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+    ERROR_EXPONENT = -1 / (4 + 1)  # the embedded estimate is of order 4
+    SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
+
+    def __init__(self, fun, t0, y0, t_bound, rtol=1e-3, atol=1e-6):
+        y0 = np.asarray(y0).astype(float, copy=False)
+        if y0.ndim != 1:
+            raise ValueError("`y0` must be 1-dimensional.")
+        if not np.isfinite(y0).all():
+            raise ValueError("All components of the initial state `y0` must be finite.")
+        if t_bound < t0:
+            raise ValueError("RK45 steps forward only: t_bound < t0")
+        eps100 = 100 * np.finfo(float).eps
+        if np.any(rtol < eps100):
+            warnings.warn("At least one element of `rtol` is too small. Setting"
+                          f" `rtol = np.maximum(rtol, {eps100})`.", stacklevel=2)
+            rtol = np.maximum(rtol, eps100)
+        self.fun, self.t, self.y, self.t_bound = fun, t0, y0, t_bound
+        self.rtol, self.atol = rtol, atol
+        self.t_old = self.y_old = None
+        self.status = "running"
+        self.f = fun(t0, y0)
+        self.h_abs = self._initial_step()
+        self.K = np.empty((7, y0.size))
+
+    def _initial_step(self) -> float:
+        """scipy's select_initial_step (Hairer, Norsett & Wanner, sec. II.4)."""
+        fun, t0, y0, f0 = self.fun, self.t, self.y, self.f
+        interval_length = abs(self.t_bound - t0)
+        if interval_length == 0.0:
+            return 0.0
+        scale = self.atol + np.abs(y0) * self.rtol
+        d0 = _rms(y0 / scale)
+        d1 = _rms(f0 / scale)
+        if d0 < 1e-5 or d1 < 1e-5:
+            h0 = 1e-6
+        else:
+            h0 = 0.01 * d0 / d1
+        h0 = min(h0, interval_length)
+        y1 = y0 + h0 * f0
+        f1 = fun(t0 + h0, y1)
+        d2 = _rms((f1 - f0) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        return min(100 * h0, h1, interval_length)
+
+    def step(self):
+        """One step; returns None, or the message of a failed step."""
+        if self.status != "running":
+            raise RuntimeError("Attempt to step on a failed or finished solver.")
+        t = self.t
+        if t == self.t_bound:  # nothing to integrate
+            self.t_old, self.t, self.status = t, self.t_bound, "finished"
+            return None
+        message = self._step_impl()
+        if message is not None:
+            self.status = "failed"
+        else:
+            self.t_old = t
+            if self.t - self.t_bound >= 0:
+                self.status = "finished"
+        return message
+
+    def _step_impl(self):
+        t, y, fun, K = self.t, self.y, self.fun, self.K
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = min_step if self.h_abs < min_step else self.h_abs
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                return "Required step size is less than spacing between numbers."
+            t_new = t + h_abs
+            if t_new - self.t_bound > 0:
+                t_new = self.t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+            # scipy's rk_step
+            K[0] = self.f
+            for s, (a, c) in enumerate(zip(self.A[1:], self.C[1:]), start=1):
+                dy = np.dot(K[:s].T, a[:s]) * h
+                K[s] = fun(t + c * h, y + dy)
+            y_new = y + h * np.dot(K[:-1].T, self.B)
+            f_new = fun(t + h, y_new)
+            K[-1] = f_new
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            error_norm = _rms(np.dot(K.T, self.E) * h / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = self.MAX_FACTOR
+                else:
+                    factor = min(self.MAX_FACTOR,
+                                 self.SAFETY * error_norm ** self.ERROR_EXPONENT)
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(self.MIN_FACTOR, self.SAFETY * error_norm ** self.ERROR_EXPONENT)
+            step_rejected = True
+        self.y_old, self.t, self.y, self.h_abs, self.f = y, t_new, y_new, h_abs, f_new
+        return None
+
+    def dense_output(self):
+        """The interpolant over the last step."""
+        if self.t_old is None:
+            raise RuntimeError("Dense output is available after a successful step was made.")
+        if self.t == self.t_old:  # the zero-length span
+            from scipy.integrate._ivp.base import ConstantDenseOutput
+
+            return ConstantDenseOutput(self.t_old, self.t, self.y)
+        return RkDenseOutput(self.t_old, self.t, self.y_old, self.K.T.dot(self.P))
+
+
+def _rms(x) -> float:
+    """scipy's RK error norm, np.linalg.norm(x) / sqrt(x.size), by the same
+    arithmetic without its dispatch."""
+    return np.sqrt(x.dot(x)) / x.size ** 0.5
+
+
+class RkDenseOutput:
+    """scipy's RkDenseOutput: the quartic interpolant over one RK45 step from
+    t_old to t, read at a time, shape (n,), or at an array of times, shape
+    (n, T)."""
+
+    def __init__(self, t_old, t, y_old, Q):
+        self.t_old, self.t = t_old, t
+        self.h = t - t_old
+        self.Q = Q
+        self.order = Q.shape[1] - 1
+        self.y_old = y_old
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        if t.ndim > 1:
+            raise ValueError("`t` must be a float or a 1-D array.")
+        x = (t - self.t_old) / self.h
+        if t.ndim == 0:
+            p = np.tile(x, self.order + 1)
+            p = np.cumprod(p)
+        else:
+            p = np.tile(x, (self.order + 1, 1))
+            p = np.cumprod(p, axis=0)
+        y = self.h * np.dot(self.Q, p)
+        if y.ndim == 2:
+            y += self.y_old[:, None]
+        else:
+            y += self.y_old
         return y
 
 
@@ -243,12 +443,15 @@ def _solver(A, span: float, rows: int) -> dict:
     """The solver class and its options for `rows` stacked states of a system
     with linear part A (None if it has none) integrated over `span`.
 
-    RK45 unless rho(A) * span reaches _STIFF_RHO_SPAN; then BDF with the
-    constant Newton matrix A, kron(I_rows, A) for a stack.  The rest of the
-    right-hand side is taken as non-stiff, so its derivative is left out.
+    RK45 unless rho(A) * span reaches _STIFF_RHO_SPAN; then scipy's BDF with
+    the constant Newton matrix A, kron(I_rows, A) for a stack.  The rest of
+    the right-hand side is taken as non-stiff, so its derivative is left out.
     """
     if A is None or np.abs(np.linalg.eigvals(A)).max() * span < _STIFF_RHO_SPAN:
         return {"method": RK45}
+    from scipy import sparse
+    from scipy.integrate import BDF
+
     jac = A if rows == 1 else sparse.kron(sparse.identity(rows), A, format="csc")
     return {"method": BDF, "jac": jac}
 
@@ -309,7 +512,7 @@ def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, solve):
                 return y, t_cross
             sel = slice(None) if live.all() else live  # read by blowup_event
             fun = f_at(a, b, sel)
-            # scipy's first-step selection loops without end on a NaN slope
+            # the first-step selection loops without end on a NaN slope
             f0 = fun(float(a), y)
             if not np.isfinite(f0).all():
                 raise StepSizeError(f"integrator failed on [{float(a)}, {float(b)}]:"
@@ -358,29 +561,33 @@ def integrate(
         last = np.nextafter(b, a)
         return lambda t, y: sys.full_rhs(y, u.eval(min(t, last)))
 
-    times = [np.zeros(1)]
-    states = [x0[None, :]]
-    steps = []  # one dense-output interpolant per solver step
-    solver = _solver(sys.linear_part, tau, 1)
+    times, states, steps = [0.0], [x0], []  # one interpolant per solver step
+    options = _solver(sys.linear_part, tau, 1)
 
     def solve(fun, a, b, y, event, **tol):
-        sol = solve_ivp(fun, (a, b), y, events=event, dense_output=True, **solver, **tol)
-        if sol.status == -1:
-            raise StepSizeError(f"integrator failed on [{a}, {b}]: {sol.message}")
-        times.append(sol.t[1:])
-        states.append(sol.y[:, 1:].T)
-        steps.extend(sol.sol.interpolants)
-        if sol.status == 1:
-            return float(sol.t_events[0][0]), sol.y_events[0][0], True
-        return b, sol.y[:, -1], False
+        first = len(times)
+
+        def keep(solver, t, y, sol):
+            # as solve_ivp keeps its steps: not one that ends where the
+            # solve's last kept step did (a crossing at the step's start)
+            if len(times) == first or times[-1] != t:
+                times.append(t)
+                states.append(y)
+                steps.append(solver.dense_output() if sol is None else sol)
+
+        return _stream(fun, a, b, y, event, keep, **options, **tol)
 
     _, t_cross = _run(f_at, x0, _segment_edges(u.breakpoints, tau), cfg, [tau], solve)
     t_max = float(t_cross[0])
 
-    times = np.concatenate(times)
+    from scipy.integrate import OdeSolution
+
     if not steps:  # a run that ends where it starts holds x0
-        return Trajectory(times, states[0], t_max, True,
+        from scipy.integrate._ivp.base import ConstantDenseOutput
+
+        return Trajectory(np.zeros(1), x0[None, :], t_max, True,
                           OdeSolution([0.0, 0.0], [ConstantDenseOutput(0.0, 0.0, x0)]))
+    times = np.array(times)
     # as solve_ivp does: at a step time, BDF output is read from the step
     # that starts there, RK45 output from the step that ends there
     return Trajectory(
@@ -388,52 +595,44 @@ def integrate(
         states=np.vstack(states),
         t_max_estimate=t_max,
         blew_up=t_max < math.inf,
-        dense=OdeSolution(times, steps, alt_segment=issubclass(solver["method"], BDF)),
+        dense=OdeSolution(times, steps, alt_segment=not issubclass(options["method"], RK45)),
     )
 
 
 _ROOT_TOL = 4.0 * np.finfo(float).eps  # solve_ivp's tolerance on an event's root
 
 
-def _stream(fun, a: float, b: float, y, event, t_eval, emit, method, **options):
-    """One solve over [a, b] that hands each step's states at the times of
-    `t_eval` to emit(Y), shape (len(y), K), as the step is taken, as
-    solve_ivp does inside for its `t_eval`, with the same bits, but without
-    holding them to the end.  t_eval increases, lies in [a, b] and ends at
-    b, whose state is returned and not emitted.
+def _stream(fun, a: float, b: float, y, event, on_step, method, **options):
+    """One solve over [a, b] by `method` that calls on_step(solver, t, y, sol)
+    after each step, as solve_ivp's loop reads its outputs there: t and y
+    are the step's end and the state there, and sol the step's interpolant
+    if it was built, else None (solver.dense_output() builds it).
 
-    Returns (t, y, crossed): b and the state the last step's interpolant
-    reads there, or, when `event` rises through zero across a step, its
-    root on the step's interpolant and the state there (solve_ivp's
-    terminal event).
+    Returns the last step's (t, y, crossed): b and the solver's state there,
+    or, when `event` rises through zero across a step, its root on the
+    step's interpolant and the state read there (solve_ivp's terminal
+    event).
     """
     solver = method(fun, a, y, b, **options)
-    last = len(t_eval) - 1  # b's index
-    g, i = event(a, y), 0
+    g = event(a, y)
     while True:
         message = solver.step()
         if solver.status == "failed":
             raise StepSizeError(f"integrator failed on [{a}, {b}]: {message}")
-        t, sol = solver.t, None
-        g_new = event(t, solver.y)
+        t, y, sol = solver.t, solver.y, None
+        g_new = event(t, y)
         crossed = g <= 0.0 <= g_new
         if crossed:
+            from scipy.optimize import brentq
+
             sol = solver.dense_output()
             t = brentq(lambda s: event(s, sol(s)), solver.t_old, t,
                        xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+            y = sol(t)
         g = g_new
-        j = int(np.searchsorted(t_eval, t, side="right"))
-        if j > i:
-            if sol is None:
-                sol = solver.dense_output()
-            Y = sol(t_eval[i:j])
-            if i < last:
-                emit(Y[:, : min(j, last) - i])
-            i = j
-        if crossed:
-            return t, sol(t), True
-        if solver.status == "finished":
-            return b, Y[:, -1].copy(), False
+        on_step(solver, t, y, sol)
+        if crossed or solver.status == "finished":
+            return t, y, crossed
 
 
 # State values the sampler holds before it scatters them into the samples:
@@ -553,11 +752,25 @@ def _sample_ensemble(
         held.append(Y)
         emitted += Y.shape[1]
 
-    solver = _solver(sys.linear_part, ends.max(), N)
+    options = _solver(sys.linear_part, ends.max(), N)
 
     def solve(fun, a, b, y, event, **tol):
+        # the union times in [a, b], and b, whose state ends the solve
         t_eval = np.append(union[emitted : np.searchsorted(union, b)], b)
-        return _stream(fun, a, b, y, event, t_eval, emit, **solver, **tol)
+        last = len(t_eval) - 1
+        read = [0, None]  # t_eval entries read so far, and the last one's state
+
+        def emit_step(solver, t, y, sol):
+            i, j = read[0], int(np.searchsorted(t_eval, t, side="right"))
+            if j > i:
+                Y = (solver.dense_output() if sol is None else sol)(t_eval[i:j])
+                if i < last:
+                    emit(Y[:, : min(j, last) - i])
+                read[:] = j, Y[:, -1]
+
+        t, y, crossed = _stream(fun, a, b, y, event, emit_step, **options, **tol)
+        # at b, the state the last step's interpolant reads there
+        return t, (y if crossed else read[1].copy()), crossed
 
     edges = _segment_edges(np.concatenate([switch_at, ends]), ends.max())
     end, t_cross = _run(f_at, X0.ravel(), edges, cfg, ends, solve)
@@ -579,6 +792,8 @@ def semigroup_growth(A: np.ndarray, t_cert: float = 10.0) -> tuple[float, float]
     A, t_cert = _numbers("A", A), _number("t_cert", t_cert, gt=0)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A must be a square matrix")
+    from scipy.linalg import expm
+
     lam = float(np.max(np.linalg.eigvals(A).real))
     ts = np.logspace(-3, math.log10(t_cert), 60)
     M = 1.0
@@ -586,3 +801,20 @@ def semigroup_growth(A: np.ndarray, t_cert: float = 10.0) -> tuple[float, float]
         ratio = np.linalg.norm(expm(A * t), ord=2) / math.exp(lam * t)
         M = max(M, float(ratio))
     return M, lam
+
+
+def __getattr__(name):
+    # Served on their first read, so that importing sysdyn loads no
+    # scipy.integrate: OdeSolution, the type of `Trajectory.dense`, and
+    # solve_ivp, which sysdyn no longer calls (`_stream` steps every solve)
+    # but bench/tracer.py wraps to count solver work; solve_ivp goes when
+    # the tracer counts the steps of `_stream` instead (ROADMAP item 6).
+    if name == "OdeSolution":
+        from scipy.integrate import OdeSolution
+
+        return OdeSolution
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -132,6 +132,15 @@ REJECTED = {
     "openloop_nan_seed_no_draw": (
         "seed", lambda s, t: bl.probe_lipschitz_openloop(s.system, 0.5, 1.0, 0, NAN,
                                                          u_fixed=bl.InputSignal.constant([0.0]))),
+    # float arrays, read in one vectorised pass: NaN, inf and a bound
+    "system_nan_linear_part_array": (
+        "linear_part", lambda s, t: decay(2, 1, np.array([[0.0, NAN], [0.0, 1.0]]))),
+    "integrate_inf_state_array": (
+        "x0", lambda s, t: bl.integrate(s.system, np.array([math.inf]),
+                                        bl.InputSignal.constant([0.0]), 1.0)),
+    "radial_table_negative_radius_array": (
+        "radii", lambda s, t: bl.radial_table(*sig(s), np.array([0.5, -1.0]),
+                                              bl.LyapunovConfig(), t)),
 }
 
 
@@ -180,3 +189,40 @@ ACCEPTED = {
 def test_edge_values_accepted(sigma1, case):
     call, same = ACCEPTED[case]
     assert call(sigma1) == same(sigma1)
+
+
+# (entries, bounds): a float array is read in one pass, and the message names
+# its first bad entry as the entry-by-entry read of the same nested list does
+ARRAY_ENTRIES = {
+    "nan": ([0.5, NAN, -1.0], {}),
+    "inf": ([[0.5, 1.0], [-math.inf, NAN]], {}),
+    "ge": ([[0.5, 1.0], [0.0, -1e-300]], {"ge": 0}),
+    "gt": ([1.0, 0.0, -2.0], {"gt": 0}),
+    "float32": (np.array([1.5, -0.25], dtype=np.float32), {"ge": 0}),
+}
+
+
+@pytest.mark.parametrize("case", list(ARRAY_ENTRIES))
+def test_float_array_message_names_the_first_bad_entry(case):
+    entries, bounds = ARRAY_ENTRIES[case]
+    with pytest.raises(ValueError) as by_entry:
+        sysdyn._numbers("v", np.asarray(entries).tolist(), **bounds)
+    with pytest.raises(ValueError) as by_array:
+        sysdyn._numbers("v", np.asarray(entries), **bounds)
+    assert str(by_array.value) == str(by_entry.value)
+    assert str(by_array.value).startswith("v must be ")
+
+
+def test_closed_loop_reads_the_linear_part_in_one_pass(monkeypatch):
+    rd = bl.make("reaction_diffusion", {"n": 64})
+    read = []
+    number = sysdyn._number
+
+    def counted(name, *args, **kwargs):
+        read.append(name)
+        return number(name, *args, **kwargs)
+
+    monkeypatch.setattr(sysdyn, "_number", counted)
+    loop = bl.closed_loop(rd.system, rd.margin)
+    assert read == ["state_dim", "input_dim"]  # no entry of the 64 x 64 matrix
+    assert np.array_equal(loop.linear_part, rd.system.linear_part)
