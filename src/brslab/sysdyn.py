@@ -16,9 +16,10 @@ comes first, and the rest go on.  `integrate` steps through the same loop
 and keeps every step.
 
 RK45 is sysdyn's own port of scipy's, so importing sysdyn loads no part of
-scipy; a path imports what it needs of scipy when it runs: BDF and sparse
-matrices for a stiff solve, brentq at a blow-up crossing, OdeSolution when
-`integrate` returns its dense solution, expm in `semigroup_growth`.
+scipy, and a `Trajectory` holds its solver's interpolants and searches
+them itself; a path imports what it needs of scipy when it runs: BDF and
+sparse matrices for a stiff solve, the only path that loads
+scipy.integrate, brentq at a blow-up crossing, expm in `semigroup_growth`.
 """
 
 from __future__ import annotations
@@ -28,12 +29,9 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from scipy.integrate import OdeSolution
 
 __all__ = [
     "InputSignal",
@@ -194,39 +192,56 @@ class IntegratorConfig:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Solver steps, states, maximal-time estimate, blow-up flag, and the
-    solver's dense output over every step, which reads the state at any
-    time in [0, times[-1]].  `==` and `hash` go by identity."""
+    """Solver steps, states, maximal-time estimate, blow-up flag, and
+    `steps`, the solver's interpolant over each step from times[i] to
+    times[i + 1] (its dense output: Hairer, Norsett & Wanner, Solving ODEs
+    I, sec. II.6), which `state_at` reads.  `==` and `hash` go by identity."""
 
     times: np.ndarray
     states: np.ndarray
     t_max_estimate: float
     blew_up: bool
-    dense: OdeSolution = field(repr=False)
+    steps: tuple = field(repr=False)
 
     def __post_init__(self):
-        # state_at's float path: the step times as floats, and the bisection
-        # on the side OdeSolution searches them ("right" for BDF's alt_segment)
-        object.__setattr__(self, "_ts", self.dense.ts.tolist())
-        object.__setattr__(
-            self, "_find", bisect.bisect_left if self.dense.side == "left" else bisect.bisect_right
-        )
+        # state_at's step search, as solve_ivp reads a step time: RK45 from
+        # the step that ends there, BDF (or a lone constant step) from the next
+        object.__setattr__(self, "_ts", self.times.tolist())
+        object.__setattr__(self, "_find", bisect.bisect_left
+                           if isinstance(self.steps[0], RkDenseOutput) else bisect.bisect_right)
 
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.states, axis=1)
 
     def state_at(self, t) -> np.ndarray:
-        """State at time t, shape (n,), or at an array of times, shape (T, n);
-        times outside [0, times[-1]] read the nearer end.
-
-        A float t (the read of every right-hand-side call of a FeedbackSignal)
-        takes the same step and the same arithmetic as OdeSolution, in Python
-        floats: the same bits without its array dispatch."""
+        """State at time t, shape (n,), or at a 1-D array of times, shape
+        (T, n), with the bits of solve_ivp's dense output over the same steps;
+        times outside [0, times[-1]] read the nearer end, and a time that is
+        not a finite number is a ValueError that names t.  A number (what a
+        FeedbackSignal reads on every right-hand-side call) is read in Python
+        floats, an array sorted and in runs of one step, one call each."""
         if not isinstance(t, float):
-            return self.dense(np.clip(t, 0.0, self.times[-1])).T
+            if np.ndim(t) == 0:
+                return self.state_at(float(_numbers("t", t)))
+            t = _numbers("t", t)
+            if t.ndim != 1:
+                raise ValueError(f"t must be a number or a 1-D array, got shape {t.shape}")
+            order = np.argsort(t)
+            t = np.clip(t[order], 0.0, self.times[-1])
+            side = "left" if self._find is bisect.bisect_left else "right"
+            idx = np.clip(np.searchsorted(self.times, t, side) - 1, 0, len(self.steps) - 1)
+            cut = (np.flatnonzero(idx[1:] != idx[:-1]) + 1).tolist()  # where each run starts
+            out = np.empty((self.states.shape[1], t.size))
+            if t.size:  # one interpolant call per run of one step
+                out[:, order] = np.hstack([self.steps[idx[lo]](t[lo:hi])
+                                           for lo, hi in zip([0, *cut], [*cut, t.size])])
+            return out.T
         ts = self._ts
-        t = min(max(t, 0.0), ts[-1])
-        steps = self.dense.interpolants
+        if not 0.0 <= t <= ts[-1]:  # outside [0, end], or NaN
+            if not math.isfinite(t):
+                _number("t", t)
+            t = 0.0 if t < 0.0 else ts[-1]
+        steps = self.steps
         step = steps[min(max(self._find(ts, t) - 1, 0), len(steps) - 1)]
         if type(step) is not RkDenseOutput:  # BDF's and the constant one
             return step(t)
@@ -384,9 +399,7 @@ class RK45:
         if self.t_old is None:
             raise RuntimeError("Dense output is available after a successful step was made.")
         if self.t == self.t_old:  # the zero-length span
-            from scipy.integrate._ivp.base import ConstantDenseOutput
-
-            return ConstantDenseOutput(self.t_old, self.t, self.y)
+            return _constant(self.y)
         return RkDenseOutput(self.t_old, self.t, self.y_old, self.K.T.dot(self.P))
 
 
@@ -425,6 +438,12 @@ class RkDenseOutput:
         else:
             y += self.y_old
         return y
+
+
+def _constant(y):
+    """The interpolant over a zero-length span: y at a time, shape (n,), or
+    at an array of times, shape (n, T)."""
+    return lambda t: np.repeat(y[:, None], np.size(t), axis=1) if np.ndim(t) else y.copy()
 
 
 def _segment_edges(breakpoints, tau: float) -> np.ndarray:
@@ -498,8 +517,6 @@ def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, solve):
     def blowup_event(t, y):
         return scaled_norms(y)[sel].max() - 1.0
 
-    blowup_event.terminal = True
-    blowup_event.direction = 1.0
     scale = math.sqrt(rows)
     y, a = y0, edges[0]
     # the upward event never fires for a row that starts above the threshold
@@ -579,24 +596,9 @@ def integrate(
 
     _, t_cross = _run(f_at, x0, _segment_edges(u.breakpoints, tau), cfg, [tau], solve)
     t_max = float(t_cross[0])
-
-    from scipy.integrate import OdeSolution
-
     if not steps:  # a run that ends where it starts holds x0
-        from scipy.integrate._ivp.base import ConstantDenseOutput
-
-        return Trajectory(np.zeros(1), x0[None, :], t_max, True,
-                          OdeSolution([0.0, 0.0], [ConstantDenseOutput(0.0, 0.0, x0)]))
-    times = np.array(times)
-    # as solve_ivp does: at a step time, BDF output is read from the step
-    # that starts there, RK45 output from the step that ends there
-    return Trajectory(
-        times=times,
-        states=np.vstack(states),
-        t_max_estimate=t_max,
-        blew_up=t_max < math.inf,
-        dense=OdeSolution(times, steps, alt_segment=not issubclass(options["method"], RK45)),
-    )
+        steps.append(_constant(x0))
+    return Trajectory(np.array(times), np.vstack(states), t_max, t_max < math.inf, tuple(steps))
 
 
 _ROOT_TOL = 4.0 * np.finfo(float).eps  # solve_ivp's tolerance on an event's root
@@ -804,15 +806,11 @@ def semigroup_growth(A: np.ndarray, t_cert: float = 10.0) -> tuple[float, float]
 
 
 def __getattr__(name):
-    # Served on their first read, so that importing sysdyn loads no
-    # scipy.integrate: OdeSolution, the type of `Trajectory.dense`, and
-    # solve_ivp, which sysdyn no longer calls (`_stream` steps every solve)
-    # but bench/tracer.py wraps to count solver work; solve_ivp goes when
-    # the tracer counts the steps of `_stream` instead (ROADMAP item 6).
-    if name == "OdeSolution":
-        from scipy.integrate import OdeSolution
-
-        return OdeSolution
+    # Served on its first read, so that importing sysdyn loads no
+    # scipy.integrate: solve_ivp, which sysdyn no longer calls (`_stream`
+    # steps every solve) but bench/tracer.py wraps to count solver work; it
+    # goes when the tracer counts the steps of `_stream` instead (ROADMAP
+    # item 6).
     if name == "solve_ivp":
         from scipy.integrate import solve_ivp
 

@@ -226,3 +226,35 @@ def test_closed_loop_reads_the_linear_part_in_one_pass(monkeypatch):
     loop = bl.closed_loop(rd.system, rd.margin)
     assert read == ["state_dim", "input_dim"]  # no entry of the 64 x 64 matrix
     assert np.array_equal(loop.linear_part, rd.system.linear_part)
+
+
+# times `state_at` rejects by the number rule; a comment says what it did
+# while OdeSolution read them
+STATE_AT_REJECTED = {
+    # returned [nan]
+    "nan": NAN,
+    "numpy_nan": np.float32(NAN),
+    "nan_0d_array": np.array(NAN),
+    "nan_entry": [0.5, NAN],
+    # read the end state
+    "inf": math.inf,
+    "negative_inf_entry": np.array([0.5, -math.inf]),
+    # read as t = 1
+    "bool": True,
+    # numpy's "truth value of an array ... is ambiguous"
+    "2d_array": np.zeros((2, 2)),
+}
+
+
+@pytest.mark.parametrize("case", list(STATE_AT_REJECTED))
+def test_state_at_reads_t_by_the_number_rule(sigma1, case):
+    traj = bl.integrate(sigma1.system, [0.5], bl.InputSignal.constant([0.0]), 1.0)
+    with pytest.raises(ValueError, match=r"^t must be "):
+        traj.state_at(STATE_AT_REJECTED[case])
+
+
+@pytest.mark.parametrize("t", [np.array([]), []])
+def test_state_at_reads_no_times_as_no_states(sigma1, t):
+    # numpy's "need at least one array to concatenate"
+    traj = bl.integrate(sigma1.system, [0.5], bl.InputSignal.constant([0.0]), 1.0)
+    assert traj.state_at(t).shape == (0, 1)

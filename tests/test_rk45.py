@@ -154,23 +154,29 @@ def test_no_stepper_outlives_its_solve(monkeypatch):
     assert still_alive == [False, False]
 
 
-# The README pipeline in a fresh interpreter: which scipy modules it loads,
-# and that a stiff solve still reaches scipy's BDF.
+# The README pipeline, `simulate` and a sigma1 lift/project round trip in a
+# fresh interpreter: which scipy modules they load, and that a stiff solve
+# still reaches scipy's BDF.
 SPARED = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
 PIPELINE = """
 import json, sys
 import numpy as np
 import brslab, brslab.cli
+from brslab.tdinput import disturbance_family
 
 cfg, out, spared = sys.argv[1], sys.argv[2], sys.argv[3:]
-codes = [brslab.cli.main(["lyapunov", stage, "--config", cfg, "--out", out])
-         for stage in ("build", "verify")]
+codes = [brslab.cli.main([*stage, "--config", cfg, "--out", out])
+         for stage in (["simulate"], ["lyapunov", "build"], ["lyapunov", "verify"])]
+sigma1 = brslab.make("sigma1")
+d = disturbance_family(1, 2.0, 6, 20240811)[-1]
+u, _ = brslab.lift_disturbance(sigma1.system, sigma1.margin, [0.5], d, 2.0)
+brslab.project_input(sigma1.system, sigma1.margin, [0.5], u, 2.0, None, np.linspace(0.0, 2.0, 65))
 loaded = [m for m in spared if m in sys.modules]
 rd = brslab.make("reaction_diffusion", {"n": 32})
 traj = brslab.integrate(rd.system, np.full(32, 0.1), brslab.InputSignal.constant([0.5]), 1.0,
                         brslab.IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9))
 print(json.dumps({"codes": codes, "loaded": loaded,
-                  "stiff": [type(s).__name__ for s in traj.dense.interpolants[:1]]}))
+                  "stiff": [type(s).__name__ for s in traj.steps[:1]]}))
 """
 
 
@@ -184,4 +190,4 @@ def test_readme_pipeline_loads_no_scipy_solver_module(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert got == {"codes": [0, 0], "loaded": [], "stiff": ["BdfDenseOutput"]}
+    assert got == {"codes": [0, 0, 0], "loaded": [], "stiff": ["BdfDenseOutput"]}
