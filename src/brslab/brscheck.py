@@ -224,7 +224,7 @@ def verify_rfc_tdi(
     nx = np.linalg.norm(X0, axis=1)
     bound, first = inverse(kappa), float(t_cross.min())
     reports = []
-    for c_k in offsets.tolist() if offsets.ndim else [c]:
+    for c_k in offsets.reshape(-1).tolist():
         viol = norms - np.asarray(bound(grid[:, None] + nx + c_k))
         j, i = np.unravel_index(int(np.argmax(viol)), viol.shape)
         max_violation = float(viol[j, i])

@@ -6,20 +6,20 @@ bounded inputs); integration restarts at every input breakpoint so the
 right-hand side stays smooth within each solver step.  The solver is RK45,
 or BDF with the linear part as its Newton matrix when that part is stiff
 over the span integrated.  Blow-up is detected by a norm-threshold event
-and reported as data, never as a crash.  A family of trajectories of one
-system is integrated as a single stacked ODE and read only on the time
-grid its consumer needs: the sampler steps the solver itself and writes
-each step's grid states out as the step is taken, as solve_ivp's `t_eval`
-does inside without holding them to the end.  One rule ends each of its
-rows: a row freezes at the end of its grid or at its blow-up, whichever
-comes first, and the rest go on.  `integrate` steps through the same loop
-and keeps every step.
+and reported as data, never as a crash.  One loop, `_run`, steps every
+solve and hands each step to its caller: `integrate` keeps every step, and
+the ensemble sampler, which integrates a family of trajectories of one
+system as a single stacked ODE, reads each step's interpolant at the grid
+times inside it as the step is taken, as solve_ivp's `t_eval` does inside
+without holding them to the end.  A sampled row freezes at the end of its
+grid or at its blow-up, whichever comes first, and the rest go on.
 
 RK45 is sysdyn's own port of scipy's, so importing sysdyn loads no part of
-scipy, and a `Trajectory` holds its solver's interpolants and searches
-them itself; a path imports what it needs of scipy when it runs: BDF and
-sparse matrices for a stiff solve, the only path that loads
-scipy.integrate, brentq at a blow-up crossing, expm in `semigroup_growth`.
+scipy; `RkDenseOutput` is the one reader of an RK45 step, and a
+`Trajectory` holds its solver's interpolants and searches them itself.  A
+path imports what it needs of scipy when it runs: BDF and sparse matrices
+for a stiff solve, the only path that loads scipy.integrate, brentq at a
+blow-up crossing, expm in `semigroup_growth`.
 """
 
 from __future__ import annotations
@@ -98,15 +98,16 @@ class InputSignal:
         self.breakpoints = _numbers("breakpoints", breakpoints, gt=0)
         self._bps = self.breakpoints.tolist()  # eval's bisect beats searchsorted
         self.tail_value = np.atleast_1d(_numbers("tail_value", tail_value))
-        if self.breakpoints.size:
-            vals = np.atleast_2d(_numbers("segment_values", segment_values))
-            if vals.shape[0] != self.breakpoints.size:
-                raise ValueError("need one segment value per breakpoint")
-            if np.any(np.diff(self.breakpoints) <= 0):
-                raise ValueError("breakpoints must be strictly increasing")
-            self.segment_values = vals
-        else:
-            self.segment_values = np.empty((0, self.tail_value.size))
+        shape = (self.breakpoints.size, self.tail_value.size)
+        vals = _numbers("segment_values", segment_values)
+        if vals.size or shape[0]:  # no breakpoints: none, as `constant` passes []
+            vals = np.atleast_2d(vals)
+            if vals.shape != shape:
+                raise ValueError(f"segment_values must have shape {shape}, one row per"
+                                 f" breakpoint as wide as tail_value, got {vals.shape}")
+        if np.any(np.diff(self.breakpoints) <= 0):
+            raise ValueError("breakpoints must be strictly increasing")
+        self.segment_values = vals.reshape(shape)
 
     @classmethod
     def constant(cls, value) -> "InputSignal":
@@ -218,8 +219,8 @@ class Trajectory:
         (T, n), with the bits of solve_ivp's dense output over the same steps;
         times outside [0, times[-1]] read the nearer end, and a time that is
         not a finite number is a ValueError that names t.  A number (what a
-        FeedbackSignal reads on every right-hand-side call) is read in Python
-        floats, an array sorted and in runs of one step, one call each."""
+        FeedbackSignal reads on every right-hand-side call) is one interpolant
+        call, an array sorted and read in runs of one step, one call each."""
         if not isinstance(t, float):
             if np.ndim(t) == 0:
                 return self.state_at(float(_numbers("t", t)))
@@ -236,24 +237,12 @@ class Trajectory:
                 out[:, order] = np.hstack([self.steps[idx[lo]](t[lo:hi])
                                            for lo, hi in zip([0, *cut], [*cut, t.size])])
             return out.T
-        ts = self._ts
+        ts, steps = self._ts, self.steps
         if not 0.0 <= t <= ts[-1]:  # outside [0, end], or NaN
             if not math.isfinite(t):
                 _number("t", t)
             t = 0.0 if t < 0.0 else ts[-1]
-        steps = self.steps
-        step = steps[min(max(self._find(ts, t) - 1, 0), len(steps) - 1)]
-        if type(step) is not RkDenseOutput:  # BDF's and the constant one
-            return step(t)
-        # RkDenseOutput.__call__ on a 0-d t: the powers x, x^2, ... by
-        # repeated multiplication, as np.cumprod builds them
-        x = (t - step.t_old) / step.h
-        p = [x]
-        for _ in range(step.order):
-            p.append(p[-1] * x)
-        y = step.h * np.dot(step.Q, p)
-        y += step.y_old
-        return y
+        return steps[min(max(self._find(ts, t) - 1, 0), len(steps) - 1)](t)
 
 
 class RK45:
@@ -422,21 +411,23 @@ class RkDenseOutput:
         self.y_old = y_old
 
     def __call__(self, t):
+        if isinstance(t, float) or np.ndim(t) == 0:
+            # one time in Python floats: the powers x, x^2, ... by repeated
+            # multiplication, as np.cumprod builds them in scipy's 0-d read
+            x = (float(t) - self.t_old) / self.h
+            p = [x]
+            for _ in range(self.order):
+                p.append(p[-1] * x)
+            y = self.h * np.dot(self.Q, p)
+            y += self.y_old
+            return y
         t = np.asarray(t)
         if t.ndim > 1:
             raise ValueError("`t` must be a float or a 1-D array.")
         x = (t - self.t_old) / self.h
-        if t.ndim == 0:
-            p = np.tile(x, self.order + 1)
-            p = np.cumprod(p)
-        else:
-            p = np.tile(x, (self.order + 1, 1))
-            p = np.cumprod(p, axis=0)
+        p = np.cumprod(np.tile(x, (self.order + 1, 1)), axis=0)
         y = self.h * np.dot(self.Q, p)
-        if y.ndim == 2:
-            y += self.y_old[:, None]
-        else:
-            y += self.y_old
+        y += self.y_old[:, None]
         return y
 
 
@@ -482,26 +473,31 @@ def _first_call(fun, f0):
     return lambda t, y: pending.pop() if pending else fun(t, y)
 
 
-def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, solve):
+_ROOT_TOL = 4.0 * np.finfo(float).eps  # solve_ivp's tolerance on an event's root
+
+
+def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, on_step, method, **options):
     """Solve the stack y' = f_at(a, b, live)(t, y) of len(ends) rows across
-    `edges`, one solve per [a, b] from the previous solve's last state.
-    Returns the state where the run ended and each row's blow-up crossing
-    time (inf if it did not cross).  Rows that start at or above
-    `cfg.blowup_threshold` cross at edges[0].
+    `edges` by `method`, one solve per [a, b] from the previous solve's last
+    state, calling on_step(solver, t, y, sol) after each step, as solve_ivp's
+    loop reads its outputs there: t and y are the step's end and the state
+    there, sol the step's interpolant if it was built, else None, and the
+    solve goes on from the state on_step returns.  Returns the state where
+    the run ended and each row's blow-up crossing time (inf if it did not
+    cross); rows that start at or above the threshold cross at edges[0].
 
     Row i is live from a while a < ends[i]; `live` selects those rows and
     f_at must hold the others still.  The blow-up event is the largest live
-    row norm crossing `cfg.blowup_threshold`: the crossing row, and any
-    other live row at or above the threshold by then, is frozen at its
-    state there, as at its end, and the other rows go on from the
-    crossing time.  The run ends when no row is live.  A right-hand side
-    not finite where a solve starts is a StepSizeError; the value checked
-    there is the solver's first evaluation.  Each solve is
-    solve(fun, a, b, y, event, rtol=, atol=), which returns (t, y, crossed):
-    the time and state where it ended, at b or, if `crossed`, at the
-    event's upward zero.  The tolerances are divided by sqrt(rows), so every
-    row stays within `cfg` although the solver's error norm is an RMS over
-    all components.
+    row norm crossing the threshold upward across a step: its root on the
+    step's interpolant ends the step and the solve (solve_ivp's terminal
+    event).  The crossing row, and any other live row at or above the
+    threshold by then, is frozen at its state there, as at its end, and the
+    other rows go on from the crossing time.  The run ends when no row is
+    live.  A right-hand side not finite where a solve starts is a
+    StepSizeError; the value checked there is the solver's first
+    evaluation.  The tolerances are divided by sqrt(rows), so every row
+    stays within `cfg` although the solver's error norm is an RMS over all
+    components.
     """
     threshold = cfg.blowup_threshold
     stop = np.array(ends, dtype=float)  # a crossing row stops at its crossing time
@@ -514,10 +510,10 @@ def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, solve):
         z = y.reshape(rows, -1) / threshold
         return np.sqrt((z * z).sum(axis=1))
 
-    def blowup_event(t, y):
+    def blowup_event(y):
         return scaled_norms(y)[sel].max() - 1.0
 
-    scale = math.sqrt(rows)
+    tol = {"rtol": cfg.rel_tol / math.sqrt(rows), "atol": cfg.abs_tol / math.sqrt(rows)}
     y, a = y0, edges[0]
     # the upward event never fires for a row that starts above the threshold
     crossed = scaled_norms(y0) >= 1.0
@@ -529,14 +525,35 @@ def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, solve):
                 return y, t_cross
             sel = slice(None) if live.all() else live  # read by blowup_event
             fun = f_at(a, b, sel)
+            a, b = float(a), float(b)
             # the first-step selection loops without end on a NaN slope
-            f0 = fun(float(a), y)
+            f0 = fun(a, y)
             if not np.isfinite(f0).all():
-                raise StepSizeError(f"integrator failed on [{float(a)}, {float(b)}]:"
+                raise StepSizeError(f"integrator failed on [{a}, {b}]:"
                                     " the right-hand side is not finite at its start")
-            a, y, event = solve(_first_call(fun, f0), float(a), float(b), y, blowup_event,
-                                rtol=cfg.rel_tol / scale, atol=cfg.abs_tol / scale)
-            if event:  # the terminal event ends the last step at the crossing
+            solver = method(_first_call(fun, f0), a, y, b, **tol, **options)
+            g, event = blowup_event(y), False
+            while not event and solver.status == "running":
+                message = solver.step()
+                if solver.status == "failed":
+                    raise StepSizeError(f"integrator failed on [{a}, {b}]: {message}")
+                t, y, sol = solver.t, solver.y, None
+                g_old, g = g, blowup_event(y)
+                event = g_old <= 0.0 <= g
+                if event:
+                    from scipy.optimize import brentq
+
+                    sol = solver.dense_output()
+                    t = brentq(lambda s: blowup_event(sol(s)), solver.t_old, t,
+                               xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+                    y = sol(t)
+                # as solve_ivp keeps its steps: not a zero-length last one
+                # (a crossing at the start of a step that is not the first)
+                if t != solver.t_old or t == a:
+                    y = on_step(solver, t, y, sol)
+            del solver  # its (7, rows n) stages go before the next solve's are built
+            a = t
+            if event:
                 r = scaled_norms(y)
                 # a row left live above the threshold would never cross it upward
                 crossed = live & (r >= min(r[live].max(), 1.0))
@@ -579,62 +596,19 @@ def integrate(
         return lambda t, y: sys.full_rhs(y, u.eval(min(t, last)))
 
     times, states, steps = [0.0], [x0], []  # one interpolant per solver step
-    options = _solver(sys.linear_part, tau, 1)
 
-    def solve(fun, a, b, y, event, **tol):
-        first = len(times)
+    def keep(solver, t, y, sol):
+        times.append(t)
+        states.append(y)
+        steps.append(solver.dense_output() if sol is None else sol)
+        return y
 
-        def keep(solver, t, y, sol):
-            # as solve_ivp keeps its steps: not one that ends where the
-            # solve's last kept step did (a crossing at the step's start)
-            if len(times) == first or times[-1] != t:
-                times.append(t)
-                states.append(y)
-                steps.append(solver.dense_output() if sol is None else sol)
-
-        return _stream(fun, a, b, y, event, keep, **options, **tol)
-
-    _, t_cross = _run(f_at, x0, _segment_edges(u.breakpoints, tau), cfg, [tau], solve)
+    _, t_cross = _run(f_at, x0, _segment_edges(u.breakpoints, tau), cfg, [tau], keep,
+                      **_solver(sys.linear_part, tau, 1))
     t_max = float(t_cross[0])
     if not steps:  # a run that ends where it starts holds x0
         steps.append(_constant(x0))
     return Trajectory(np.array(times), np.vstack(states), t_max, t_max < math.inf, tuple(steps))
-
-
-_ROOT_TOL = 4.0 * np.finfo(float).eps  # solve_ivp's tolerance on an event's root
-
-
-def _stream(fun, a: float, b: float, y, event, on_step, method, **options):
-    """One solve over [a, b] by `method` that calls on_step(solver, t, y, sol)
-    after each step, as solve_ivp's loop reads its outputs there: t and y
-    are the step's end and the state there, and sol the step's interpolant
-    if it was built, else None (solver.dense_output() builds it).
-
-    Returns the last step's (t, y, crossed): b and the solver's state there,
-    or, when `event` rises through zero across a step, its root on the
-    step's interpolant and the state read there (solve_ivp's terminal
-    event).
-    """
-    solver = method(fun, a, y, b, **options)
-    g = event(a, y)
-    while True:
-        message = solver.step()
-        if solver.status == "failed":
-            raise StepSizeError(f"integrator failed on [{a}, {b}]: {message}")
-        t, y, sol = solver.t, solver.y, None
-        g_new = event(t, y)
-        crossed = g <= 0.0 <= g_new
-        if crossed:
-            from scipy.optimize import brentq
-
-            sol = solver.dense_output()
-            t = brentq(lambda s: event(s, sol(s)), solver.t_old, t,
-                       xtol=_ROOT_TOL, rtol=_ROOT_TOL)
-            y = sol(t)
-        g = g_new
-        on_step(solver, t, y, sol)
-        if crossed or solver.status == "finished":
-            return t, y, crossed
 
 
 # State values the sampler holds before it scatters them into the samples:
@@ -673,7 +647,7 @@ def _sample_ensemble(
     and its later grid times hold its state there, while the other rows go
     on.  Integration restarts only at the union of the rows' breakpoints and
     grid ends.  Each solver step reads its interpolant at the union grid
-    times inside it (`_stream`); the sampler holds those states until one
+    times inside it (`_run`'s hook); the sampler holds those states until one
     more step would take them past _HELD_VALUES values, then scatters them
     into the samples, each group's times and rows in one copy, so nothing
     but the samples grows with the grid.  Returns the samples, shape
@@ -754,28 +728,24 @@ def _sample_ensemble(
         held.append(Y)
         emitted += Y.shape[1]
 
-    options = _solver(sys.linear_part, ends.max(), N)
-
-    def solve(fun, a, b, y, event, **tol):
-        # the union times in [a, b], and b, whose state ends the solve
-        t_eval = np.append(union[emitted : np.searchsorted(union, b)], b)
-        last = len(t_eval) - 1
-        read = [0, None]  # t_eval entries read so far, and the last one's state
-
-        def emit_step(solver, t, y, sol):
-            i, j = read[0], int(np.searchsorted(t_eval, t, side="right"))
-            if j > i:
-                Y = (solver.dense_output() if sol is None else sol)(t_eval[i:j])
-                if i < last:
-                    emit(Y[:, : min(j, last) - i])
-                read[:] = j, Y[:, -1]
-
-        t, y, crossed = _stream(fun, a, b, y, event, emit_step, **options, **tol)
-        # at b, the state the last step's interpolant reads there
-        return t, (y if crossed else read[1].copy()), crossed
+    def sample_step(solver, t, y, sol):
+        """Emit the states at the union times the step reaches below its
+        solve's end b; at b, read b in the same call and go on from there."""
+        b = solver.t_bound
+        ts = union[emitted : np.searchsorted(union, t, "right" if t < b else "left")]
+        if t == b:
+            ts = np.append(ts, b)
+        if ts.size:
+            Y = (solver.dense_output() if sol is None else sol)(ts)
+            if t == b:  # a crossing at b goes on from y, as any crossing
+                Y, y = Y[:, :-1], (y if sol is not None else Y[:, -1].copy())
+            if Y.shape[1]:
+                emit(Y)
+        return y
 
     edges = _segment_edges(np.concatenate([switch_at, ends]), ends.max())
-    end, t_cross = _run(f_at, X0.ravel(), edges, cfg, ends, solve)
+    end, t_cross = _run(f_at, X0.ravel(), edges, cfg, ends, sample_step,
+                        **_solver(sys.linear_part, ends.max(), N))
     flush()
     # the union times at the last end, or after the last row froze, hold the last state
     scatter(np.broadcast_to(end.reshape(N, n), (union.size - k, N, n)))
@@ -807,9 +777,9 @@ def semigroup_growth(A: np.ndarray, t_cert: float = 10.0) -> tuple[float, float]
 
 def __getattr__(name):
     # Served on its first read, so that importing sysdyn loads no
-    # scipy.integrate: solve_ivp, which sysdyn no longer calls (`_stream`
+    # scipy.integrate: solve_ivp, which sysdyn no longer calls (`_run`
     # steps every solve) but bench/tracer.py wraps to count solver work; it
-    # goes when the tracer counts the steps of `_stream` instead (ROADMAP
+    # goes when the tracer counts the steps of `_run` instead (ROADMAP
     # item 6).
     if name == "solve_ivp":
         from scipy.integrate import solve_ivp

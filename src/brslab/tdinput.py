@@ -202,6 +202,7 @@ def disturbance_family(
     """Deterministic family: zero, the signed unit axes, then seeded random
     piecewise-constant signals with values on the unit sphere.  The seed is
     read even when no random member is drawn."""
+    input_dim = _number("input_dim", input_dim, int, ge=1)
     tau, n = _number("tau", tau, gt=0), _number("n", n, int, ge=1)
     seed = _number("seed", seed, int, ge=0)
     family: list[DisturbanceSignal] = [

@@ -193,6 +193,14 @@ class TestRfc:
         for c, report in zip(offsets.tolist(), reports):
             assert report == bl.verify_rfc_tdi(*args, c, 2.0, 3.0, 12, 5)
 
+    @pytest.mark.parametrize("c", [0, np.int64(1), np.array(2.0), 0.5])
+    def test_a_number_offset_is_reported_as_a_float(self, sigma1, c):
+        # the array path's rule: an int, a numpy integer and a 0-d array
+        # were reported as given
+        report = bl.verify_rfc_tdi(sigma1.system, sigma1.margin, sigma1.margin.eta,
+                                   c, 2.0, 3.0, 2, 1)
+        assert type(report.c) is float and report.c == float(c)
+
     @pytest.mark.parametrize("c", [np.array([]), np.zeros((2, 1))])
     def test_offsets_must_be_one_dimensional(self, sigma1, c):
         eta = sigma1.margin.eta

@@ -127,6 +127,16 @@ REJECTED = {
     "sample_reach_nan_seed": ("seed", lambda s, t: bl.sample_reach(s.system, 1.0, 0.5, 2, NAN)),
     # returned: no member, pair or input was drawn, so the seed went unread
     "disturbance_family_nan_seed": ("seed", lambda s, t: disturbance_family(1, 1.0, 3, NAN)),
+    # returned four zero-width members
+    "disturbance_family_zero_input_dim": (
+        "input_dim", lambda s, t: disturbance_family(0, 1.0, 4, 0)),
+    # numpy TypeErrors, and numpy's "negative dimensions"
+    "disturbance_family_bool_input_dim": (
+        "input_dim", lambda s, t: disturbance_family(True, 1.0, 3, 0)),
+    "disturbance_family_fractional_input_dim": (
+        "input_dim", lambda s, t: disturbance_family(1.5, 1.0, 3, 0)),
+    "disturbance_family_negative_input_dim": (
+        "input_dim", lambda s, t: disturbance_family(-1, 1.0, 3, 0)),
     "tdi_bool_seed_no_draw": (
         "seed", lambda s, t: bl.probe_lipschitz_tdi(*sig(s), 0.5, 1.0, 0, True, n_dist=1)),
     "openloop_nan_seed_no_draw": (

@@ -45,6 +45,19 @@ class TestInputSignal:
         with pytest.raises(ValueError):
             bl.InputSignal([2.0, 1.0], [[0.0], [1.0]], [2.0])
 
+    @pytest.mark.parametrize("breakpoints, values, tail", [
+        # built with dim 1: sup_norm and the sampler raised numpy's shape
+        # error, and integrate blamed the system's rhs
+        ([0.5], [[1.0, 2.0]], [0.3]),
+        ([0.5], [[1.0]], [0.3, 0.1]),
+        ([0.5, 1.0], [[1.0]], [0.3]),
+        ([], [[1.0]], [0.3]),  # a segment value with no breakpoint went unread
+    ])
+    def test_segment_values_are_one_row_per_breakpoint_as_wide_as_the_tail(
+            self, breakpoints, values, tail):
+        with pytest.raises(ValueError, match=r"^segment_values must have shape \("):
+            bl.InputSignal(breakpoints, values, tail)
+
     def test_sup_norm(self):
         u = bl.InputSignal([1.0], [[3.0, 4.0]], [0.0, 1.0])
         assert u.sup_norm() == pytest.approx(5.0)
@@ -710,6 +723,42 @@ def test_only_sysdyn_steps_a_solver():
             users.setdefault(path.name, set()).update(used)
     assert {name for name, used in users.items() if used} == {"sysdyn.py"}
     assert users["sysdyn.py"] == {"RK45", "BDF", "solve_ivp"}
+
+
+def _package_trees() -> dict:
+    """Each module of the package by file name, parsed."""
+    return {path.name: ast.parse(path.read_text())
+            for path in sorted(Path(sysdyn.__file__).parent.glob("*.py"))}
+
+
+def _inside(tree, kind, name) -> set:
+    """The ids of every node inside the function or class `name` of `tree`."""
+    scope, = [node for node in ast.walk(tree) if isinstance(node, kind) and node.name == name]
+    return {id(node) for node in ast.walk(scope)}
+
+
+def test_only_run_steps_a_solver():
+    # one stepping loop: every solver's `.step()` is called in `_run`
+    trees = _package_trees()
+    calls = {name: [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "step"]
+             for name, tree in trees.items()}
+    assert {name for name, found in calls.items() if found} == {"sysdyn.py"}
+    inside = _inside(trees["sysdyn.py"], ast.FunctionDef, "_run")
+    assert all(id(node) in inside for node in calls["sysdyn.py"])
+
+
+def test_only_rk_dense_output_reads_an_rk45_step():
+    # one reader of an RK45 step's quartic: no code outside RkDenseOutput
+    # reads an interpolant's `.Q`, and no other module reaches an
+    # interpolant, by a Trajectory's `steps` or a solver's dense output
+    trees = _package_trees()
+    own = trees.pop("sysdyn.py")
+    reads = [node for node in ast.walk(own) if getattr(node, "attr", None) == "Q"]
+    inside = _inside(own, ast.ClassDef, "RkDenseOutput")
+    assert reads and all(id(node) in inside for node in reads)
+    assert not [name for name, tree in trees.items() for node in ast.walk(tree)
+                if getattr(node, "attr", None) in ("steps", "dense_output")]
 
 
 # the modules that may name `integrate`: its definition, the lift and
