@@ -105,7 +105,7 @@ def _random_pc_input(
 ) -> InputSignal:
     bps, vals = _random_steps(rng, dim, tau, int(rng.integers(0, 4)))
     vals *= rng.uniform(0.0, sup_bound, (bps.size + 1, 1))
-    return InputSignal(bps, vals[:-1], vals[-1])
+    return InputSignal(bps, vals)
 
 
 def sample_reach(sys: SystemDef, C: float, tau: float, n: int, seed: int) -> ReachSamples:
@@ -183,10 +183,10 @@ def fit_additive_bound(samples: ReachSamples) -> ReachBoundFit:
         values = np.array([0.0, eps])
     last_slope = (values[-1] - values[-2]) / (knots[-1] - knots[-2])
     chi = ScalarFun(knots, values, max(last_slope, eps), frozenset({"K"}))
-    residual = float(
-        (samples.norm_phi - (chi(samples.t) + chi(samples.norm_x) + chi(samples.norm_u) + c)).max()
-    )
-    return ReachBoundFit(chi, chi, chi, c, residual)
+    fit = ReachBoundFit(chi, chi, chi, c, math.nan)
+    fit.residual = float(
+        (samples.norm_phi - fit.bound(samples.t, samples.norm_x, samples.norm_u)).max())
+    return fit
 
 
 def verify_rfc_tdi(

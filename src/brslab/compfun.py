@@ -192,20 +192,18 @@ def build_alpha(chi1: ScalarFun, chi2: ScalarFun, chi3: ScalarFun) -> ScalarFun:
         if "K" not in chi.tags and "Kinf" not in chi.tags:
             raise ValueError("each chi must be tagged class K")
     grid = _union_grid(chi1, chi2, chi3)
-    funs = [lambda s: np.asarray(s, dtype=float), chi1, chi2, chi3]
-    extra = []
-    for a, b in zip(grid[:-1], grid[1:]):
-        vals_a = [float(f(a)) for f in funs]
-        vals_b = [float(f(b)) for f in funs]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                da = vals_a[i] - vals_a[j]
-                db = vals_b[i] - vals_b[j]
-                if da * db < 0:
-                    extra.append(a + (b - a) * da / (da - db))
-    if extra:
-        grid = np.unique(np.concatenate([grid, extra]))
     stacked = np.vstack([grid, chi1(grid), chi2(grid), chi3(grid)])
+    # each pair's difference at the union knots, one row per pair: a chord
+    # crosses where its ends differ in sign, and only there is it divided
+    # (on parallel pieces the division would be 0/0)
+    i, j = np.triu_indices(4, 1)
+    diff = stacked[i] - stacked[j]
+    da, db = diff[:, :-1], diff[:, 1:]
+    pair, col = np.nonzero(da * db < 0)
+    if col.size:
+        a, b, da, db = grid[col], grid[col + 1], da[pair, col], db[pair, col]
+        grid = np.unique(np.concatenate([grid, a + (b - a) * da / (da - db)]))
+        stacked = np.vstack([grid, chi1(grid), chi2(grid), chi3(grid)])
     values = 4.0 * stacked.max(axis=0)
     slope = 4.0 * max(1.0, chi1.slope, chi2.slope, chi3.slope)
     return ScalarFun(grid, values, slope, frozenset({"Kinf"}))

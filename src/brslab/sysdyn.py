@@ -87,50 +87,44 @@ def _numbers(name: str, value, *, ge=None, gt=None) -> np.ndarray:
 
 
 class InputSignal:
-    """Piecewise-constant vector-valued signal on [0, inf).
+    """Piecewise-constant vector-valued signal on [0, inf), one table.
 
-    Segment i holds `segment_values[i]` on [b_{i-1}, b_i) (with b_{-1} = 0)
-    and `tail_value` beyond the last breakpoint.  The value AT a breakpoint
-    belongs to the new segment.
+    `breakpoints` b_0 < ... < b_{k-1} are a strictly increasing 1-D array of
+    numbers > 0 and `values` a finite (k + 1, m) array with m >= 1: row i
+    holds on [b_{i-1}, b_i), with b_{-1} = 0 and b_k = inf.  The value AT a
+    breakpoint belongs to the new segment.  Any other shape is a ValueError
+    that names `breakpoints` or `values`.
     """
 
-    def __init__(self, breakpoints: Sequence[float], segment_values, tail_value):
+    def __init__(self, breakpoints: Sequence[float], values):
         self.breakpoints = _numbers("breakpoints", breakpoints, gt=0)
-        self._bps = self.breakpoints.tolist()  # eval's bisect beats searchsorted
-        self.tail_value = np.atleast_1d(_numbers("tail_value", tail_value))
-        shape = (self.breakpoints.size, self.tail_value.size)
-        vals = _numbers("segment_values", segment_values)
-        if vals.size or shape[0]:  # no breakpoints: none, as `constant` passes []
-            vals = np.atleast_2d(vals)
-            if vals.shape != shape:
-                raise ValueError(f"segment_values must have shape {shape}, one row per"
-                                 f" breakpoint as wide as tail_value, got {vals.shape}")
+        if self.breakpoints.ndim != 1:
+            raise ValueError(f"breakpoints must be a 1-D array, got shape {self.breakpoints.shape}")
         if np.any(np.diff(self.breakpoints) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
-        self.segment_values = vals.reshape(shape)
+        self._bps = self.breakpoints.tolist()  # eval's bisect beats searchsorted
+        self.values = _numbers("values", values)
+        rows = self.breakpoints.size + 1
+        if self.values.ndim != 2 or self.values.shape[0] != rows or self.values.shape[1] < 1:
+            raise ValueError(f"values must have shape ({rows}, m) with m >= 1, one row per"
+                             f" segment, got {self.values.shape}")
 
     @classmethod
     def constant(cls, value) -> "InputSignal":
-        return cls([], [], value)
+        return cls([], [np.atleast_1d(value)])
 
     @property
     def dim(self) -> int:
-        return self.tail_value.size
+        return self.values.shape[1]
 
     def eval(self, t: float) -> np.ndarray:
         if t < 0:
             raise ValueError("signals are defined for t >= 0 only")
-        idx = bisect.bisect_right(self._bps, t)
-        if idx >= self.breakpoints.size:
-            return self.tail_value
-        return self.segment_values[idx]
-
-    def _all_values(self) -> np.ndarray:
-        return np.vstack([self.segment_values, self.tail_value[None, :]])
+        return self.values[bisect.bisect_right(self._bps, t)]
 
     def sup_norm(self) -> float:
         """Essential supremum of the value norm over [0, inf)."""
-        return float(np.linalg.norm(self._all_values(), axis=1).max())
+        return float(np.linalg.norm(self.values, axis=1).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -476,15 +470,17 @@ def _first_call(fun, f0):
 _ROOT_TOL = 4.0 * np.finfo(float).eps  # solve_ivp's tolerance on an event's root
 
 
-def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, on_step, method, **options):
+def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, on_step, A):
     """Solve the stack y' = f_at(a, b, live)(t, y) of len(ends) rows across
-    `edges` by `method`, one solve per [a, b] from the previous solve's last
-    state, calling on_step(solver, t, y, sol) after each step, as solve_ivp's
-    loop reads its outputs there: t and y are the step's end and the state
-    there, sol the step's interpolant if it was built, else None, and the
-    solve goes on from the state on_step returns.  Returns the state where
-    the run ended and each row's blow-up crossing time (inf if it did not
-    cross); rows that start at or above the threshold cross at edges[0].
+    `edges`, one solve per [a, b] from the previous solve's last state, by
+    the solver `_solver` picks for linear part A (None if the system has
+    none) over the whole run, calling on_step(solver, t, y, sol) after each
+    step, as solve_ivp's loop reads its outputs there: t and y are the
+    step's end and the state there, sol the step's interpolant if it was
+    built, else None, and the solve goes on from the state on_step returns.
+    Returns the state where the run ended and each row's blow-up crossing
+    time (inf if it did not cross); rows that start at or above the
+    threshold cross at edges[0].
 
     Row i is live from a while a < ends[i]; `live` selects those rows and
     f_at must hold the others still.  The blow-up event is the largest live
@@ -514,6 +510,8 @@ def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, on_step, method, **option
         return scaled_norms(y)[sel].max() - 1.0
 
     tol = {"rtol": cfg.rel_tol / math.sqrt(rows), "atol": cfg.abs_tol / math.sqrt(rows)}
+    options = _solver(A, edges[-1], rows)
+    method = options.pop("method")
     y, a = y0, edges[0]
     # the upward event never fires for a row that starts above the threshold
     crossed = scaled_norms(y0) >= 1.0
@@ -604,7 +602,7 @@ def integrate(
         return y
 
     _, t_cross = _run(f_at, x0, _segment_edges(u.breakpoints, tau), cfg, [tau], keep,
-                      **_solver(sys.linear_part, tau, 1))
+                      sys.linear_part)
     t_max = float(t_cross[0])
     if not steps:  # a run that ends where it starts holds x0
         steps.append(_constant(x0))
@@ -677,7 +675,7 @@ def _sample_ensemble(
         ends[rows] = g[-1]
     # all rows' input values in one table: row i's start at first[i] and
     # advance by one at each of its breakpoints
-    values = np.vstack([u._all_values() for u in inputs])
+    values = np.vstack([u.values for u in inputs])
     first = np.cumsum([0] + [u.breakpoints.size + 1 for u in inputs[:-1]])
     switch_at = np.concatenate([u.breakpoints for u in inputs])
     switch_row = np.repeat(np.arange(N), [u.breakpoints.size for u in inputs])
@@ -744,8 +742,7 @@ def _sample_ensemble(
         return y
 
     edges = _segment_edges(np.concatenate([switch_at, ends]), ends.max())
-    end, t_cross = _run(f_at, X0.ravel(), edges, cfg, ends, sample_step,
-                        **_solver(sys.linear_part, ends.max(), N))
+    end, t_cross = _run(f_at, X0.ravel(), edges, cfg, ends, sample_step, sys.linear_part)
     flush()
     # the union times at the last end, or after the last row froze, hold the last state
     scatter(np.broadcast_to(end.reshape(N, n), (union.size - k, N, n)))

@@ -91,9 +91,9 @@ class GrowthMargin:
 class DisturbanceSignal(InputSignal):
     """Piecewise-constant signal with every value in the closed unit ball."""
 
-    def __init__(self, breakpoints, segment_values, tail_value):
-        super().__init__(breakpoints, segment_values, tail_value)
-        norms = np.linalg.norm(self._all_values(), axis=1)
+    def __init__(self, breakpoints, values):
+        super().__init__(breakpoints, values)
+        norms = np.linalg.norm(self.values, axis=1)
         if np.any(norms > 1 + 1e-9):
             raise ValueError(f"disturbance norm {norms.max()} exceeds the unit ball")
 
@@ -193,7 +193,7 @@ def project_input(
     d_vals[vanish] = 0.0
     # clip roundoff excursions back onto the unit ball
     d_vals /= np.maximum(np.linalg.norm(d_vals, axis=1), 1.0)[:, None]
-    return DisturbanceSignal(ts[1:], d_vals[:-1], d_vals[-1])
+    return DisturbanceSignal(ts[1:], d_vals)
 
 
 def disturbance_family(
@@ -216,5 +216,5 @@ def disturbance_family(
     while len(family) < n:
         rng = seeded_rng(seed, "disturbances", len(family))
         bps, vals = _random_steps(rng, input_dim, tau, int(rng.integers(1, 5)))
-        family.append(DisturbanceSignal(bps, vals[:-1], vals[-1]))
+        family.append(DisturbanceSignal(bps, vals))
     return family[:n]

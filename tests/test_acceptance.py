@@ -46,7 +46,7 @@ def test_criterion_02_sigma1_global_bound(sigma1):
         n_seg = int(rng.integers(1, 4))
         bps = np.sort(rng.uniform(0.0, t, n_seg - 1)) if n_seg > 1 else np.array([])
         vals = rng.uniform(-5.0, 5.0, (n_seg, 1))
-        u = bl.InputSignal(bps, vals[:-1], vals[-1])
+        u = bl.InputSignal(bps, vals)
         traj = bl.integrate(sigma1.system, [x0], u, t, cfg)
         worst = max(worst, float(traj.norms().max()) - max(1.0, abs(x0)))
     ok = worst <= 1e-9

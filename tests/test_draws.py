@@ -34,7 +34,7 @@ def draw_digest(*arrays) -> str:
 
 
 def signal_arrays(signals):
-    return [a for u in signals for a in (u.breakpoints, u._all_values())]
+    return [a for u in signals for a in (u.breakpoints, u.values)]
 
 
 def stub_system(input_dim: int) -> bl.SystemDef:

@@ -86,13 +86,13 @@ REJECTED = {
     "system_wrong_shape_linear_part": ("linear_part", lambda s, t: decay(2, 1, np.eye(3))),
     # hung in the solver
     "integrate_nan_input": (
-        "tail_value",
+        "values",
         lambda s, t: bl.integrate(s.system, [0.5], bl.InputSignal.constant([NAN]), 1.0)),
     "integrate_nan_state": (
         "x0", lambda s, t: bl.integrate(s.system, [NAN], bl.InputSignal.constant([0.0]), 1.0)),
     # read as no switch by integrate, as a switch by the sampler
-    "nan_breakpoint": ("breakpoints", lambda s, t: bl.InputSignal([NAN], [[1.0]], [0.0])),
-    "nan_segment_value": ("segment_values", lambda s, t: bl.InputSignal([0.5], [[NAN]], [0.0])),
+    "nan_breakpoint": ("breakpoints", lambda s, t: bl.InputSignal([NAN], [[1.0], [0.0]])),
+    "nan_segment_value": ("values", lambda s, t: bl.InputSignal([0.5], [[NAN], [0.0]])),
     # returned nan
     "gronwall_nan_M": ("M_sg", lambda s, t: bl.gronwall_bound(NAN, 0.0, 1.0, 1.0)),
     "gronwall_nan_lambda": ("lambda_sg", lambda s, t: bl.gronwall_bound(1.0, NAN, 1.0, 1.0)),

@@ -141,7 +141,7 @@ def test_no_stepper_outlives_its_solve(monkeypatch):
 
     monkeypatch.setattr(sysdyn, "_solver", tracked_solver)
     sigma1 = bl.make("sigma1")
-    switching = bl.InputSignal([0.5], [[1.0]], [0.3])  # two solves
+    switching = bl.InputSignal([0.5], [[1.0], [0.3]])  # two solves
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -30,7 +30,7 @@ def rotation():
 
 class TestInputSignal:
     def test_breakpoint_value_belongs_to_new_segment(self):
-        u = bl.InputSignal([1.0, 2.0], [[0.0], [1.0]], [2.0])
+        u = bl.InputSignal([1.0, 2.0], [[0.0], [1.0], [2.0]])
         assert u.eval(0.0) == pytest.approx(0.0)
         assert u.eval(1.0) == pytest.approx(1.0)
         assert u.eval(2.0) == pytest.approx(2.0)
@@ -43,25 +43,37 @@ class TestInputSignal:
 
     def test_rejects_unsorted_breakpoints(self):
         with pytest.raises(ValueError):
-            bl.InputSignal([2.0, 1.0], [[0.0], [1.0]], [2.0])
+            bl.InputSignal([2.0, 1.0], [[0.0], [1.0], [2.0]])
 
-    @pytest.mark.parametrize("breakpoints, values, tail", [
-        # built with dim 1: sup_norm and the sampler raised numpy's shape
-        # error, and integrate blamed the system's rhs
-        ([0.5], [[1.0, 2.0]], [0.3]),
-        ([0.5], [[1.0]], [0.3, 0.1]),
-        ([0.5, 1.0], [[1.0]], [0.3]),
-        ([], [[1.0]], [0.3]),  # a segment value with no breakpoint went unread
+    @pytest.mark.parametrize("breakpoints, values", [
+        # built with dim 1 when the last row was passed apart: sup_norm and
+        # the sampler raised numpy's shape error, and integrate blamed the
+        # system's rhs
+        ([0.5], [[1.0, 2.0], [0.3]]),
+        ([0.5], [[1.0], [0.3, 0.1]]),
+        ([0.5, 1.0], [[1.0], [0.3]]),
+        ([], [[1.0], [0.3]]),  # a row with no breakpoint before it went unread
     ])
     def test_segment_values_are_one_row_per_breakpoint_as_wide_as_the_tail(
-            self, breakpoints, values, tail):
-        with pytest.raises(ValueError, match=r"^segment_values must have shape \("):
-            bl.InputSignal(breakpoints, values, tail)
+            self, breakpoints, values):
+        with pytest.raises(ValueError, match=r"^values must "):
+            bl.InputSignal(breakpoints, values)
+
+    @pytest.mark.parametrize("name, breakpoints, values", [
+        # each built when the last row was passed apart, and failed later
+        ("breakpoints", [[0.5]], [[1.0], [0.0]]),
+        ("values", [], [[[0.3, 0.1]]]),
+        ("values", [0.5], [[1.0]]),
+        ("values", [], np.zeros((1, 0))),
+    ], ids=["breakpoints_2d", "values_3d", "too_few_rows", "zero_width"])
+    def test_a_table_of_another_shape_names_its_argument(self, name, breakpoints, values):
+        with pytest.raises(ValueError, match=rf"^{name} must "):
+            bl.InputSignal(breakpoints, values)
 
     def test_sup_norm(self):
-        u = bl.InputSignal([1.0], [[3.0, 4.0]], [0.0, 1.0])
+        u = bl.InputSignal([1.0], [[3.0, 4.0], [0.0, 1.0]])
         assert u.sup_norm() == pytest.approx(5.0)
-        tail = bl.InputSignal([1.0], [[0.0, 1.0]], [3.0, 4.0])
+        tail = bl.InputSignal([1.0], [[0.0, 1.0], [3.0, 4.0]])
         assert tail.sup_norm() == pytest.approx(5.0)
 
 
@@ -88,17 +100,17 @@ class TestIntegrate:
 
     def test_input_breakpoints_are_restart_points(self):
         sys_ = bl.SystemDef(1, 1, lambda x, u: u, name="integrator")
-        u = bl.InputSignal([1.0], [[1.0]], [-1.0])
+        u = bl.InputSignal([1.0], [[1.0], [-1.0]])
         traj = bl.integrate(sys_, [0.0], u, 2.0)
         assert traj.states[-1][0] == pytest.approx(0.0, abs=1e-9)
 
     def test_cocycle_property(self):
         b = bl.make("sigma1")
-        u = bl.InputSignal([0.7], [[1.0]], [0.3])
+        u = bl.InputSignal([0.7], [[1.0], [0.3]])
         t, s = 0.5, 0.9
         full = bl.integrate(b.system, [0.6], u, t + s)
         first = bl.integrate(b.system, [0.6], u, t)
-        shifted = bl.InputSignal([0.2], [[1.0]], [0.3])  # s -> u(s + t)
+        shifted = bl.InputSignal([0.2], [[1.0], [0.3]])  # s -> u(s + t)
         second = bl.integrate(b.system, first.states[-1], shifted, s)
         assert np.allclose(full.state_at(t + s), second.states[-1], atol=1e-8)
 
@@ -155,7 +167,7 @@ class TestIntegrate:
                 return np.array([1.0 if t < 0.5 else -1.0])
 
         sys_ = bl.make("linear", {"A": [[-1.0]]}).system
-        ref = bl.integrate(sys_, [0.3], bl.InputSignal([0.5], [[1.0]], [-1.0]), 1.0)
+        ref = bl.integrate(sys_, [0.3], bl.InputSignal([0.5], [[1.0], [-1.0]]), 1.0)
         got = bl.integrate(sys_, [0.3], Switch(), 1.0)
         assert np.array_equal(got.times, ref.times)
         assert np.array_equal(got.states, ref.states)
@@ -167,7 +179,7 @@ def state_at_trajectories(name):
     cfg = bl.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11)
     sigma1 = bl.make("sigma1")
     if name == "sigma1_open_loop":
-        u = bl.InputSignal([0.7, 1.3], [[1.0], [-0.5]], [0.3])
+        u = bl.InputSignal([0.7, 1.3], [[1.0], [-0.5], [0.3]])
         return [bl.integrate(sigma1.system, [0.6], u, 2.0, cfg)]
     if name == "sigma1_closed_loop":
         cl = closed_loop(sigma1.system, sigma1.margin)
@@ -341,9 +353,9 @@ def ensemble_case(name):
     if name == "non_normal_linear":
         lin = bl.make("linear", {"A": [[-1.0, 10.0], [0.0, -1.0]]})
         inputs = [
-            bl.InputSignal([0.5, 1.2], [[1.0, 0.0], [0.0, -1.0]], [0.3, 0.3]),
+            bl.InputSignal([0.5, 1.2], [[1.0, 0.0], [0.0, -1.0], [0.3, 0.3]]),
             bl.InputSignal.constant([0.0, 1.0]),
-            bl.InputSignal([0.8], [[-1.0, 2.0]], [0.0, 0.0]),
+            bl.InputSignal([0.8], [[-1.0, 2.0], [0.0, 0.0]]),
         ]
         X0 = np.array([[0.0, 1.0], [1.0, -1.0], [0.5, 0.5]])
         return lin.system, X0, inputs, one_group(np.linspace(0.0, 2.0, 41), 3), cfg
@@ -351,7 +363,7 @@ def ensemble_case(name):
         rd = bl.make("reaction_diffusion", {"n": 8})
         inputs = [
             bl.InputSignal.constant([0.5]),
-            bl.InputSignal([0.3], [[1.0]], [-1.0]),
+            bl.InputSignal([0.3], [[1.0], [-1.0]]),
             bl.InputSignal.constant([0.0]),
         ]
         X0 = np.random.default_rng(1).standard_normal((3, 8))
@@ -575,7 +587,7 @@ class TestSolverSelection:
     def test_everything_else_uses_rk45(self, monkeypatch):
         methods = solver_work(monkeypatch)["methods"]
         sigma1 = bl.make("sigma1")
-        switching = bl.InputSignal([0.5], [[1.0]], [0.3])
+        switching = bl.InputSignal([0.5], [[1.0], [0.3]])
         bl.integrate(sigma1.system, [0.6], switching, 2.0)
         bl.integrate(closed_loop(sigma1.system, sigma1.margin), [0.6], switching, 2.0)
         bl.integrate(bl.make("quadratic").system, [0.5], bl.InputSignal.constant([0.0]), 1.0)
@@ -592,7 +604,7 @@ class TestStiffPath:
     def test_integrate_matches_rk45(self, monkeypatch):
         rd, cfg = stiff_rd()
         x0 = np.random.default_rng(2).standard_normal(32) * 0.2
-        u = bl.InputSignal([0.4], [[1.0]], [-0.5])
+        u = bl.InputSignal([0.4], [[1.0], [-0.5]])
         grid = np.linspace(0.0, 1.0, 41)
         traj = bl.integrate(rd.system, x0, u, 1.0, cfg)
         monkeypatch.setattr(sysdyn, "_STIFF_RHO_SPAN", math.inf)  # references on RK45
@@ -609,7 +621,7 @@ class TestStiffPath:
         inputs = [
             bl.InputSignal.constant([0.5]),
             bl.InputSignal.constant([-0.3]),
-            bl.InputSignal([0.15, 0.6], [[1.0], [-1.0]], [0.2]),
+            bl.InputSignal([0.15, 0.6], [[1.0], [-1.0], [0.2]]),
             bl.InputSignal.constant([0.0]),
         ]
         grid = np.linspace(0.0, 1.0, 21)
@@ -782,6 +794,24 @@ def test_only_the_dense_paths_name_integrate():
     assert "sysdyn.py" in users
 
 
+def test_a_signal_is_passed_as_one_table():
+    # every InputSignal or DisturbanceSignal built in the package gets its
+    # breakpoints and its whole table of values, and no module splits the
+    # table into segment and tail values or stacks it again
+    split = {"segment_values", "tail_value", "_all_values"}
+    calls, names = [], set()
+    for name, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) in (
+                    "InputSignal", "DisturbanceSignal"):
+                calls.append((name, len(node.args), [k.arg for k in node.keywords]))
+            names.update({getattr(node, key, None) for key in ("id", "attr", "arg", "name")}
+                         & split)
+    assert calls and all(args == 2 and not keywords for _, args, keywords in calls), calls
+    assert not names
+
+
 def _evaluates_the_field(node) -> bool:
     """node calls `rhs`, or multiplies by a matrix (by `@`, `dot` or
     `matmul`) or by anything it reads from `linear_part`."""
@@ -896,7 +926,7 @@ def test_start_check_is_the_solvers_first_evaluation(path, monkeypatch):
     the solvers ask for it."""
     work = solver_work(monkeypatch)
     calls = []
-    switching = bl.InputSignal([0.5], [[1.0]], [0.3])  # two solves per run
+    switching = bl.InputSignal([0.5], [[1.0], [0.3]])  # two solves per run
     base = stiff_rd(8)[0].system if path == "stiff" else bl.make("sigma1").system
 
     def rhs(x, u):

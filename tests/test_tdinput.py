@@ -38,7 +38,7 @@ class TestGrowthMargin:
 class TestDisturbanceSignal:
     def test_rejects_values_outside_unit_ball(self):
         with pytest.raises(ValueError):
-            bl.DisturbanceSignal(np.array([1.0]), np.array([[1.5]]), np.array([0.0]))
+            bl.DisturbanceSignal(np.array([1.0]), np.array([[1.5], [0.0]]))
 
     def test_family_prefix_stable_and_bounded(self):
         fam3 = disturbance_family(2, 3.0, 3, seed=7)
@@ -62,7 +62,7 @@ class TestDisturbanceSignal:
         b = disturbance_family(1, 2.0, 5, seed=11)
         for da, db in zip(a, b):
             assert np.array_equal(da.breakpoints, db.breakpoints)
-            assert np.array_equal(da._all_values(), db._all_values())
+            assert np.array_equal(da.values, db.values)
 
 
 class TestClosedLoop:
@@ -88,12 +88,12 @@ class TestClosedLoop:
 
 class TestLiftProject:
     def test_lifted_input_is_member(self, sigma1):
-        d = bl.DisturbanceSignal(np.array([1.0]), np.array([[0.8]]), np.array([-0.5]))
+        d = bl.DisturbanceSignal(np.array([1.0]), np.array([[0.8], [-0.5]]))
         u, _ = bl.lift_disturbance(sigma1.system, sigma1.margin, [0.4], d, 2.0)
         assert domination_gap(sigma1.system, sigma1.margin, [0.4], u, 2.0) <= TOL_MEMBERSHIP
 
     def test_scaled_input_is_not_member(self, sigma1):
-        d = bl.DisturbanceSignal(np.array([1.0]), np.array([[0.8]]), np.array([-0.5]))
+        d = bl.DisturbanceSignal(np.array([1.0]), np.array([[0.8], [-0.5]]))
         u, _ = bl.lift_disturbance(sigma1.system, sigma1.margin, [0.4], d, 2.0)
 
         class Scaled:
@@ -107,7 +107,7 @@ class TestLiftProject:
         assert gap > TOL_MEMBERSHIP
 
     def test_roundtrip_recovers_disturbance(self, sigma1):
-        d = bl.DisturbanceSignal(np.array([0.9]), np.array([[0.7]]), np.array([-0.9]))
+        d = bl.DisturbanceSignal(np.array([0.9]), np.array([[0.7], [-0.9]]))
         grid = np.linspace(0, 2, 101)
         u, traj_cl = bl.lift_disturbance(sigma1.system, sigma1.margin, [0.5], d, 2.0)
         d2 = bl.project_input(sigma1.system, sigma1.margin, [0.5], u, 2.0, None, grid)
@@ -130,7 +130,7 @@ class TestLiftProject:
     @pytest.mark.parametrize("grid", [[0.0, 0.5, 1.0], np.linspace(0.0, 1.0, 11)])
     def test_division_guard_names_first_offending_time(self, sigma1, grid):
         # phi stays at 0 and u is dominated (zero) before t = 0.5, not after
-        u = bl.InputSignal([0.5], [[0.0]], [1.0])
+        u = bl.InputSignal([0.5], [[0.0], [1.0]])
         with pytest.raises(bl.DivisionGuardError, match=r"at t=0\.5: margin 0\.0 but"):
             bl.project_input(sigma1.system, sigma1.margin, [0.0], u, 1.0, None, grid)
 
@@ -201,7 +201,7 @@ def round_trip_digest(sigma1) -> str:
             u, _ = bl.lift_disturbance(sigma1.system, margin, [x0], d, 2.0)
             traj = bl.integrate(sigma1.system, [x0], u, 2.0)
             back = bl.project_input(sigma1.system, margin, [x0], u, 2.0, None, grid)
-            for a in (traj.times, traj.states, back._all_values()):
+            for a in (traj.times, traj.states, back.values):
                 h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()[:32]
 
