@@ -205,8 +205,11 @@ def build_alpha(chi1: ScalarFun, chi2: ScalarFun, chi3: ScalarFun) -> ScalarFun:
         grid = np.unique(np.concatenate([grid, a + (b - a) * da / (da - db)]))
         stacked = np.vstack([grid, chi1(grid), chi2(grid), chi3(grid)])
     values = 4.0 * stacked.max(axis=0)
+    # a crossing computed one ulp past a knot can repeat the max there: keep
+    # the points where it strictly rises
+    rises = values > np.maximum.accumulate(np.concatenate([[-np.inf], values[:-1]]))
     slope = 4.0 * max(1.0, chi1.slope, chi2.slope, chi3.slope)
-    return ScalarFun(grid, values, slope, frozenset({"Kinf"}))
+    return ScalarFun(grid[rises], values[rises], slope, frozenset({"Kinf"}))
 
 
 def eta_from_chis(chi1: ScalarFun, chi2: ScalarFun, chi3: ScalarFun) -> ScalarFun:

@@ -442,6 +442,8 @@ def radial_table(
     at every radius from one ensemble.  V comes first: a radius over the
     tail budget is a TailBudgetError before the bounds are built up to it."""
     radii = _numbers("radii", radii, ge=0)
+    if radii.ndim != 1 or not radii.size:
+        raise ValueError(f"radii must be a non-empty 1-D array, got shape {radii.shape}")
     e1 = np.zeros(sys.state_dim)
     e1[0] = 1.0
     values = eval_V(sys, margin, radii[:, None] * e1, cfg, l_table)

@@ -7,12 +7,14 @@ right-hand side stays smooth within each solver step.  The solver is RK45,
 or BDF with the linear part as its Newton matrix when that part is stiff
 over the span integrated.  Blow-up is detected by a norm-threshold event
 and reported as data, never as a crash.  One loop, `_run`, steps every
-solve and hands each step to its caller: `integrate` keeps every step, and
-the ensemble sampler, which integrates a family of trajectories of one
-system as a single stacked ODE, reads each step's interpolant at the grid
-times inside it as the step is taken, as solve_ivp's `t_eval` does inside
-without holding them to the end.  A sampled row freezes at the end of its
-grid or at its blow-up, whichever comes first, and the rest go on.
+solve, builds each step's interpolant and hands it to its caller: `integrate`
+keeps every step, and the ensemble sampler, which integrates a family of
+trajectories of one system as a single stacked ODE, reads each step's
+interpolant at the grid times inside it as the step is taken, without
+holding them to the end.  Every solve goes on from the solver's own state
+where the last one stopped, so a one-row ensemble has the bits of
+`integrate`'s dense solution.  A sampled row freezes at the end of its grid
+or at its blow-up, whichever comes first, and the rest go on.
 
 RK45 is sysdyn's own port of scipy's, so importing sysdyn loads no part of
 scipy; `RkDenseOutput` is the one reader of an RK45 step, and a
@@ -118,8 +120,8 @@ class InputSignal:
         return self.values.shape[1]
 
     def eval(self, t: float) -> np.ndarray:
-        if t < 0:
-            raise ValueError("signals are defined for t >= 0 only")
+        if not t >= 0:  # negative, or NaN
+            raise ValueError(f"signals are defined for t >= 0 only, got {t!r}")
         return self.values[bisect.bisect_right(self._bps, t)]
 
     def sup_norm(self) -> float:
@@ -472,15 +474,15 @@ _ROOT_TOL = 4.0 * np.finfo(float).eps  # solve_ivp's tolerance on an event's roo
 
 def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, on_step, A):
     """Solve the stack y' = f_at(a, b, live)(t, y) of len(ends) rows across
-    `edges`, one solve per [a, b] from the previous solve's last state, by
-    the solver `_solver` picks for linear part A (None if the system has
-    none) over the whole run, calling on_step(solver, t, y, sol) after each
-    step, as solve_ivp's loop reads its outputs there: t and y are the
-    step's end and the state there, sol the step's interpolant if it was
-    built, else None, and the solve goes on from the state on_step returns.
-    Returns the state where the run ended and each row's blow-up crossing
-    time (inf if it did not cross); rows that start at or above the
-    threshold cross at edges[0].
+    `edges`, one solve per [a, b] from the solver's own state where the
+    previous solve stopped, by the solver `_solver` picks for linear part A
+    (None if the system has none) over the whole run, calling
+    on_step(t, y, sol) after each step, as solve_ivp's loop reads its outputs
+    there: t and y are the step's end and the state there, sol the step's
+    interpolant, built once here (at a crossing, the one its root search
+    read).  on_step only reads them.  Returns the state where the run ended
+    and each row's blow-up crossing time (inf if it did not cross); rows that
+    start at or above the threshold cross at edges[0].
 
     Row i is live from a while a < ends[i]; `live` selects those rows and
     f_at must hold the others still.  The blow-up event is the largest live
@@ -548,7 +550,7 @@ def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, on_step, A):
                 # as solve_ivp keeps its steps: not a zero-length last one
                 # (a crossing at the start of a step that is not the first)
                 if t != solver.t_old or t == a:
-                    y = on_step(solver, t, y, sol)
+                    on_step(t, y, solver.dense_output() if sol is None else sol)
             del solver  # its (7, rows n) stages go before the next solve's are built
             a = t
             if event:
@@ -595,11 +597,10 @@ def integrate(
 
     times, states, steps = [0.0], [x0], []  # one interpolant per solver step
 
-    def keep(solver, t, y, sol):
+    def keep(t, y, sol):
         times.append(t)
         states.append(y)
-        steps.append(solver.dense_output() if sol is None else sol)
-        return y
+        steps.append(sol)
 
     _, t_cross = _run(f_at, x0, _segment_edges(u.breakpoints, tau), cfg, [tau], keep,
                       sys.linear_part)
@@ -644,11 +645,12 @@ def _sample_ensemble(
     crosses the blow-up threshold if that comes first: its derivative is zero
     and its later grid times hold its state there, while the other rows go
     on.  Integration restarts only at the union of the rows' breakpoints and
-    grid ends.  Each solver step reads its interpolant at the union grid
-    times inside it (`_run`'s hook); the sampler holds those states until one
-    more step would take them past _HELD_VALUES values, then scatters them
-    into the samples, each group's times and rows in one copy, so nothing
-    but the samples grows with the grid.  Returns the samples, shape
+    grid ends, from the solver's own state there, as `integrate` does.  Each
+    step's interpolant is read at the union grid times up to and at its end
+    (`_run`'s hook); the sampler holds those states until one more step
+    would take them past _HELD_VALUES values, then scatters them into the
+    samples, each group's times and rows in one copy, so nothing but the
+    samples grows with the grid.  Returns the samples, shape
     (T, N, n) for T the longest grid's length (NaN after the end of a
     shorter one), and each row's crossing time, shape (N,) (inf if it did
     not cross).  The live rows' derivatives are one `sys.full_rhs` call.
@@ -719,32 +721,20 @@ def _sample_ensemble(
             scatter(Y.T.reshape(-1, N, n))
             held.clear()
 
-    def emit(Y):  # one step's states at the next union times, shape (N * n, K)
+    def sample_step(t, y, sol):
+        """Hold the step's states at the union times up to and at its end."""
         nonlocal emitted
-        if (emitted - k + Y.shape[1]) * N * n > _HELD_VALUES:
-            flush()
-        held.append(Y)
-        emitted += Y.shape[1]
-
-    def sample_step(solver, t, y, sol):
-        """Emit the states at the union times the step reaches below its
-        solve's end b; at b, read b in the same call and go on from there."""
-        b = solver.t_bound
-        ts = union[emitted : np.searchsorted(union, t, "right" if t < b else "left")]
-        if t == b:
-            ts = np.append(ts, b)
+        ts = union[emitted : np.searchsorted(union, t, "right")]
         if ts.size:
-            Y = (solver.dense_output() if sol is None else sol)(ts)
-            if t == b:  # a crossing at b goes on from y, as any crossing
-                Y, y = Y[:, :-1], (y if sol is not None else Y[:, -1].copy())
-            if Y.shape[1]:
-                emit(Y)
-        return y
+            if (emitted - k + ts.size) * N * n > _HELD_VALUES:
+                flush()
+            held.append(sol(ts))
+            emitted += ts.size
 
     edges = _segment_edges(np.concatenate([switch_at, ends]), ends.max())
     end, t_cross = _run(f_at, X0.ravel(), edges, cfg, ends, sample_step, sys.linear_part)
     flush()
-    # the union times at the last end, or after the last row froze, hold the last state
+    # the union times after the last row froze hold its state there
     scatter(np.broadcast_to(end.reshape(N, n), (union.size - k, N, n)))
     return samples, t_cross
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compfun import ScalarFun, chi_from_eta
-from .sysdyn import (InputSignal, IntegratorConfig, SystemDef, Trajectory, _number, _time_grid,
-                     integrate)
+from .sysdyn import (InputSignal, IntegratorConfig, SystemDef, Trajectory, _number, _numbers,
+                     _time_grid, integrate)
 
 __all__ = [
     "GrowthMargin",
@@ -177,7 +177,8 @@ def project_input(
     applies, but only for dominated inputs; otherwise a DivisionGuardError
     names the time.
     """
-    ts = _time_grid(grid, tau)
+    tau = _number("tau", tau, gt=0)
+    ts = _time_grid(_numbers("grid", grid), tau)
     X = integrate(sys, x0, u, tau, cfg).state_at(ts)
     e = np.asarray(margin(np.linalg.norm(X, axis=1)), dtype=float)
     U = np.array([u.eval(t) for t in ts], dtype=float)

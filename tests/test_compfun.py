@@ -158,6 +158,18 @@ class TestAlphaAndMargins:
         expect = 4 * np.max([s, c1(s), c2(s), c3(s)], axis=0)
         assert np.all(np.asarray(a(s)) >= expect - 1e-12)
 
+    def test_build_alpha_takes_a_crossing_an_ulp_past_a_knot(self):
+        # chi1 and chi2 cross one ulp past chi1's knot 3.3, where 4 max then
+        # took the knot's value again
+        c1 = pl([0, 1, 1.7, 1.9, 3.3], [0, 0.3, 2.2, 3.2, 5.6], 0.16673857255993715, ("K",))
+        c2 = pl([0, 5.5], [0, 3.3], 1.8101077023225267, ("K",))
+        c3 = pl([0, 0.9, 2.5, 4.1, 4.8], [0, 1.9, 2.9, 3.7, 4.4], 0.9554234582161816, ("K",))
+        a = build_alpha(c1, c2, c3)
+        assert np.all(np.diff(a.values) > 0)
+        s = np.linspace(0, 5.5, 200)
+        expect = 4 * np.max([s, c1(s), c2(s), c3(s)], axis=0)
+        assert np.allclose(a(s), expect, rtol=1e-12, atol=1e-12)
+
     def test_eta_from_chis_is_dominated_margin(self):
         c1, c2, c3 = self.chis()
         eta = eta_from_chis(c1, c2, c3)

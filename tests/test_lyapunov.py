@@ -133,7 +133,7 @@ class TestEvalV:
         for bad in ([[[0.8]]], np.empty((0, 1)), [[0.8, 0.1, 0.2], [0.1, 0.2, 0.3]]):
             with pytest.raises(ValueError, match="stack of states"):
                 bl.eval_V(sigma1.system, sigma1.margin, bad, lyap_cfg, l_table)
-        with pytest.raises(ValueError, match="stack of states"):
+        with pytest.raises(ValueError, match="^radii must be a non-empty 1-D array"):
             radial_table(sigma1.system, sigma1.margin, [], lyap_cfg, l_table)
 
     def test_tail_budget_error_names_minimal_q(self, sigma1, l_table):
@@ -629,9 +629,12 @@ GUARD_PAIRS = ((0.45, 0.3), (-1.2, 0.6), (1.85, 0.9))
 # recorded again when the solves stopped restarting at grid times (they
 # were 146 and 27 solves, 1,810 and 1,302 evaluations): the table moved by at
 # most 2.7e-14 relative and the radial table's alpha2_plus_C by 2e-16.
+# l_table was recorded again when the sampler's solves came to go on from
+# the solver's own state at a row end, as integrate's do: the table moved by
+# at most 1.0e-15 relative, with the same solves and evaluations.
 ENSEMBLE_DIGESTS = {
     "radial_table": ("6ee0b4ee2dfee48dfba0bdf2836714a2", 99, 1434),
-    "l_table": ("9834ecc145b5bc93fce4563bdbc81d3b", 14, 1132),
+    "l_table": ("a6960341ee01cbcc0329ff858cb1f700", 14, 1132),
     "verify_growth_0": ("d9680aac51cce92e56cdefb583e587aa", 10, 200),
     "verify_growth_1": ("f4449a619c94c9ff55569c519441778e", 10, 242),
     "verify_growth_2": ("7a3e6edcc5bf9ba0f6d770c3ea50783b", 10, 326),

@@ -38,6 +38,11 @@ def decay(state_dim=1, input_dim=1, linear_part=None):
     return bl.integrate(sys_, np.full(int(state_dim), 0.5), bl.InputSignal.constant([0.0]), 1.0)
 
 
+def project(s, grid, tau=1.0):
+    """project_input on sigma1 from 0.5 under the constant input 0.5."""
+    return bl.project_input(*sig(s), [0.5], bl.InputSignal.constant([0.5]), tau, None, grid)
+
+
 # (argument named in the message, call on (sigma1, a Q = 14 unit table))
 REJECTED = {
     # returned 2.0
@@ -71,6 +76,18 @@ REJECTED = {
     # wrote norm_x = -1 beside the V of radius 1
     "radial_table_negative_radius": (
         "radii", lambda s, t: bl.radial_table(*sig(s), [0.5, -1.0], bl.LyapunovConfig(), t)),
+    # an IndexError, and a message that named x
+    "radial_table_number_radii": (
+        "radii", lambda s, t: bl.radial_table(*sig(s), 0.5, bl.LyapunovConfig(), t)),
+    "radial_table_empty_radii": (
+        "radii", lambda s, t: bl.radial_table(*sig(s), [], bl.LyapunovConfig(), t)),
+    "radial_table_2d_radii": (
+        "radii", lambda s, t: bl.radial_table(*sig(s), [[0.5], [1.0]], bl.LyapunovConfig(), t)),
+    # read True as 1.0 and '0.5' as 0.5
+    "project_input_bool_grid_entry": ("grid", lambda s, t: project(s, [0.0, 0.5, True])),
+    "project_input_string_grid_entry": ("grid", lambda s, t: project(s, ["0", "0.5"])),
+    # a message that named the grid
+    "project_input_nan_tau": ("tau", lambda s, t: project(s, [0.0, 0.5], NAN)),
     "verify_growth_nan_x": (
         "x", lambda s, t: bl.verify_growth(*sig(s), [NAN], [0.1], bl.LyapunovConfig(), t)),
     "verify_growth_nan_u": (
