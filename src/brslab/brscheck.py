@@ -137,29 +137,20 @@ def sample_reach(sys: SystemDef, C: float, tau: float, n: int, seed: int) -> Rea
 def _monotone_envelope(m: np.ndarray, y: np.ndarray):
     """Nondecreasing PL envelope dominating every (m_i, y_i) at its abscissa.
 
-    The abscissae are split at their quantiles into 32 bins.  Knot j sits
-    at a bin's left edge and carries the running maximum of all bins up to
-    and including that bin, so the envelope dominates within each bin as
-    well.
+    The sorted abscissae are split at their quantiles into 32 closed bins
+    (one, [m, m], if they are all equal).  Each non-empty bin's left edge
+    above 0 is a knot, and knot 0 sits at 0 with the first bin; a knot
+    carries the prefix maximum of y at its bin's last sample, so the
+    envelope dominates within each bin as well.
     """
     order = np.argsort(m)
-    m, y = m[order], y[order]
-    edges = np.quantile(m, np.linspace(0.0, 1.0, 33))
-    edges = np.unique(edges)
-    knots = [0.0]
-    maxima = []
-    running = -math.inf
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sel = (m >= lo) & (m <= hi)
-        if not sel.any():
-            continue
-        running = max(running, float(y[sel].max()))
-        maxima.append(running)
-        if lo > knots[-1]:
-            knots.append(float(lo))
-    # first bin's max also covers [0, first edge]
-    values = [maxima[0]] + maxima[: len(knots) - 1]
-    return np.asarray(knots), np.asarray(values[: len(knots)])
+    m, top = m[order], np.maximum.accumulate(y[order])
+    edges = np.unique(np.quantile(m, np.linspace(0.0, 1.0, 33)))
+    lo, hi = (edges[:-1], edges[1:]) if edges.size > 1 else (edges, edges)
+    last = np.searchsorted(m, hi, "right") - 1
+    full = last >= np.searchsorted(m, lo)
+    lo, top = lo[full], top[last[full]]
+    return np.concatenate([[0.0], lo[lo > 0]]), np.concatenate([top[:1], top[lo > 0]])
 
 
 def fit_additive_bound(samples: ReachSamples) -> ReachBoundFit:

@@ -192,7 +192,8 @@ class Trajectory:
     """Solver steps, states, maximal-time estimate, blow-up flag, and
     `steps`, the solver's interpolant over each step from times[i] to
     times[i + 1] (its dense output: Hairer, Norsett & Wanner, Solving ODEs
-    I, sec. II.6), which `state_at` reads.  `==` and `hash` go by identity."""
+    I, sec. II.6), which `state_at` reads, a step's end from the step that
+    ends there on every solver.  `==` and `hash` go by identity."""
 
     times: np.ndarray
     states: np.ndarray
@@ -201,22 +202,20 @@ class Trajectory:
     steps: tuple = field(repr=False)
 
     def __post_init__(self):
-        # state_at's step search, as solve_ivp reads a step time: RK45 from
-        # the step that ends there, BDF (or a lone constant step) from the next
-        object.__setattr__(self, "_ts", self.times.tolist())
-        object.__setattr__(self, "_find", bisect.bisect_left
-                           if isinstance(self.steps[0], RkDenseOutput) else bisect.bisect_right)
+        object.__setattr__(self, "_ts", self.times.tolist())  # the float path's search
 
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.states, axis=1)
 
     def state_at(self, t) -> np.ndarray:
         """State at time t, shape (n,), or at a 1-D array of times, shape
-        (T, n), with the bits of solve_ivp's dense output over the same steps;
-        times outside [0, times[-1]] read the nearer end, and a time that is
-        not a finite number is a ValueError that names t.  A number (what a
-        FeedbackSignal reads on every right-hand-side call) is one interpolant
-        call, an array sorted and read in runs of one step, one call each."""
+        (T, n), read from the step that holds t, a step's end times[i] from
+        steps[i - 1], as the ensemble sampler reads it, so a one-row ensemble
+        has these bits at every grid time; times outside [0, times[-1]] read
+        the nearer end, and a time that is not a finite number is a ValueError
+        that names t.  A number (what a FeedbackSignal reads on every
+        right-hand-side call) is one interpolant call, an array sorted and
+        read in runs of one step, one call each."""
         if not isinstance(t, float):
             if np.ndim(t) == 0:
                 return self.state_at(float(_numbers("t", t)))
@@ -225,8 +224,7 @@ class Trajectory:
                 raise ValueError(f"t must be a number or a 1-D array, got shape {t.shape}")
             order = np.argsort(t)
             t = np.clip(t[order], 0.0, self.times[-1])
-            side = "left" if self._find is bisect.bisect_left else "right"
-            idx = np.clip(np.searchsorted(self.times, t, side) - 1, 0, len(self.steps) - 1)
+            idx = np.clip(np.searchsorted(self.times, t) - 1, 0, len(self.steps) - 1)
             cut = (np.flatnonzero(idx[1:] != idx[:-1]) + 1).tolist()  # where each run starts
             out = np.empty((self.states.shape[1], t.size))
             if t.size:  # one interpolant call per run of one step
@@ -238,7 +236,7 @@ class Trajectory:
             if not math.isfinite(t):
                 _number("t", t)
             t = 0.0 if t < 0.0 else ts[-1]
-        return steps[min(max(self._find(ts, t) - 1, 0), len(steps) - 1)](t)
+        return steps[min(max(bisect.bisect_left(ts, t) - 1, 0), len(steps) - 1)](t)
 
 
 class RK45:
@@ -504,9 +502,11 @@ def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, on_step, A):
 
     def scaled_norms(y):
         """Each row's norm over the threshold: the start check, the event
-        and the crossing rule compare it with 1, so no square overflows."""
+        and the crossing rule compare it with 1, so a square that overflows
+        (a row above about 1e154 times the threshold) reads inf, still >= 1."""
         z = y.reshape(rows, -1) / threshold
-        return np.sqrt((z * z).sum(axis=1))
+        with np.errstate(over="ignore"):
+            return np.sqrt((z * z).sum(axis=1))
 
     def blowup_event(y):
         return scaled_norms(y)[sel].max() - 1.0

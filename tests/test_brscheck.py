@@ -149,9 +149,23 @@ class TestFitAdditiveBound:
         with pytest.raises(bl.NotBrsError):
             bl.fit_additive_bound(s)
 
-    def test_monotone_envelope_dominates(self):
+    def test_zero_abscissa_row_is_dominated(self):
+        # a t = 0 row of a zero state and input sits at abscissa 0, the
+        # first bin's left edge, and its knot carries that bin's maximum
+        samples = brscheck.ReachSamples(np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5]), np.zeros(6),
+                                        np.zeros(6), np.array([0.5, 1.0, 4.0, 2.0, 3.0, 6.0]))
+        assert bl.fit_additive_bound(samples).residual <= 0.0
+
+    @pytest.mark.parametrize("kind", ["random", "zero_abscissa", "ties", "all_equal"])
+    def test_monotone_envelope_dominates(self, kind):
         rng = np.random.default_rng(9)
         m = rng.uniform(0, 10, 500)
+        if kind == "zero_abscissa":
+            m[:3] = 0.0
+        elif kind == "ties":  # a tenth of them at 0
+            m = np.floor(m)
+        elif kind == "all_equal":  # one closed bin, [4, 4]
+            m = np.full(500, 4.0)
         y = np.sqrt(m) + rng.uniform(0, 0.5, 500)
         knots, env = _monotone_envelope(m, y)
         f = bl.ScalarFun(knots, env, 0.0) if knots.size >= 2 else None

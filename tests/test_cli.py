@@ -377,6 +377,16 @@ class TestBrsFit:
         assert rep["residual"] <= 0.0
         assert rep["seed"] == 42
 
+    def test_one_draw_with_every_abscissa_equal(self, tmp_path, capsys):
+        # one draw with C = 5 and horizon 0.5: max(t, ||x||, ||u||) is 4.75 at
+        # all 8 sample times, so the reach envelope has one closed bin
+        cfg = write_cfg(tmp_path, {"system": {"name": "sigma1"}, "seed": 1, "C": 5.0,
+                                   "horizon": 0.5, "samples": 1})
+        out = tmp_path / "out"
+        assert main(["brs", "fit", "--config", cfg, "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert strict_loads((out / "brs_fit.json").read_text())["residual"] <= 0.0
+
     def test_blowup_falsifies(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path,

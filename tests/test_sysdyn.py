@@ -221,11 +221,13 @@ def state_at_digest(trajs) -> str:
 
 # Recorded with numpy 2.4 and scipy 1.17 on x86-64 when `state_at` read
 # per-restart-segment solutions, before it read one solution of all steps.
+# reaction_diffusion re-recorded when BDF step ends came to be read from the
+# step that ends there, not the next one (reads moved by <= 2.2e-16 relative).
 STATE_AT_DIGESTS = {
     "sigma1_open_loop": "e3ff1d92ee54d202e8d0b01022084a93",
     "sigma1_closed_loop": "fe4823a84ee281b5ddcc8422c6436a39",
     "quadratic_blowup": "af03b255772349b9e1fdcf442a1f846d",
-    "reaction_diffusion": "2a040424dbd84ef8724a908988875ac5",
+    "reaction_diffusion": "24391eb607bedd32661e8e8a594ed81c",
 }
 
 
@@ -233,6 +235,15 @@ class TestStateAt:
     @pytest.mark.parametrize("name", sorted(STATE_AT_DIGESTS))
     def test_reads_are_bit_identical(self, name):
         assert state_at_digest(state_at_trajectories(name)) == STATE_AT_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", ["sigma1_open_loop", "reaction_diffusion"])
+    def test_a_step_end_reads_the_step_that_ends_there(self, name):
+        # one rule on both solvers (RK45, then BDF): times[i] reads steps[i - 1]
+        traj = state_at_trajectories(name)[0]
+        ends = traj.times[1:]
+        want = np.array([step(t) for step, t in zip(traj.steps, ends.tolist())])
+        assert np.ascontiguousarray(traj.state_at(ends)).tobytes() == want.tobytes()
+        assert np.array([traj.state_at(t) for t in ends.tolist()]).tobytes() == want.tobytes()
 
 
 class TestStateAtFloatPath:
@@ -285,10 +296,11 @@ class TestBlowup:
         # the root is found in t to a few ulp, where |x'| = x^2 is about 1e18
         assert np.linalg.norm(traj.states[-1]) == pytest.approx(cfg.blowup_threshold, rel=1e-6)
 
-    @pytest.mark.parametrize("x0", [2e9, 1e9, -3e9])
+    @pytest.mark.parametrize("x0", [2e9, 1e9, -3e9, 1e308])
     def test_start_at_or_above_threshold_crosses_at_zero(self, x0):
         # the upward event cannot fire for a state that starts above the
-        # threshold; without the start check the solver underflows its step
+        # threshold; without the start check the solver underflows its step.
+        # At 1e308 the scaled norm's square overflows to inf, with no warning
         q = bl.make("quadratic")
         traj = bl.integrate(q.system, [x0], bl.InputSignal.constant([0.0]), 1.0)
         assert traj.blew_up and traj.t_max_estimate == 0.0
@@ -416,7 +428,8 @@ class TestSampleEnsemble:
             rd, cfg = stiff_rd()
             sys_ = rd.system
             x0 = np.sin(math.pi * np.arange(1, 33) / 33)  # the first sine mode
-            tau, grid = 1.0, np.linspace(0.0, 1.0, 41)
+            # the breakpoints are step ends, read from the step that ends there
+            tau, grid = 1.0, np.union1d(np.linspace(0.0, 1.0, 41), [0.3, 0.6])
             u = bl.InputSignal([0.3, 0.6], [[0.5], [-1.0], [0.2]])
         samples, _ = _sample_ensemble(sys_, x0[None], [u], one_group(grid, 1), cfg)
         assert np.array_equal(samples[:, 0], bl.integrate(sys_, x0, u, tau, cfg).state_at(grid))
@@ -794,6 +807,16 @@ def test_only_run_steps_a_solver():
                  for name, tree in trees.items()}
         assert {name for name, found in calls.items() if found} == {"sysdyn.py"}, method
         assert all(id(node) in inside for node in calls["sysdyn.py"]), method
+
+
+def test_no_module_branches_on_an_interpolants_type():
+    # one step-boundary rule: nothing tests whether a step is RK45's or BDF's
+    named = [(name, node.lineno) for name, tree in _package_trees().items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+             and {getattr(sub, "id", getattr(sub, "attr", None)) for sub in ast.walk(node)}
+             & {"RkDenseOutput", "BdfDenseOutput"}]
+    assert not named
 
 
 def test_only_rk_dense_output_reads_an_rk45_step():
