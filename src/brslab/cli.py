@@ -18,9 +18,8 @@ digest of brslab's own sources and the numpy and scipy versions.
 --out when the manifest there carries its own key, and builds them
 otherwise (no manifest or table, an unreadable one, a table that is not the
 one the manifest was written with, or another key); either way it writes
-the same bytes.  Under eta_source "from_fit" the manifest also holds the
-fitted margin, which verify reads back with the tables instead of sampling
-and fitting again.  The growth pairs and the sandwich check always run.
+the same bytes.  The margin, the growth pairs and the sandwich check are
+always computed afresh.
 """
 
 from __future__ import annotations
@@ -294,12 +293,10 @@ def _m_table(l_table: LipschitzTable) -> dict:
 
 
 def _stored_tables(cfg: dict, out: Path):
-    """(fitted, l_table, table) as `lyapunov build` wrote them to out for
-    this config and code, bit for bit, `fitted` the margin it fitted under
-    eta_source "from_fit" (None under "paper"), or None if out holds no
-    such tables: a missing, unreadable or foreign file, a table that is
-    not the one the manifest was written with, or a stored margin whose
-    knots, values or slope are not numbers by `_numbers`."""
+    """(l_table, table) as `lyapunov build` wrote them to out for this
+    config and code, bit for bit, or None if out holds no such tables: a
+    missing, unreadable or foreign file, or a table that is not the one the
+    manifest was written with."""
     try:
         manifest = json.loads((out / _MANIFEST).read_text())
         if any(manifest.get(k) != v for k, v in _reuse_key(cfg).items()):
@@ -315,32 +312,23 @@ def _stored_tables(cfg: dict, out: Path):
         if manifest["M_table"] != _m_table(l_table):
             return None
         data = np.loadtxt(rows, delimiter=",", ndmin=2)
-        table = {c: data[:, i] for i, c in enumerate(_COLUMNS)}
-        fitted = None
-        if cfg.get("eta_source", "paper") == "from_fit":
-            # read by the number rule, then checked by the constructor as the fit was
-            eta = manifest["fitted_eta"]
-            fitted = GrowthMargin(ScalarFun(_numbers("knots", eta["knots"]),
-                                            _numbers("values", eta["values"]),
-                                            _number("slope", eta["slope"]), eta["tags"]))
     except (OSError, KeyError, TypeError, ValueError, AttributeError, IndexError):
         return None
-    return fitted, l_table, table
+    return l_table, {c: data[:, i] for i, c in enumerate(_COLUMNS)}
 
 
 def _build_pipeline(cfg: dict, bundle: ex.ExampleBundle, stored_in: Path | None = None):
-    """margin, Lyapunov config, l_table and radial table; the two tables,
-    and a margin fitted under eta_source "from_fit", come from `stored_in`
-    when it holds them for this config."""
-    stored = None if stored_in is None else _stored_tables(cfg, stored_in)
-    margin = (stored and stored[0]) or _margin(bundle, cfg)  # a stored fit is not refitted
+    """margin, Lyapunov config, l_table and radial table; the two tables
+    come from `stored_in` when it holds them for this config."""
+    margin = _margin(bundle, cfg)
     # one seed: the disturbances of U_q draw from the seed stamped on the artifacts
     lyap_cfg = _block(cfg, "lyapunov", lambda sub: LyapunovConfig(**sub, seed=cfg["seed"]))
     radii = _array(cfg, "radii", np.linspace(0.0, 2.0, 21), ge=0)
     if radii.ndim != 1 or radii.size == 0:
         raise ConfigError(f"radii must be a non-empty list of finite numbers >= 0, got {radii}")
+    stored = None if stored_in is None else _stored_tables(cfg, stored_in)
     if stored is not None:
-        return margin, lyap_cfg, *stored[1:]
+        return margin, lyap_cfg, *stored
     if "c" in cfg:
         c = _setting(cfg, "c", None)
     else:
@@ -358,7 +346,7 @@ def _build_pipeline(cfg: dict, bundle: ex.ExampleBundle, stored_in: Path | None 
 
 
 def cmd_lyapunov_build(args, cfg: dict, bundle: ex.ExampleBundle, out: Path):
-    margin, lyap_cfg, l_table, table = _build_pipeline(cfg, bundle)
+    _, lyap_cfg, l_table, table = _build_pipeline(cfg, bundle)
     csv = _csv({c: table[c] for c in _COLUMNS})
     manifest = {
         "cfg": asdict(lyap_cfg),
@@ -368,8 +356,6 @@ def cmd_lyapunov_build(args, cfg: dict, bundle: ex.ExampleBundle, out: Path):
         "table_sha256": hashlib.sha256(csv).hexdigest(),
         **_reuse_key(cfg),
     }
-    if cfg.get("eta_source", "paper") == "from_fit":  # verify reads it back instead of refitting
-        manifest["fitted_eta"] = _fun_obj(margin.eta)
     return {_TABLE_CSV: csv, _MANIFEST: manifest}, None
 
 

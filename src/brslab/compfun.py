@@ -56,8 +56,7 @@ class ScalarFun:
         if knots.ndim != 1 or knots.shape != values.shape or knots.size < 2:
             raise ValueError("knots/values must be 1-d arrays of equal length >= 2")
         # vectorised, not `_numbers` (6 against 470 us on sigma1's 181-knot
-        # margin): the program builds these from its own arrays, and the CLI
-        # reads a stored function by `_numbers` before it gets here
+        # margin): the program builds these from its own arrays only
         if not (np.isfinite(knots).all() and np.isfinite(values).all()):
             raise ValueError("knots and values must be finite")
         if not np.all(np.diff(knots) > 0) or knots[0] < 0:

@@ -450,12 +450,8 @@ def radial_table(
     alpha1, alpha2, C = sandwich_funs(
         margin, l_table, cfg.Q, s_max=max(8.0, float(radii.max()))
     )
-    rows = {c: [] for c in _COLUMNS}
-    for r, lv in zip(radii, values):
-        rows["norm_x"].append(float(r))
-        rows["V"].append(lv.V)
-        rows["W"].append(lv.W)
-        rows["tail_bound"].append(lv.tail_bound)
-        rows["alpha1"].append(float(alpha1(r)))
-        rows["alpha2_plus_C"].append(float(alpha2(r)) + C)
-    return {k: np.asarray(v) for k, v in rows.items()}
+    # a copy: `_numbers` hands a float array back as it came
+    return {"norm_x": radii.copy(), "V": np.array([lv.V for lv in values]),
+            "W": np.array([lv.W for lv in values]),
+            "tail_bound": np.array([lv.tail_bound for lv in values]),
+            "alpha1": alpha1(radii), "alpha2_plus_C": alpha2(radii) + C}

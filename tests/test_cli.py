@@ -676,73 +676,26 @@ class TestVerifyReusesBuild:
         monkeypatch.setattr(cli, "sample_reach", counted)
         return calls
 
-    def test_from_fit_verify_reads_the_fitted_margin(self, tmp_path, fits):
+    def test_from_fit_verify_reads_the_fitted_margin(self, tmp_path, fits, table_calls):
+        # verify fits the margin afresh, as build does, and reads the tables;
+        # under the reuse key the fit is the stored tables' own
         cfg = self.from_fit_cfg(tmp_path)
+        cold = self.verify_bytes(cfg, tmp_path / "cold")
+        out = tmp_path / "out"
+        assert main(["lyapunov", "build", "--config", cfg, "--out", str(out)]) == 0
+        del fits[:], table_calls[:]
+        assert self.verify_bytes(cfg, out) == cold
+        assert len(fits) == 1
+        assert table_calls == []
+
+    @pytest.mark.parametrize("eta_source", ["paper", "from_fit"])
+    def test_manifest_keys(self, tmp_path, eta_source):
+        cfg = self.lyap_cfg(tmp_path) if eta_source == "paper" else self.from_fit_cfg(tmp_path)
         out = tmp_path / "out"
         assert main(["lyapunov", "build", "--config", cfg, "--out", str(out)]) == 0
         manifest = strict_loads((out / "lyapunov_manifest.json").read_text())
-        assert manifest["fitted_eta"]["tags"] == ["Kinf", "Lip1"]
-        stored = self.verify_bytes(cfg, out)
-        assert len(fits) == 1
-        assert self.verify_bytes(cfg, tmp_path / "refit") == stored
-        assert len(fits) == 2
-
-    def test_from_fit_without_stored_margin_refits(self, tmp_path, fits, table_calls):
-        cfg = self.from_fit_cfg(tmp_path)
-        out = tmp_path / "out"
-        assert main(["lyapunov", "build", "--config", cfg, "--out", str(out)]) == 0
-        path = out / "lyapunov_manifest.json"
-        manifest = json.loads(path.read_text())
-        del manifest["fitted_eta"]
-        path.write_text(json.dumps(manifest))
-        del table_calls[:]
-        self.verify_bytes(cfg, out)
-        assert len(fits) == 2
-        assert table_calls == ["build_l_table", "radial_table"]
-
-    def test_from_fit_nan_in_stored_margin_refits(self, tmp_path, fits, table_calls):
-        # json reads NaN; the margin rebuilt from it took the place of a fit
-        cfg = self.from_fit_cfg(tmp_path)
-        fresh = self.verify_bytes(cfg, tmp_path / "fresh")
-        out = tmp_path / "out"
-        assert main(["lyapunov", "build", "--config", cfg, "--out", str(out)]) == 0
-        path = out / "lyapunov_manifest.json"
-        manifest = json.loads(path.read_text())
-        manifest["fitted_eta"]["values"][-1] = math.nan
-        path.write_text(json.dumps(manifest))
-        del fits[:], table_calls[:]
-        assert self.verify_bytes(cfg, out) == fresh
-        assert len(fits) == 1
-        assert table_calls == ["build_l_table", "radial_table"]
-
-    @pytest.mark.parametrize("key, value", [("knots", False), ("values", False),
-                                            ("slope", True), ("knots", "0")])
-    def test_from_fit_non_number_in_stored_margin_refits(self, tmp_path, fits, table_calls,
-                                                         key, value):
-        # ScalarFun reads a bool as 0 or 1 and parses a numeric string: each
-        # of these built a margin in the place of a fit
-        cfg = self.from_fit_cfg(tmp_path)
-        fresh = self.verify_bytes(cfg, tmp_path / "fresh")
-        out = tmp_path / "out"
-        assert main(["lyapunov", "build", "--config", cfg, "--out", str(out)]) == 0
-        path = out / "lyapunov_manifest.json"
-        manifest = json.loads(path.read_text())
-        eta = manifest["fitted_eta"]
-        if key == "slope":
-            eta[key] = value
-        else:  # the first knot and value are 0, which False and "0" read as
-            eta[key][0] = value
-        path.write_text(json.dumps(manifest))
-        del fits[:], table_calls[:]
-        assert self.verify_bytes(cfg, out) == fresh
-        assert len(fits) == 1
-        assert table_calls == ["build_l_table", "radial_table"]
-
-    def test_paper_manifest_holds_no_fitted_margin(self, tmp_path):
-        out = tmp_path / "out"
-        assert main(["lyapunov", "build", "--config", self.lyap_cfg(tmp_path),
-                     "--out", str(out)]) == 0
-        assert "fitted_eta" not in strict_loads((out / "lyapunov_manifest.json").read_text())
+        assert set(manifest) == {"cfg", "c", "M_table", "table_sha256", "config_hash",
+                                 "code_digest", "numpy_version", "scipy_version", "seed"}
 
 
 class TestExamplesList:
@@ -808,7 +761,9 @@ def artifact_digests(tmp_path, eta_source: str, with_c: bool) -> dict:
 # brs_fit.json and reach_samples.csv were recorded again when the sampler's
 # solves came to go on from the solver's own state at a breakpoint or row
 # end, as integrate's do: they moved by at most 1.0e-15, 3.7e-15 and 6.2e-16
-# relative, and the L table and the verify report did not move.
+# relative, and the L table and the verify report did not move.  The two
+# from_fit manifests were recorded again when they stopped holding a copy of
+# the fitted margin: no other key moved.
 NO_STDOUT = "e3b0c44298fc1c149afbf4c8996fb924"
 COMMAND_OUTPUTS = {
     "simulate": (0, NO_STDOUT), "brs fit": (0, NO_STDOUT), "rfc verify": (0, NO_STDOUT),
@@ -846,7 +801,7 @@ ARTIFACT_DIGESTS = {
         "brs_fit.json": "150c2e7efebf36b59414d514fcadb07b",
         "lipschitz_open.json": "20e4b7ba3bca9dc7f90414a2b87b98a1",
         "lipschitz_tdi.json": "9759e664848766a6644d43e69f673fc5",
-        "lyapunov_manifest.json": "579b3f47b7408ad409fb6f3299d851c8",
+        "lyapunov_manifest.json": "02810c730e0761d06be7aba068b24604",
         "lyapunov_table.csv": "e651191b7fc68694a406003c0da75cc2",
         "lyapunov_verify.json": "2f9529ab45903dafdbe509ca6f464202",
         "reach_samples.csv": "e6b6bfbf97b86e5add859df484dd8287",
@@ -858,7 +813,7 @@ ARTIFACT_DIGESTS = {
         "brs_fit.json": "6862cd9363d0750485104dd736aec1d2",
         "lipschitz_open.json": "60b875c390cc951db230222a67fcaf00",
         "lipschitz_tdi.json": "29eb1daa6324726ab0dcc678c13c192c",
-        "lyapunov_manifest.json": "24aea76c43d3e40210daa8cb7caad456",
+        "lyapunov_manifest.json": "f4bb91f6fbbf432031ad2cffe27bcb3b",
         "lyapunov_table.csv": "e651191b7fc68694a406003c0da75cc2",
         "lyapunov_verify.json": "b26f6b25c9bb90751871c030a08896df",
         "reach_samples.csv": "e6b6bfbf97b86e5add859df484dd8287",
@@ -941,8 +896,7 @@ class TestArtifactFormats:
         for table, lt in cases:
             out = _lyapunov_build(monkeypatch, tmp_path, cfg, sigma1.margin, lyap_cfg, lt, table)
             assert (out / "lyapunov_table.csv").read_text().splitlines()[0] == ",".join(_COLUMNS)
-            fitted, got_lt, got = cli._stored_tables(cfg, out)
-            assert fitted is None
+            got_lt, got = cli._stored_tables(cfg, out)
             assert (got_lt.L, got_lt.c, got_lt.theta, got_lt.M) == (lt.L, lt.c, lt.theta, lt.M)
             assert set(got) == set(table)
             assert all(np.array_equal(got[c], table[c]) for c in table)
@@ -978,27 +932,11 @@ class TestArtifactFormats:
                                     "table_sha256": hashlib.sha256(foreign).hexdigest()}))
         assert cli._stored_tables(cfg, out) is None
 
-    def fitted(self, monkeypatch, tmp_path, eta, lyap_cfg, l_table):
-        """The margin `lyapunov build` stored for eta under eta_source from_fit."""
-        cfg = {"system": {"name": "sigma1"}, "seed": 42, "eta_source": "from_fit"}
-        out = _lyapunov_build(monkeypatch, tmp_path, cfg, bl.GrowthMargin(eta), lyap_cfg,
-                              l_table, {c: np.arange(2.0) for c in _COLUMNS})
-        return cli._stored_tables(cfg, out)[0].eta
-
-    def test_fitted_margin_round_trip(self, tmp_path, monkeypatch, lyap_cfg):
-        f = bl.ScalarFun(np.array([0.0, 1.0, 3.0]), np.array([0.0, 0.5, 1.5]), 0.25,
-                         frozenset({"Kinf", "Lip1"}))
-        g = self.fitted(monkeypatch, tmp_path, f, lyap_cfg, LipschitzTable([1.5]))
-        assert np.array_equal(f.knots, g.knots)
-        assert np.array_equal(f.values, g.values)
-        assert f.slope == g.slope and f.tags == g.tags
-
-    def test_exact_form_evaluates_and_is_stored_by_its_knots(self, tmp_path, monkeypatch,
-                                                             sigma1, lyap_cfg):
+    def test_exact_form_evaluates_and_is_stored_by_its_knots(self, sigma1):
         eta = sigma1.margin.eta
         s = 0.2
         assert eta(s) == pytest.approx(-s / (2 * math.log(s)), abs=1e-15)
-        g = self.fitted(monkeypatch, tmp_path, eta, lyap_cfg, LipschitzTable([1.5]))
+        g = bl.ScalarFun(**cli._plain(cli._fun_obj(eta)))  # as a JSON artifact holds it
         assert g.exact is None and np.array_equal(g.knots, eta.knots)
         assert g(s) == np.interp(s, eta.knots, eta.values)
 

@@ -34,8 +34,7 @@ class TestScalarFun:
         with pytest.raises(ValueError):
             pl([0.0, 1.0, 1.0], [0.0, 1.0, 2.0])
 
-    # a NaN knot or value passed every comparison, and a manifest's NaN
-    # rebuilt a fitted margin
+    # a NaN knot or value passed every comparison
     @pytest.mark.parametrize("knots, values, slope", [
         ([0.0, math.nan], [0.0, 1.0], 1.0), ([0.0, 1.0], [0.0, math.nan], 1.0),
         ([0.0, math.inf], [0.0, 1.0], 1.0), ([0.0, 1.0], [0.0, 1.0], math.nan)])

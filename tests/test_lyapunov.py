@@ -428,6 +428,17 @@ class TestSandwichFuns:
             )
             assert a2(s) >= g - 1e-12
 
+    def test_sandwich_holds_where_alpha1_binds(self, sigma1):
+        # at r <= 2 alpha1 stays under 0.1 while V >= 1, so the lower side
+        # cannot bind; it passes 1 near r = 6, and Q = 16 keeps r = 8 within
+        # the default tail budget
+        table = radial_table(sigma1.system, sigma1.margin, [5.0, 6.0, 7.0, 8.0],
+                             bl.LyapunovConfig(Q=16, seed=SEED),
+                             bl.build_l_table(sigma1.system, sigma1.margin, 16, 0.0, SEED))
+        assert np.all(table["alpha1"] <= table["V"])
+        assert np.all(table["V"] <= table["alpha2_plus_C"])
+        assert table["alpha1"][-1] >= 1.0
+
 
 class TestVerifyGrowth:
     def test_vacuous_pair_marked(self, sigma1, lyap_cfg, l_table):
@@ -606,8 +617,10 @@ class TestSupDifference:
 
 class TestRadialTable:
     def test_columns_and_export(self, sigma1, lyap_cfg, l_table):
-        table = radial_table(sigma1.system, sigma1.margin, [0.0, 1.0], lyap_cfg, l_table)
+        radii = np.array([0.0, 1.0])
+        table = radial_table(sigma1.system, sigma1.margin, radii, lyap_cfg, l_table)
         assert list(table) == list(lyapunov._COLUMNS)
+        assert not np.shares_memory(table["norm_x"], radii)
         csv = cli._csv({c: table[c] for c in lyapunov._COLUMNS}).decode()
         assert csv.splitlines()[0] == "norm_x,V,W,tail_bound,alpha1,alpha2_plus_C"
 
