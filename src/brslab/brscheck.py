@@ -180,6 +180,19 @@ def fit_additive_bound(samples: ReachSamples) -> ReachBoundFit:
     return fit
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=-1), but a norm whose square overflows (past
+    about 1.3e154) is read from its vector scaled by its largest entry, as
+    lyapunov._scaled_sum reads one, so it is finite where the norm is."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=-1)
+    over = np.isinf(norms) & np.isfinite(x).all(axis=-1)
+    if over.any():
+        big = np.abs(x[over]).max(axis=-1)
+        norms[over] = big * np.linalg.norm(x[over] / big[:, None], axis=-1)
+    return norms
+
+
 def verify_rfc_tdi(
     sys: SystemDef,
     margin: GrowthMargin,
@@ -194,9 +207,12 @@ def verify_rfc_tdi(
 
     n >= 1 seeded states in the C-ball are sampled as one closed-loop ensemble,
     read on the 65-point grid of [0, tau]; a blow-up holds its crossing
-    state, far above any bound, and its crossing time is `blowup_time`.
-    `worst` is the (t, ||x||, ||phi||) of the largest violation.  A number c
-    gives one report, a non-empty 1-D array one per offset from the same ensemble.
+    state, and its crossing time is `blowup_time`.  A blow-up falsifies the
+    bound even where its crossing state lies within it, as a state that
+    starts past the blow-up threshold does.  `worst` is the (t, ||x||,
+    ||phi||) of the largest violation; the norms are read without overflow
+    (`_norms`).  A number c gives one report, a non-empty 1-D array one per
+    offset from the same ensemble.
     """
     if not {"Kinf"} <= kappa.tags:
         raise ValueError("kappa must be tagged Kinf")
@@ -211,17 +227,19 @@ def verify_rfc_tdi(
         closed_loop(sys, margin), X0, [dists[i % len(dists)] for i in range(n)],
         [(grid, np.arange(n))], _SAMPLE_CFG,
     )
-    norms = np.linalg.norm(samples, axis=2)  # row = grid time, column = state
-    nx = np.linalg.norm(X0, axis=1)
+    norms = _norms(samples)  # row = grid time, column = state
+    nx = _norms(np.array(X0))
     bound, first = inverse(kappa), float(t_cross.min())
+    blowup_time = first if math.isfinite(first) else None
     reports = []
     for c_k in offsets.reshape(-1).tolist():
         viol = norms - np.asarray(bound(grid[:, None] + nx + c_k))
         j, i = np.unravel_index(int(np.argmax(viol)), viol.shape)
         max_violation = float(viol[j, i])
         worst = (float(grid[j]), float(nx[i]), float(norms[j, i]))
-        reports.append(RFCBoundReport(c_k, max_violation, max_violation <= 1e-9, worst,
-                                      first if math.isfinite(first) else None))
+        reports.append(RFCBoundReport(c_k, max_violation,
+                                      max_violation <= 1e-9 and blowup_time is None, worst,
+                                      blowup_time))
     return reports if offsets.ndim else reports[0]
 
 

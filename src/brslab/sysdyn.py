@@ -16,12 +16,13 @@ where the last one stopped, so a one-row ensemble has the bits of
 `integrate`'s dense solution.  A sampled row freezes at the end of its grid
 or at its blow-up, whichever comes first, and the rest go on.
 
-RK45 is sysdyn's own port of scipy's, so importing sysdyn loads no part of
-scipy; `RkDenseOutput` is the one reader of an RK45 step, and a
-`Trajectory` holds its solver's interpolants and searches them itself.  A
-path imports what it needs of scipy when it runs: BDF and sparse matrices
-for a stiff solve, the only path that loads scipy.integrate, brentq at a
-blow-up crossing, expm in `semigroup_growth`.
+RK45 and BDF are sysdyn's own ports of scipy's, and so is the brentq that
+finds a blow-up crossing, so importing sysdyn loads no part of scipy and no
+solve loads scipy.integrate or scipy.optimize; `RkDenseOutput` is the one
+reader of an RK45 step, and a `Trajectory` holds its solver's interpolants
+and searches them itself.  A path imports what it needs of scipy when it
+runs: LAPACK's LU routines from scipy.linalg for a one-row stiff solve,
+scipy.sparse and its SuperLU for a stacked one, expm in `semigroup_growth`.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ __all__ = [
     "StepSizeError",
     "RK45",
     "RkDenseOutput",
+    "BDF",
+    "BdfDenseOutput",
     "integrate",
     "semigroup_growth",
 ]
@@ -239,7 +242,84 @@ class Trajectory:
         return steps[min(max(bisect.bisect_left(ts, t) - 1, 0), len(steps) - 1)](t)
 
 
-class RK45:
+class _Stepper:
+    """The stepping rule scipy's OdeSolver gives its solvers, for a forward
+    solve: step() takes one step by the subclass's _step_impl(), which
+    returns None or the message of a failed step; dense_output() is the
+    interpolant over the last one, by the subclass's _interpolant()."""
+
+    def step(self):
+        """One step; returns None, or the message of a failed step."""
+        if self.status != "running":
+            raise RuntimeError("Attempt to step on a failed or finished solver.")
+        t = self.t
+        if t == self.t_bound:  # nothing to integrate
+            self.t_old, self.t, self.status = t, self.t_bound, "finished"
+            return None
+        message = self._step_impl()
+        if message is not None:
+            self.status = "failed"
+        else:
+            self.t_old = t
+            if self.t - self.t_bound >= 0:
+                self.status = "finished"
+        return message
+
+    def dense_output(self):
+        """The interpolant over the last step."""
+        if self.t_old is None:
+            raise RuntimeError("Dense output is available after a successful step was made.")
+        if self.t == self.t_old:  # the zero-length span
+            return _constant(self.y)
+        return self._interpolant()
+
+
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+
+def _start(t0, y0, t_bound, rtol):
+    """y0 as a float vector and rtol as scipy's solvers check them, for a
+    forward solve."""
+    y0 = np.asarray(y0).astype(float, copy=False)
+    if y0.ndim != 1:
+        raise ValueError("`y0` must be 1-dimensional.")
+    if not np.isfinite(y0).all():
+        raise ValueError("All components of the initial state `y0` must be finite.")
+    if t_bound < t0:
+        raise ValueError("sysdyn's solvers step forward only: t_bound < t0")
+    eps100 = 100 * np.finfo(float).eps
+    if np.any(rtol < eps100):
+        warnings.warn("At least one element of `rtol` is too small. Setting"
+                      f" `rtol = np.maximum(rtol, {eps100})`.", stacklevel=3)
+        rtol = np.maximum(rtol, eps100)
+    return y0, rtol
+
+
+def _initial_step(fun, t0, y0, t_bound, f0, order, rtol, atol) -> float:
+    """scipy's select_initial_step (Hairer, Norsett & Wanner, sec. II.4)
+    for an error estimate of order `order`."""
+    interval_length = abs(t_bound - t0)
+    if interval_length == 0.0:
+        return 0.0
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    y1 = y0 + h0 * f0
+    f1 = fun(t0 + h0, y1)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
+    return min(100 * h0, h1, interval_length)
+
+
+class RK45(_Stepper):
     """Explicit Runge-Kutta 5(4) stepper, the Dormand-Prince pair (Dormand &
     Prince, J. Comput. Appl. Math. 6, 1980) with the step control of Hairer,
     Norsett & Wanner, Solving ODEs I, sec. II.4, and Shampine's quartic
@@ -279,65 +359,14 @@ class RK45:
     SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
 
     def __init__(self, fun, t0, y0, t_bound, rtol=1e-3, atol=1e-6):
-        y0 = np.asarray(y0).astype(float, copy=False)
-        if y0.ndim != 1:
-            raise ValueError("`y0` must be 1-dimensional.")
-        if not np.isfinite(y0).all():
-            raise ValueError("All components of the initial state `y0` must be finite.")
-        if t_bound < t0:
-            raise ValueError("RK45 steps forward only: t_bound < t0")
-        eps100 = 100 * np.finfo(float).eps
-        if np.any(rtol < eps100):
-            warnings.warn("At least one element of `rtol` is too small. Setting"
-                          f" `rtol = np.maximum(rtol, {eps100})`.", stacklevel=2)
-            rtol = np.maximum(rtol, eps100)
+        y0, rtol = _start(t0, y0, t_bound, rtol)
         self.fun, self.t, self.y, self.t_bound = fun, t0, y0, t_bound
         self.rtol, self.atol = rtol, atol
         self.t_old = self.y_old = None
         self.status = "running"
         self.f = fun(t0, y0)
-        self.h_abs = self._initial_step()
+        self.h_abs = _initial_step(fun, t0, y0, t_bound, self.f, 4, rtol, atol)
         self.K = np.empty((7, y0.size))
-
-    def _initial_step(self) -> float:
-        """scipy's select_initial_step (Hairer, Norsett & Wanner, sec. II.4)."""
-        fun, t0, y0, f0 = self.fun, self.t, self.y, self.f
-        interval_length = abs(self.t_bound - t0)
-        if interval_length == 0.0:
-            return 0.0
-        scale = self.atol + np.abs(y0) * self.rtol
-        d0 = _rms(y0 / scale)
-        d1 = _rms(f0 / scale)
-        if d0 < 1e-5 or d1 < 1e-5:
-            h0 = 1e-6
-        else:
-            h0 = 0.01 * d0 / d1
-        h0 = min(h0, interval_length)
-        y1 = y0 + h0 * f0
-        f1 = fun(t0 + h0, y1)
-        d2 = _rms((f1 - f0) / scale) / h0
-        if d1 <= 1e-15 and d2 <= 1e-15:
-            h1 = max(1e-6, h0 * 1e-3)
-        else:
-            h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-        return min(100 * h0, h1, interval_length)
-
-    def step(self):
-        """One step; returns None, or the message of a failed step."""
-        if self.status != "running":
-            raise RuntimeError("Attempt to step on a failed or finished solver.")
-        t = self.t
-        if t == self.t_bound:  # nothing to integrate
-            self.t_old, self.t, self.status = t, self.t_bound, "finished"
-            return None
-        message = self._step_impl()
-        if message is not None:
-            self.status = "failed"
-        else:
-            self.t_old = t
-            if self.t - self.t_bound >= 0:
-                self.status = "finished"
-        return message
 
     def _step_impl(self):
         t, y, fun, K = self.t, self.y, self.fun, self.K
@@ -346,7 +375,7 @@ class RK45:
         step_rejected = False
         while True:
             if h_abs < min_step:
-                return "Required step size is less than spacing between numbers."
+                return _TOO_SMALL_STEP
             t_new = t + h_abs
             if t_new - self.t_bound > 0:
                 t_new = self.t_bound
@@ -377,18 +406,13 @@ class RK45:
         self.y_old, self.t, self.y, self.h_abs, self.f = y, t_new, y_new, h_abs, f_new
         return None
 
-    def dense_output(self):
-        """The interpolant over the last step."""
-        if self.t_old is None:
-            raise RuntimeError("Dense output is available after a successful step was made.")
-        if self.t == self.t_old:  # the zero-length span
-            return _constant(self.y)
+    def _interpolant(self):
         return RkDenseOutput(self.t_old, self.t, self.y_old, self.K.T.dot(self.P))
 
 
 def _rms(x) -> float:
-    """scipy's RK error norm, np.linalg.norm(x) / sqrt(x.size), by the same
-    arithmetic without its dispatch."""
+    """scipy's solver error norm, np.linalg.norm(x) / sqrt(x.size), by the
+    same arithmetic without its dispatch."""
     return np.sqrt(x.dot(x)) / x.size ** 0.5
 
 
@@ -425,6 +449,258 @@ class RkDenseOutput:
         return y
 
 
+def _compute_R(order, factor):
+    """scipy's compute_R: the matrix that rescales the backward differences
+    of a BDF step of order `order` when the step size changes by factor."""
+    I = np.arange(1, order + 1)[:, None]
+    J = np.arange(1, order + 1)
+    M = np.zeros((order + 1, order + 1))
+    M[1:, 1:] = (I - 1 - factor * J) / I
+    M[0] = 1
+    return np.cumprod(M, axis=0)
+
+
+# the constant right factor of every _change_D, by order
+_R_UNIT = [None] + [_compute_R(order, 1) for order in range(1, 6)]
+
+
+def _change_D(D, order, factor):
+    """scipy's change_D: rescale the differences D in place for a step size
+    changed by factor."""
+    RU = _compute_R(order, factor).dot(_R_UNIT[order])
+    D[:order + 1] = np.dot(RU.T, D[:order + 1])
+
+
+def _lapack_lu():
+    """(factor, solve): scipy.linalg's lu_factor(A, overwrite_a=True) and
+    lu_solve(LU, b, overwrite_b=True) as BDF calls them, by LAPACK's dgetrf
+    and dgetrs called directly, with the checks those make: an input that is
+    not finite is a ValueError, an illegal argument too, and a zero pivot a
+    LinAlgWarning."""
+    from scipy.linalg import LinAlgWarning
+    from scipy.linalg.lapack import dgetrf, dgetrs
+
+    def factor(A):
+        if not np.isfinite(A).all():
+            raise ValueError("array must not contain infs or NaNs")
+        lu, piv, info = dgetrf(A, overwrite_a=True)
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal getrf (lu_factor)")
+        if info > 0:
+            warnings.warn(f"Diagonal number {info} is exactly zero. Singular matrix.",
+                          LinAlgWarning, stacklevel=3)
+        return lu, piv
+
+    def solve(LU, b):
+        if not np.isfinite(b).all():
+            raise ValueError("array must not contain infs or NaNs")
+        x, info = dgetrs(LU[0], LU[1], b, overwrite_b=True)
+        if info:
+            raise ValueError(f"illegal value in {-info}th argument of internal gesv|posv")
+        return x
+
+    return factor, solve
+
+
+def _superlu_solve(LU, b):
+    return LU.solve(b)
+
+
+class BDF(_Stepper):
+    """Implicit variable-order stepper, the backward differentiation formulas
+    of orders 1 to 5 in the quasi-constant step form of Byrne & Hindmarsh
+    (ACM TOMS 1, 1975) with the NDF modification and error estimate of
+    Shampine & Reichelt (SIAM J. Sci. Comput. 18, 1997): scipy 1.17's
+    scipy.integrate.BDF, ported expression for expression for a forward
+    solve with the constant Newton matrix `jac`, so it takes the same steps
+    to the bit.
+
+    `jac` is a float array, whose iteration matrices I - c jac are factored
+    by LAPACK's dgetrf and solved by dgetrs, or a scipy.sparse CSC matrix,
+    factored by SuperLU.  `t`, `y`, `t_old`, `h_abs`, `order` and `status`
+    read as scipy's, and step() and dense_output() work as RK45's.  The
+    stepper holds no reference to itself, so a finished one is freed at
+    once, not by the cyclic collector.
+    """
+
+    MAX_ORDER, NEWTON_MAXITER = 5, 4
+    MIN_FACTOR, MAX_FACTOR = 0.2, 10
+    KAPPA = np.array([0, -0.1850, -1/9, -0.0823, -0.0415, 0])
+    GAMMA = np.hstack((0, np.cumsum(1 / np.arange(1, MAX_ORDER + 1))))
+    ALPHA = (1 - KAPPA) * GAMMA
+    ERROR_CONST = KAPPA * GAMMA + 1 / np.arange(1, MAX_ORDER + 2)
+
+    def __init__(self, fun, t0, y0, t_bound, rtol=1e-3, atol=1e-6, *, jac):
+        # scipy's Newton tolerance reads rtol before the floor raises it
+        self.newton_tol = max(10 * np.finfo(float).eps / rtol, min(0.03, rtol ** 0.5))
+        y0, rtol = _start(t0, y0, t_bound, rtol)
+        self.fun, self.t, self.y, self.t_bound = fun, t0, y0, t_bound
+        self.rtol, self.atol = rtol, atol
+        self.t_old = None
+        self.status = "running"
+        f = fun(t0, y0)
+        self.h_abs = _initial_step(fun, t0, y0, t_bound, f, 1, rtol, atol)
+        n = y0.size
+        if isinstance(jac, np.ndarray):
+            self.lu, self.solve_lu = _lapack_lu()
+            self.I = np.identity(n)
+        else:
+            from scipy.sparse import eye
+            from scipy.sparse.linalg import splu
+
+            self.lu, self.solve_lu = splu, _superlu_solve
+            self.I = eye(n, format="csc")
+        self.J = jac
+        D = np.empty((self.MAX_ORDER + 3, n))
+        D[0] = y0
+        D[1] = f * self.h_abs
+        self.D = D
+        self.order = 1
+        self.n_equal_steps = 0
+        self.LU = None
+
+    def _newton(self, t_new, y_predict, c, psi, LU, scale):
+        """scipy's solve_bdf_system: the simplified Newton iteration for the
+        step's implicit equation; returns (converged, iterations, y, d)."""
+        d = 0
+        y = y_predict.copy()
+        dy_norm_old = None
+        converged = False
+        for k in range(self.NEWTON_MAXITER):
+            f = self.fun(t_new, y)
+            if not np.isfinite(f).all():
+                break
+            dy = self.solve_lu(LU, c * f - psi - d)
+            dy_norm = _rms(dy / scale)
+            rate = None if dy_norm_old is None else dy_norm / dy_norm_old
+            if (rate is not None and (rate >= 1 or rate ** (self.NEWTON_MAXITER - k)
+                                      / (1 - rate) * dy_norm > self.newton_tol)):
+                break
+            y += dy
+            d += dy
+            if dy_norm == 0 or rate is not None and rate / (1 - rate) * dy_norm < self.newton_tol:
+                converged = True
+                break
+            dy_norm_old = dy_norm
+        return converged, k + 1, y, d
+
+    def _step_impl(self):
+        t, D = self.t, self.D
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if self.h_abs < min_step:
+            h_abs = min_step
+            _change_D(D, self.order, min_step / self.h_abs)
+            self.n_equal_steps = 0
+        else:
+            h_abs = self.h_abs
+        atol, rtol, order = self.atol, self.rtol, self.order
+        alpha, gamma, error_const = self.ALPHA, self.GAMMA, self.ERROR_CONST
+        LU = self.LU
+        while True:
+            if h_abs < min_step:
+                return _TOO_SMALL_STEP
+            t_new = t + h_abs
+            if t_new - self.t_bound > 0:
+                t_new = self.t_bound
+                _change_D(D, order, np.abs(t_new - t) / h_abs)
+                self.n_equal_steps = 0
+                LU = None
+            h = t_new - t
+            h_abs = np.abs(h)
+            y_predict = D[:order + 1].sum(axis=0)
+            scale = atol + rtol * np.abs(y_predict)
+            psi = np.dot(D[1: order + 1].T, gamma[1: order + 1]) / alpha[order]
+            c = h / alpha[order]
+            if LU is None:
+                LU = self.lu(self.I - c * self.J)
+            converged, n_iter, y_new, d = self._newton(t_new, y_predict, c, psi, LU, scale)
+            if not converged:  # the Newton matrix is constant: halve the step
+                factor = 0.5
+                h_abs *= factor
+                _change_D(D, order, factor)
+                self.n_equal_steps = 0
+                LU = None
+                continue
+            safety = 0.9 * (2 * self.NEWTON_MAXITER + 1) / (2 * self.NEWTON_MAXITER + n_iter)
+            scale = atol + rtol * np.abs(y_new)
+            error = error_const[order] * d
+            error_norm = _rms(error / scale)
+            if not error_norm > 1:  # a NaN norm accepts the step, as in scipy
+                break
+            factor = max(self.MIN_FACTOR, safety * error_norm ** (-1 / (order + 1)))
+            h_abs *= factor
+            _change_D(D, order, factor)
+            self.n_equal_steps = 0  # the factorization stays: Newton converged
+        self.n_equal_steps += 1
+        self.t, self.y, self.h_abs, self.LU = t_new, y_new, h_abs, LU
+        # D^{j + 1} y_n = D^j y_n - D^j y_{n - 1}, with d = D^{k + 1} y_n
+        D[order + 2] = d - D[order + 1]
+        D[order + 1] = d
+        for i in reversed(range(order + 1)):
+            D[i] += D[i + 1]
+        if self.n_equal_steps < order + 1:
+            return None
+        if order > 1:
+            error_m = error_const[order - 1] * D[order]
+            error_m_norm = _rms(error_m / scale)
+        else:
+            error_m_norm = np.inf
+        if order < self.MAX_ORDER:
+            error_p = error_const[order + 1] * D[order + 2]
+            error_p_norm = _rms(error_p / scale)
+        else:
+            error_p_norm = np.inf
+        error_norms = np.array([error_m_norm, error_norm, error_p_norm])
+        with np.errstate(divide="ignore"):
+            factors = error_norms ** (-1 / np.arange(order, order + 3))
+        order += np.argmax(factors) - 1
+        self.order = order
+        factor = min(self.MAX_FACTOR, safety * np.max(factors))
+        self.h_abs *= factor
+        _change_D(D, order, factor)
+        self.n_equal_steps = 0
+        self.LU = None
+        return None
+
+    def _interpolant(self):
+        return BdfDenseOutput(self.t_old, self.t, self.h_abs, self.order,
+                              self.D[:self.order + 1].copy())
+
+
+class BdfDenseOutput:
+    """scipy's BdfDenseOutput: the polynomial over one BDF step from t_old to
+    t, held as the step's backward differences D, read at a time, shape
+    (n,), or at an array of times, shape (n, T).
+
+    Every read is one matrix product of D with the powers of the times,
+    read as scipy's array read: BLAS takes a product with one column as a
+    matrix-vector one, whose sums round otherwise, so a single time, a
+    float or an array of one, is read as two copies of it.  A time has then
+    the same bits however many are read with it, for a state of two or more
+    components; with one, numpy's vector products still round by the number
+    of times read."""
+
+    def __init__(self, t_old, t, h, order, D):
+        self.t_old, self.t = t_old, t
+        self.order = order
+        self.t_shift = t - h * np.arange(order)
+        self.denom = h * (1 + np.arange(order))
+        self.D = D
+
+    def __call__(self, t):
+        ts = np.asarray(t, dtype=float)
+        if ts.ndim > 1:
+            raise ValueError("`t` must be a float or a 1-D array.")
+        if ts.size == 1:
+            y = self(np.repeat(ts.reshape(1), 2))[:, 0].copy()
+            return y if ts.ndim == 0 else y[:, None]
+        x = (ts - self.t_shift[:, None]) / self.denom[:, None]
+        p = np.cumprod(x, axis=0)
+        y = np.dot(self.D[1:].T, p)
+        y += self.D[0, :, None]
+        return y
+
+
 def _constant(y):
     """The interpolant over a zero-length span: y at a time, shape (n,), or
     at an array of times, shape (n, T)."""
@@ -447,17 +723,19 @@ def _solver(A, span: float, rows: int) -> dict:
     """The solver class and its options for `rows` stacked states of a system
     with linear part A (None if it has none) integrated over `span`.
 
-    RK45 unless rho(A) * span reaches _STIFF_RHO_SPAN; then scipy's BDF with
-    the constant Newton matrix A, kron(I_rows, A) for a stack.  The rest of
-    the right-hand side is taken as non-stiff, so its derivative is left out.
+    RK45 unless rho(A) * span reaches _STIFF_RHO_SPAN; then BDF with the
+    constant Newton matrix A, dense for one row, and kron(I_rows, A) as a
+    sparse matrix for a stack, so only a stack imports scipy.sparse.  The
+    rest of the right-hand side is taken as non-stiff, so its derivative is
+    left out.
     """
     if A is None or np.abs(np.linalg.eigvals(A)).max() * span < _STIFF_RHO_SPAN:
         return {"method": RK45}
+    if rows == 1:
+        return {"method": BDF, "jac": A}
     from scipy import sparse
-    from scipy.integrate import BDF
 
-    jac = A if rows == 1 else sparse.kron(sparse.identity(rows), A, format="csc")
-    return {"method": BDF, "jac": jac}
+    return {"method": BDF, "jac": sparse.kron(sparse.identity(rows), A, format="csc")}
 
 
 def _first_call(fun, f0):
@@ -468,6 +746,68 @@ def _first_call(fun, f0):
 
 
 _ROOT_TOL = 4.0 * np.finfo(float).eps  # solve_ivp's tolerance on an event's root
+
+
+def _signbit(x: float) -> bool:
+    return math.copysign(1.0, x) < 0.0
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """A root of f in [xa, xb], across which f changes sign, to within
+    xtol + rtol |root|: Brent's method (Brent, Algorithms for Minimization
+    without Derivatives, 1973, ch. 4), scipy 1.17's brentq, whose C loop
+    this ports expression for expression, so it returns the same root to the
+    bit.  A NaN value of f, or f with one sign at both ends, is a
+    ValueError, and no convergence in maxiter steps a RuntimeError, as in
+    scipy."""
+
+    def fx(x):
+        y = float(f(x))
+        if y != y:
+            raise ValueError(f"The function value at x={x:.6g} is NaN; solver cannot converge.")
+        return y
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fx(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur:f}.")
 
 
 def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, on_step, A):
@@ -541,11 +881,9 @@ def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, on_step, A):
                 g_old, g = g, blowup_event(y)
                 event = g_old <= 0.0 <= g
                 if event:
-                    from scipy.optimize import brentq
-
                     sol = solver.dense_output()
-                    t = brentq(lambda s: blowup_event(sol(s)), solver.t_old, t,
-                               xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+                    t = _brentq(lambda s: blowup_event(sol(s)), solver.t_old, t,
+                                _ROOT_TOL, _ROOT_TOL)
                     y = sol(t)
                 # as solve_ivp keeps its steps: not a zero-length last one
                 # (a crossing at the start of a step that is not the first)

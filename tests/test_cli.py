@@ -477,6 +477,20 @@ class TestRfcAndProbes:
         rep = strict_loads((out / "rfc_report.json").read_text())
         assert 0.0 < witness["blowup_time"] == rep["blowup_time"] < cfg["horizon"]
 
+    def test_rfc_witness_past_the_float_squares(self, tmp_path, capsys):
+        # states of norm about 1e298 start past the blow-up threshold and
+        # their squares overflow: the norms are read scaled, with no warning,
+        # so the witness is finite, and the blow-up at 0 falsifies the bound
+        cfg = sigma1_cfg(tmp_path, eta_source="paper", C=1e300, horizon=2.0, samples=20, c=0.0)
+        out = tmp_path / "out"
+        assert main(["rfc", "verify", "--config", cfg, "--out", str(out)]) == 1
+        witness = strict_loads(capsys.readouterr().out.strip().splitlines()[-1])
+        rep = strict_loads((out / "rfc_report.json").read_text())
+        assert witness["falsified"] == "RFC-TDI" and not rep["holds"]
+        assert witness["blowup_time"] == rep["blowup_time"] == 0.0
+        assert witness["worst"] == rep["worst"] and all(v > 1e297 for v in rep["worst"][1:])
+        assert math.isfinite(rep["max_violation"])
+
     def test_rfc_report_on_readme_config_names_no_blowup(self, tmp_path):
         cfg = sigma1_cfg(tmp_path, eta_source="paper", C=1.5, horizon=2.0, samples=20, c=0.0)
         out = tmp_path / "out"

@@ -155,8 +155,9 @@ def test_no_stepper_outlives_its_solve(monkeypatch):
 
 
 # The README pipeline, `simulate` and a sigma1 lift/project round trip in a
-# fresh interpreter: which scipy modules they load, and that a stiff solve
-# still reaches scipy's BDF.
+# fresh interpreter: which scipy modules they load; then a one-row stiff
+# solve, which steps sysdyn's BDF on LAPACK, and a blow-up, whose crossing
+# sysdyn's brentq finds, and which scipy modules are loaded after those.
 SPARED = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
 PIPELINE = """
 import json, sys
@@ -175,8 +176,12 @@ loaded = [m for m in spared if m in sys.modules]
 rd = brslab.make("reaction_diffusion", {"n": 32})
 traj = brslab.integrate(rd.system, np.full(32, 0.1), brslab.InputSignal.constant([0.5]), 1.0,
                         brslab.IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9))
+blowup = brslab.integrate(brslab.make("quadratic").system, [2.0],
+                          brslab.InputSignal.constant([0.0]), 1.0)
+late = [m for m in ("scipy.integrate", "scipy.optimize", "scipy.sparse") if m in sys.modules]
 print(json.dumps({"codes": codes, "loaded": loaded,
-                  "stiff": [type(s).__name__ for s in traj.steps[:1]]}))
+                  "stiff": [type(s).__name__ for s in traj.steps[:1]],
+                  "blew_up": blowup.blew_up, "late": late}))
 """
 
 
@@ -190,4 +195,5 @@ def test_readme_pipeline_loads_no_scipy_solver_module(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert got == {"codes": [0, 0, 0], "loaded": [], "stiff": ["BdfDenseOutput"]}
+    assert got == {"codes": [0, 0, 0], "loaded": [], "stiff": ["BdfDenseOutput"],
+                   "blew_up": True, "late": []}

@@ -222,12 +222,15 @@ def state_at_digest(trajs) -> str:
 # Recorded with numpy 2.4 and scipy 1.17 on x86-64 when `state_at` read
 # per-restart-segment solutions, before it read one solution of all steps.
 # reaction_diffusion re-recorded when BDF step ends came to be read from the
-# step that ends there, not the next one (reads moved by <= 2.2e-16 relative).
+# step that ends there, not the next one (reads moved by <= 2.2e-16 relative),
+# and again when a BDF step's float read came to be its array read: 3 of the
+# 163 float reads moved, by <= 3.5e-18 absolute and 1.8e-16 relative; the
+# array reads and the steps kept their bits.
 STATE_AT_DIGESTS = {
     "sigma1_open_loop": "e3ff1d92ee54d202e8d0b01022084a93",
     "sigma1_closed_loop": "fe4823a84ee281b5ddcc8422c6436a39",
     "quadratic_blowup": "af03b255772349b9e1fdcf442a1f846d",
-    "reaction_diffusion": "24391eb607bedd32661e8e8a594ed81c",
+    "reaction_diffusion": "50f0159bb4e6fef137f925cfbbfe64c5",
 }
 
 
@@ -261,12 +264,16 @@ class TestStateAtFloatPath:
             assert traj.state_at(np.array(t)).tobytes() == traj.state_at(t).tobytes()
 
     def test_rk45_float_reads_skip_ode_solution(self):
-        # float reads and one array read of the same times give the same bits
-        traj = state_at_trajectories("sigma1_open_loop")[0]
-        t = np.concatenate([traj.times, np.linspace(-1.0, 3.0, 17)])
-        ref = traj.state_at(t)
-        got = np.array([traj.state_at(float(s)) for s in t])
-        assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+        # float reads and one array read of the same times give the same bits,
+        # on RK45 and on BDF, whose float read is its array read
+        for name in ["sigma1_open_loop", "reaction_diffusion"]:
+            traj = state_at_trajectories(name)[0]
+            t = np.concatenate([traj.times, np.linspace(-1.0, 3.0, 17)])
+            if name == "reaction_diffusion":  # and runs of several times in a step
+                t = np.concatenate([t, np.linspace(0.0, 1.0, 401)])
+            ref = traj.state_at(t)
+            got = np.array([traj.state_at(float(s)) for s in t])
+            assert got.tobytes() == np.ascontiguousarray(ref).tobytes(), name
 
 
 class TestBlowup:
@@ -764,23 +771,33 @@ SOLVER_NAMES = frozenset(
 
 def test_only_sysdyn_steps_a_solver():
     # one stepping loop: no other module imports scipy.integrate or names a
-    # solver, so none can construct one
-    users = {}
+    # solver, so none can construct one; sysdyn steps its own RK45 and BDF
+    # and imports from scipy.integrate only the solve_ivp it serves to the
+    # bench tracer, and no module imports scipy.optimize (sysdyn has its own
+    # brentq)
+    users, imported = {}, {}
     for path in sorted(Path(sysdyn.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
+            scipy_imports = []
             if isinstance(node, ast.Import):
-                used = [a.name for a in node.names if a.name.startswith("scipy.integrate")]
+                scipy_imports = [a.name for a in node.names
+                                 if a.name.startswith(("scipy.integrate", "scipy.optimize"))]
+                used = scipy_imports
             elif isinstance(node, ast.ImportFrom):
                 module = node.module or ""
-                used = [a.name for a in node.names
-                        if module.startswith("scipy.integrate") or a.name in SOLVER_NAMES
-                        or (module == "scipy" and a.name == "integrate")]
+                scipy_imports = [a.name for a in node.names
+                                 if module.startswith(("scipy.integrate", "scipy.optimize"))
+                                 or (module == "scipy" and a.name in ("integrate", "optimize"))]
+                used = scipy_imports + [a.name for a in node.names if a.name in SOLVER_NAMES]
             else:
                 used = [name for name in (getattr(node, "id", None), getattr(node, "attr", None))
                         if name in SOLVER_NAMES]
             users.setdefault(path.name, set()).update(used)
+            imported.setdefault(path.name, set()).update(scipy_imports)
     assert {name for name, used in users.items() if used} == {"sysdyn.py"}
     assert users["sysdyn.py"] == {"RK45", "BDF", "solve_ivp"}
+    assert {name: names for name, names in imported.items() if names} == {
+        "sysdyn.py": {"solve_ivp"}}
 
 
 def _package_trees() -> dict:
