@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compfun import ScalarFun, inverse
-from .sysdyn import InputSignal, IntegratorConfig, SystemDef, _number, _numbers, _sample_ensemble
+from .sysdyn import (InputSignal, IntegratorConfig, SystemDef, _norms, _number, _numbers,
+                     _sample_ensemble)
 from .tdinput import (GrowthMargin, _random_steps, _unit, closed_loop, disturbance_family,
                       seeded_rng)
 
@@ -124,11 +125,11 @@ def sample_reach(sys: SystemDef, C: float, tau: float, n: int, seed: int) -> Rea
         X0.append(_random_in_ball(rng, sys.state_dim, C))
         us.append(_random_pc_input(rng, sys.input_dim, tau, 0.999 * C))
     samples, t_cross = _sample_ensemble(sys, X0, us, [(t_grid, np.arange(n))], _SAMPLE_CFG)
-    phi = np.linalg.norm(samples, axis=2).T
+    phi = _norms(samples).T
     phi[t_grid >= t_cross[:, None]] = math.inf
     return ReachSamples(
         np.tile(t_grid, n),
-        np.repeat([float(np.linalg.norm(x0)) for x0 in X0], t_grid.size),
+        np.repeat([float(_norms(x0)) for x0 in X0], t_grid.size),
         np.repeat([u.sup_norm() for u in us], t_grid.size),
         phi.ravel(),
     )
@@ -180,19 +181,6 @@ def fit_additive_bound(samples: ReachSamples) -> ReachBoundFit:
     return fit
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(x, axis=-1), but a norm whose square overflows (past
-    about 1.3e154) is read from its vector scaled by its largest entry, as
-    lyapunov._scaled_sum reads one, so it is finite where the norm is."""
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(x, axis=-1)
-    over = np.isinf(norms) & np.isfinite(x).all(axis=-1)
-    if over.any():
-        big = np.abs(x[over]).max(axis=-1)
-        norms[over] = big * np.linalg.norm(x[over] / big[:, None], axis=-1)
-    return norms
-
-
 def verify_rfc_tdi(
     sys: SystemDef,
     margin: GrowthMargin,
@@ -210,9 +198,8 @@ def verify_rfc_tdi(
     state, and its crossing time is `blowup_time`.  A blow-up falsifies the
     bound even where its crossing state lies within it, as a state that
     starts past the blow-up threshold does.  `worst` is the (t, ||x||,
-    ||phi||) of the largest violation; the norms are read without overflow
-    (`_norms`).  A number c gives one report, a non-empty 1-D array one per
-    offset from the same ensemble.
+    ||phi||) of the largest violation.  A number c gives one report, a
+    non-empty 1-D array one per offset from the same ensemble.
     """
     if not {"Kinf"} <= kappa.tags:
         raise ValueError("kappa must be tagged Kinf")
@@ -291,8 +278,8 @@ def _probe_reports(sys, levels, cfg) -> list[LipschitzProbeReport]:
         mine = np.flatnonzero(level_of == k)  # rows i and P + i of the level's pairs
         groups.append((np.linspace(0.0, tau, 65), np.concatenate([mine, P + mine])))
     samples, both = _sample_ensemble(sys, np.vstack([X1, X2]), us * 2, groups, cfg)
-    diff = np.linalg.norm(samples[:, :P] - samples[:, P:], axis=2).max(axis=0)
-    ratios = diff / np.linalg.norm(X1 - X2, axis=1)
+    diff = _norms(samples[:, :P] - samples[:, P:]).max(axis=0)
+    ratios = diff / _norms(X1 - X2)
     t_cross = np.minimum(both[:P], both[P:])  # per pair: its first crossing
     reports = []
     for k, (tau, C, pair_count, _) in enumerate(levels):

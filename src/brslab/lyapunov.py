@@ -4,8 +4,9 @@ Pre-Lyapunov functions U_q(x) = sup over trajectory-dominated inputs and
 time of G_q(e^{-s} eta(||phi||)) are estimated by sampling lifted
 disturbances on dyadic time grids; the candidate is the truncated series
 V(x) = 1 + sum_q 2^{-q} U_q(x) / (1 + M(q,q)) with the logarithmic variant
-W = ln(1 + V).  All estimates are certified lower bounds of the exact sups,
-so the sandwich and growth checks carry explicit slack.
+W = ln(1 + V).  All estimates are sampled lower bounds of the exact sups,
+up to integration error (ROADMAP items 8 and 18), so the sandwich and
+growth checks carry explicit slack.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compfun import ScalarFun, gk_eval, theta
-from .sysdyn import InputSignal, IntegratorConfig, SystemDef, _number, _numbers, _sample_ensemble
+from .sysdyn import (InputSignal, IntegratorConfig, SystemDef, _norms, _number, _numbers,
+                     _sample_ensemble)
 from .tdinput import GrowthMargin, closed_loop, disturbance_family
 from .brscheck import NotRfcTdiError, probe_lipschitz_tdi
 
@@ -168,37 +170,24 @@ def _dyadic_grid(horizon: float, density: int) -> np.ndarray:
     return horizon * np.arange(n + 1) / n
 
 
-def _scaled_sum(x: np.ndarray, c: float) -> tuple[float, float]:
-    """(big, scaled) with 1 + ||x|| + c = big * scaled, big = max(1, max|x_i|, c):
-    the sum, and even ||x||, may lie past the float range; scaled does not."""
-    big = max(1.0, float(np.abs(x).max()), c)
-    return big, 1.0 / big + float(np.linalg.norm(x / big)) + c / big
-
-
-def _min_Q(x: np.ndarray, c: float, tail_tol: float) -> int:
-    """Least Q with 2^(1-Q) (1 + ||x|| + c) <= tail_tol, in log space."""
-    big, scaled = _scaled_sum(x, c)
-    return math.ceil(1.0 + math.log2(big) + math.log2(scaled) - math.log2(tail_tol))
-
-
 def _check_tail_budget(
     X: np.ndarray, c: float, cfg: LyapunovConfig
 ) -> tuple[np.ndarray, list[float]]:
     """The norms of the states X, shape (K, n), and their tail bounds
-    2^(1-Q) (1 + ||x|| + c); a TailBudgetError for the first bound over
-    cfg.tail_tol.  A bound whose sum overflows (a norm past 1.3e154 is inf)
-    is taken from _scaled_sum, so it is finite where the bound is."""
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(X, axis=1)
-    tails = []
-    for x, nx in zip(X, norms.tolist()):
-        tail = 2.0 ** (1 - cfg.Q) * (1.0 + nx + c)
-        if tail == math.inf:
-            big, scaled = _scaled_sum(x, c)
-            tail = 2.0 ** (1 - cfg.Q) * big * scaled
+    2^(1-Q) (1 + ||x|| + c), formed as s + s ||x|| + s c with s = 2^(1-Q):
+    the same bits, finite for Q >= 2 wherever ||x|| and c are (inf, with no
+    warning, where the sum is not); a TailBudgetError for the first bound
+    over cfg.tail_tol, whose least admissible Q is ceil(1 + log2(1 + ||x||
+    + c) - log2(tail_tol)) on the sum scaled by 2^-64, exactly as a power of
+    two, so that it is finite for any state of fewer than 2^128 entries."""
+    norms = _norms(X)
+    s = 2.0 ** (1 - cfg.Q)
+    tails = [s + s * nx + s * c for nx in norms.tolist()]
+    for x, tail in zip(X, tails):
         if tail > cfg.tail_tol:
-            raise TailBudgetError(cfg.Q, tail, cfg.tail_tol, _min_Q(x, c, cfg.tail_tol))
-        tails.append(tail)
+            scaled = 2.0**-64 + float(_norms(x * 2.0**-64)) + c * 2.0**-64
+            min_Q = math.ceil(65 + math.log2(scaled) - math.log2(cfg.tail_tol))
+            raise TailBudgetError(cfg.Q, tail, cfg.tail_tol, min_Q)
     return norms, tails
 
 
@@ -269,7 +258,7 @@ def eval_V(
     for b, k in enumerate(ball_of):
         S = samples[: unions[k].size, b * nd : (b + 1) * nd]
         # discounted margin, shape (T, n_dist): row = grid time, column = disturbance
-        disc = decays[k] * np.asarray(margin(np.linalg.norm(S, axis=2)))
+        disc = decays[k] * np.asarray(margin(_norms(S)))
         V = 1.0
         per_q = []
         for q, th, g, pick, m in zip(qs, thetas[k], grids[k], picks[k], m_diag):
@@ -352,8 +341,8 @@ class GrowthReport:
 def _premise(margin: GrowthMargin, x: np.ndarray, u_value: np.ndarray) -> tuple:
     """The growth premise chi(||u||) <= ||x|| of one pair, with the margin's
     chi = eta^{-1}(2 s): its two sides, and whether it holds."""
-    lhs = float(margin.chi(np.linalg.norm(u_value)))
-    rhs = float(np.linalg.norm(x))
+    lhs = float(margin.chi(_norms(u_value)))
+    rhs = float(_norms(x))
     return lhs, rhs, lhs <= rhs
 
 
@@ -409,7 +398,7 @@ def verify_growth(
             )
         # per pair: x, then x(h) in DINI_STEPS order, all on the pair's frozen R
         states = np.stack([X[live], *window[::-1]], axis=1)
-        R_frozen = np.maximum(1.0, np.linalg.norm(states, axis=2).max(axis=1))
+        R_frozen = np.maximum(1.0, _norms(states).max(axis=1))
         w = states.shape[1]
         values = eval_V(sys, margin, states.reshape(-1, X.shape[1]), cfg, l_table,
                         R_override=np.repeat(R_frozen, w))

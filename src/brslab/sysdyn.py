@@ -91,6 +91,31 @@ def _numbers(name: str, value, *, ge=None, gt=None) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _norms(x: np.ndarray):
+    """The Euclidean norm of a vector x, shape (n,), or of each vector along
+    the last axis of a stack: the one reader of every norm that is compared
+    with a bound, divided by or written out.  Where the norm's square is
+    finite its bits are np.linalg.norm's (a dot product for one vector, a
+    sum of squares along the axis for a stack); a square that overflows (a
+    norm past about 1.3e154) is read from the vector scaled by its largest
+    entry (Blue, ACM TOMS 4, 1978, as LAPACK's dnrm2), so the norm is finite
+    where it is, and nothing warns.  The first pass raises at an overflow,
+    so a call with none pays no search for it."""
+    try:
+        with np.errstate(over="raise"):
+            return np.sqrt(x.dot(x)) if x.ndim == 1 else np.sqrt((x * x).sum(axis=-1))
+    except FloatingPointError:
+        pass
+    stack = np.atleast_2d(x)
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((stack * stack).sum(axis=-1))
+        over = np.isinf(norms) & np.isfinite(stack).all(axis=-1)
+        big = np.abs(stack[over]).max(axis=-1, keepdims=True)
+        z = stack[over] / big
+        norms[over] = big[:, 0] * np.sqrt((z * z).sum(axis=-1))
+    return norms if x.ndim > 1 else norms[0]
+
+
 class InputSignal:
     """Piecewise-constant vector-valued signal on [0, inf), one table.
 
@@ -129,7 +154,7 @@ class InputSignal:
 
     def sup_norm(self) -> float:
         """Essential supremum of the value norm over [0, inf)."""
-        return float(np.linalg.norm(self.values, axis=1).max())
+        return float(_norms(self.values).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +233,7 @@ class Trajectory:
         object.__setattr__(self, "_ts", self.times.tolist())  # the float path's search
 
     def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.states, axis=1)
+        return _norms(self.states)
 
     def state_at(self, t) -> np.ndarray:
         """State at time t, shape (n,), or at a 1-D array of times, shape
@@ -725,9 +750,10 @@ def _solver(A, span: float, rows: int) -> dict:
 
     RK45 unless rho(A) * span reaches _STIFF_RHO_SPAN; then BDF with the
     constant Newton matrix A, dense for one row, and kron(I_rows, A) as a
-    sparse matrix for a stack, so only a stack imports scipy.sparse.  The
-    rest of the right-hand side is taken as non-stiff, so its derivative is
-    left out.
+    sparse matrix for a stack, so only a stack imports scipy.sparse.  A
+    stack keeps the sparse kron because LU on the dense n x n block loses at
+    n = 128 (`build_l_table` 13.5 -> 32.8 s, ROADMAP).  The rest of the
+    right-hand side is taken as non-stiff, so its derivative is left out.
     """
     if A is None or np.abs(np.linalg.eigvals(A)).max() * span < _STIFF_RHO_SPAN:
         return {"method": RK45}
@@ -826,37 +852,31 @@ def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, on_step, A):
     f_at must hold the others still.  The blow-up event is the largest live
     row norm crossing the threshold upward across a step: its root on the
     step's interpolant ends the step and the solve (solve_ivp's terminal
-    event).  The crossing row, and any other live row at or above the
-    threshold by then, is frozen at its state there, as at its end, and the
-    other rows go on from the crossing time.  The run ends when no row is
-    live.  A right-hand side not finite where a solve starts is a
-    StepSizeError; the value checked there is the solver's first
-    evaluation.  The tolerances are divided by sqrt(rows), so every row
-    stays within `cfg` although the solver's error norm is an RMS over all
-    components.
+    event).  Every row norm here, at the start, in the event and at a
+    crossing, is `_norms` of the row divided by the threshold, so a row far
+    past it reads finite and nothing warns.  The crossing row, and any other
+    live row at or above the threshold by then, is frozen at its state
+    there, as at its end, and the other rows go on from the crossing time.
+    The run ends when no row is live.  A right-hand side not finite where a
+    solve starts is a StepSizeError; the value checked there is the
+    solver's first evaluation.  The tolerances are divided by sqrt(rows), so
+    every row stays within `cfg` although the solver's error norm is an RMS
+    over all components.
     """
     threshold = cfg.blowup_threshold
     stop = np.array(ends, dtype=float)  # a crossing row stops at its crossing time
     rows = stop.size
     t_cross = np.full(rows, math.inf)
 
-    def scaled_norms(y):
-        """Each row's norm over the threshold: the start check, the event
-        and the crossing rule compare it with 1, so a square that overflows
-        (a row above about 1e154 times the threshold) reads inf, still >= 1."""
-        z = y.reshape(rows, -1) / threshold
-        with np.errstate(over="ignore"):
-            return np.sqrt((z * z).sum(axis=1))
-
     def blowup_event(y):
-        return scaled_norms(y)[sel].max() - 1.0
+        return _norms(y.reshape(rows, -1) / threshold)[sel].max() - 1.0
 
     tol = {"rtol": cfg.rel_tol / math.sqrt(rows), "atol": cfg.abs_tol / math.sqrt(rows)}
     options = _solver(A, edges[-1], rows)
     method = options.pop("method")
     y, a = y0, edges[0]
     # the upward event never fires for a row that starts above the threshold
-    crossed = scaled_norms(y0) >= 1.0
+    crossed = _norms(y0.reshape(rows, -1) / threshold) >= 1.0
     stop[crossed] = t_cross[crossed] = a
     for b in edges[1:]:
         while a < b:
@@ -892,7 +912,7 @@ def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, on_step, A):
             del solver  # its (7, rows n) stages go before the next solve's are built
             a = t
             if event:
-                r = scaled_norms(y)
+                r = _norms(y.reshape(rows, -1) / threshold)
                 # a row left live above the threshold would never cross it upward
                 crossed = live & (r >= min(r[live].max(), 1.0))
                 stop[crossed] = t_cross[crossed] = a

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compfun import ScalarFun, chi_from_eta
-from .sysdyn import (InputSignal, IntegratorConfig, SystemDef, Trajectory, _number, _numbers,
-                     _time_grid, integrate)
+from .sysdyn import (InputSignal, IntegratorConfig, SystemDef, Trajectory, _norms, _number,
+                     _numbers, _time_grid, integrate)
 
 __all__ = [
     "GrowthMargin",
@@ -93,7 +93,7 @@ class DisturbanceSignal(InputSignal):
 
     def __init__(self, breakpoints, values):
         super().__init__(breakpoints, values)
-        norms = np.linalg.norm(self.values, axis=1)
+        norms = _norms(self.values)
         if np.any(norms > 1 + 1e-9):
             raise ValueError(f"disturbance norm {norms.max()} exceeds the unit ball")
 
@@ -180,9 +180,9 @@ def project_input(
     tau = _number("tau", tau, gt=0)
     ts = _time_grid(_numbers("grid", grid), tau)
     X = integrate(sys, x0, u, tau, cfg).state_at(ts)
-    e = np.asarray(margin(np.linalg.norm(X, axis=1)), dtype=float)
+    e = np.asarray(margin(_norms(X)), dtype=float)
     U = np.array([u.eval(t) for t in ts], dtype=float)
-    u_norm = np.linalg.norm(U, axis=1)
+    u_norm = _norms(U)
     vanish = e <= EPS_DIV
     bad = np.flatnonzero(vanish & (u_norm > TOL_MEMBERSHIP))
     if bad.size:
@@ -193,7 +193,7 @@ def project_input(
     d_vals = U / np.where(vanish, 1.0, e)[:, None]
     d_vals[vanish] = 0.0
     # clip roundoff excursions back onto the unit ball
-    d_vals /= np.maximum(np.linalg.norm(d_vals, axis=1), 1.0)[:, None]
+    d_vals /= np.maximum(_norms(d_vals), 1.0)[:, None]
     return DisturbanceSignal(ts[1:], d_vals)
 
 

@@ -491,6 +491,26 @@ class TestRfcAndProbes:
         assert witness["worst"] == rep["worst"] and all(v > 1e297 for v in rep["worst"][1:])
         assert math.isfinite(rep["max_violation"])
 
+    def test_tdi_probe_past_the_float_squares(self, tmp_path):
+        # pairs of norm about 1e298 start past the blow-up threshold and
+        # their distance squared overflows: the ratio is read scaled, with no
+        # warning, and the blow-up at 0 makes the probe diverge
+        cfg = sigma1_cfg(tmp_path, C=1e300, horizon=2.0, samples=3)
+        out = tmp_path / "out"
+        assert main(["lipschitz", "probe", "--mode", "tdi", "--config", cfg,
+                     "--out", str(out)]) == 0
+        rep = strict_loads((out / "lipschitz_tdi.json").read_text())
+        assert rep["diverged"] and rep["blowup_time"] == 0.0
+        assert rep["max_ratio"] is not None and math.isfinite(rep["max_ratio"])
+
+    def test_brs_fit_past_the_float_squares(self, tmp_path, capsys):
+        # the reach samples' norms overflow their squares and read finite,
+        # with no warning; the blow-ups are the witness
+        cfg = sigma1_cfg(tmp_path, C=1e300, horizon=2.0, samples=3)
+        assert main(["brs", "fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        witness = strict_loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert witness["falsified"] == "BRS" and "blow-ups" in witness["detail"]
+
     def test_rfc_report_on_readme_config_names_no_blowup(self, tmp_path):
         cfg = sigma1_cfg(tmp_path, eta_source="paper", C=1.5, horizon=2.0, samples=20, c=0.0)
         out = tmp_path / "out"

@@ -151,6 +151,20 @@ class TestEvalV:
         assert bound == pytest.approx(2.0 ** (1 - lyap_cfg.Q) * 1e300, rel=1e-3)
         assert exc.value.min_Q == 1008
 
+    def test_tail_bound_past_the_float_range(self):
+        # at Q = 1 the sum 1 + ||x|| + c passes the float range and ||x||
+        # itself does, on 100 entries by a factor of 5: the bound is inf,
+        # its least Q finite, nothing warns
+        cfg = bl.LyapunovConfig(Q=1)
+        for x, c, min_q in [([[1e308]], 1e308, 1036), ([[1.5e308, 1.5e308]], 0.0, 1036),
+                            ([[1e308] * 40], 1e308, 1037), ([[1e308] * 100], 0.0, 1038)]:
+            with pytest.raises(bl.TailBudgetError, match="tail bound inf") as exc:
+                lyapunov._check_tail_budget(np.array(x), c, cfg)
+            assert exc.value.min_Q == min_q
+        cfg = bl.LyapunovConfig(Q=1, tail_tol=7.0)
+        norms, tails = lyapunov._check_tail_budget(np.array([[3.0, 4.0]]), 1.0, cfg)
+        assert norms.tolist() == [5.0] and tails == [7.0]
+
     def test_lower_bound_by_alpha1_series(self, sigma1, lyap_cfg, l_table):
         r = 1.5
         lv = bl.eval_V(sigma1.system, sigma1.margin, [r], lyap_cfg, l_table)

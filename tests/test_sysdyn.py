@@ -87,6 +87,29 @@ class TestInputSignal:
         tail = bl.InputSignal([1.0], [[0.0, 1.0], [3.0, 4.0]])
         assert tail.sup_norm() == pytest.approx(5.0)
 
+    def test_sup_norm_past_the_float_squares(self):
+        # the square of the value's norm overflows, the norm does not
+        u = bl.InputSignal.constant([1e300, 1e300])
+        assert u.sup_norm() == pytest.approx(math.sqrt(2.0) * 1e300, rel=1e-15)
+
+
+class TestNorms:
+    def test_bits_of_numpy_where_the_square_is_finite(self):
+        rng = np.random.default_rng(5)
+        for shape in [(7,), (1, 7), (9, 3), (4, 5, 6)]:
+            x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-150, 150, shape)
+            ref = np.linalg.norm(x) if x.ndim == 1 else np.linalg.norm(x, axis=-1)
+            assert np.array_equal(sysdyn._norms(x), ref), shape
+
+    def test_a_norm_whose_square_overflows_is_read_scaled(self):
+        x = np.array([[3e200, 4e200], [3.0, 4.0], [1.5e308, 1.5e308], [np.inf, 0.0], [np.nan, 1e300]])
+        got = sysdyn._norms(x)
+        assert got[0] == pytest.approx(5e200, rel=1e-15) and got[1] == 5.0
+        # past the float range the norm itself is inf, as it is for an inf entry
+        assert got[2] == got[3] == np.inf and np.isnan(got[4])
+        assert sysdyn._norms(x[0]) == pytest.approx(5e200, rel=1e-15)
+        assert np.array_equal(sysdyn._norms(x[None, :2]), got[None, :2])
+
 
 class TestIntegrate:
     def test_matches_matrix_exponential(self):
@@ -810,6 +833,47 @@ def _inside(tree, kind, name) -> set:
     """The ids of every node inside the function or class `name` of `tree`."""
     scope, = [node for node in ast.walk(tree) if isinstance(node, kind) and node.name == name]
     return {id(node) for node in ast.walk(scope)}
+
+
+def _calls_in(tree, is_call) -> list:
+    """The innermost enclosing function's name (None at module level) of
+    every call in `tree` that `is_call` accepts."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and is_call(node):
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def _is_linalg_norm(node) -> bool:
+    func = node.func
+    return (getattr(func, "attr", None) == "norm"
+            and "linalg" in (getattr(func.value, "attr", None), getattr(func.value, "id", None)))
+
+
+def test_only_norms_reads_a_norm():
+    # one norm reader: every norm compared with a bound, divided by or
+    # written out is read by sysdyn._norms, whose overflow rule is the
+    # package's one silenced overflow; np.linalg.norm is left only to the
+    # draw normalisations and the semigroup's matrix 2-norm
+    trees = _package_trees()
+    norms = {(name, fn) for name, tree in trees.items() for fn in _calls_in(tree, _is_linalg_norm)}
+    assert norms <= {("sysdyn.py", "_norms"), ("sysdyn.py", "semigroup_growth"),
+                     ("tdinput.py", "_unit"), ("tdinput.py", "_random_steps")}
+    assert not [name for name, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")
+                and {a.name for a in node.names} & {"linalg", "norm"}]
+    overflow_rules = {(name, fn) for name, tree in trees.items() for fn in _calls_in(
+        tree, lambda node: getattr(node.func, "attr", None) in ("errstate", "seterr")
+        and "over" in {k.arg for k in node.keywords})}
+    assert overflow_rules == {("sysdyn.py", "_norms")}
 
 
 def test_only_run_steps_a_solver():

@@ -40,6 +40,12 @@ class TestDisturbanceSignal:
         with pytest.raises(ValueError):
             bl.DisturbanceSignal(np.array([1.0]), np.array([[1.5], [0.0]]))
 
+    def test_unit_ball_check_past_the_float_squares(self):
+        # the value's square overflows: its norm is read scaled, finite and
+        # with no warning, and named in the error
+        with pytest.raises(ValueError, match=r"^disturbance norm 1\.414\d*e\+200 exceeds"):
+            bl.DisturbanceSignal([], [[1e200, 1e200]])
+
     def test_family_prefix_stable_and_bounded(self):
         fam3 = disturbance_family(2, 3.0, 3, seed=7)
         fam6 = disturbance_family(2, 3.0, 6, seed=7)
