@@ -21,8 +21,9 @@ finds a blow-up crossing, so importing sysdyn loads no part of scipy and no
 solve loads scipy.integrate or scipy.optimize; `RkDenseOutput` is the one
 reader of an RK45 step, and a `Trajectory` holds its solver's interpolants
 and searches them itself.  A path imports what it needs of scipy when it
-runs: LAPACK's LU routines from scipy.linalg for a one-row stiff solve,
-scipy.sparse and its SuperLU for a stacked one, expm in `semigroup_growth`.
+runs: LAPACK's LU routines from scipy.linalg for a one-row stiff solve and
+expm in `semigroup_growth`; a stacked stiff solve applies the inverse of
+its one n x n Newton block in numpy's own BLAS and loads no scipy module.
 """
 
 from __future__ import annotations
@@ -527,8 +528,12 @@ def _lapack_lu():
     return factor, solve
 
 
-def _superlu_solve(LU, b):
-    return LU.solve(b)
+def _block_solve(inverse, b):
+    """The solution of the block-diagonal system kron(I_rows, I - c A) x = b,
+    b flat, one row of (rows, n) per block, from the inverse of I - c A, in
+    numpy's BLAS: scipy bundles its own, whose thread pool, once woken,
+    slows numpy's products (ROADMAP)."""
+    return np.dot(b.reshape(-1, inverse.shape[0]), inverse.T).ravel()
 
 
 class BDF(_Stepper):
@@ -540,9 +545,12 @@ class BDF(_Stepper):
     solve with the constant Newton matrix `jac`, so it takes the same steps
     to the bit.
 
-    `jac` is a float array, whose iteration matrices I - c jac are factored
-    by LAPACK's dgetrf and solved by dgetrs, or a scipy.sparse CSC matrix,
-    factored by SuperLU.  `t`, `y`, `t_old`, `h_abs`, `order` and `status`
+    `jac` is the n x n float array A.  For one state of n components the
+    iteration matrices I - c A are factored by LAPACK's dgetrf and solved by
+    dgetrs, as in scipy; for a stack of states, y0 of rows * n components,
+    the matrix is the block diagonal kron(I_rows, I - c A), and its one
+    block is inverted once per factorization and applied to the (rows, n)
+    right-hand side.  `t`, `y`, `t_old`, `h_abs`, `order` and `status`
     read as scipy's, and step() and dense_output() work as RK45's.  The
     stepper holds no reference to itself, so a finished one is freed at
     once, not by the cyclic collector.
@@ -565,18 +573,14 @@ class BDF(_Stepper):
         self.status = "running"
         f = fun(t0, y0)
         self.h_abs = _initial_step(fun, t0, y0, t_bound, f, 1, rtol, atol)
-        n = y0.size
-        if isinstance(jac, np.ndarray):
+        n = jac.shape[0]
+        if n == y0.size:
             self.lu, self.solve_lu = _lapack_lu()
-            self.I = np.identity(n)
         else:
-            from scipy.sparse import eye
-            from scipy.sparse.linalg import splu
-
-            self.lu, self.solve_lu = splu, _superlu_solve
-            self.I = eye(n, format="csc")
+            self.lu, self.solve_lu = np.linalg.inv, _block_solve
+        self.I = np.identity(n)
         self.J = jac
-        D = np.empty((self.MAX_ORDER + 3, n))
+        D = np.empty((self.MAX_ORDER + 3, y0.size))
         D[0] = y0
         D[1] = f * self.h_abs
         self.D = D
@@ -706,10 +710,8 @@ class BdfDenseOutput:
     of times read."""
 
     def __init__(self, t_old, t, h, order, D):
-        self.t_old, self.t = t_old, t
+        self.t_old, self.t, self.h = t_old, t, h
         self.order = order
-        self.t_shift = t - h * np.arange(order)
-        self.denom = h * (1 + np.arange(order))
         self.D = D
 
     def __call__(self, t):
@@ -719,7 +721,8 @@ class BdfDenseOutput:
         if ts.size == 1:
             y = self(np.repeat(ts.reshape(1), 2))[:, 0].copy()
             return y if ts.ndim == 0 else y[:, None]
-        x = (ts - self.t_shift[:, None]) / self.denom[:, None]
+        k = np.arange(self.order)  # scipy's t_shift and denom, formed at a read
+        x = (ts - (self.t - self.h * k)[:, None]) / (self.h * (1 + k))[:, None]
         p = np.cumprod(x, axis=0)
         y = np.dot(self.D[1:].T, p)
         y += self.D[0, :, None]
@@ -744,24 +747,20 @@ def _segment_edges(breakpoints, tau: float) -> np.ndarray:
 _STIFF_RHO_SPAN = 2000.0
 
 
-def _solver(A, span: float, rows: int) -> dict:
-    """The solver class and its options for `rows` stacked states of a system
-    with linear part A (None if it has none) integrated over `span`.
+def _solver(A, span: float) -> dict:
+    """The solver class and its options for one state or a stack of states
+    of a system with linear part A (None if it has none) integrated over
+    `span`.
 
     RK45 unless rho(A) * span reaches _STIFF_RHO_SPAN; then BDF with the
-    constant Newton matrix A, dense for one row, and kron(I_rows, A) as a
-    sparse matrix for a stack, so only a stack imports scipy.sparse.  A
-    stack keeps the sparse kron because LU on the dense n x n block loses at
-    n = 128 (`build_l_table` 13.5 -> 32.8 s, ROADMAP).  The rest of the
-    right-hand side is taken as non-stiff, so its derivative is left out.
+    constant Newton matrix A for one row or a stack alike: every block of a
+    stack's Newton matrix is the same I - c A, so BDF solves with that one
+    block.  The rest of the right-hand side is taken as non-stiff, so its
+    derivative is left out.
     """
     if A is None or np.abs(np.linalg.eigvals(A)).max() * span < _STIFF_RHO_SPAN:
         return {"method": RK45}
-    if rows == 1:
-        return {"method": BDF, "jac": A}
-    from scipy import sparse
-
-    return {"method": BDF, "jac": sparse.kron(sparse.identity(rows), A, format="csc")}
+    return {"method": BDF, "jac": A}
 
 
 def _first_call(fun, f0):
@@ -836,6 +835,13 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 10
     raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur:f}.")
 
 
+def _far_below(y, screen: float) -> bool:
+    """Every entry of y is below `screen`, threshold / (2 sqrt(n)) for rows
+    of n entries, so no row's norm, at most sqrt(n) max|y|, reaches half
+    the threshold: `_run`'s step event reads no norm then."""
+    return np.abs(y).max() < screen
+
+
 def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, on_step, A):
     """Solve the stack y' = f_at(a, b, live)(t, y) of len(ends) rows across
     `edges`, one solve per [a, b] from the solver's own state where the
@@ -854,12 +860,18 @@ def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, on_step, A):
     step's interpolant ends the step and the solve (solve_ivp's terminal
     event).  Every row norm here, at the start, in the event and at a
     crossing, is `_norms` of the row divided by the threshold, so a row far
-    past it reads finite and nothing warns.  The crossing row, and any other
-    live row at or above the threshold by then, is frozen at its state
+    past it reads finite and nothing warns.  A step's event forms no norm
+    while sqrt(n) max|y| stays below half the threshold, which no row's
+    norm can then reach, even rounded: it reads -1 there, below 0 as the
+    exact event would be, so no crossing is missed or added; the crossing's
+    root search and its rule read the exact event.  The crossing row, and
+    any other live row at or above the threshold by then, is frozen at its state
     there, as at its end, and the other rows go on from the crossing time.
     The run ends when no row is live.  A right-hand side not finite where a
-    solve starts is a StepSizeError; the value checked there is the
-    solver's first evaluation.  The tolerances are divided by sqrt(rows), so
+    solve starts is a StepSizeError, and so is one whose error norm at the
+    solve's tolerances overflows, from which the solver would take a first
+    step of 0 and crawl; the value checked there is the solver's first
+    evaluation.  The tolerances are divided by sqrt(rows), so
     every row stays within `cfg` although the solver's error norm is an RMS
     over all components.
     """
@@ -871,8 +883,13 @@ def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, on_step, A):
     def blowup_event(y):
         return _norms(y.reshape(rows, -1) / threshold)[sel].max() - 1.0
 
+    screen = threshold / (2.0 * math.sqrt(y0.size // rows))
+
+    def step_event(y):
+        return -1.0 if _far_below(y, screen) else blowup_event(y)
+
     tol = {"rtol": cfg.rel_tol / math.sqrt(rows), "atol": cfg.abs_tol / math.sqrt(rows)}
-    options = _solver(A, edges[-1], rows)
+    options = _solver(A, edges[-1])
     method = options.pop("method")
     y, a = y0, edges[0]
     # the upward event never fires for a row that starts above the threshold
@@ -891,14 +908,21 @@ def _run(f_at, y0, edges, cfg: IntegratorConfig, ends, on_step, A):
             if not np.isfinite(f0).all():
                 raise StepSizeError(f"integrator failed on [{a}, {b}]:"
                                     " the right-hand side is not finite at its start")
+            # the first step is 0 where the slope's error norm, the solver's
+            # _rms(f0 / scale), overflows: past 2**512 in an entry or in all
+            scale = tol["atol"] + np.abs(y) * tol["rtol"]
+            if not ((np.abs(f0) * 2.0 ** -512 <= scale).all()
+                    and _norms(f0 / scale) < 2.0 ** 512):
+                raise StepSizeError(f"integrator failed on [{a}, {b}]: the right-hand"
+                                    " side's error norm overflows at its start")
             solver = method(_first_call(fun, f0), a, y, b, **tol, **options)
-            g, event = blowup_event(y), False
+            g, event = step_event(y), False
             while not event and solver.status == "running":
                 message = solver.step()
                 if solver.status == "failed":
                     raise StepSizeError(f"integrator failed on [{a}, {b}]: {message}")
                 t, y, sol = solver.t, solver.y, None
-                g_old, g = g, blowup_event(y)
+                g_old, g = g, step_event(y)
                 event = g_old <= 0.0 <= g
                 if event:
                     sol = solver.dense_output()

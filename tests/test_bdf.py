@@ -1,8 +1,10 @@
 """sysdyn's own BDF against scipy's: the same steps, step for step and bit
-for bit, with a dense Newton matrix (LAPACK) and a sparse stack (SuperLU);
-its LAPACK calls check as scipy.linalg's wrappers do; a finished stepper is
-freed without the cyclic collector; and sysdyn's brentq returns scipy's
-roots to the bit.  scipy is imported here only as the reference."""
+for bit, with one state's Newton matrix (LAPACK) and a stack's one Newton
+block (its inverse in numpy's BLAS), which solves as scipy.linalg does on
+the whole block-diagonal matrix; its LAPACK calls check as scipy.linalg's
+wrappers do; a finished stepper is freed without the cyclic collector; and
+sysdyn's brentq returns scipy's roots to the bit.  scipy is imported here
+only as the reference."""
 
 import gc
 import math
@@ -26,9 +28,12 @@ def step_both(fun, t0, y0, t_bound, rtol, atol, jac):
     and compare t, t_old, y, h_abs, order, status, the message, the
     right-hand side calls and the interpolant's reads at every step: an
     array read against scipy's array read of the same times, and a float
-    read against scipy's array read of that time among them.  Returns the
-    stepper, the orders of the steps taken and the step size each started
-    from."""
+    read against scipy's array read of that time among them.  For a stack,
+    y0 of rows * n components with jac the n x n block A, scipy's stepper
+    is built on the whole kron(I_rows, A) and then handed sysdyn's block:
+    its identity, A, factor and solve, the only parts of the Newton matrix
+    its step reads.  Returns the stepper, the orders of the steps taken and
+    the step size each started from."""
     calls = {}
 
     def counted(side):
@@ -41,7 +46,12 @@ def step_both(fun, t0, y0, t_bound, rtol, atol, jac):
         return f
 
     ours = sysdyn.BDF(counted("ours"), t0, y0, t_bound, rtol=rtol, atol=atol, jac=jac)
-    ref = scipy.integrate.BDF(counted("ref"), t0, y0, t_bound, rtol=rtol, atol=atol, jac=jac)
+    n, rows = jac.shape[0], np.size(y0) // jac.shape[0]
+    ref = scipy.integrate.BDF(counted("ref"), t0, y0, t_bound, rtol=rtol, atol=atol,
+                              jac=np.kron(np.identity(rows), jac) if rows > 1 else jac)
+    if rows > 1:
+        ref.I, ref.J = np.identity(n), jac
+        ref.lu, ref.solve_lu = np.linalg.inv, sysdyn._block_solve
     assert same(ours.h_abs, ref.h_abs) and calls["ours"] == calls["ref"]
     orders, started_from = [], []
     while ours.status == "running":
@@ -81,7 +91,7 @@ def test_reaction_diffusion_dense(n):
     assert solver.t - solver.t_old < started_from[-1]
 
 
-def test_sparse_stack_of_reaction_diffusion():
+def test_block_stack_of_reaction_diffusion():
     fun, x0, A = rd_problem(8)
     rows = 4
     X0 = np.outer(np.linspace(0.5, 2.0, rows), x0)
@@ -91,11 +101,30 @@ def test_sparse_stack_of_reaction_diffusion():
     def stacked(t, y):
         return rd.full_rhs(y.reshape(rows, 8), U).ravel()
 
-    jac = sysdyn._solver(A, 1e4, rows)["jac"]  # the sparse kron(I_rows, A)
-    assert not isinstance(jac, np.ndarray)
+    jac = sysdyn._solver(A, 1e4)["jac"]  # the n x n block, for a stack too
+    assert jac is A
     scale = math.sqrt(rows)  # as `_run` divides the tolerances
     solver, orders, _ = step_both(stacked, 0.0, X0.ravel(), 1.0, 1e-6 / scale, 1e-9 / scale, jac)
     assert solver.status == "finished" and max(orders) == 5
+    assert solver.solve_lu is sysdyn._block_solve and solver.I.shape == (8, 8)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
+def test_block_solve_is_the_block_diagonal_solve(rows):
+    # the inverse of the one block I - c A, applied to each row of b, solves
+    # the whole system (I - c kron(I_rows, A)) x = b, at step sizes from
+    # the first to the largest a reaction_diffusion solve takes
+    _, _, A = rd_problem(32)
+    rng = np.random.default_rng(20240811 + rows)
+    for c in (1e-6, 1e-3, 0.1):
+        inverse = np.linalg.inv(np.identity(32) - c * A)
+        big = np.identity(32 * rows) - c * np.kron(np.identity(rows), A)
+        for _ in range(4):
+            b = rng.standard_normal(32 * rows)
+            want = scipy.linalg.solve(big, b)
+            got = sysdyn._block_solve(inverse, b.copy())
+            assert got.shape == b.shape
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), (c, rows)
 
 
 def test_rejected_steps_and_a_newton_failure(monkeypatch):
@@ -149,9 +178,10 @@ def test_lapack_calls_check_as_scipy_linalg_does():
 
 @pytest.mark.parametrize("rows", [1, 3])
 def test_no_bdf_stepper_outlives_its_solve(monkeypatch, rows):
-    """A finished stiff solve's stepper, dense for one row and sparse for a
-    stack, is freed when the solve returns, with the cyclic collector off."""
-    alive, dense = [], []
+    """A finished stiff solve's stepper, on the n x n Newton block for one
+    row and a stack alike, is freed when the solve returns, with the cyclic
+    collector off."""
+    alive, blocks = [], []
     choose = sysdyn._solver
 
     def tracked_solver(*args):
@@ -162,7 +192,7 @@ def test_no_bdf_stepper_outlives_its_solve(monkeypatch, rows):
             def __init__(self, *rest, **kwargs):
                 super().__init__(*rest, **kwargs)
                 alive.append(weakref.ref(self))
-                dense.append(isinstance(self.J, np.ndarray))
+                blocks.append(self.J.shape)
 
         return {**options, "method": Tracked}
 
@@ -180,7 +210,7 @@ def test_no_bdf_stepper_outlives_its_solve(monkeypatch, rows):
     finally:
         if enabled:
             gc.enable()
-    assert still_alive == [False, False] and dense == [rows == 1] * 2
+    assert still_alive == [False, False] and blocks == [(32, 32)] * 2
 
 
 def test_brentq_takes_scipys_root_to_the_bit():

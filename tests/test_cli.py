@@ -4,7 +4,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -366,6 +369,27 @@ class TestSimulate:
         monkeypatch.setenv("BRSLAB_OUT", str(tmp_path / "envout"))
         assert main(["simulate", "--config", cfg]) == 0
         assert (tmp_path / "envout" / "trajectory.csv").exists()
+
+
+# An input of 1e300 makes sigma1's slope past the solver's error norm: its
+# first step came out 0 and RK45 crawled at steps of about 1e-298 without
+# end, so each run is a child process under `-W error` with a timeout.
+@pytest.mark.parametrize("argv, extra", [
+    (["simulate"], {"x0": [0.5], "u_constant": [1e300]}),
+    (["lipschitz", "probe", "--mode", "open"], {"C": 1e300, "horizon": 2.0, "samples": 3}),
+], ids=["simulate", "open_probe"])
+def test_slope_past_the_error_norm_is_an_integrator_error(tmp_path, argv, extra):
+    cfg = sigma1_cfg(tmp_path, **extra)
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "brslab.cli", *argv, "--config", cfg,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("integrator error: integrator failed on [0.0, ")
+    assert "error norm overflows at its start" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestBrsFit:

@@ -156,8 +156,11 @@ def test_no_stepper_outlives_its_solve(monkeypatch):
 
 # The README pipeline, `simulate` and a sigma1 lift/project round trip in a
 # fresh interpreter: which scipy modules they load; then a one-row stiff
-# solve, which steps sysdyn's BDF on LAPACK, and a blow-up, whose crossing
-# sysdyn's brentq finds, and which scipy modules are loaded after those.
+# solve, which steps sysdyn's BDF on LAPACK, a stacked one (the TDI probe's
+# 8 rows of reaction_diffusion n = 8 over 10 time units, rho(A) * span
+# about 2,500), whose Newton block BDF applies in numpy, and a blow-up,
+# whose crossing sysdyn's brentq finds, and which scipy modules are loaded
+# after those.
 SPARED = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
 PIPELINE = """
 import json, sys
@@ -176,12 +179,14 @@ loaded = [m for m in spared if m in sys.modules]
 rd = brslab.make("reaction_diffusion", {"n": 32})
 traj = brslab.integrate(rd.system, np.full(32, 0.1), brslab.InputSignal.constant([0.5]), 1.0,
                         brslab.IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9))
+rd8 = brslab.make("reaction_diffusion", {"n": 8})
+probe = brslab.probe_lipschitz_tdi(rd8.system, rd8.margin, 10.0, 1.0, 0, 20240811, n_dist=1)
 blowup = brslab.integrate(brslab.make("quadratic").system, [2.0],
                           brslab.InputSignal.constant([0.0]), 1.0)
 late = [m for m in ("scipy.integrate", "scipy.optimize", "scipy.sparse") if m in sys.modules]
 print(json.dumps({"codes": codes, "loaded": loaded,
                   "stiff": [type(s).__name__ for s in traj.steps[:1]],
-                  "blew_up": blowup.blew_up, "late": late}))
+                  "stack_diverged": probe.diverged, "blew_up": blowup.blew_up, "late": late}))
 """
 
 
@@ -196,4 +201,4 @@ def test_readme_pipeline_loads_no_scipy_solver_module(tmp_path):
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.strip().splitlines()[-1])
     assert got == {"codes": [0, 0, 0], "loaded": [], "stiff": ["BdfDenseOutput"],
-                   "blew_up": True, "late": []}
+                   "stack_diverged": False, "blew_up": True, "late": []}

@@ -18,6 +18,7 @@ from brslab import sysdyn
 from brslab.sysdyn import _sample_ensemble, semigroup_growth
 from brslab.tdinput import closed_loop
 from conftest import solver_work
+from test_rk45 import same
 
 
 def rotation():
@@ -367,6 +368,73 @@ class TestBlowup:
             lin, [[1.0], [0.5]], [zero, zero], [(np.linspace(0.0, 500.0, 11), [0, 1])], cfg
         )
         assert t_cross == pytest.approx([crossing, math.log(2e200)], rel=1e-6)
+
+
+def screened_and_exact(monkeypatch, run):
+    """run() with `_run`'s step-event screen, then with the exact event
+    forced: the two results, and how many step events the screen read
+    without a norm in the first."""
+    spared = []
+    far_below = sysdyn._far_below
+
+    def counted(y, screen):
+        spared.append(far_below(y, screen))
+        return spared[-1]
+
+    monkeypatch.setattr(sysdyn, "_far_below", counted)
+    screened = run()
+    monkeypatch.setattr(sysdyn, "_far_below", lambda y, screen: False)
+    return screened, run(), sum(spared)
+
+
+def test_screened_reach_samples_are_the_exact_events(monkeypatch):
+    # sample_reach on quadratic, 12 of whose 20 draws cross: the same
+    # crossing times and samples to the bit with and without the screen
+    from brslab import brscheck
+
+    seen = []
+    sample = brscheck._sample_ensemble
+
+    def recorded(*args):
+        seen.append(sample(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(brscheck, "_sample_ensemble", recorded)
+    quad = bl.make("quadratic").system
+    _, _, spared = screened_and_exact(monkeypatch, lambda: bl.sample_reach(quad, 3.0, 3.0, 20, 5))
+    (samples, t_cross), (exact_samples, exact_t_cross) = seen
+    assert int(np.isfinite(t_cross).sum()) == 12 and spared > 0
+    assert same(t_cross, exact_t_cross) and same(samples, exact_samples)
+
+
+@pytest.mark.parametrize("case", ["above_at_start", "just_under_the_screen", "at_the_screen"])
+def test_screened_events_are_the_exact_events(monkeypatch, case):
+    zero = bl.InputSignal.constant([0.0])
+    if case == "above_at_start":  # a row frozen past the threshold from t = 0
+        system, threshold = bl.make("quadratic").system, 1e9
+        X0, grid = np.array([[0.5], [2e9], [1.5]]), np.linspace(0.0, 3.0, 13)
+    else:
+        # x' = x in four components: rows of n = 4 entries, so the screen
+        # is threshold / 4, and the first row's largest entry starts just
+        # under it or at it; it crosses near t = ln 4, the second at ln 500
+        system, threshold = bl.SystemDef(4, 1, lambda x, u: 1.0 * x, name="growth"), 1e3
+        top = 250.0 if case == "at_the_screen" else math.nextafter(250.0, 0.0)
+        X0 = np.array([[top, 1.0, -1.0, 1.0], [1.0, 1.0, 1.0, 1.0]])
+        grid = np.linspace(0.0, 7.0, 15)
+    cfg = bl.IntegratorConfig(blowup_threshold=threshold)
+    (samples, t_cross), (exact_samples, exact_t_cross), spared = screened_and_exact(
+        monkeypatch, lambda: _sample_ensemble(system, X0, [zero] * len(X0),
+                                              one_group(grid, len(X0)), cfg))
+    assert same(t_cross, exact_t_cross) and same(samples, exact_samples)
+    assert np.all(np.isfinite(t_cross))
+    # a frozen row past the threshold, or an entry at the screen, keeps
+    # every event exact; just under it, the first events are screened
+    if case == "above_at_start":
+        assert spared == 0 and t_cross[1] == 0.0
+    else:
+        crossing = math.log(1e3 / math.sqrt(250.0 ** 2 + 3.0))
+        assert t_cross[0] == pytest.approx(crossing, rel=1e-6)
+        assert (spared > 0) == (case == "just_under_the_screen")
 
 
 def assert_rows_agree(sys, X0, inputs, groups, cfg, sampled=None):
@@ -792,25 +860,26 @@ SOLVER_NAMES = frozenset(
 )
 
 
+NOT_IMPORTED = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
+
+
 def test_only_sysdyn_steps_a_solver():
     # one stepping loop: no other module imports scipy.integrate or names a
     # solver, so none can construct one; sysdyn steps its own RK45 and BDF
     # and imports from scipy.integrate only the solve_ivp it serves to the
     # bench tracer, and no module imports scipy.optimize (sysdyn has its own
-    # brentq)
+    # brentq) or scipy.sparse (a stack's Newton matrix is one dense block)
     users, imported = {}, {}
     for path in sorted(Path(sysdyn.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             scipy_imports = []
             if isinstance(node, ast.Import):
-                scipy_imports = [a.name for a in node.names
-                                 if a.name.startswith(("scipy.integrate", "scipy.optimize"))]
+                scipy_imports = [a.name for a in node.names if a.name.startswith(NOT_IMPORTED)]
                 used = scipy_imports
             elif isinstance(node, ast.ImportFrom):
                 module = node.module or ""
-                scipy_imports = [a.name for a in node.names
-                                 if module.startswith(("scipy.integrate", "scipy.optimize"))
-                                 or (module == "scipy" and a.name in ("integrate", "optimize"))]
+                scipy_imports = [a.name for a in node.names if module.startswith(NOT_IMPORTED)
+                                 or (module == "scipy" and f"scipy.{a.name}" in NOT_IMPORTED)]
                 used = scipy_imports + [a.name for a in node.names if a.name in SOLVER_NAMES]
             else:
                 used = [name for name in (getattr(node, "id", None), getattr(node, "attr", None))
